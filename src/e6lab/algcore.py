@@ -283,15 +283,6 @@ class LieAlgebra:
     def bracket(self, x, y):
         return self.alg.multiply(x, y)
 
-    def ad_sparse(self, i: int) -> dict:
-        out = {}
-        for q in range(self.alg.dim):
-            row = self.alg.sc.get((i, q))
-            if row:
-                for p, v in row.items():
-                    out.setdefault(p, {})[q] = v
-        return out
-
     def killing_matrix(self):
         if self._killing is None:
             self._killing = killing_matrix(self)
@@ -368,11 +359,7 @@ def signature_from_fix(dim_s: int, dim_fix: int) -> int:
 
 def fixed_subspace(matrix, field: Field = QQ):
     """(basis, dim) of ker(M - id), basis in reduced echelon form."""
-    n = len(matrix)
-    shifted = [list(row) for row in matrix]
-    for i in range(n):
-        shifted[i][i] = shifted[i][i] - field.one
-    basis = linalg.kernel(shifted, n, field)
+    basis = linalg.eigenspace(matrix, field.one, field)
     return basis, len(basis)
 
 

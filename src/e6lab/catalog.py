@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import chevalley as chev
 from . import e6sp8
-from .algcore import inertia, jacobi_defect
+from .algcore import inertia
 from .composition import hurwitz, octonion_z23_grading
 from .gradings import (
     FinAbGroup,
@@ -73,18 +73,6 @@ def model_signature(name: str) -> int:
     return inertia(lie.killing_matrix()).signature
 
 
-EXPECTED_SIGNATURES = {
-    "tits-o-m3r": -26,
-    "tits-rr-albert": -26,
-    "tits-rr-albert-split": -26,
-    "tits-c-albert": -78,
-    "tits-c-albert-split": -14,
-    "tits-rr-splitalbert": 6,
-    "tits-c-splitalbert": 2,
-    "chevalley-e6": 6,
-}
-
-
 def rr_z2_grading() -> GradedDecomposition:
     """The even/odd split of R+R: 1 even, s odd."""
     rr = hurwitz("RR")
@@ -130,8 +118,3 @@ def grading(name: str):
 def grading_carrier_signature(name: str) -> int:
     _, carrier, _ = grading(name)
     return inertia(carrier.killing_matrix()).signature
-
-
-def jacobi_ok(name: str) -> bool:
-    lie, _ = model(name)
-    return jacobi_defect(lie.alg) == []

@@ -66,9 +66,6 @@ class RootSystem:
             for j, b in enumerate(beta)
         )
 
-    def is_root(self, alpha) -> bool:
-        return alpha in self.index or tuple(-c for c in alpha) in self.index
-
     def height(self, alpha) -> int:
         return sum(alpha)
 
@@ -203,9 +200,6 @@ class ChevalleyBasis:
     @property
     def dim(self):
         return 78
-
-    def h_index(self, j: int) -> int:
-        return j
 
     def e_index(self, r: int) -> int:
         return 6 + r

@@ -27,6 +27,17 @@ def _elapsed_note(t0: float):
     print(f"elapsed: {time.time() - t0:.1f}s", file=sys.stderr)
 
 
+def _write(path, text) -> bool:
+    """Write text to path; on failure print one line on stderr, return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_build(args) -> int:
     t0 = time.time()
     if args.model not in catalog.MODEL_NAMES:
@@ -36,13 +47,8 @@ def cmd_build(args) -> int:
     defect = jacobi_defect(lie.alg)
     sig = catalog.model_signature(args.model)
     doc = algebra_to_json(lie.alg, provenance=provenance)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(_emit(doc))
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+    if args.out and not _write(args.out, _emit(doc)):
+        return 2
     report = {
         "model": args.model,
         "dim": lie.dim,
@@ -83,9 +89,8 @@ def cmd_grading(args) -> int:
         },
         "verified": verified,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_emit(grading_to_json(g)))
+    if args.out and not _write(args.out, _emit(grading_to_json(g))):
+        return 2
     if args.json:
         sys.stdout.write(_emit(doc))
     else:
@@ -156,14 +161,15 @@ def cmd_chevalley(args) -> int:
         "contains_minus_26": inh["contains_minus_26"],
     }
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("s1,s2,s3,s4,s5,s6,dim_fix_t,dim_fix_omega_t,sig_via_omega_t,sig_via_t\n")
-            for row in inh["rows"]:
-                signs = ",".join(str(s) for s in row["signs"])
-                fh.write(
-                    f"{signs},{row['dim_fix_t']},{row['dim_fix_omega_t']},"
-                    f"{row['signature_via_omega_t']},{row['signature_via_t']}\n"
-                )
+        lines = ["s1,s2,s3,s4,s5,s6,dim_fix_t,dim_fix_omega_t,sig_via_omega_t,sig_via_t\n"]
+        for row in inh["rows"]:
+            signs = ",".join(str(s) for s in row["signs"])
+            lines.append(
+                f"{signs},{row['dim_fix_t']},{row['dim_fix_omega_t']},"
+                f"{row['signature_via_omega_t']},{row['signature_via_t']}\n"
+            )
+        if not _write(args.csv, "".join(lines)):
+            return 2
     if args.json:
         sys.stdout.write(_emit(doc))
     else:

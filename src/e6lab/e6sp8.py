@@ -474,8 +474,8 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
         raise AlgebraError("unexpected graded dimensions")
 
     even_flat = [sum(m, []) for m in even_mats]
-    even_expand = linalg.SparseSpanExpander(even_flat, QQ)
-    odd_expand = linalg.SparseSpanExpander(odd_vecs, QQ)
+    even_expand = linalg.SpanSolver(even_flat, QQ)
+    odd_expand = linalg.SpanSolver(odd_vecs, QQ)
     even_sp = [linalg.dense_to_sparse(m, QQ) for m in even_mats]
     act_sp = [act4_matrix_sparse(m, QQ) for m in even_mats]
     odd_sp = [{c: x for c, x in enumerate(v) if x} for v in odd_vecs]
@@ -575,9 +575,9 @@ def odd_bracket(u, v, lam: Fraction = ODD_BRACKET_SCALE):
     """Bracket of two ker-c vectors (70 coords), as an 8x8 sp8 matrix."""
     model = assemble_e6()
     ne = model.even_dim
-    ex = linalg.SparseSpanExpander(model.odd_vectors, QQ)
-    cu = ex.coefficients({i: x for i, x in enumerate(u) if x})
-    cv = ex.coefficients({i: x for i, x in enumerate(v) if x})
+    ex = linalg.SpanSolver(model.odd_vectors, QQ)
+    cu = ex.coefficients(u)
+    cv = ex.coefficients(v)
     if cu is None or cv is None:
         raise AlgebraError("arguments must lie in ker c")
     out = [[F(0)] * 8 for _ in range(8)]

@@ -210,10 +210,8 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
     """
     alg = grading.algebra
     f = alg.field
-    n = alg.dim
     m = len(der_basis)
     supp = grading.support
-    solvers = grading._component_solvers()
     # d(A_h) lives in sum over supp of components; candidates g = h' - h
     candidates = sorted(
         {grading.group.add(h2, grading.group.neg(h1)) for h1 in supp for h2 in supp}
@@ -233,11 +231,7 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
             vsp = {i: x for i, x in enumerate(v) if x != f.zero}
             per_target = {}
             for t, dsp in enumerate(der_sparse):
-                img = linalg.sp_matvec(dsp, vsp)
-                dense = [f.zero] * n
-                for i, x in img.items():
-                    dense[i] = x
-                coeffs = full_solver.coefficients(dense)
+                coeffs = full_solver.coefficients(linalg.sp_matvec(dsp, vsp))
                 if coeffs is None:
                     raise GradingError("derivation image outside the algebra")
                 for pos, co in enumerate(coeffs):
@@ -306,7 +300,7 @@ def _matrix_span_algebra(der_basis, f: Field, alg: StructAlgebra) -> StructAlgeb
     n = alg.dim
     m = len(der_basis)
     flat = [sum((list(row) for row in d), []) for d in der_basis]
-    expander = linalg.SparseSpanExpander(flat, f)
+    expander = linalg.SpanSolver(flat, f)
     sparse = [linalg.dense_to_sparse(d, f) for d in der_basis]
     sc = {}
     for i in range(m):
@@ -349,7 +343,7 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     )
     indj = induced_on_der(grading_j, t.der_j_basis)
     # traceless parts of the graded components, in C0 / J0 coordinates
-    j0_expand = linalg.SparseSpanExpander(t.j0_vectors, f)
+    j0_expand = linalg.SpanSolver(t.j0_vectors, f)
     c0g = {}
     for g, vecs in grading_c.components.items():
         tv = [c.trace(v) for v in vecs]
@@ -375,7 +369,7 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
             for i2, co in enumerate(combo):
                 if co != f.zero:
                     v = linalg.vec_add(v, linalg.vec_scale(vecs[i2], co))
-            coeffs = j0_expand.coefficients({i2: x for i2, x in enumerate(v) if x})
+            coeffs = j0_expand.coefficients(v)
             if coeffs is None:
                 raise GradingError("traceless J component outside J0")
             out.append(coeffs)

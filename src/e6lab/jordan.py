@@ -51,10 +51,6 @@ class JordanAlgebra:
             out[self.iota_base[t] + ci] = v
         return out
 
-    def iota_part(self, t: int, x):
-        nc = self.comp.dim
-        return x[self.iota_base[t] : self.iota_base[t] + nc]
-
     def mult(self, x, y):
         return self.alg.multiply(x, y)
 

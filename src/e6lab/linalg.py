@@ -3,6 +3,9 @@
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
 dicts and sparse matrices {row: {col: scalar}}.  All elimination routines use
 lexicographic pivot selection so that every returned basis is deterministic.
+One span solver (`SpanSolver`) expresses vectors in a fixed basis, and one
+symmetric congruence elimination (`congruence_diagonalize`) gives both the
+Witt pivots and the Sylvester inertia.
 """
 
 from __future__ import annotations
@@ -81,11 +84,6 @@ def vec_scale(u, s):
     return [x * s for x in u]
 
 
-def is_zero_vec(v, field: Field) -> bool:
-    z = field.zero
-    return all(x == z for x in v)
-
-
 # ---------------------------------------------------------------------------
 # echelon forms, kernels, solving
 
@@ -154,70 +152,54 @@ def kernel(rows, ncols, field: Field):
     return out
 
 
-def solve_in_rref(red, pivots, v, field: Field):
-    """Coefficients of v in the span of rref rows, or None if outside."""
-    z = field.zero
-    coeffs = [v[c] for c in pivots]
-    resid = list(v)
-    for co, row in zip(coeffs, red):
-        if co != z:
-            resid = [a - co * b for a, b in zip(resid, row)]
-    if any(x != z for x in resid):
-        return None
-    return coeffs
-
-
 class SpanSolver:
-    """Expresses vectors in a fixed (not necessarily echelon) basis."""
+    """Expresses vectors in a fixed, linearly independent basis.
+
+    The basis is reduced once; the reduced rows and the transform rows that
+    map them back to the basis are kept as sparse dicts, so a query costs
+    time in the nonzeros of the vector and of the rows it meets.
+    """
 
     def __init__(self, basis, field: Field):
         self.field = field
-        self.basis = [list(b) for b in basis]
-        n = len(self.basis)
-        ncols = len(self.basis[0]) if n else 0
-        aug = [list(b) + [field.zero] * n for b in self.basis]
+        n = len(basis)
+        ncols = len(basis[0]) if n else 0
+        aug = [list(b) + [field.zero] * n for b in basis]
         for i in range(n):
             aug[i][ncols + i] = field.one
         red, pivots = rref(aug, field)
         if len(red) != n or (pivots and pivots[-1] >= ncols):
             raise ValueError("basis vectors are linearly dependent")
-        self.red = [row[:ncols] for row in red]
-        self.transform = [row[ncols:] for row in red]
+        self.n = n
         self.pivots = pivots
+        self.red = [{c: x for c, x in enumerate(row[:ncols]) if x} for row in red]
+        self.transform = [
+            {j: x for j, x in enumerate(row[ncols:]) if x} for row in red
+        ]
 
     def coefficients(self, v):
-        """Coefficients wrt the original basis, or None if v is outside."""
-        f = self.field
-        z = f.zero
-        rc = [v[c] for c in self.pivots]
-        resid = list(v)
-        for co, row in zip(rc, self.red):
-            if co != z:
-                resid = [a - co * b for a, b in zip(resid, row)]
-        if any(x != z for x in resid):
+        """Coefficients of v (a dense list or a sparse dict) wrt the basis,
+        or None if v is outside its span."""
+        resid = {i: x for i, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+        # a reduced row has 1 at its own pivot and 0 at every other pivot, so
+        # the residual at a pivot is the coefficient of that row
+        rc = []
+        for p, row in zip(self.pivots, self.red):
+            co = resid.get(p)
+            rc.append(co)
+            if co:
+                sp_add_into(resid, row, -co)
+        if resid:
             return None
-        n = len(self.basis)
-        out = [z] * n
+        out = [self.field.zero] * self.n
         for co, trow in zip(rc, self.transform):
-            if co != z:
-                for j in range(n):
-                    if trow[j] != z:
-                        out[j] = out[j] + co * trow[j]
+            if co:
+                for j, t in trow.items():
+                    out[j] = out[j] + co * t
         return out
 
     def contains(self, v) -> bool:
         return self.coefficients(v) is not None
-
-    def residual(self, v):
-        """v minus its span part; zero iff v is in the span (linear in v)."""
-        f = self.field
-        z = f.zero
-        resid = list(v)
-        for c, row in zip(self.pivots, self.red):
-            co = v[c]
-            if co != z:
-                resid = [a - co * b for a, b in zip(resid, row)]
-        return resid
 
 
 def sp_flatten(m: dict, ncols: int) -> dict:
@@ -230,48 +212,13 @@ def sp_flatten(m: dict, ncols: int) -> dict:
     return out
 
 
-class SparseSpanExpander:
-    """Like SpanSolver but takes sparse vectors; built for very sparse
-    echelon rows (derivation spans), where the dense residual is wasteful."""
-
-    def __init__(self, basis_dense, field: Field):
-        self.field = field
-        solver = SpanSolver(basis_dense, field)
-        self.pivots = solver.pivots
-        z = field.zero
-        self.red_sparse = [
-            {c: v for c, v in enumerate(row) if v != z} for row in solver.red
-        ]
-        self.transform = solver.transform
-        self.nbasis = len(basis_dense)
-
-    def coefficients(self, vec: dict):
-        """Coefficients wrt the original basis of a sparse vector, or None."""
-        f = self.field
-        z = f.zero
-        rc = [vec.get(p, z) for p in self.pivots]
-        resid = {k: v for k, v in vec.items() if v != z}
-        for co, row in zip(rc, self.red_sparse):
-            if co != z:
-                sp_add_into(resid, row, -co)
-        if resid:
-            return None
-        out = [z] * self.nbasis
-        for co, trow in zip(rc, self.transform):
-            if co != z:
-                for j2, tv in enumerate(trow):
-                    if tv != z:
-                        out[j2] = out[j2] + co * tv
-        return out
-
-
 def mat_inverse(a, field: Field):
-    n = len(a)
-    aug = [list(row) + irow for row, irow in zip(a, identity(n, field))]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(red) != n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    """Inverse of a square matrix: the transform taking its rows to I."""
+    try:
+        solver = SpanSolver(a, field)
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    return [[row.get(j, field.zero) for j in range(len(a))] for row in solver.transform]
 
 
 def eigenspace(m, lam, field: Field):
@@ -312,127 +259,78 @@ def intersect_spans(basis_a, basis_b, field: Field):
 # symmetric congruence diagonalization (Sylvester inertia) over Q
 
 
-def congruence_inertia(m):
-    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
-
-    Simultaneous row/column elimination; a zero diagonal pivot with a nonzero
-    off-diagonal a_ij is repaired by adding row/col j into i, which makes the
-    diagonal entry 2*a_ij != 0 over Q.
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    for i in range(n):
-        if len(a[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    npos = nneg = nzero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = None
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
-            if swap is None:
-                pair = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            pair = (i, j)
-                            break
-                    if pair:
-                        break
-                if pair is None:
-                    nzero += n - k
-                    break
-                i, j = pair
-                for c in range(n):
-                    a[i][c] += a[j][c]
-                for r in range(n):
-                    a[r][i] += a[r][j]
-                swap = i
-            if swap != k:
-                a[k], a[swap] = a[swap], a[k]
-                for r in range(n):
-                    a[r][k], a[r][swap] = a[r][swap], a[r][k]
-        p = a[k][k]
-        if p > 0:
-            npos += 1
-        else:
-            nneg += 1
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] / p
-                ak = a[k]
-                ar = a[r]
-                for c in range(k, n):
-                    ar[c] -= f * ak[c]
-        for c in range(k + 1, n):
-            if a[k][c] != 0:
-                f = a[k][c] / p
-                for r in range(k, n):
-                    a[r][c] -= f * a[r][k]
-    return npos, nneg, nzero
-
-
 def congruence_diagonalize(m):
     """(diag, p) with p^T m p = diag(diag), p rational invertible.
 
-    Same pivoting as congruence_inertia but the transform is kept; used for
-    the graded Witt basis.
+    Simultaneous row/column elimination.  A zero diagonal pivot with a
+    nonzero off-diagonal a_ij is repaired by adding row/col j into i, which
+    makes the diagonal entry 2*a_ij != 0 over Q; when the rest of the matrix
+    is zero, the remaining diagonal entries are 0.  Rows and columns before
+    the pivot k are already eliminated, so step k touches a only at indices
+    >= k.
     """
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def colop_add(dst, src, f):
-        # column dst += f * column src, applied to a (both sides) and p
-        for r in range(n):
-            a[r][dst] += f * a[r][src]
-        for r in range(n):
-            a[dst][r] += f * a[src][r]
-        for r in range(n):
-            p[r][dst] += f * p[r][src]
-
-    def colop_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
     for k in range(n):
         if a[k][k] == 0:
-            swap = None
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
+            swap = next((j for j in range(k + 1, n) if a[j][j]), None)
             if swap is None:
-                pair = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            pair = (i, j)
-                            break
-                    if pair:
-                        break
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                    None,
+                )
                 if pair is None:
                     break
                 i, j = pair
-                colop_add(i, j, Fraction(1))
+                for r in range(k, n):
+                    a[r][i] += a[r][j]
+                ai, aj = a[i], a[j]
+                for c in range(k, n):
+                    ai[c] += aj[c]
+                for row in p:
+                    if row[j]:
+                        row[i] += row[j]
                 swap = i
             if swap != k:
-                colop_swap(k, swap)
-        piv = a[k][k]
-        if piv == 0:
-            continue
-        for c in range(k + 1, n):
-            if a[k][c] != 0:
-                colop_add(c, k, -a[k][c] / piv)
+                a[k], a[swap] = a[swap], a[k]
+                for r in range(k, n):
+                    a[r][k], a[r][swap] = a[r][swap], a[r][k]
+                for row in p:
+                    row[k], row[swap] = row[swap], row[k]
+        ak = a[k]
+        piv = ak[k]
+        # column c -= (a_kc / piv) column k, and the same for rows: the Schur
+        # complement a_rc -= a_rk a_kc / piv, nonzero only where a_rk, a_kc are
+        fs = [(c, ak[c] / piv) for c in range(k + 1, n) if ak[c]]
+        for r, _ in fs:
+            ar = a[r]
+            x = ar[k]
+            for c, fc in fs:
+                ar[c] -= fc * x
+            ar[k] = ak[r] = Fraction(0)
+        for row in p:
+            x = row[k]
+            if x:
+                for c, fc in fs:
+                    row[c] -= fc * x
     return [a[i][i] for i in range(n)], p
+
+
+def congruence_inertia(m):
+    """(n_plus, n_minus, n_zero) of a symmetric rational matrix: the signs
+    of the diagonal that `congruence_diagonalize` reaches."""
+    n = len(m)
+    for i in range(n):
+        if len(m[i]) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise ValueError("matrix is not symmetric")
+    diag, _ = congruence_diagonalize(m)
+    npos = sum(1 for d in diag if d > 0)
+    nneg = sum(1 for d in diag if d < 0)
+    return npos, nneg, n - npos - nneg
 
 
 # ---------------------------------------------------------------------------
@@ -539,27 +437,6 @@ def sparse_to_dense(m: dict, nrows, ncols, field: Field):
 # integer fast machinery for big homogeneous rational systems
 
 
-def _row_to_int(row: dict) -> dict:
-    """Scale a sparse Fraction row to coprime integers."""
-    if not row:
-        return {}
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    out = {}
-    g = 0
-    for k, v in row.items():
-        iv = int(v * lcm)
-        if iv:
-            out[k] = iv
-            g = gcd(g, abs(iv))
-    if g > 1:
-        for k in out:
-            out[k] //= g
-    return out
-
-
 class IntKernelAccumulator:
     """Incremental kernel of a growing homogeneous system over Q.
 
@@ -574,7 +451,6 @@ class IntKernelAccumulator:
             u: {u: 1} for u in range(nunknowns)
         }
         self.cols: dict[int, set[int]] = {u: {u} for u in range(nunknowns)}
-        self._next_id = nunknowns
         self._seen: set[tuple] = set()
 
     @property
@@ -583,11 +459,10 @@ class IntKernelAccumulator:
 
     def add_constraint(self, row: dict) -> bool:
         """Add one {unknown: Fraction|int} row; True if the dimension dropped."""
-        introw = _row_to_int(
-            {k: Fraction(v) for k, v in row.items() if v}
-        )
-        if not introw:
+        row = {k: v for k, v in row.items() if v}
+        if not row:
             return False
+        introw = dict(zip(row, clear_denominators(row.values())))
         key = tuple(sorted(introw.items()))
         if key in self._seen:
             return False
@@ -651,11 +526,12 @@ class IntKernelAccumulator:
 
 def clear_denominators(vec):
     """Scale a rational dense vector to a primitive integer vector."""
+    vec = [Fraction(v) for v in vec]
     lcm = 1
     for v in vec:
-        d = Fraction(v).denominator
+        d = v.denominator
         lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(v) * lcm) for v in vec]
+    ints = [int(v * lcm) for v in vec]
     g = 0
     for x in ints:
         g = gcd(g, abs(x))

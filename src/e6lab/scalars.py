@@ -121,9 +121,6 @@ class GaussRational:
         sign = "+" if self.im > 0 else "-"
         return f"{fmt_rational(self.re)} {sign} {fmt_rational(abs(self.im))}*i"
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
 
 Scalar = Union[Fraction, GaussRational]
 
@@ -164,11 +161,6 @@ class Field:
     def __hash__(self):
         return hash(self.name)
 
-    def from_int(self, n: int) -> Scalar:
-        if self.name == "Q":
-            return Fraction(n)
-        return GaussRational(n)
-
     def conj(self, x: Scalar) -> Scalar:
         if self.name == "Q":
             return x
@@ -180,9 +172,6 @@ class Field:
                 raise ZeroDivisionError("inverse of 0 in Q")
             return 1 / x
         return x.inverse()
-
-    def is_zero(self, x: Scalar) -> bool:
-        return x == self.zero
 
     def to_json(self, x: Scalar):
         if self.name == "Q":

@@ -67,9 +67,6 @@ class TitsAlgebra:
         """Indices of Der(C) + Der(J), the even part of the C0 Z2-split."""
         return list(self.layout["der_c"]) + list(self.layout["der_j"])
 
-    def tensor_index(self, ci: int, ji: int) -> int:
-        return self.layout["tensor"].start + ci * len(self.j0_vectors) + ji
-
 
 @lru_cache(maxsize=None)
 def _der_basis_cached(which: str, gamma=None):
@@ -111,10 +108,10 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str = None) -> Tits
     der_c_sp = [linalg.dense_to_sparse(d, QQ) for d in der_c]
     der_j_sp = [linalg.dense_to_sparse(d, QQ) for d in der_j]
     dc_expand = (
-        linalg.SparseSpanExpander([sum(d, []) for d in der_c], QQ) if ndc else None
+        linalg.SpanSolver([sum(d, []) for d in der_c], QQ) if ndc else None
     )
-    dj_expand = linalg.SparseSpanExpander([sum(d, []) for d in der_j], QQ)
-    j0_expand = linalg.SparseSpanExpander(j0, QQ)
+    dj_expand = linalg.SpanSolver([sum(d, []) for d in der_j], QQ)
+    j0_expand = linalg.SpanSolver(j0, QQ)
     ncdim = c.dim
     njdim = j.dim
 
@@ -141,7 +138,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str = None) -> Tits
         return {ci: vec[b] for ci, b in enumerate(c0) if vec[b]}
 
     def expand_j0(vec):
-        coeffs = j0_expand.coefficients({i: v for i, v in enumerate(vec) if v})
+        coeffs = j0_expand.coefficients(vec)
         if coeffs is None:
             raise AlgebraError("element outside J0")
         return {i: v for i, v in enumerate(coeffs) if v}
@@ -294,8 +291,8 @@ def derj_j0_model(j: JordanAlgebra) -> TitsAlgebra:
     rng_t = range(0, nj)
     rng_dj = range(nj, dim)
     der_j_sp = [linalg.dense_to_sparse(d, QQ) for d in der_j]
-    dj_expand = linalg.SparseSpanExpander([sum(d, []) for d in der_j], QQ)
-    j0_expand = linalg.SparseSpanExpander(j0, QQ)
+    dj_expand = linalg.SpanSolver([sum(d, []) for d in der_j], QQ)
+    j0_expand = linalg.SpanSolver(j0, QQ)
     j0_sp = [{i: v for i, v in enumerate(vec) if v} for vec in j0]
     njdim = j.dim
 

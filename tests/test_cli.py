@@ -113,6 +113,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_chevalley_unwritable_csv_usage_error(tmp_path, capsys):
+    path = tmp_path / "no_such_dir" / "t.csv"
+    assert main(["chevalley", "--csv", str(path)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"cannot write {path}")
+
+
+def test_grading_unwritable_output_usage_error(tmp_path, capsys):
+    path = tmp_path / "no_such_dir" / "g.json"
+    assert main(["grading", "gamma4", "-o", str(path)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"cannot write {path}")
+
+
 def test_gamma_mutation_is_detected(monkeypatch):
     # deliberately flip the gamma convention of the "albert-split" ingredient
     # and rebuild: the signature table check must fail (and only then)

@@ -196,7 +196,7 @@ def test_induced_on_der_z_grading_contains_operator():
     g = jordan_gradings(j)["z"]
     ind = induced_on_der(g, ders)
     op = z_grading_operator(j)
-    expander = linalg.SparseSpanExpander([sum(d, []) for d in ders], QQ)
+    expander = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
     coeffs = expander.coefficients(
         {i: v for i, v in enumerate(sum(op, [])) if v}
     )

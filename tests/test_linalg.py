@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import linalg
@@ -136,3 +136,84 @@ def test_eigenspace():
 def test_clear_denominators():
     assert linalg.clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
     assert linalg.clear_denominators([F(2), F(4)]) == [1, 2]
+
+
+def test_mat_inverse_rejects_singular():
+    with pytest.raises(ValueError):
+        linalg.mat_inverse([[F(1), F(2)], [F(2), F(4)]], QQ)
+
+
+def _combine(coeffs, basis, field):
+    return [
+        sum((c * b[j] for c, b in zip(coeffs, basis)), field.zero)
+        for j in range(len(basis[0]))
+    ]
+
+
+def _check_span_solver(basis, coeffs, outside, field):
+    assume(linalg.rank(basis, field) == len(basis))
+    s = linalg.SpanSolver(basis, field)
+    v = _combine(coeffs, basis, field)
+    dense = s.coefficients(v)
+    assert dense == s.coefficients({j: x for j, x in enumerate(v) if x})
+    assert dense == coeffs
+    assert _combine(dense, basis, field) == v
+    if linalg.rank(basis + [outside], field) > len(basis):
+        assert s.coefficients(outside) is None
+        assert s.coefficients({j: x for j, x in enumerate(outside) if x}) is None
+
+
+span_rows = st.lists(
+    st.lists(small_entries, min_size=5, max_size=5), min_size=5, max_size=5
+)
+
+
+@given(span_rows)
+@settings(max_examples=60, deadline=None)
+def test_span_solver_dense_sparse_agree_qq(raw):
+    rows = [[F(x) for x in r] for r in raw]
+    _check_span_solver(rows[:3], rows[3][:3], rows[4], QQ)
+
+
+@given(span_rows, span_rows)
+@settings(max_examples=40, deadline=None)
+def test_span_solver_dense_sparse_agree_qi(re, im):
+    rows = [
+        [GaussRational(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(re, im)
+    ]
+    _check_span_solver(rows[:3], rows[3][:3], rows[4], QI)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_congruence_inertia_is_sign_count_of_diagonalize(raw, zero_diag, singular):
+    n = len(raw)
+    m = [[F(raw[i][j] + raw[j][i]) for j in range(n)] for i in range(n)]
+    if zero_diag:
+        for i in range(n):
+            m[i][i] = F(0)
+    if singular and n > 1:
+        # last row and column repeat the first: symmetric, rank < n
+        for j in range(n):
+            m[n - 1][j] = m[0][j]
+        for i in range(n):
+            m[i][n - 1] = m[i][0]
+    diag, p = linalg.congruence_diagonalize(m)
+    signs = (
+        sum(1 for d in diag if d > 0),
+        sum(1 for d in diag if d < 0),
+        sum(1 for d in diag if d == 0),
+    )
+    assert linalg.congruence_inertia(m) == signs
+    if singular and n > 1:
+        assert signs[2] >= 1
+    d = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m, p, QQ), QQ)
+    assert d == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
