@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .algcore import (
@@ -729,25 +729,34 @@ def _canonical_mod_sign(m):
     return tuple(tuple(r) for r in m)
 
 
+def _order_mod_sign(m) -> int:
+    """Least k >= 1 with m^k = +-I (at most 8 for the dot group)."""
+    ident = _canonical_mod_sign(linalg.identity(len(m), QI))
+    power = m
+    for k in range(1, 9):
+        if _canonical_mod_sign(power) == ident:
+            return k
+        power = linalg.mat_mul(power, m, QI)
+    raise AlgebraError("order mod +-I exceeds 8")
+
+
+def dot_group_generator_orders() -> tuple:
+    """Orders of A1., .., A4. modulo +-I, read from the matrices."""
+    return tuple(_order_mod_sign(a) for a in frame().a)
+
+
 def dot_group_order_data() -> dict:
     """Certify <A1., .., A4., theta> iso Z4 x Z2^4 by word enumeration."""
     fr = frame()
-    words = {}
-    for b1 in range(2):
-        for b2 in range(2):
-            for b3 in range(2):
-                for a4 in range(4):
-                    m = linalg.identity(8, QI)
-                    for _ in range(b1):
-                        m = linalg.mat_mul(m, fr.a[0], QI)
-                    for _ in range(b2):
-                        m = linalg.mat_mul(m, fr.a[1], QI)
-                    for _ in range(b3):
-                        m = linalg.mat_mul(m, fr.a[2], QI)
-                    for _ in range(a4):
-                        m = linalg.mat_mul(m, fr.a[3], QI)
-                    words[(b1, b2, b3, a4)] = _canonical_mod_sign(m)
-    distinct = len(set(words.values()))
+    orders = dot_group_generator_orders()
+    words = []
+    for exps in product(*(range(o) for o in orders)):
+        m = linalg.identity(8, QI)
+        for a, e in zip(fr.a, exps):
+            for _ in range(e):
+                m = linalg.mat_mul(m, a, QI)
+        words.append(_canonical_mod_sign(m))
+    distinct = len(set(words))
     # pairwise commutation mod +-I
     commute = True
     for i in range(4):
@@ -756,15 +765,16 @@ def dot_group_order_data() -> dict:
             ba = linalg.mat_mul(fr.a[j], fr.a[i], QI)
             if _canonical_mod_sign(ab) != _canonical_mod_sign(ba):
                 commute = False
-    # element orders mod +-I (theta doubles the count, each theta-word order 2 factor)
-    order_le2 = 0
-    for (b1, b2, b3, a4), _mat in words.items():
-        if (2 * a4) % 4 == 0:
-            order_le2 += 1
+    # words of order <= 2 mod +-I, read from their powers; theta is a
+    # central involution outside the matrix group, so it doubles the count
+    order_le2 = sum(1 for m in words if _order_mod_sign(m) <= 2)
     return {
         "matrix_group_order": distinct,
         "with_theta_order": distinct * 2,
         "abelian": commute,
         "order_le2_with_theta": order_le2 * 2,
-        "is_z4_x_z2_4": distinct == 32 and commute and order_le2 * 2 == 32,
+        "is_z4_x_z2_4": distinct == 32
+        and commute
+        and orders == (2, 2, 2, 4)
+        and order_le2 * 2 == 32,
     }

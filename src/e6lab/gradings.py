@@ -166,17 +166,19 @@ def verify(grading: GradedDecomposition) -> GradingReport:
     direct_sum_ok = total == alg.dim and linalg.rank(stacked, f) == alg.dim
     violations = []
     solvers = grading._component_solvers()
-    zero = [f.zero] * alg.dim
+    sparse = {
+        h: [{i: x for i, x in enumerate(y) if x != f.zero} for y in hv]
+        for h, hv in grading.components.items()
+    }
     for g, gv in grading.components.items():
-        for h, hv in grading.components.items():
+        lmats = [alg.left_mult_matrix(x) for x in gv]
+        for h, hv in sparse.items():
             target = grading.group.add(g, h)
             tsolver = solvers.get(target)
-            for x in gv:
+            for lx in lmats:
                 for y in hv:
-                    p = alg.multiply(x, y)
-                    if p == zero:
-                        continue
-                    if tsolver is None or not tsolver.contains(p):
+                    p = linalg.sp_matvec(lx, y)
+                    if p and (tsolver is None or not tsolver.contains(p)):
                         violations.append((g, h, target))
     return GradingReport(direct_sum_ok, not violations, violations)
 
@@ -449,33 +451,28 @@ def coarsen(grading: GradedDecomposition, hom, target_group: FinAbGroup) -> Grad
 # Killing-form tools on graded real Lie algebras
 
 
+def _homogeneous_gram(grading: GradedDecomposition, lie: LieAlgebra):
+    """K' = P K P^T on the homogeneous rows P stacked in support order, and
+    the slice of rows each degree occupies in it."""
+    spans = {}
+    rows = []
+    for g in grading.support:
+        spans[g] = slice(len(rows), len(rows) + len(grading.components[g]))
+        rows.extend(grading.components[g])
+    return linalg.gram(lie.killing_matrix(), rows, rows, lie.field), spans
+
+
 def killing_orthogonality_violations(grading: GradedDecomposition, lie: LieAlgebra):
     """Pairs (g,h) with g+h != e but K(L_g, L_h) != 0 (must be empty)."""
-    k = lie.killing_matrix()
-    f = lie.field
-    out = []
-    items = sorted(grading.components.items())
-    for gi, (g, gv) in enumerate(items):
-        for h, hv in items[gi:]:
-            if grading.group.is_identity(grading.group.add(g, h)):
-                continue
-            if any(
-                _bilinear(k, x, y, f) != f.zero for x in gv for y in hv
-            ):
-                out.append((g, h))
-    return out
-
-
-def _bilinear(mat, x, y, f: Field):
-    acc = f.zero
-    for i, xi in enumerate(x):
-        if xi == f.zero:
-            continue
-        row = mat[i]
-        for j, yj in enumerate(y):
-            if yj != f.zero and row[j] != f.zero:
-                acc = acc + xi * row[j] * yj
-    return acc
+    kp, spans = _homogeneous_gram(grading, lie)
+    supp = grading.support
+    return [
+        (g, h)
+        for gi, g in enumerate(supp)
+        for h in supp[gi:]
+        if not grading.group.is_identity(grading.group.add(g, h))
+        and any(x for row in kp[spans[g]] for x in row[spans[h]])
+    ]
 
 
 def signature_bound(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
@@ -500,11 +497,18 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
 
     Components pair off degree against opposite degree (Killing orthogonality
     guarantees everything else vanishes); degrees with 2g = e are diagonalized
-    by exact congruence, keeping the rational pivots and their signs.
+    by exact congruence, keeping the rational pivots and their signs.  Both
+    read their blocks from the Gram table K' of the homogeneous basis; the
+    certificate recomputes the Gram matrix of the final basis from K.
     """
     k = lie.killing_matrix()
     f = lie.field
     group = grading.group
+    kp, spans = _homogeneous_gram(grading, lie)
+
+    def block(g, h):
+        return [row[spans[h]] for row in kp[spans[g]]]
+
     pairs = []  # (u_i, v_i)
     zvecs = []  # (z, pivot)
     done = set()
@@ -514,16 +518,10 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
         neg = group.neg(g)
         gv = grading.components[g]
         if neg == g:
-            gram = [[_bilinear(k, x, y, f) for y in gv] for x in gv]
-            diag, p = linalg.congruence_diagonalize(gram)
+            diag, p = linalg.congruence_diagonalize(block(g, g))
             if any(d == 0 for d in diag):
                 raise GradingError(f"Killing form degenerate on component {g}")
-            for col in range(len(gv)):
-                z = [f.zero] * lie.dim
-                for r in range(len(gv)):
-                    if p[r][col] != f.zero:
-                        z = linalg.vec_add(z, linalg.vec_scale(gv[r], p[r][col]))
-                zvecs.append((z, diag[col]))
+            zvecs.extend(zip(linalg.mat_mul(linalg.transpose(p), gv, f), diag))
             done.add(g)
         else:
             if neg not in grading.components:
@@ -531,22 +529,16 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
             hv = grading.components[neg]
             if len(gv) != len(hv):
                 raise GradingError("paired components have different dimensions")
-            gram = [[_bilinear(k, x, y, f) for y in hv] for x in gv]
-            ginv = linalg.mat_inverse(gram, f)
-            for i in range(len(gv)):
-                v = [f.zero] * lie.dim
-                for r in range(len(hv)):
-                    if ginv[r][i] != f.zero:
-                        v = linalg.vec_add(v, linalg.vec_scale(hv[r], ginv[r][i]))
-                pairs.append((gv[i], v))
+            ginv = linalg.mat_inverse(block(g, neg), f)
+            pairs.extend(zip(gv, linalg.mat_mul(linalg.transpose(ginv), hv, f)))
             done.add(g)
             done.add(neg)
-    # certificate: assemble the Gram matrix of the full basis
+    # certificate: the Gram matrix of the full basis, recomputed from K
     basis = []
     for u, v in pairs:
         basis.extend([u, v])
     basis.extend(z for z, _ in zvecs)
-    gram = [[_bilinear(k, x, y, f) for y in basis] for x in basis]
+    gram = linalg.gram(k, basis, basis, f)
     nb = len(basis)
     expected = [[f.zero] * nb for _ in range(nb)]
     for t in range(len(pairs)):

@@ -3,9 +3,10 @@
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
 dicts and sparse matrices {row: {col: scalar}}.  All elimination routines use
 lexicographic pivot selection so that every returned basis is deterministic.
-One span solver (`SpanSolver`) expresses vectors in a fixed basis, and one
+One span solver (`SpanSolver`) expresses vectors in a fixed basis, one
 symmetric congruence elimination (`congruence_diagonalize`) gives both the
-Witt pivots and the Sylvester inertia.
+Witt pivots and the Sylvester inertia, and one Gram loop (`gram`) evaluates a
+bilinear form on lists of vectors.
 """
 
 from __future__ import annotations
@@ -57,6 +58,23 @@ def mat_mul(a, b, field: Field):
             for j in range(nb):
                 if brow[j] != z:
                     orow[j] = orow[j] + aik * brow[j]
+    return out
+
+
+def gram(m, xs, ys, field: Field):
+    """[[x m y^T for y in ys] for x in xs]: the bilinear form m on two lists
+    of row vectors, skipping zero entries of the rows and of m."""
+    z = field.zero
+    ysp = [[(j, b) for j, b in enumerate(y) if b != z] for y in ys]
+    out = []
+    for x in xs:
+        xm = {}
+        for i, a in enumerate(x):
+            if a != z:
+                for j, c in enumerate(m[i]):
+                    if c != z:
+                        xm[j] = xm.get(j, z) + a * c
+        out.append([sum((xm[j] * b for j, b in y if j in xm), z) for y in ysp])
     return out
 
 

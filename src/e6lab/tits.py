@@ -420,32 +420,15 @@ def proportionality_constants(t: TitsAlgebra = None) -> dict:
     if t is None:
         t = tits_model("O", "m3r")
     k = t.lie.killing_matrix()
+
+    def trace_gram(mats):
+        sp = [linalg.dense_to_sparse(a, QQ) for a in mats]
+        return [[linalg.sp_trace_product(a, b) or F(0) for b in sp] for a in sp]
+
     # Der(O): k(d, d') = 12 tr(d d')
-    idx_c = list(t.layout["der_c"])
-    tr_c = [
-        [
-            linalg.sp_trace_product(
-                linalg.dense_to_sparse(a, QQ), linalg.dense_to_sparse(b, QQ)
-            )
-            or F(0)
-            for b in t.der_c_basis
-        ]
-        for a in t.der_c_basis
-    ]
-    c_der_c = _ratio_constant(k, idx_c, tr_c)
+    c_der_c = _ratio_constant(k, list(t.layout["der_c"]), trace_gram(t.der_c_basis))
     # Der(M): k(D, D') = 8 tr(D D')
-    idx_j = list(t.layout["der_j"])
-    tr_j = [
-        [
-            linalg.sp_trace_product(
-                linalg.dense_to_sparse(a, QQ), linalg.dense_to_sparse(b, QQ)
-            )
-            or F(0)
-            for b in t.der_j_basis
-        ]
-        for a in t.der_j_basis
-    ]
-    c_der_j = _ratio_constant(k, idx_j, tr_j)
+    c_der_j = _ratio_constant(k, list(t.layout["der_j"]), trace_gram(t.der_j_basis))
     # tensor part: k(a x, b y) = alpha n(a,b) t_M(x.y)
     c = t.comp
     j = t.jordan
@@ -521,21 +504,8 @@ def sp31_decomposition() -> dict:
         for r in range(len(der))
     ]
     fix_both, _ = fixed_subspace(nu_der_block, QQ)
-    k = lie.killing_matrix()
     f = QQ
-    gram = [
-        [
-            sum(
-                x[i] * k[i][jj] * y[jj]
-                for i in range(dim)
-                if x[i]
-                for jj in range(dim)
-                if y[jj] and k[i][jj]
-            )
-            for y in even_basis
-        ]
-        for x in even_basis
-    ]
+    gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis, f)
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
     solver = linalg.SpanSolver(even_basis, f)

@@ -240,6 +240,8 @@ def test_dot_group_certificate():
     assert data["abelian"]
     assert data["order_le2_with_theta"] == 32
     assert data["is_z4_x_z2_4"]
+    # read from the matrices, not from the exponent ranges of the words
+    assert e6sp8.dot_group_generator_orders() == (2, 2, 2, 4)
 
 
 def test_wedge4_action_is_multiplicative_automorphism():

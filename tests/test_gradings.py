@@ -132,6 +132,26 @@ def test_witt_gamma8_pairs_off_infinite_degrees():
     assert paired_dim == infinite
 
 
+def test_killing_checks_reject_moved_component():
+    # move one component of gamma8 whose degree is not its own negative to a
+    # degree outside the support: it loses its Killing partner
+    g, carrier, _ = catalog.grading("gamma8")
+    moved = next(d for d in g.support if g.group.neg(d) != d)
+    fresh = (5, 0, 0, 0, 0)
+    assert fresh not in g.components
+    comps = dict(g.components)
+    comps[fresh] = comps.pop(moved)
+    bad = GradedDecomposition(g.group, g.algebra, comps)
+    assert killing_orthogonality_violations(bad, carrier) == [
+        (g.group.neg(moved), fresh)
+    ]
+    with pytest.raises(GradingError):
+        graded_witt_basis(bad, carrier)
+    rep = verify(bad)
+    assert not rep.closure_ok
+    assert len(rep.violations) == 92  # repository fact, frozen
+
+
 def test_induced_on_der_octonion():
     o = hurwitz("O")
     ders = derivations(o.alg)

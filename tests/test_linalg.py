@@ -217,3 +217,33 @@ def test_congruence_inertia_is_sign_count_of_diagonalize(raw, zero_diag, singula
         assert signs[2] >= 1
     d = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m, p, QQ), QQ)
     assert d == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=0, max_size=4),
+            st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_gram_equals_x_m_yt(data, zero_rows, zero_block):
+    m, xs, ys = data
+    n = len(m)
+    if zero_rows:
+        xs = xs + [[F(0)] * n]
+        ys = [[F(0)] * n] + ys
+    if zero_block:
+        # zero the top-left quarter of m and the leading entries of the rows
+        h = (n + 1) // 2
+        m = [[F(0) if i < h and j < h else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+        xs = [[F(0)] * h + x[h:] for x in xs]
+    expected = linalg.mat_mul(linalg.mat_mul(xs, m, QQ), linalg.transpose(ys), QQ)
+    assert linalg.gram(m, xs, ys, QQ) == expected
