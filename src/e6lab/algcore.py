@@ -5,9 +5,10 @@ tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q or Q(i).
 Everything downstream (Jacobi checks, derivation solving, Killing forms,
 inertia, twists) works on this one representation.
 
-Heavy verifications (Jacobi, Killing assembly) run on numpy int64 after
-clearing denominators whenever a worst-case bound proves overflow impossible;
-otherwise they fall back to pure exact arithmetic.  Both paths are exact.
+The Jacobi and Killing certificates are one sparse loop each over the nonzero
+structure constants, generic over exact scalars.  They read the Python-int
+table D*c of `int_tensor` when its entries are small, and the scalars of
+``sc`` otherwise; the two tables give the same results.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import linalg
 from .scalars import QQ, FIELDS, Field, Fraction as Rational
 
-_INT64_SAFE = 2**62
+_INT_TABLE_BOUND = 2**62
 
 
 class AlgebraError(ValueError):
@@ -134,35 +133,30 @@ class StructAlgebra:
         v[i] = self.field.one
         return v
 
-    # -- integer-scaled dense tensor (rational algebras only) --
+    # -- integer-scaled sparse table (rational algebras only) --
 
     def int_tensor(self):
-        """(D, T) with T[i,j,k] = D * c[i][j][k] as int64, or None if unsafe."""
-        if self._int_cache is not None:
-            return self._int_cache
-        if self.field is not QQ and self.field.name != "Q":
-            object.__setattr__(self, "_int_cache", (None, None))
-            return self._int_cache
-        lcm = 1
-        for row in self.sc.values():
-            for v in row.values():
-                d = v.denominator
-                lcm = lcm * d // gcd(lcm, d)
-        maxabs = 0
-        entries = []
-        for (i, j), row in self.sc.items():
-            for k, v in row.items():
-                iv = int(v * lcm)
-                entries.append((i, j, k, iv))
-                maxabs = max(maxabs, abs(iv))
-        # overflow bound for one matrix product entry: dim * maxabs^2
-        if maxabs and self.dim * maxabs * maxabs >= _INT64_SAFE:
-            object.__setattr__(self, "_int_cache", (None, None))
-            return self._int_cache
-        t = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
-        for i, j, k, iv in entries:
-            t[i, j, k] = iv
-        object.__setattr__(self, "_int_cache", (lcm, t))
+        """(D, T) with T[(i, j)][k] = D * c[i][j][k] as Python ints, D the common
+        denominator; (None, None) over Q(i) or when dim * max|T|^2 >= 2^62.
+
+        The bound picks the faster table, not an overflow guard: past it the
+        int products cost more than the Fractions of ``sc`` they replace.
+        """
+        if self._int_cache is None:
+            table = (None, None)
+            if self.field.name == "Q":
+                lcm = 1
+                for row in self.sc.values():
+                    for v in row.values():
+                        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+                t = {
+                    key: {k: v.numerator * (lcm // v.denominator) for k, v in row.items()}
+                    for key, row in self.sc.items()
+                }
+                maxabs = max((abs(v) for row in t.values() for v in row.values()), default=0)
+                if self.dim * maxabs * maxabs < _INT_TABLE_BOUND:
+                    table = (lcm, t)
+            object.__setattr__(self, "_int_cache", table)
         return self._int_cache
 
 
@@ -184,69 +178,40 @@ def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
 # Jacobi
 
 
+def _table(alg: StructAlgebra):
+    """(D, T): the int table of `int_tensor`, or (None, alg.sc) past its bound."""
+    d, t = alg.int_tensor()
+    return (d, t) if t is not None else (None, alg.sc)
+
+
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
-    Works through the equivalent statement ad([x,y]) = [ad x, ad y] checked
-    for every pair, which covers every triple through the matrix columns.
+    Sums the three cyclic terms [[b_i, b_j], b_k] over the nonzero structure
+    constants of every triple.  On the int table each term carries D^2.
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
-    lcm, t = alg.int_tensor()
-    if t is not None:
-        return _jacobi_defect_int(alg, t)
-    return _jacobi_defect_exact(alg)
-
-
-def _jacobi_defect_int(alg, t):
+    _, t = _table(alg)
     n = alg.dim
-    ads = np.ascontiguousarray(t.transpose(0, 2, 1))  # ads[m] = ad(b_m)
-    bad = set()
-    for i in range(n):
-        adi = ads[i]
-        for j in range(i + 1, n):
-            row = alg.sc.get((i, j))
-            lhs = np.zeros((n, n), dtype=np.int64)
-            if row:
-                tij = t[i, j]
-                for m in np.nonzero(tij)[0]:
-                    lhs += int(tij[m]) * ads[m]
-            rhs = adi @ ads[j] - ads[j] @ adi
-            # scale: lhs carries D*D through tij*ads, rhs likewise
-            if not np.array_equal(lhs, rhs):
-                cols = np.nonzero((lhs - rhs).any(axis=0))[0]
-                for q in cols:
-                    tri = tuple(sorted((i, j, int(q))))
-                    if len(set(tri)) == 3:
-                        bad.add(tri)
-    return sorted(bad)
-
-
-def _jacobi_defect_exact(alg):
-    n = alg.dim
-    z = alg.field.zero
-    bad = set()
+    bad = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 acc = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    vab = alg.sc.get((a, b))
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    vab = t.get((a, b))
                     if not vab:
                         continue
-                    for m, coef in vab.items():
-                        row = alg.sc.get((m, c))
+                    for m, x in vab.items():
+                        row = t.get((m, c))
                         if not row:
                             continue
-                        for q, v in row.items():
-                            val = acc.get(q, z) + coef * v
-                            if val == z:
-                                acc.pop(q, None)
-                            else:
-                                acc[q] = val
-                if acc:
-                    bad.add((i, j, k))
-    return sorted(bad)
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                if any(acc.values()):
+                    bad.append((i, j, k))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +255,17 @@ class LieAlgebra:
 
 
 def killing_matrix(lie: LieAlgebra):
-    """K[i][j] = tr(ad b_i ad b_j), exact and symmetric."""
+    """K[i][j] = tr(ad b_i ad b_j), exact and symmetric.
+
+    Sums c[i][m][q] c[j][q][m] over the nonzeros indexed by (m, q); the int
+    table's sums are divided by D^2 at the end.
+    """
     alg = lie.alg
     n = alg.dim
-    lcm, t = alg.int_tensor()
-    if t is not None:
-        maxabs = int(np.abs(t).max()) if n else 0
-        if maxabs == 0 or n * n * maxabs * maxabs < _INT64_SAFE:
-            k_int = np.einsum("imq,jqm->ij", t, t)
-            d2 = Fraction(1, lcm * lcm)
-            return [
-                [Fraction(int(k_int[i, j])) * d2 for j in range(n)] for i in range(n)
-            ]
-    # exact fallback: index nonzeros by (m, q)
-    z = alg.field.zero
+    d, t = _table(alg)
+    z = alg.field.zero if d is None else 0
     by_mq = {}
-    for (i, m), row in alg.sc.items():
+    for (i, m), row in t.items():
         for q, v in row.items():
             by_mq.setdefault((m, q), []).append((i, v))
     kmat = [[z] * n for _ in range(n)]
@@ -321,6 +281,8 @@ def killing_matrix(lie: LieAlgebra):
     for i in range(n):
         for j in range(i):
             kmat[i][j] = kmat[j][i]
+    if d is not None:
+        kmat = [[Fraction(v, d * d) for v in row] for row in kmat]
     return kmat
 
 

@@ -345,9 +345,8 @@ def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
     return count
 
 
-def fix_dim_omega_t(cb: ChevalleyBasis, signs) -> int:
-    """dim fix(omega t), computed honestly from the matrix kernel."""
-    om = omega(cb)
+def fix_dim_omega_t(cb: ChevalleyBasis, om, signs) -> int:
+    """dim fix(omega t) for om = omega(cb), computed honestly from the matrix kernel."""
     t = torus_element(cb, signs)
     mat = linalg.mat_mul(om, t, QQ)
     _, dim = fixed_subspace(mat, QQ)
@@ -395,9 +394,10 @@ def inheriting_signatures(cb: ChevalleyBasis = None) -> dict:
     sigs = []
     rows = []
     attained_fix_t = set()
+    om = omega(cb)
     for signs in iproduct((1, -1), repeat=6):
         dft = fix_dim_t(cb, signs)
-        dfot = fix_dim_omega_t(cb, signs)
+        dfot = fix_dim_omega_t(cb, om, signs)
         if dfot != 36:
             raise AlgebraError("dim fix(omega t) must be 36")
         sig_omega_t_form = signature_from_fix(78, dft)  # Phi([s0 w t]) = [t]

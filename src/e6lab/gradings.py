@@ -289,16 +289,8 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
     return GradedDecomposition(group=grading.group, algebra=der_alg, components=comps)
 
 
-_span_algebra_cache = {}
-
-
 def _matrix_span_algebra(der_basis, f: Field, alg: StructAlgebra) -> StructAlgebra:
     """Der(A) as an abstract Lie algebra on the given basis (commutator)."""
-    # keyed by identity; the cache keeps the basis alive so ids never recycle
-    key = id(der_basis)
-    cached = _span_algebra_cache.get(key)
-    if cached is not None:
-        return cached[1]
     n = alg.dim
     m = len(der_basis)
     flat = [sum((list(row) for row in d), []) for d in der_basis]
@@ -315,14 +307,12 @@ def _matrix_span_algebra(der_basis, f: Field, alg: StructAlgebra) -> StructAlgeb
             if row:
                 sc[(i, j)] = row
                 sc[(j, i)] = {k: -v for k, v in row.items()}
-    out = StructAlgebra(
+    return StructAlgebra(
         field=f,
         dim=m,
         basis_labels=[f"d{i}" for i in range(m)],
         sc=sc,
     )
-    _span_algebra_cache[key] = (der_basis, out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import e6lab
 from e6lab import algcore, linalg
 from e6lab.algcore import (
     AlgebraError,
@@ -59,13 +67,17 @@ def test_jacobi_perturbed_nonempty():
 
 def test_jacobi_exact_path_agrees():
     a = sl2()
-    assert algcore._jacobi_defect_exact(a) == []
+    assert a.int_tensor()[1] is not None
+    a._int_cache = (None, None)
+    assert jacobi_defect(a) == []
     b = sl2()
     b.sc[(1, 2)] = {0: F(1), 1: F(1)}
     b.sc[(2, 1)] = {0: F(-1), 1: F(-1)}
     b = StructAlgebra(field=QQ, dim=3, basis_labels=b.basis_labels, sc=b.sc)
-    _, t = b.int_tensor()
-    assert algcore._jacobi_defect_int(b, t) == algcore._jacobi_defect_exact(b)
+    assert b.int_tensor()[1] is not None
+    fast = jacobi_defect(b)
+    b._int_cache = (None, None)
+    assert fast == jacobi_defect(b)
 
 
 def test_killing_sl2():
@@ -211,3 +223,106 @@ def test_json_roundtrip():
     assert b.sc == a.sc
     assert b.basis_labels == a.basis_labels
     assert doc["sc"][0] == [0, 1, 1, "2"]
+
+
+@st.composite
+def anticommutative_algebras(draw):
+    """(alg, wide): a sparse anticommutative rational algebra of dim 3-6.
+
+    When wide, b_0 b_1 gets a 2^-61 component and b_0 b_2 an integer one, so
+    the common denominator pushes int_tensor past its bound.
+    """
+    n = draw(st.integers(min_value=3, max_value=6))
+    wide = draw(st.booleans())
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    sc = {}
+    for i, j in combinations(range(n), 2):
+        row = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), coef, max_size=2))
+        if wide and (i, j) == (0, 1):
+            row[0] = F(1, 2**61)
+        if wide and (i, j) == (0, 2):
+            row[1] = F(1)
+        if row:
+            sc[(i, j)] = row
+            sc[(j, i)] = {k: -v for k, v in row.items()}
+    alg = StructAlgebra(field=QQ, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+    return alg, wide
+
+
+def _jacobi_reference(alg):
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    bad = []
+    for i, j, k in combinations(range(alg.dim), 3):
+        terms = [
+            alg.multiply(alg.multiply(e[a], e[b]), e[c])
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        ]
+        if any(sum(vals) for vals in zip(*terms)):
+            bad.append((i, j, k))
+    return bad
+
+
+def _killing_reference(alg):
+    ads = [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+    return [
+        [
+            sum((v * b.get(q, {}).get(p, 0) for p, row in a.items() for q, v in row.items()), F(0))
+            for b in ads
+        ]
+        for a in ads
+    ]
+
+
+@given(anticommutative_algebras())
+@settings(max_examples=80, deadline=None)
+def test_kernels_match_brute_force_on_both_tables(case):
+    alg, wide = case
+    assert (alg.int_tensor()[1] is None) == wide
+    defect = _jacobi_reference(alg)
+    kmat = _killing_reference(alg)
+    lie = LieAlgebra(alg, check_jacobi=False)
+    assert jacobi_defect(alg) == defect
+    assert killing_matrix(lie) == kmat
+    alg._int_cache = (None, None)
+    assert jacobi_defect(alg) == defect
+    assert killing_matrix(lie) == kmat
+
+
+NO_NUMPY_SCRIPT = """
+import importlib, pkgutil, sys
+from fractions import Fraction as F
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import e6lab
+
+for mod in pkgutil.iter_modules(e6lab.__path__):
+    importlib.import_module("e6lab." + mod.name)
+
+from e6lab.algcore import LieAlgebra, StructAlgebra, derivations, inertia, jacobi_defect, killing_matrix
+from e6lab.composition import hurwitz, octonion_z23_grading
+from e6lab.gradings import induced_on_der
+from e6lab.scalars import QQ
+
+sc = {(0, 1): {1: F(2)}, (1, 0): {1: F(-2)}, (0, 2): {2: F(-2)}, (2, 0): {2: F(2)},
+      (1, 2): {0: F(1)}, (2, 1): {0: F(-1)}}
+sl2 = StructAlgebra(field=QQ, dim=3, basis_labels=["h", "e", "f"], sc=sc)
+assert jacobi_defect(sl2) == []
+assert killing_matrix(LieAlgebra(sl2)) == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
+der = induced_on_der(octonion_z23_grading(), derivations(hurwitz("O").alg)).algebra
+assert jacobi_defect(der) == []
+r = inertia(killing_matrix(LieAlgebra(der)))
+assert (r.n_plus, r.n_minus, r.n_zero) == (0, 14, 0)
+print("ok")
+"""
+
+
+def test_package_runs_without_numpy():
+    src = str(Path(e6lab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
