@@ -53,11 +53,9 @@ class StructAlgebra:
         """Bilinear extension of the structure constants to coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError("coordinate vector has wrong length")
-        z = self.field.zero
-        out = [z] * self.dim
-        xs = [(i, v) for i, v in enumerate(x) if v != z]
-        ys = [(j, v) for j, v in enumerate(y) if v != z]
-        for i, xv in xs:
+        out = [self.field.zero] * self.dim
+        ys = linalg.sparse(y).items()
+        for i, xv in linalg.sparse(x).items():
             for j, yv in ys:
                 row = self.sc.get((i, j))
                 if not row:
@@ -425,20 +423,22 @@ def leibniz_defect(alg: StructAlgebra, d) -> bool:
 
 
 def is_automorphism(alg: StructAlgebra, m) -> bool:
-    """Exact check of M(xy) = M(x)M(y) on all basis pairs."""
-    f = alg.field
+    """Exact check of M(b_i b_j) = M(b_i) M(b_j) on all basis pairs, on the
+    sparse columns of M and the structure constants."""
     n = alg.dim
-    cols = [[m[p][q] for p in range(n)] for q in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = alg.sc.get((i, j), {})
-            lhs = [f.zero] * n
-            for k, v in prod.items():
-                col = cols[k]
-                for p in range(n):
-                    if col[p] != f.zero:
-                        lhs[p] = lhs[p] + v * col[p]
-            rhs = alg.multiply(cols[i], cols[j])
+    sc = alg.sc
+    cols = [linalg.sparse([row[q] for row in m]) for q in range(n)]
+    for i, ci in enumerate(cols):
+        for j, cj in enumerate(cols):
+            lhs = {}
+            for k, v in sc.get((i, j), {}).items():
+                linalg.sp_add_into(lhs, cols[k], v)
+            rhs = {}
+            for a, x in ci.items():
+                for b, y in cj.items():
+                    row = sc.get((a, b))
+                    if row:
+                        linalg.sp_add_into(rhs, row, x * y)
             if lhs != rhs:
                 return False
     return True

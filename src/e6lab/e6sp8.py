@@ -312,13 +312,7 @@ def _split(subspaces, op_apply, nev, field):
             combos = linalg.eigenspace(m, lam, field)
             if not combos:
                 continue
-            newbasis = []
-            for combo in combos:
-                v = [field.zero] * len(basis[0])
-                for idx, co in enumerate(combo):
-                    if co != field.zero:
-                        v = linalg.vec_add(v, linalg.vec_scale(basis[idx], co))
-                newbasis.append(v)
+            newbasis = [linalg.lin_comb(combo, basis, field) for combo in combos]
             out.append((newbasis, tag + (e,)))
             found += len(combos)
         if found != k:
@@ -413,8 +407,7 @@ def _graded_bases():
         m = acts[i]
 
         def go(v):
-            sp = {c: x for c, x in enumerate(v) if x != GI_ZERO}
-            img = linalg.sp_matvec(m, sp)
+            img = linalg.sp_matvec(m, linalg.sparse(v))
             dense = [GI_ZERO] * 70
             for c, x in img.items():
                 dense[c] = x
@@ -476,7 +469,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
     even_flat = [sum(m, []) for m in even_mats]
     even_expand = linalg.SpanSolver(even_flat, QQ)
     odd_expand = linalg.SpanSolver(odd_vecs, QQ)
-    even_sp = [linalg.dense_to_sparse(m, QQ) for m in even_mats]
+    even_sp = [linalg.dense_to_sparse(m) for m in even_mats]
     act_sp = [act4_matrix_sparse(m, QQ) for m in even_mats]
     odd_sp = [{c: x for c, x in enumerate(v) if x} for v in odd_vecs]
 

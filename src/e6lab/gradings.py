@@ -219,7 +219,7 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
         {grading.group.add(h2, grading.group.neg(h1)) for h1 in supp for h2 in supp}
     )
     # decompose every derivation image once over the whole grading
-    der_sparse = [linalg.dense_to_sparse(d, f) for d in der_basis]
+    der_sparse = [linalg.dense_to_sparse(d) for d in der_basis]
     stacked = []
     positions = []  # (degree, index inside component) per stacked row
     for h in supp:
@@ -268,15 +268,13 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
                             alive = False
                             break
                     else:
-                        rows.append([row.get(t, f.zero) for t in range(m)])
+                        rows.append(row)
                 if not alive:
                     break
         if use_int:
             combos = acc.kernel_basis() if alive else []
         else:
-            combos = linalg.kernel(rows, m, f) if rows else [
-                list(r) for r in linalg.identity(m, f)
-            ]
+            combos = linalg.kernel(rows, m, f)
         if not combos:
             continue
         comps[g] = combos
@@ -295,7 +293,7 @@ def _matrix_span_algebra(der_basis, f: Field, alg: StructAlgebra) -> StructAlgeb
     m = len(der_basis)
     flat = [sum((list(row) for row in d), []) for d in der_basis]
     expander = linalg.SpanSolver(flat, f)
-    sparse = [linalg.dense_to_sparse(d, f) for d in der_basis]
+    sparse = [linalg.dense_to_sparse(d) for d in der_basis]
     sc = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -342,10 +340,7 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
         combos = linalg.kernel([tv], len(vecs), f)
         out = []
         for combo in combos:
-            v = [f.zero] * c.dim
-            for i2, co in enumerate(combo):
-                if co != f.zero:
-                    v = linalg.vec_add(v, linalg.vec_scale(vecs[i2], co))
+            v = linalg.lin_comb(combo, vecs, f)
             if v[c.unit_idx] != 0:
                 raise GradingError("traceless C component touches the unit")
             out.append([v[b] for b in t.c0_idx])
@@ -357,10 +352,7 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
         combos = linalg.kernel([tv], len(vecs), f)
         out = []
         for combo in combos:
-            v = [f.zero] * j.dim
-            for i2, co in enumerate(combo):
-                if co != f.zero:
-                    v = linalg.vec_add(v, linalg.vec_scale(vecs[i2], co))
+            v = linalg.lin_comb(combo, vecs, f)
             coeffs = j0_expand.coefficients(v)
             if coeffs is None:
                 raise GradingError("traceless J component outside J0")

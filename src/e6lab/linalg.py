@@ -1,8 +1,14 @@
 """Exact linear algebra over Q and Q(i).
 
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
-dicts and sparse matrices {row: {col: scalar}}.  All elimination routines use
-lexicographic pivot selection so that every returned basis is deterministic.
+dicts and sparse matrices {row: {col: scalar}}.  Zero tests are truthiness
+tests, which Fraction and GaussRational both define.
+
+`rref` is the one elimination: it reduces dense or sparse rows on {col: x}
+dicts, so its cost follows the nonzeros, not the width.  The reduced row
+echelon form of a matrix is unique, so every basis it returns (and `kernel`,
+`eigenspace`, `rank`, `SpanSolver` and `IntKernelAccumulator` on top of it)
+is deterministic whatever the row order or the order of elimination.
 One span solver (`SpanSolver`) expresses vectors in a fixed basis, one
 symmetric congruence elimination (`congruence_diagonalize`) gives both the
 Witt pivots and the Sylvester inertia, and one Gram loop (`gram`) evaluates a
@@ -34,13 +40,15 @@ def identity(n, field: Field):
 
 
 def mat_vec(m, v, field: Field):
+    vs = sparse(v)
     z = field.zero
     out = []
     for row in m:
         acc = z
-        for a, b in zip(row, v):
-            if a != z and b != z:
-                acc = acc + a * b
+        for j, x in vs.items():
+            a = row[j]
+            if a:
+                acc = acc + a * x
         out.append(acc)
     return out
 
@@ -48,16 +56,15 @@ def mat_vec(m, v, field: Field):
 def mat_mul(a, b, field: Field):
     z = field.zero
     nb = len(b[0])
-    out = [[z] * nb for _ in range(len(a))]
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if aik == z:
-                continue
-            brow = b[k]
-            for j in range(nb):
-                if brow[j] != z:
-                    orow[j] = orow[j] + aik * brow[j]
+    bsp = [sparse(row) for row in b]
+    out = []
+    for arow in a:
+        orow = [z] * nb
+        for aik, brow in zip(arow, bsp):
+            if aik:
+                for j, x in brow.items():
+                    orow[j] = orow[j] + aik * x
+        out.append(orow)
     return out
 
 
@@ -102,72 +109,82 @@ def vec_scale(u, s):
     return [x * s for x in u]
 
 
+def sparse(v) -> dict:
+    """{index: x} for the nonzero entries of a dense list or a dict."""
+    return {i: x for i, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+
+
+def lin_comb(coeffs, vectors, field: Field):
+    """sum(c * v) as a dense list, accumulated over the nonzeros only."""
+    acc = {}
+    for co, v in zip(coeffs, vectors):
+        if co:
+            sp_add_into(acc, sparse(v), co)
+    return [acc.get(j, field.zero) for j in range(len(vectors[0]))]
+
+
 # ---------------------------------------------------------------------------
 # echelon forms, kernels, solving
 
 
-def rref(rows, field: Field):
-    """Reduced row echelon form.
+def rref(rows, field: Field, ncols=None):
+    """Reduced row echelon form of dense rows, or of {col: x} rows of width
+    ncols.
 
-    Returns (reduced nonzero rows, pivot column list).  Pivots are chosen
-    left to right, first suitable row wins; this keeps output deterministic
-    for any input order.
+    Returns (reduced nonzero rows as dense lists, pivot column list).  The
+    elimination runs on sparse rows: each row is reduced at its leading
+    column by the echelon row already there, or becomes the echelon row of
+    that column; back-substitution then clears each pivot column from the
+    rows above it.  The reduced echelon form is unique, so the result does
+    not depend on the row order.
     """
-    z = field.zero
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != z:
-                sel = i
+    if ncols is None:
+        if rows and isinstance(rows[0], dict):
+            raise TypeError("rref of dict rows needs ncols")
+        ncols = len(rows[0]) if rows else 0
+    one = field.one
+    echelon = {}  # pivot column -> row with 1 there and nothing to its left
+    for r in rows:
+        r = sparse(r)
+        while r:
+            c = min(r)
+            p = echelon.get(c)
+            if p is None:
+                if r[c] != one:
+                    inv = field.inv(r[c])
+                    r = {k: x * inv for k, x in r.items()}
+                echelon[c] = r
                 break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = field.inv(m[r][c])
-        if inv != field.one:
-            m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != z:
-                f = m[i][c]
-                mr = m[r]
-                m[i] = [a - f * b for a, b in zip(m[i], mr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+            sp_add_into(r, p, -r[c])
+    pivots = sorted(echelon)
+    # rows below are already reduced, so clearing their pivot columns here
+    # touches no other pivot column
+    for pc in reversed(pivots):
+        r = echelon[pc]
+        for c in [c for c in r if c != pc and c in echelon]:
+            sp_add_into(r, echelon[c], -r[c])
+    z = field.zero
+    return [[echelon[pc].get(j, z) for j in range(ncols)] for pc in pivots], pivots
 
 
 def rank(rows, field: Field) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows, field)[0])
+    return len(rref(rows, field)[1])
 
 
 def kernel(rows, ncols, field: Field):
-    """Canonical basis of {v : rows @ v = 0}, itself in reduced echelon form."""
-    if not rows:
-        return [r[:] for r in identity(ncols, field)]
-    red, pivots = rref(rows, field)
+    """Canonical basis of {v : rows @ v = 0}, itself in reduced echelon form;
+    rows are dense lists or {col: x} dicts."""
+    red, pivots = rref(rows, field, ncols)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    z = field.zero
     basis = []
-    for fc in free:
-        v = [z] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    if not basis:
-        return []
-    out, _ = rref(basis, field)
-    return out
+    for fc in range(ncols):
+        if fc not in pivset:
+            v = {fc: field.one}
+            for r, pc in enumerate(pivots):
+                if red[r][fc]:
+                    v[pc] = -red[r][fc]
+            basis.append(v)
+    return rref(basis, field, ncols)[0]
 
 
 class SpanSolver:
@@ -182,23 +199,23 @@ class SpanSolver:
         self.field = field
         n = len(basis)
         ncols = len(basis[0]) if n else 0
-        aug = [list(b) + [field.zero] * n for b in basis]
-        for i in range(n):
-            aug[i][ncols + i] = field.one
-        red, pivots = rref(aug, field)
+        aug = []
+        for i, b in enumerate(basis):
+            row = sparse(b)
+            row[ncols + i] = field.one
+            aug.append(row)
+        red, pivots = rref(aug, field, ncols + n)
         if len(red) != n or (pivots and pivots[-1] >= ncols):
             raise ValueError("basis vectors are linearly dependent")
         self.n = n
         self.pivots = pivots
-        self.red = [{c: x for c, x in enumerate(row[:ncols]) if x} for row in red]
-        self.transform = [
-            {j: x for j, x in enumerate(row[ncols:]) if x} for row in red
-        ]
+        self.red = [sparse(row[:ncols]) for row in red]
+        self.transform = [sparse(row[ncols:]) for row in red]
 
     def coefficients(self, v):
         """Coefficients of v (a dense list or a sparse dict) wrt the basis,
         or None if v is outside its span."""
-        resid = {i: x for i, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+        resid = sparse(v)
         # a reduced row has 1 at its own pivot and 0 at every other pivot, so
         # the residual at a pivot is the coefficient of that row
         rc = []
@@ -240,11 +257,10 @@ def mat_inverse(a, field: Field):
 
 
 def eigenspace(m, lam, field: Field):
-    n = len(m)
-    shifted = [list(row) for row in m]
-    for i in range(n):
-        shifted[i][i] = shifted[i][i] - lam
-    return kernel(shifted, n, field)
+    rows = [sparse(row) for row in m]
+    for i, r in enumerate(rows):
+        sp_add_into(r, {i: field.one}, -lam)
+    return kernel(rows, len(m), field)
 
 
 def intersect_spans(basis_a, basis_b, field: Field):
@@ -252,25 +268,17 @@ def intersect_spans(basis_a, basis_b, field: Field):
     if not basis_a or not basis_b:
         return []
     ncols = len(basis_a[0])
-    rows = []
-    for col in range(ncols):
-        rows.append([b[col] for b in basis_a] + [-b[col] for b in basis_b])
     na = len(basis_a)
+    # row col of [A^T | -B^T]: a kernel vector (c, d) has sum c_i a_i = sum d_j b_j
+    rows = [{} for _ in range(ncols)]
+    for i, b in enumerate(basis_a):
+        for col, x in sparse(b).items():
+            rows[col][i] = x
+    for j, b in enumerate(basis_b):
+        for col, x in sparse(b).items():
+            rows[col][na + j] = -x
     combos = kernel(rows, na + len(basis_b), field)
-    out = []
-    z = field.zero
-    for c in combos:
-        v = [z] * ncols
-        for i in range(na):
-            if c[i] != z:
-                for col in range(ncols):
-                    if basis_a[i][col] != z:
-                        v[col] = v[col] + c[i] * basis_a[i][col]
-        out.append(v)
-    if not out:
-        return []
-    red, _ = rref(out, field)
-    return red
+    return rref([lin_comb(c[:na], basis_a, field) for c in combos], field, ncols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +441,8 @@ def sp_trace_product(a: dict, b: dict):
     return acc
 
 
-def dense_to_sparse(m, field: Field) -> dict:
-    z = field.zero
-    out = {}
-    for i, row in enumerate(m):
-        r = {j: x for j, x in enumerate(row) if x != z}
-        if r:
-            out[i] = r
-    return out
+def dense_to_sparse(m) -> dict:
+    return {i: r for i, row in enumerate(m) if (r := sparse(row))}
 
 
 def sparse_to_dense(m: dict, nrows, ncols, field: Field):
@@ -530,16 +532,11 @@ class IntKernelAccumulator:
 
     def kernel_basis(self):
         """Deterministic rational basis (reduced echelon) of the kernel."""
-        vecs = []
-        for vid in sorted(self.basis):
-            v = [Fraction(0)] * self.n
-            for u, x in self.basis[vid].items():
-                v[u] = Fraction(x)
-            vecs.append(v)
-        if not vecs:
-            return []
-        red, _ = rref(vecs, QQ)
-        return red
+        rows = [
+            {u: Fraction(x) for u, x in self.basis[vid].items()}
+            for vid in sorted(self.basis)
+        ]
+        return rref(rows, QQ, self.n)[0]
 
 
 def clear_denominators(vec):

@@ -105,8 +105,8 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str = None) -> Tits
     rng_t = range(ndc, ndc + nc * nj)
     rng_dj = range(ndc + nc * nj, dim)
 
-    der_c_sp = [linalg.dense_to_sparse(d, QQ) for d in der_c]
-    der_j_sp = [linalg.dense_to_sparse(d, QQ) for d in der_j]
+    der_c_sp = [linalg.dense_to_sparse(d) for d in der_c]
+    der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
     dc_expand = (
         linalg.SpanSolver([sum(d, []) for d in der_c], QQ) if ndc else None
     )
@@ -205,7 +205,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str = None) -> Tits
             trace_c0[(a, b)] = c.trace(prod)
             if a < b:
                 dab_tab[(a, b)] = expand_der_c(
-                    linalg.dense_to_sparse(d_ab(c, cvecs[a], cvecs[b]), QQ)
+                    linalg.dense_to_sparse(d_ab(c, cvecs[a], cvecs[b]))
                 )
                 rev = c.alg.multiply(cvecs[b], cvecs[a])
                 lie_c0[(a, b)] = expand_c0(linalg.vec_sub(prod, rev))
@@ -290,7 +290,7 @@ def derj_j0_model(j: JordanAlgebra) -> TitsAlgebra:
     dim = nj + ndj
     rng_t = range(0, nj)
     rng_dj = range(nj, dim)
-    der_j_sp = [linalg.dense_to_sparse(d, QQ) for d in der_j]
+    der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
     dj_expand = linalg.SpanSolver([sum(d, []) for d in der_j], QQ)
     j0_expand = linalg.SpanSolver(j0, QQ)
     j0_sp = [{i: v for i, v in enumerate(vec) if v} for vec in j0]
@@ -422,7 +422,7 @@ def proportionality_constants(t: TitsAlgebra = None) -> dict:
     k = t.lie.killing_matrix()
 
     def trace_gram(mats):
-        sp = [linalg.dense_to_sparse(a, QQ) for a in mats]
+        sp = [linalg.dense_to_sparse(a) for a in mats]
         return [[linalg.sp_trace_product(a, b) or F(0) for b in sp] for a in sp]
 
     # Der(O): k(d, d') = 12 tr(d d')

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from e6lab import chevalley, linalg
+from e6lab import algcore, chevalley, linalg
 from e6lab.algcore import fixed_subspace, jacobi_defect
 from e6lab.gradings import type_vector, verify
 from e6lab.scalars import QQ
@@ -170,3 +170,34 @@ def test_fix_dims_honest_vs_formula():
         _, dim = fixed_subspace(t, QQ)
         assert dim == chevalley.fix_dim_t(cb, signs)
         assert chevalley.fix_dim_omega_t(cb, om, signs) == 36
+
+
+def _dense_is_automorphism(alg, m):
+    """The dense checker `is_automorphism` replaced, kept as the reference:
+    M(b_i b_j) against alg.multiply(M b_i, M b_j) on dense columns."""
+    n = alg.dim
+    cols = [[m[p][q] for p in range(n)] for q in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = [F(0)] * n
+            for k, v in alg.sc.get((i, j), {}).items():
+                lhs = [a + v * b for a, b in zip(lhs, cols[k])]
+            if lhs != alg.multiply(cols[i], cols[j]):
+                return False
+    return True
+
+
+def test_sparse_automorphism_check_matches_dense():
+    cb = chevalley.e6_chevalley()
+    alg = cb.lie.alg
+    om = chevalley.omega(cb)
+    t = chevalley.torus_element(cb, (-1, 1, -1, 1, 1, -1))
+    q = cb.e_index(0)
+    p = next(p for p in range(alg.dim) if om[p][q])
+    om_bad = [row[:] for row in om]
+    om_bad[p][q] = 2 * om[p][q]
+    t_bad = [row[:] for row in t]
+    t_bad[0][q] = F(1)
+    for m, expected in ((om, True), (t, True), (om_bad, False), (t_bad, False)):
+        assert algcore.is_automorphism(alg, m) is expected
+        assert _dense_is_automorphism(alg, m) is expected

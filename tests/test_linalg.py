@@ -247,3 +247,127 @@ def test_gram_equals_x_m_yt(data, zero_rows, zero_block):
         xs = [[F(0)] * h + x[h:] for x in xs]
     expected = linalg.mat_mul(linalg.mat_mul(xs, m, QQ), linalg.transpose(ys), QQ)
     assert linalg.gram(m, xs, ys, QQ) == expected
+
+
+def _dense_rref(rows, field):
+    """The dense Gauss-Jordan elimination `rref` replaced, kept as the
+    reference: every pivot rewrites every column of every row."""
+    z = field.zero
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if m[i][c] != z), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != z:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def _dense_kernel(rows, ncols, field):
+    if not rows:
+        return [[field.one if i == j else field.zero for j in range(ncols)] for i in range(ncols)]
+    red, pivots = _dense_rref(rows, field)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [field.zero] * ncols
+            v[fc] = field.one
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc]
+            basis.append(v)
+    return _dense_rref(basis, field)[0] if basis else []
+
+
+sparse_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+
+    def entry():
+        re = draw(sparse_entries)
+        return F(re) if field is QQ else GaussRational(re, draw(sparse_entries))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        return [[field.zero] * ncols for _ in rows], ncols
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [field.zero] * ncols
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = field.zero
+    if nrows > 1 and draw(st.booleans()):
+        # a dependent row: a multiple of the first plus the second
+        rows.append([2 * a + b for a, b in zip(rows[0], rows[1])])
+    return rows, ncols
+
+
+def _check_rref_and_kernel(rows, ncols, field):
+    ref = _dense_rref(rows, field)
+    as_dicts = [linalg.sparse(r) for r in rows]
+    assert linalg.rref(rows, field) == ref
+    assert linalg.rref(as_dicts, field, ncols) == ref
+    ker = _dense_kernel(rows, ncols, field)
+    assert linalg.kernel(rows, ncols, field) == ker
+    assert linalg.kernel(as_dicts, ncols, field) == ker
+    assert linalg.rank(rows, field) == len(ref[1])
+
+
+@given(sparse_matrices(QQ))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_dense_reference_qq(data):
+    _check_rref_and_kernel(*data, QQ)
+
+
+@given(sparse_matrices(QI))
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_dense_reference_qi(data):
+    _check_rref_and_kernel(*data, QI)
+
+
+def test_rref_of_no_rows():
+    assert linalg.rref([], QQ) == ([], [])
+    assert linalg.rref([], QI, 3) == ([], [])
+    assert linalg.kernel([], 2, QQ) == [[F(1), F(0)], [F(0), F(1)]]
+    assert linalg.kernel([{}, {}], 2, QI) == _dense_kernel([], 2, QI)
+    with pytest.raises(TypeError):
+        linalg.rref([{1: F(1)}], QQ)
+
+
+def _naive_mat_mul(a, b, field):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@given(sparse_matrices(QQ), sparse_matrices(QI), st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_and_mat_vec_match_naive_loops(qq, qi, width):
+    for (a, n), field in ((qq, QQ), (qi, QI)):
+        if not a:
+            continue
+        rng = random.Random(str(a))
+        lift = F if field is QQ else GaussRational
+        b = [[lift(rng.choice((0, 0, 1, -2, F(1, 3)))) for _ in range(width)] for _ in range(n)]
+        assert linalg.mat_mul(a, b, field) == _naive_mat_mul(a, b, field)
+        v = [row[0] for row in b]
+        assert linalg.mat_vec(a, v, field) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v], field)]
