@@ -37,6 +37,7 @@ class StructAlgebra:
     basis_labels: list
     sc: dict  # (i, j) -> {k: scalar}, zero rows omitted
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _der_cache: list = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for (i, j), row in self.sc.items():
@@ -363,7 +364,14 @@ def derivations(alg: StructAlgebra):
 
     Returns dim x dim matrices (column action), as the reduced-echelon basis
     of the Leibniz kernel in row-major unknowns d[p][q]; deterministic.
+    Solved once per algebra object: later calls return the same list.
     """
+    if alg._der_cache is None:
+        alg._der_cache = _solve_derivations(alg)
+    return alg._der_cache
+
+
+def _solve_derivations(alg: StructAlgebra):
     if alg.field.name != "Q":
         raise AlgebraError("derivations implemented over Q only")
     n = alg.dim

@@ -1,8 +1,9 @@
 """Canonical model and grading registry.
 
 One place that knows how to build every named model and every flagship
-grading on its canonical carrier, with per-process caching so the CLI, the
-verification engine and the test suite share work.
+grading on its canonical carrier.  Models come from the cached builders
+(`tits_model`, `assemble_e6`, `e6_chevalley`) and gradings are cached here,
+so the CLI, the verification engine and the test suite share work.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ def _tits_name_parts(name: str):
     return {"rr": "RR", "c": "C", "o": "O"}[cname], jname
 
 
-@lru_cache(maxsize=None)
 def model(name: str):
     """(LieAlgebra, provenance dict) for a catalog model name."""
     if name not in MODEL_NAMES:
@@ -67,7 +67,6 @@ def model(name: str):
     return t.lie, dict(t.provenance)
 
 
-@lru_cache(maxsize=None)
 def model_signature(name: str) -> int:
     lie, _ = model(name)
     return inertia(lie.killing_matrix()).signature
@@ -114,7 +113,6 @@ def grading(name: str):
     raise KeyError(f"unknown grading {name!r}")
 
 
-@lru_cache(maxsize=None)
 def grading_carrier_signature(name: str) -> int:
     _, carrier, _ = grading(name)
     return inertia(carrier.killing_matrix()).signature

@@ -177,8 +177,9 @@ def sp8_rational_basis():
     return linalg.kernel(rows, 64, QQ)
 
 
-def act4_matrix_sparse(x, field):
-    """Derivation action of an 8x8 matrix on Lambda^4 (sparse, 70x70)."""
+def _act_matrix_sparse(x, field, mons, idx):
+    """Derivation action of an 8x8 matrix on the wedge monomials ``mons``
+    (``idx`` maps a sorted monomial to its position), as a sparse matrix."""
     z = field.zero
     cols = {}
     for c in range(8):
@@ -186,8 +187,8 @@ def act4_matrix_sparse(x, field):
         if col:
             cols[c] = col
     out = {}
-    for src, mono in enumerate(MON4):
-        for t in range(4):
+    for src, mono in enumerate(mons):
+        for t in range(len(mono)):
             col = cols.get(mono[t])
             if not col:
                 continue
@@ -198,7 +199,7 @@ def act4_matrix_sparse(x, field):
                     continue
                 else:
                     order = list(mono[:t]) + [r] + list(mono[t + 1 :])
-                    dst = IDX4[tuple(sorted(order))]
+                    dst = idx[tuple(sorted(order))]
                     sign = _perm_sign(order)
                 row = out.setdefault(dst, {})
                 val = row.get(src, z) + (coef if sign == 1 else -coef)
@@ -207,6 +208,16 @@ def act4_matrix_sparse(x, field):
                 else:
                     row[src] = val
     return {r: row for r, row in out.items() if row}
+
+
+def act4_matrix_sparse(x, field):
+    """Derivation action of an 8x8 matrix on Lambda^4 (sparse, 70x70)."""
+    return _act_matrix_sparse(x, field, MON4, IDX4)
+
+
+def act2_matrix_sparse(x, field):
+    """Derivation action of an 8x8 matrix on Lambda^2 (sparse, 28x28)."""
+    return _act_matrix_sparse(x, field, MON2, IDX2)
 
 
 def wedge4_matrix_sparse(a, field):
@@ -240,45 +251,15 @@ def wedge4_matrix_sparse(a, field):
     return {r: row for r, row in out.items() if row}
 
 
-def act2_matrix_sparse(x, field):
-    z = field.zero
-    out = {}
-    for src, mono in enumerate(MON2):
-        for t in range(2):
-            for r in range(8):
-                coef = x[r][mono[t]]
-                if coef == z:
-                    continue
-                if r == mono[t]:
-                    dst, sign = src, 1
-                elif r in mono:
-                    continue
-                else:
-                    order = list(mono[:t]) + [r] + list(mono[t + 1 :])
-                    dst = IDX2[tuple(sorted(order))]
-                    sign = _perm_sign(order)
-                row = out.setdefault(dst, {})
-                val = row.get(src, z) + (coef if sign == 1 else -coef)
-                if val == z:
-                    row.pop(src, None)
-                else:
-                    row[src] = val
-    return {r: row for r, row in out.items() if row}
-
-
-def ad_matrix_on_flat(m, field):
-    """X -> M X M^{-1} as a 64x64 dense matrix over the field of M."""
+def _conjugation(m, field):
+    """X -> M X M^{-1} on 8x8 matrices X flattened row-major to 64-vectors."""
     minv = linalg.mat_inverse(m, field)
-    out = [[field.zero] * 64 for _ in range(64)]
-    for p in range(8):
-        for q in range(8):
-            # image of E_pq: column q of M times row p of M^{-1}
-            for r in range(8):
-                for s in range(8):
-                    v = m[r][p] * minv[q][s]
-                    if v != field.zero:
-                        out[r * 8 + s][p * 8 + q] = v
-    return out
+
+    def go(v):
+        x = [v[8 * r : 8 * r + 8] for r in range(8)]
+        return sum(linalg.mat_mul(linalg.mat_mul(m, x, field), minv, field), [])
+
+    return go
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +369,9 @@ def sp8_basis():
 @lru_cache(maxsize=None)
 def _graded_bases():
     fr = frame()
-    ads = [ad_matrix_on_flat(a, QI) for a in fr.a]
-
-    def apply_ad(i):
-        m = ads[i]
-
-        def go(v):
-            return linalg.mat_vec(m, v, QI)
-
-        return go
-
     even = [([[lift(x) for x in v] for v in sp8_rational_basis()], ())]
     for i in range(4):
-        even = _split(even, apply_ad(i), 2 if i < 3 else 4, QI)
+        even = _split(even, _conjugation(fr.a[i], QI), 2 if i < 3 else 4, QI)
     acts = [wedge4_matrix_sparse(a, QI) for a in fr.a]
 
     def apply_act(i):
@@ -656,17 +627,7 @@ def fix_ad_c_a123_dim() -> int:
     if any(x.im != 0 for row in g for x in row):
         raise AlgebraError("C A1 A2 A3 should be real")
     greal = [[x.re for x in row] for row in g]
-    ad = ad_matrix_on_flat(greal, QQ)
-    basis = sp8_rational_basis()
-    solver = linalg.SpanSolver(basis, QQ)
-    cols = []
-    for v in basis:
-        img = linalg.mat_vec(ad, v, QQ)
-        co = solver.coefficients(img)
-        if co is None:
-            raise AlgebraError("Ad does not preserve sp8")
-        cols.append(co)
-    mat = [[cols[j][i] for j in range(36)] for i in range(36)]
+    mat = _operator_on_subspace(_conjugation(greal, QQ), sp8_rational_basis(), QQ)
     _, dim = fixed_subspace(mat, QQ)
     return dim
 
@@ -681,29 +642,24 @@ def minus26_carrier():
     raise AlgebraError("neither conjugated form has signature -26")
 
 
+def _gamma11_on(model: Sp8Model, alg) -> GradedDecomposition:
+    """The Z4 x Z2^4 degrees of ``model``'s basis, on the same basis of alg."""
+    comps = {}
+    for i in range(model.dim):
+        comps.setdefault(model.tag_of(i), []).append(alg.basis_vector(i))
+    return GradedDecomposition(group=FinAbGroup(0, (4, 2, 2, 2, 2)), algebra=alg, components=comps)
+
+
 def gamma11() -> GradedDecomposition:
     """The Z4 x Z2^4 grading on the signature -26 symplectic carrier."""
     carrier, data = minus26_carrier()
-    model = data["model"]
-    group = FinAbGroup(0, (4, 2, 2, 2, 2))
-    comps = {}
-    for i in range(model.dim):
-        comps.setdefault(model.tag_of(i), []).append(
-            carrier.alg.basis_vector(i)
-        )
-    return GradedDecomposition(group=group, algebra=carrier.alg, components=comps)
+    return _gamma11_on(data["model"], carrier.alg)
 
 
 def gamma11_on_split_model() -> GradedDecomposition:
     """Same degrees on the untwisted rational model (component-wise equal)."""
     model = assemble_e6()
-    group = FinAbGroup(0, (4, 2, 2, 2, 2))
-    comps = {}
-    for i in range(model.dim):
-        comps.setdefault(model.tag_of(i), []).append(
-            model.lie.alg.basis_vector(i)
-        )
-    return GradedDecomposition(group=group, algebra=model.lie.alg, components=comps)
+    return _gamma11_on(model, model.lie.alg)
 
 
 # ---------------------------------------------------------------------------

@@ -68,33 +68,11 @@ class TitsAlgebra:
         return list(self.layout["der_c"]) + list(self.layout["der_j"])
 
 
-@lru_cache(maxsize=None)
-def _der_basis_cached(which: str, gamma=None):
-    if which == "m3r":
-        return derivations(m3r().alg)
-    if which in ("O", "Os", "RR", "C", "H", "M2R"):
-        return derivations(hurwitz(which).alg)
-    return derivations(h3(which[3:], gamma).alg)
-
-
-def der_basis_for_comp(name: str):
-    return _der_basis_cached(name)
-
-
-def der_basis_for_jordan(j: JordanAlgebra):
-    if j.kind == "m3r":
-        return _der_basis_cached("m3r")
-    return _der_basis_cached("h3:" + j.comp_name, j.gamma)
-
-
-def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str = None) -> TitsAlgebra:
-    """Assemble T(C, J) with certified Jacobi."""
-    if comp_name is None:
-        comp_name = next(
-            (n for n in ("RR", "C", "H", "M2R", "O", "Os") if hurwitz(n) is c), None
-        )
-    der_c = der_basis_for_comp(comp_name) if comp_name else derivations(c.alg)
-    der_j = der_basis_for_jordan(j)
+def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra:
+    """Assemble T(C, J) with certified Jacobi; comp_name names C in the
+    provenance."""
+    der_c = derivations(c.alg)
+    der_j = derivations(j.alg)
     c0 = c.traceless_indices()
     j0 = j0_basis(j)
     nc, nj = len(c0), len(j0)
@@ -283,7 +261,7 @@ def derj_j0_model(j: JordanAlgebra) -> TitsAlgebra:
     Isomorphic to T(R+R, J) up to a positive rescaling of the odd part, so
     same Killing signature; the tensor slot holds J0 itself.
     """
-    der_j = der_basis_for_jordan(j)
+    der_j = derivations(j.alg)
     j0 = j0_basis(j)
     nj = len(j0)
     ndj = len(der_j)

@@ -1,15 +1,12 @@
 """The acceptance battery: every numeric claim the package reproduces.
 
 Checks are small records with stable ids; `run_all` executes the groups
-(optionally in parallel processes, capped by E6_THREADS) and returns them
-sorted by id, so the JSON rendering is byte-deterministic.
+and returns them sorted by id, so the JSON rendering is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -317,33 +314,11 @@ GROUPS = {
 }
 
 
-def _run_group(name: str):
-    return [asdict(c) for c in GROUPS[name]()]
-
-
-def threads_from_env() -> int:
-    raw = os.environ.get("E6_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def run_all(threads: int = None):
-    """All checks, sorted by id; parallel over groups when threads > 1."""
-    if threads is None:
-        threads = threads_from_env()
-    names = list(GROUPS)
-    if threads > 1:
-        results = []
-        with ProcessPoolExecutor(max_workers=min(threads, len(names))) as pool:
-            for chunk in pool.map(_run_group, names):
-                results.extend(CheckResult(**c) for c in chunk)
-    else:
-        results = []
-        for name in names:
-            results.extend(GROUPS[name]())
+def run_all():
+    """All checks, sorted by id."""
+    results = []
+    for group in GROUPS.values():
+        results.extend(group())
     return sorted(results, key=lambda c: c.id)
 
 

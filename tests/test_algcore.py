@@ -187,6 +187,18 @@ def test_derivations_abelian():
     assert len(derivations(a)) == 4
 
 
+def test_derivations_memoized_on_the_algebra():
+    from e6lab.composition import hurwitz
+
+    alg = hurwitz("O").alg
+    ders = derivations(alg)
+    assert derivations(alg) is ders
+    fresh = algcore.algebra_from_json(algcore.algebra_to_json(alg))
+    assert fresh._der_cache is None
+    assert derivations(fresh) == ders
+    assert len(ders) == 14
+
+
 def test_automorphism_checks():
     a = sl2()
     ident = linalg.identity(3, QQ)

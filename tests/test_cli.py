@@ -140,5 +140,9 @@ def test_gamma_mutation_is_detected(monkeypatch):
         bad = [c.id for c in results if not c.passed]
         # T(C, compact albert) is -78 where -14 was expected
         assert "C03.sig-c-albert-split" in bad
+        # undoing the flip and clearing that one cache is the whole invalidation
+        monkeypatch.undo()
+        tits_mod.tits_model.cache_clear()
+        assert all(c.passed for c in verify_mod.group_jacobson())
     finally:
         tits_mod.tits_model.cache_clear()

@@ -210,9 +210,8 @@ def test_induced_on_der_octonion_brute_force():
 def test_induced_on_der_z_grading_contains_operator():
     j = h3("O", (1, -1, 1))
     from e6lab.jordan import z_grading_operator
-    from e6lab.tits import der_basis_for_jordan
 
-    ders = der_basis_for_jordan(j)
+    ders = derivations(j.alg)
     g = jordan_gradings(j)["z"]
     ind = induced_on_der(g, ders)
     op = z_grading_operator(j)
