@@ -5,10 +5,11 @@ tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q or Q(i).
 Everything downstream (Jacobi checks, derivation solving, Killing forms,
 inertia, twists) works on this one representation.
 
-The Jacobi and Killing certificates are one sparse loop each over the nonzero
-structure constants, generic over exact scalars.  They read the Python-int
-table D*c of `int_tensor` when its entries are small, and the scalars of
-``sc`` otherwise; the two tables give the same results.
+The Jacobi and Killing certificates are sparse loops over the nonzero
+structure constants.  Both read the Python-int table D*c of `int_tensor` when
+its entries are small.  Past that bound Jacobi reads the constants as integer
+(numerator, denominator) pairs and Killing reads the scalars of ``sc``; every
+table gives the same results.
 """
 
 from __future__ import annotations
@@ -139,24 +140,29 @@ class StructAlgebra:
         denominator; (None, None) over Q(i) or when dim * max|T|^2 >= 2^62.
 
         The bound picks the faster table, not an overflow guard: past it the
-        int products cost more than the Fractions of ``sc`` they replace.
+        int products cost more than the exact fallbacks they replace.  The
+        build stops at the first entry past the bound.
         """
         if self._int_cache is None:
-            table = (None, None)
-            if self.field.name == "Q":
-                lcm = 1
-                for row in self.sc.values():
-                    for v in row.values():
-                        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-                t = {
-                    key: {k: v.numerator * (lcm // v.denominator) for k, v in row.items()}
-                    for key, row in self.sc.items()
-                }
-                maxabs = max((abs(v) for row in t.values() for v in row.values()), default=0)
-                if self.dim * maxabs * maxabs < _INT_TABLE_BOUND:
-                    table = (lcm, t)
-            object.__setattr__(self, "_int_cache", table)
+            object.__setattr__(self, "_int_cache", self._scaled_int_table())
         return self._int_cache
+
+    def _scaled_int_table(self):
+        if self.field.name != "Q":
+            return (None, None)
+        lcm = 1
+        for row in self.sc.values():
+            for v in row.values():
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        t = {}
+        for key, row in self.sc.items():
+            trow = t[key] = {}
+            for k, v in row.items():
+                x = v.numerator * (lcm // v.denominator)
+                if self.dim * x * x >= _INT_TABLE_BOUND:
+                    return (None, None)
+                trow[k] = x
+        return (lcm, t)
 
 
 def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
@@ -177,21 +183,18 @@ def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
 # Jacobi
 
 
-def _table(alg: StructAlgebra):
-    """(D, T): the int table of `int_tensor`, or (None, alg.sc) past its bound."""
-    d, t = alg.int_tensor()
-    return (d, t) if t is not None else (None, alg.sc)
-
-
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
     Sums the three cyclic terms [[b_i, b_j], b_k] over the nonzero structure
-    constants of every triple.  On the int table each term carries D^2.
+    constants of every triple.  On the int table each term carries D^2; past
+    its bound the sums run on integer pairs (`_jacobi_defect_pairs`).
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
-    _, t = _table(alg)
+    _, t = alg.int_tensor()
+    if t is None:
+        return _jacobi_defect_pairs(alg)
     n = alg.dim
     bad = []
     for i in range(n):
@@ -209,6 +212,52 @@ def jacobi_defect(alg: StructAlgebra):
                         for q, y in row.items():
                             acc[q] = acc.get(q, 0) + x * y
                 if any(acc.values()):
+                    bad.append((i, j, k))
+    return bad
+
+
+def _jacobi_defect_pairs(alg: StructAlgebra):
+    """`jacobi_defect` on the constants as pairs (numerator, denominator) of
+    integers, a Q(i) scalar carrying denominator 1.
+
+    Each output coordinate q keeps one pair (N, D): a term over the same D
+    adds to N, any other cross-multiplies.  No gcd is taken and every D is
+    nonzero, so the triple is bad iff some N is.
+    """
+    if alg.field.name == "Q":
+        pairs = {
+            key: {k: (v.numerator, v.denominator) for k, v in row.items()}
+            for key, row in alg.sc.items()
+        }
+    else:
+        pairs = {key: {k: (v, 1) for k, v in row.items()} for key, row in alg.sc.items()}
+    n = alg.dim
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                num = {}
+                den = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    vab = pairs.get((a, b))
+                    if not vab:
+                        continue
+                    for m, (xn, xd) in vab.items():
+                        row = pairs.get((m, c))
+                        if not row:
+                            continue
+                        for q, (yn, yd) in row.items():
+                            d = xd * yd
+                            sd = den.get(q)
+                            if sd is None:
+                                num[q] = xn * yn
+                                den[q] = d
+                            elif sd == d:
+                                num[q] += xn * yn
+                            else:
+                                num[q] = num[q] * d + xn * yn * sd
+                                den[q] = sd * d
+                if any(num.values()):
                     bad.append((i, j, k))
     return bad
 
@@ -261,7 +310,9 @@ def killing_matrix(lie: LieAlgebra):
     """
     alg = lie.alg
     n = alg.dim
-    d, t = _table(alg)
+    d, t = alg.int_tensor()
+    if t is None:
+        t = alg.sc
     z = alg.field.zero if d is None else 0
     by_mq = {}
     for (i, m), row in t.items():

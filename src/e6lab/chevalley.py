@@ -318,19 +318,20 @@ def torus_element(cb: ChevalleyBasis, signs):
     if len(signs) != 6 or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a +-1 vector of length 6")
     n = cb.lie.dim
-    diag = [F(1)] * n
+    diag = [1] * n
     for r, alpha in enumerate(cb.roots.positive):
         val = 1
         for i, c in enumerate(alpha):
             if c % 2 and signs[i] == -1:
                 val = -val
-        diag[cb.e_index(r)] = F(val)
-        diag[cb.f_index(r)] = F(val)
+        diag[cb.e_index(r)] = val
+        diag[cb.f_index(r)] = val
+    # the check multiplies +-1 ints, not Fractions; the returned matrix is over Q
     if not is_diagonal_automorphism(cb.lie.alg, diag):
         raise AlgebraError("torus element is not an automorphism")
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = diag[i]
+        m[i][i] = F(diag[i])
     return m
 
 

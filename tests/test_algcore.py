@@ -23,7 +23,7 @@ from e6lab.algcore import (
     signature_from_fix,
     twist,
 )
-from e6lab.scalars import QQ
+from e6lab.scalars import QI, QQ, GaussRational
 
 F = Fraction
 
@@ -78,6 +78,19 @@ def test_jacobi_exact_path_agrees():
     fast = jacobi_defect(b)
     b._int_cache = (None, None)
     assert fast == jacobi_defect(b)
+
+
+def test_int_tensor_bound_is_on_the_entries():
+    # dim 4, so dim * T^2 < 2^62 iff |T| < 2^30; the 1/2 and 1/3 entries give
+    # D = 6 with max |T| = 3, and the third bracket sets max |T| on its own
+    def alg_with(c):
+        return _from_brackets(QQ, 4, {(0, 1): {2: F(1, 2)}, (1, 2): {0: F(1, 3)}, (0, 2): {1: c}})
+
+    d, t = alg_with(F(1)).int_tensor()
+    assert (d, t[(0, 1)], t[(1, 2)], t[(0, 2)]) == (6, {2: 3}, {0: 2}, {1: 6})
+    assert alg_with(F(2**30 - 1, 6)).int_tensor()[1][(0, 2)] == {1: 2**30 - 1}
+    assert alg_with(F(2**30, 6)).int_tensor() == (None, None)
+    assert alg_with(F(-(2**30), 6)).int_tensor() == (None, None)
 
 
 def test_killing_sl2():
@@ -298,6 +311,119 @@ def test_kernels_match_brute_force_on_both_tables(case):
     alg._int_cache = (None, None)
     assert jacobi_defect(alg) == defect
     assert killing_matrix(lie) == kmat
+
+
+# Three-dimensional Lie algebras by their brackets [b_i, b_j], i < j.  Scaling
+# one bracket of so3 or of the Heisenberg algebra gives a Lie algebra again,
+# and so does scaling [e, f] of sl2; scaling [h, e] or [h, f] by s breaks
+# Jacobi on (h, e, f) by 2(1 - s)h.
+LIE_BRACKETS = {
+    "sl2": {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
+    "so3": {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}},
+    "heisenberg": {(0, 1): {2: 1}},
+}
+JACOBI_BREAKERS = {("sl2", (0, 1)), ("sl2", (0, 2))}
+PRIMES = [p for p in range(2, 100) if all(p % d for d in range(2, p))] + [
+    998244353,
+    1000000007,
+    2**31 - 1,
+    2**61 - 1,
+]
+
+
+def _from_brackets(field, n, brackets):
+    sc = {}
+    for (i, j), row in brackets.items():
+        sc[(i, j)] = row
+        sc[(j, i)] = {k: -v for k, v in row.items()}
+    return StructAlgebra(field=field, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+
+
+def _sheared(alg, shear):
+    """The algebra on the basis b'_j = b_j + sum_{i<j} shear[i][j] b_i."""
+    n = alg.dim
+    p = [[F(1 if i == j else shear[i][j] if i < j else 0) for j in range(n)] for i in range(n)]
+    p_inv = linalg.mat_inverse(p, QQ)
+    cols = [[p[r][c] for r in range(n)] for c in range(n)]
+    return algcore.algebra_from_products(
+        QQ,
+        alg.basis_labels,
+        lambda i, j: linalg.mat_vec(p_inv, alg.multiply(cols[i], cols[j]), QQ),
+    )
+
+
+def _rescaled(alg, scales):
+    """The algebra on the basis s_i b_i: c'_ij^k = c_ij^k s_i s_j / s_k."""
+    sc = {
+        (i, j): {k: v * scales[i] * scales[j] / scales[k] for k, v in row.items()}
+        for (i, j), row in alg.sc.items()
+    }
+    return StructAlgebra(field=alg.field, dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+
+
+@st.composite
+def rescaled_lie_algebras(draw):
+    """(alg, breaks): sl2, so3 or Heisenberg plus an abelian part, at random
+    basis slots, sometimes with one bracket and its mirror scaled; then on a
+    unitriangular integer change of basis rescaled by distinct primes.  The
+    shear gives each bracket several terms, so Jacobi sums terms over distinct
+    denominators that cancel.  ``breaks`` says whether the mutant fails Jacobi.
+    """
+    name = draw(st.sampled_from(sorted(LIE_BRACKETS)))
+    n = 3 + draw(st.integers(min_value=0, max_value=3))
+    slot = draw(st.permutations(range(n)))
+    brackets = {
+        (slot[i], slot[j]): {slot[k]: F(v) for k, v in row.items()}
+        for (i, j), row in LIE_BRACKETS[name].items()
+    }
+    breaks = False
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(sorted(LIE_BRACKETS[name])))
+        scale = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        s = draw(scale.filter(lambda s: s not in (0, 1)))
+        key = (slot[i], slot[j])
+        brackets[key] = {k: s * v for k, v in brackets[key].items()}
+        breaks = (name, (i, j)) in JACOBI_BREAKERS
+    entries = st.integers(min_value=-2, max_value=2)
+    shear = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=n, max_size=n, unique=True))
+    return _rescaled(_sheared(_from_brackets(QQ, n, brackets), shear), primes), breaks
+
+
+@given(rescaled_lie_algebras())
+@settings(max_examples=80, deadline=None)
+def test_pair_loop_on_prime_rescaled_lie_algebras(case):
+    alg, breaks = case
+    defect = _jacobi_reference(alg)
+    assert bool(defect) == breaks
+    assert jacobi_defect(alg) == defect
+    alg._int_cache = (None, None)  # the integer-pair loop, whatever the entry sizes
+    assert jacobi_defect(alg) == defect
+
+
+gaussians = st.builds(
+    GaussRational, st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)
+)
+
+
+@given(
+    st.lists(gaussians.filter(bool), min_size=3, max_size=3),
+    st.sampled_from([None, (0, 1), (0, 2), (1, 2)]),
+    gaussians.filter(lambda s: s not in (0, 1)),
+)
+@settings(max_examples=30, deadline=None)
+def test_pair_loop_over_gaussian_rationals(scales, mutated, s):
+    brackets = {
+        key: {k: GaussRational(v) for k, v in row.items()}
+        for key, row in LIE_BRACKETS["sl2"].items()
+    }
+    if mutated:
+        brackets[mutated] = {k: s * v for k, v in brackets[mutated].items()}
+    alg = _rescaled(_from_brackets(QI, 3, brackets), scales)
+    defect = [(0, 1, 2)] if ("sl2", mutated) in JACOBI_BREAKERS else []
+    assert alg.int_tensor() == (None, None)
+    assert _jacobi_reference(alg) == defect
+    assert jacobi_defect(alg) == defect
 
 
 NO_NUMPY_SCRIPT = """

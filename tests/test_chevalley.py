@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -201,3 +202,19 @@ def test_sparse_automorphism_check_matches_dense():
     for m, expected in ((om, True), (t, True), (om_bad, False), (t_bad, False)):
         assert algcore.is_automorphism(alg, m) is expected
         assert _dense_is_automorphism(alg, m) is expected
+
+
+def test_diagonal_check_same_verdict_on_int_and_fraction_signs():
+    cb = chevalley.e6_chevalley()
+    alg = cb.lie.alg
+    q = cb.e_index(0)
+    for signs in product((1, -1), repeat=6):
+        t = chevalley.torus_element(cb, signs)
+        frac = [t[i][i] for i in range(alg.dim)]
+        ints = [int(v) for v in frac]
+        bad_frac, bad_ints = frac[:], ints[:]
+        bad_frac[q], bad_ints[q] = -frac[q], -ints[q]
+        verdicts = [
+            algcore.is_diagonal_automorphism(alg, d) for d in (ints, frac, bad_ints, bad_frac)
+        ]
+        assert verdicts == [True, True, False, False]
