@@ -3,7 +3,9 @@
 A StructAlgebra is an ordered labeled basis plus a sparse structure-constant
 tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q or Q(i).
 Everything downstream (Jacobi checks, derivation solving, Killing forms,
-inertia, twists) works on this one representation.
+inertia, twists) works on this one representation, and every bracket table
+built from a basis (Der(A), sp8, the Chevalley chain basis, subalgebras) comes
+from one helper, `bracket_constants`.
 
 The Jacobi and Killing certificates are sparse loops over the nonzero
 structure constants.  Both read the Python-int table D*c of `int_tensor` when
@@ -39,6 +41,7 @@ class StructAlgebra:
     sc: dict  # (i, j) -> {k: scalar}, zero rows omitted
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
+    _der_alg_cache: StructAlgebra = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for (i, j), row in self.sc.items():
@@ -69,12 +72,20 @@ class StructAlgebra:
 
     def left_mult_matrix(self, x) -> dict:
         """Sparse matrix of y -> x*y."""
+        return self._mult_matrix(x, left=True)
+
+    def right_mult_matrix(self, x) -> dict:
+        """Sparse matrix of y -> y*x."""
+        return self._mult_matrix(x, left=False)
+
+    def _mult_matrix(self, x, left: bool) -> dict:
+        """Sparse matrix of y -> x*y (left) or y -> y*x."""
         z = self.field.zero
         out = {}
-        xs = [(i, v) for i, v in enumerate(x) if v != z]
+        xs = [(a, v) for a, v in enumerate(x) if v != z]
         for j in range(self.dim):
-            for i, xv in xs:
-                row = self.sc.get((i, j))
+            for a, xv in xs:
+                row = self.sc.get((a, j) if left else (j, a))
                 if not row:
                     continue
                 for k, v in row.items():
@@ -84,25 +95,6 @@ class StructAlgebra:
                         r.pop(j, None)
                     else:
                         r[j] = val
-        return {k: r for k, r in out.items() if r}
-
-    def right_mult_matrix(self, x) -> dict:
-        """Sparse matrix of y -> y*x."""
-        z = self.field.zero
-        out = {}
-        xs = [(j, v) for j, v in enumerate(x) if v != z]
-        for i in range(self.dim):
-            for j, xv in xs:
-                row = self.sc.get((i, j))
-                if not row:
-                    continue
-                for k, v in row.items():
-                    r = out.setdefault(k, {})
-                    val = r.get(i, z) + xv * v
-                    if val == z:
-                        r.pop(i, None)
-                    else:
-                        r[i] = val
         return {k: r for k, r in out.items() if r}
 
     def is_anticommutative(self) -> bool:
@@ -177,6 +169,35 @@ def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
             if row:
                 sc[(i, j)] = row
     return StructAlgebra(field=field, dim=n, basis_labels=list(labels), sc=sc)
+
+
+def put_antisymmetric(sc: dict, i: int, j: int, row: dict) -> None:
+    """Store row as [b_i, b_j] and its negative as [b_j, b_i]; zero entries
+    are dropped, and nothing is stored for a zero bracket."""
+    row = {k: v for k, v in row.items() if v}
+    if row:
+        sc[(i, j)] = row
+        sc[(j, i)] = {k: -v for k, v in row.items()}
+
+
+def bracket_constants(basis, bracket, field: Field) -> dict:
+    """Structure constants of an anticommutative bracket on a linearly
+    independent basis of vectors.
+
+    bracket(i, j) returns [basis[i], basis[j]] as a dense or sparse vector in
+    the coordinates of the basis vectors.  It is called for i < j only; one
+    SpanSolver expresses it in the basis, and (j, i) gets the negative.
+    Raises AlgebraError when a bracket leaves the span.
+    """
+    solver = linalg.SpanSolver(basis, field)
+    sc = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            coeffs = solver.coefficients(bracket(i, j))
+            if coeffs is None:
+                raise AlgebraError(f"bracket of basis vectors {i}, {j} leaves the span")
+            put_antisymmetric(sc, i, j, dict(enumerate(coeffs)))
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +416,7 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
     sc = {}
     for (i, j), row in alg.sc.items():
         if parity[i] == 1 and parity[j] == 1:
-            newrow = {k: v * t for k, v in row.items() if v * t != 0}
+            newrow = {k: w for k, v in row.items() if (w := v * t)}
             if newrow:
                 sc[(i, j)] = newrow
         else:
@@ -420,6 +441,31 @@ def derivations(alg: StructAlgebra):
     if alg._der_cache is None:
         alg._der_cache = _solve_derivations(alg)
     return alg._der_cache
+
+
+def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
+    """Der(A) under the commutator, on the basis `derivations(alg)` (labels
+    d0, d1, ...).
+
+    Built on the first call and kept on the algebra object, so every user of
+    Der(A) in a process reads one table; `derivations` alone builds none.
+    """
+    if alg._der_alg_cache is None:
+        ders = derivations(alg)
+        mats = [linalg.dense_to_sparse(d) for d in ders]
+        n = alg.dim
+        sc = bracket_constants(
+            [sum(d, []) for d in ders],
+            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
+            alg.field,
+        )
+        alg._der_alg_cache = StructAlgebra(
+            field=alg.field,
+            dim=len(ders),
+            basis_labels=[f"d{i}" for i in range(len(ders))],
+            sc=sc,
+        )
+    return alg._der_alg_cache
 
 
 def _solve_derivations(alg: StructAlgebra):

@@ -24,11 +24,13 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
+    bracket_constants,
     fixed_subspace,
     inertia,
     is_diagonal_automorphism,
     is_monomial_automorphism,
     jacobi_defect,
+    put_antisymmetric,
     signature_from_fix,
 )
 from .gradings import FinAbGroup, GradedDecomposition
@@ -161,17 +163,11 @@ def _build_cocycle_algebra(ef_sign: int) -> StructAlgebra:
 
     sc = {}
 
-    def put(i, k, row):
-        row = {q: v for q, v in row.items() if v}
-        if row:
-            sc[(i, k)] = row
-            sc[(k, i)] = {q: -v for q, v in row.items()}
-
     for hj in range(6):
         for r, root in enumerate(roots):
             val = sum(cartan[hj][i] * c for i, c in enumerate(root))
             if val:
-                put(hj, 6 + r, {6 + r: F(val)})
+                put_antisymmetric(sc, hj, 6 + r, {6 + r: F(val)})
     for r1 in range(nroots):
         a = roots[r1]
         for r2 in range(r1 + 1, nroots):
@@ -180,9 +176,9 @@ def _build_cocycle_algebra(ef_sign: int) -> StructAlgebra:
             if all(c == 0 for c in s):
                 # [x_a, x_-a] = ef_sign * eps(a,-a) * h_a
                 coeff = F(ef_sign * eps(a, tuple(-c for c in a)))
-                put(6 + r1, 6 + r2, {i: coeff * c for i, c in enumerate(a)})
+                put_antisymmetric(sc, 6 + r1, 6 + r2, {i: coeff * c for i, c in enumerate(a)})
             elif s in ridx:
-                put(6 + r1, 6 + r2, {6 + ridx[s]: F(eps(a, b))})
+                put_antisymmetric(sc, 6 + r1, 6 + r2, {6 + ridx[s]: F(eps(a, b))})
     labels = (
         [f"h{j + 1}" for j in range(6)]
         + ["e" + "".join(map(str, r)) for r in rs.positive]
@@ -257,17 +253,9 @@ def e6_chevalley() -> ChevalleyBasis:
         basis_change.append(base.basis_vector(j))
     basis_change.extend(evecs)
     basis_change.extend(fvecs)
-    solver = linalg.SpanSolver(basis_change, QQ)
-    sc = {}
-    for i in range(n):
-        for j2 in range(n):
-            if i == j2:
-                continue
-            prod = base.multiply(basis_change[i], basis_change[j2])
-            coeffs = solver.coefficients(prod)
-            row = {k: v for k, v in enumerate(coeffs) if v}
-            if row:
-                sc[(i, j2)] = row
+    sc = bracket_constants(
+        basis_change, lambda i, j: bracket(basis_change[i], basis_change[j]), QQ
+    )
     labels = (
         [f"h{j + 1}" for j in range(6)]
         + ["e" + "".join(map(str, r)) for r in rs.positive]

@@ -25,9 +25,11 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
+    bracket_constants,
     fixed_subspace,
     inertia,
     killing_matrix,
+    put_antisymmetric,
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
@@ -437,29 +439,17 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
     if (ne, no) != (36, 42):
         raise AlgebraError("unexpected graded dimensions")
 
-    even_flat = [sum(m, []) for m in even_mats]
-    even_expand = linalg.SpanSolver(even_flat, QQ)
     odd_expand = linalg.SpanSolver(odd_vecs, QQ)
     even_sp = [linalg.dense_to_sparse(m) for m in even_mats]
     act_sp = [act4_matrix_sparse(m, QQ) for m in even_mats]
     odd_sp = [{c: x for c, x in enumerate(v) if x} for v in odd_vecs]
 
-    sc = {}
-
-    def put(i, k, row):
-        row = {q: v for q, v in row.items() if v}
-        if row:
-            sc[(i, k)] = row
-            sc[(k, i)] = {q: -v for q, v in row.items()}
-
-    # even x even
-    for p in range(ne):
-        for q in range(p + 1, ne):
-            comm = linalg.sp_commutator(even_sp[p], even_sp[q])
-            coeffs = even_expand.coefficients(linalg.sp_flatten(comm, 8))
-            if coeffs is None:
-                raise AlgebraError("sp8 not closed under bracket")
-            put(p, q, {i: v for i, v in enumerate(coeffs) if v})
+    # even x even: sp8 under the commutator
+    sc = bracket_constants(
+        [sum(m, []) for m in even_mats],
+        lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
+        QQ,
+    )
     # even x odd: derivation action on four-forms stays inside ker c
     for p in range(ne):
         for u in range(no):
@@ -467,7 +457,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
             coeffs = odd_expand.coefficients(img)
             if coeffs is None:
                 raise AlgebraError("sp8 action leaves ker c")
-            put(p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
+            put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
     # odd x odd by trace duality: tr(X x) = lam * wedge8((x.u) ^ v)
     gram = [
         [linalg.sp_trace_product(even_sp[p], even_sp[q]) or F(0) for q in range(ne)]
@@ -499,7 +489,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
                         acc += val * other
                 b.append(acc)
             coeffs = linalg.mat_vec(ginv, b, QQ)
-            put(ne + u, ne + v, {i: lam * co for i, co in enumerate(coeffs) if co})
+            put_antisymmetric(sc, ne + u, ne + v, {i: lam * co for i, co in enumerate(coeffs) if co})
 
     labels = [f"x{i}" for i in range(ne)] + [f"u{j}" for j in range(no)]
     alg = StructAlgebra(field=QQ, dim=78, basis_labels=labels, sc=sc)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algcore import LieAlgebra, StructAlgebra, inertia
-from .scalars import QQ, Field
+from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivations, inertia
+from .scalars import QQ
 
 
 class GradingError(ValueError):
@@ -202,16 +202,17 @@ def type_vector_sum(grading: GradedDecomposition) -> int:
 # induced grading on Der(A)
 
 
-def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecomposition:
-    """Grading on Der(A) induced by a grading on A.
+def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
+    """Grading on Der(A) induced by a grading on A (over Q).
 
     Der(A)_g = {d : d(A_h) <= A_{g+h} for all h}; solved degree by degree
-    inside the span of der_basis.  The pieces must exhaust Der(A); the
-    returned components are coefficient vectors with respect to der_basis,
-    attached to Der(A) as an abstract Lie algebra on that basis.
+    inside the span of `derivations(A)`.  The pieces must exhaust Der(A); the
+    returned components are coefficient vectors with respect to that basis,
+    attached to `derivation_algebra(A)`.
     """
     alg = grading.algebra
     f = alg.field
+    der_basis = derivations(alg)
     m = len(der_basis)
     supp = grading.support
     # d(A_h) lives in sum over supp of components; candidates g = h' - h
@@ -241,12 +242,10 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
                         tgt, r = positions[pos]
                         per_target.setdefault(tgt, {}).setdefault(t, {})[r] = co
             slices[(h, vi)] = per_target
-    use_int = f.name == "Q"
     comps = {}
     total = 0
     for g in candidates:
-        acc = linalg.IntKernelAccumulator(m) if use_int else None
-        rows = []
+        acc = linalg.IntKernelAccumulator(m)
         alive = True
         for (h, vi), per_target in slices.items():
             if not alive:
@@ -262,19 +261,13 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
                     }
                     if not row:
                         continue
-                    if use_int:
-                        acc.add_constraint(row)
-                        if acc.dimension == 0:
-                            alive = False
-                            break
-                    else:
-                        rows.append(row)
+                    acc.add_constraint(row)
+                    if acc.dimension == 0:
+                        alive = False
+                        break
                 if not alive:
                     break
-        if use_int:
-            combos = acc.kernel_basis() if alive else []
-        else:
-            combos = linalg.kernel(rows, m, f)
+        combos = acc.kernel_basis() if alive else []
         if not combos:
             continue
         comps[g] = combos
@@ -283,33 +276,8 @@ def induced_on_der(grading: GradedDecomposition, der_basis) -> GradedDecompositi
         raise GradingError(
             f"induced derivation pieces sum to {total}, expected {m}"
         )
-    der_alg = _matrix_span_algebra(der_basis, f, alg)
-    return GradedDecomposition(group=grading.group, algebra=der_alg, components=comps)
-
-
-def _matrix_span_algebra(der_basis, f: Field, alg: StructAlgebra) -> StructAlgebra:
-    """Der(A) as an abstract Lie algebra on the given basis (commutator)."""
-    n = alg.dim
-    m = len(der_basis)
-    flat = [sum((list(row) for row in d), []) for d in der_basis]
-    expander = linalg.SpanSolver(flat, f)
-    sparse = [linalg.dense_to_sparse(d) for d in der_basis]
-    sc = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = linalg.sp_commutator(sparse[i], sparse[j])
-            coeffs = expander.coefficients(linalg.sp_flatten(comm, n))
-            if coeffs is None:
-                raise GradingError("derivation span not closed under commutator")
-            row = {k: v for k, v in enumerate(coeffs) if v != f.zero}
-            if row:
-                sc[(i, j)] = row
-                sc[(j, i)] = {k: -v for k, v in row.items()}
-    return StructAlgebra(
-        field=f,
-        dim=m,
-        basis_labels=[f"d{i}" for i in range(m)],
-        sc=sc,
+    return GradedDecomposition(
+        group=grading.group, algebra=derivation_algebra(alg), components=comps
     )
 
 
@@ -324,14 +292,15 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     (C0)_g x (J0)_h, with the induced gradings on the derivation summands.
     """
     c, j = t.comp, t.jordan
+    if grading_c.algebra.sc != c.alg.sc or grading_j.algebra.sc != j.alg.sc:
+        # the induced pieces are read in the model's Der(C), Der(J) bases
+        raise GradingError("gradings do not live on the model's C and J")
     f = QQ
     gc, gj = grading_c.group, grading_j.group
     lie = t.lie
     nj0 = len(t.j0_vectors)
-    indc = (
-        induced_on_der(grading_c, t.der_c_basis) if t.der_c_basis else None
-    )
-    indj = induced_on_der(grading_j, t.der_j_basis)
+    indc = induced_on_der(grading_c) if t.der_c_basis else None
+    indj = induced_on_der(grading_j)
     # traceless parts of the graded components, in C0 / J0 coordinates
     j0_expand = linalg.SpanSolver(t.j0_vectors, f)
     c0g = {}

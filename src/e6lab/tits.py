@@ -4,19 +4,22 @@ The mixed bracket is
 
     [a x, b y] = t_J(x.y) d_{a,b}  +  [a,b] (x*y)  +  2 t_C(ab) [R_x, R_y],
 
-with Der parts acting componentwise and annihilating each other.  A sign or
+with Der parts acting componentwise and annihilating each other.  The
+Der(C) and Der(J) blocks are copies of `derivation_algebra(C)` and
+`derivation_algebra(J)`, tables built once per algebra.  A sign or
 convention error anywhere surfaces as a Jacobi failure, so construction always
 certifies Jacobi before returning.
 
-Also here: the Der(J) + J0 shortcut model, the signature table over the
-2-dimensional composition algebras, the proportionality constants of the
-Killing form on T(O, M3R), and the 36-dimensional fixed part of the twisted
-Albert involution (the quaternionic symplectic subalgebra).
+Also here: the Der(J) + J0 model, a view of T(R+R, J) with its odd x odd
+bracket rescaled; the signature table over the 2-dimensional composition
+algebras; the proportionality constants of the Killing form on T(O, M3R); and
+the 36-dimensional fixed part of the twisted Albert involution (the
+quaternionic symplectic subalgebra).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,11 +28,14 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
+    bracket_constants,
+    derivation_algebra,
     derivations,
     fixed_subspace,
     inertia,
     is_automorphism,
     killing_matrix,
+    put_antisymmetric,
     twist,
 )
 from .composition import CompositionAlgebra, hurwitz
@@ -83,7 +89,6 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     rng_t = range(ndc, ndc + nc * nj)
     rng_dj = range(ndc + nc * nj, dim)
 
-    der_c_sp = [linalg.dense_to_sparse(d) for d in der_c]
     der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
     dc_expand = (
         linalg.SpanSolver([sum(d, []) for d in der_c], QQ) if ndc else None
@@ -126,23 +131,13 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
 
     sc = {}
 
-    def put(i, k, row):
-        row = {q: v for q, v in row.items() if v}
-        if row:
-            sc[(i, k)] = row
-            sc[(k, i)] = {q: -v for q, v in row.items()}
-
-    # Der(C) x Der(C), Der(J) x Der(J): commutators
-    for p in range(ndc):
-        for q in range(p + 1, ndc):
-            put(p, q, expand_der_c(linalg.sp_commutator(der_c_sp[p], der_c_sp[q])))
-    for p in range(ndj):
-        for q in range(p + 1, ndj):
-            put(
-                rng_dj.start + p,
-                rng_dj.start + q,
-                expand_der_j(linalg.sp_commutator(der_j_sp[p], der_j_sp[q])),
-            )
+    # Der(C) x Der(C), Der(J) x Der(J): the shared tables, at their offsets
+    for off, der_alg in (
+        (rng_dc.start, derivation_algebra(c.alg)),
+        (rng_dj.start, derivation_algebra(j.alg)),
+    ):
+        for (p, q), row in der_alg.sc.items():
+            sc[(off + p, off + q)] = {off + k: v for k, v in row.items()}
 
     # Der parts act componentwise on the tensor summand
     for p in range(ndc):
@@ -150,7 +145,8 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
         for ci, b in enumerate(c0):
             img = expand_c0([row[b] for row in dmat])
             for ji in range(nj):
-                put(
+                put_antisymmetric(
+                    sc,
                     p,
                     tensor_entry(ci, ji),
                     {tensor_entry(ci2, ji): v for ci2, v in img.items()},
@@ -164,7 +160,8 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
             if coeffs is None:
                 raise AlgebraError("derivation image outside J0")
             for ci in range(nc):
-                put(
+                put_antisymmetric(
+                    sc,
                     rng_dj.start + p,
                     tensor_entry(ci, ji),
                     {tensor_entry(ci, ji2): v for ji2, v in enumerate(coeffs) if v},
@@ -192,9 +189,9 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     inner_tab = {}
     for x in range(nj):
         for y in range(x, nj):
-            p = j.mult(j0[x], j0[y])
-            tj_tab[(x, y)] = j.t_j(p)
-            star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
+            if nc > 1:  # only the pairs a != b read t_J and the star product
+                tj_tab[(x, y)] = j.t_j(j.mult(j0[x], j0[y]))
+                star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
             if x < y:
                 inner_tab[(x, y)] = expand_der_j(inner_der_sparse(j, j0[x], j0[y]))
 
@@ -208,11 +205,11 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
                         continue
                     row = {}
                     xs, ys = (x, y) if x <= y else (y, x)
-                    tj = tj_tab[(xs, ys)]
-                    if tj and a != b:
-                        for k, v in dab_tab[(a, b)].items():
-                            row[k] = row.get(k, F(0)) + tj * v
                     if a != b:
+                        tj = tj_tab[(xs, ys)]
+                        if tj:
+                            for k, v in dab_tab[(a, b)].items():
+                                row[k] = row.get(k, F(0)) + tj * v
                         lie_ab = lie_c0[(a, b)]
                         st = star_tab[(xs, ys)]
                         for ci2, cv in lie_ab.items():
@@ -225,7 +222,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
                         sgn = 1 if x < y else -1
                         for k, v in inner_tab[(xx, yy)].items():
                             row[k] = row.get(k, F(0)) + 2 * sgn * tc * v
-                    put(i1, i2, row)
+                    put_antisymmetric(sc, i1, i2, row)
 
     labels = (
         [f"dC{p}" for p in range(ndc)]
@@ -252,77 +249,22 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
 
 
 # ---------------------------------------------------------------------------
-# the Der(J) + J0 shortcut (degenerate C = R+R, odd part unscaled)
+# the Der(J) + J0 model: T(R+R, J) with its odd x odd bracket rescaled
 
 
-def derj_j0_model(j: JordanAlgebra) -> TitsAlgebra:
+def derj_j0_model(jname: str) -> TitsAlgebra:
     """Der(J) + J0 with [x, y] = [R_x, R_y]; Z2-graded with even part Der(J).
 
-    Isomorphic to T(R+R, J) up to a positive rescaling of the odd part, so
-    same Killing signature; the tensor slot holds J0 itself.
+    A view of T(R+R, J): there t_C(s s) = 2, so [s x, s y] = 4 [R_x, R_y],
+    and the odd x odd bracket is scaled by 1/4.  That positive rescale of the
+    odd part keeps the Killing signature.  The tensor slot holds J0 itself,
+    labelled x0, x1, ...
     """
-    der_j = derivations(j.alg)
-    j0 = j0_basis(j)
-    nj = len(j0)
-    ndj = len(der_j)
-    dim = nj + ndj
-    rng_t = range(0, nj)
-    rng_dj = range(nj, dim)
-    der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
-    dj_expand = linalg.SpanSolver([sum(d, []) for d in der_j], QQ)
-    j0_expand = linalg.SpanSolver(j0, QQ)
-    j0_sp = [{i: v for i, v in enumerate(vec) if v} for vec in j0]
-    njdim = j.dim
-
-    sc = {}
-
-    def put(i, k, row):
-        row = {q: v for q, v in row.items() if v}
-        if row:
-            sc[(i, k)] = row
-            sc[(k, i)] = {q: -v for q, v in row.items()}
-
-    def expand_dj(sp):
-        coeffs = dj_expand.coefficients(linalg.sp_flatten(sp, njdim))
-        if coeffs is None:
-            raise AlgebraError("matrix outside Der(J) span")
-        return coeffs
-
-    for p in range(ndj):
-        for q in range(p + 1, ndj):
-            coeffs = expand_dj(linalg.sp_commutator(der_j_sp[p], der_j_sp[q]))
-            put(rng_dj.start + p, rng_dj.start + q,
-                {rng_dj.start + i: v for i, v in enumerate(coeffs) if v})
-    for p in range(ndj):
-        for ji in range(nj):
-            img = j0_expand.coefficients(linalg.sp_matvec(der_j_sp[p], j0_sp[ji]))
-            if img is None:
-                raise AlgebraError("derivation image outside J0")
-            put(rng_dj.start + p, ji, {i: v for i, v in enumerate(img) if v})
-    for x in range(nj):
-        for y in range(x + 1, nj):
-            coeffs = expand_dj(inner_der_sparse(j, j0[x], j0[y]))
-            put(x, y, {rng_dj.start + i: v for i, v in enumerate(coeffs) if v})
-
-    labels = [f"x{i}" for i in range(nj)] + [f"dJ{p}" for p in range(ndj)]
-    alg = StructAlgebra(field=QQ, dim=dim, basis_labels=labels, sc=sc)
-    lie = LieAlgebra(alg)
-    rr = hurwitz("RR")
-    return TitsAlgebra(
-        lie=lie,
-        layout={"der_c": range(0, 0), "tensor": rng_t, "der_j": rng_dj},
-        provenance={
-            "construction": "derj+j0",
-            "C": "RR",
-            "J": j.kind if j.kind == "m3r" else f"h3({j.comp_name},{list(j.gamma)})",
-        },
-        comp=rr,
-        jordan=j,
-        der_c_basis=[],
-        der_j_basis=der_j,
-        c0_idx=rr.traceless_indices(),
-        j0_vectors=j0,
-    )
+    t = tits_model("RR", jname)
+    lie = twist(t.lie, t.even_indices(), F(1, 4))
+    nj = len(t.j0_vectors)
+    lie.alg.basis_labels[:nj] = [f"x{i}" for i in range(nj)]  # twist's own copy
+    return replace(t, lie=lie, provenance={**t.provenance, "construction": "derj+j0"})
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +292,7 @@ def tits_model(cname: str, jname: str) -> TitsAlgebra:
 
 @lru_cache(maxsize=None)
 def derj_model(jname: str) -> TitsAlgebra:
-    return derj_j0_model(jordan_ingredient(jname))
+    return derj_j0_model(jname)
 
 
 def jacobson_table() -> dict:
@@ -486,19 +428,9 @@ def sp31_decomposition() -> dict:
     gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis, f)
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
-    solver = linalg.SpanSolver(even_basis, f)
-    sub_sc = {}
-    for a in range(even_dim):
-        for b in range(even_dim):
-            if a == b:
-                continue
-            br = lie.bracket(even_basis[a], even_basis[b])
-            coeffs = solver.coefficients(br)
-            if coeffs is None:
-                raise AlgebraError("even part is not closed under bracket")
-            row = {i: v for i, v in enumerate(coeffs) if v}
-            if row:
-                sub_sc[(a, b)] = row
+    sub_sc = bracket_constants(
+        even_basis, lambda a, b: lie.bracket(even_basis[a], even_basis[b]), f
+    )
     sub = LieAlgebra(
         StructAlgebra(
             field=f,

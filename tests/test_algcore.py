@@ -212,6 +212,24 @@ def test_derivations_memoized_on_the_algebra():
     assert len(ders) == 14
 
 
+def test_derivation_algebra_built_once_and_only_on_request():
+    alg = sl2()
+    ders = derivations(alg)
+    assert alg._der_alg_cache is None  # derivations alone builds no table
+    der = algcore.derivation_algebra(alg)
+    assert algcore.derivation_algebra(alg) is der
+    assert der.dim == len(ders) == 3
+    assert der.basis_labels == ["d0", "d1", "d2"]
+    assert jacobi_defect(der) == []
+    sp = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
+    for p in range(3):
+        for q in range(3):
+            a, b = ders[p], ders[q]
+            comm = linalg.mat_sub(linalg.mat_mul(a, b, QQ), linalg.mat_mul(b, a, QQ))
+            coeffs = sp.coefficients(sum(comm, []))
+            assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
+
+
 def test_automorphism_checks():
     a = sl2()
     ident = linalg.identity(3, QQ)
@@ -401,6 +419,71 @@ def test_pair_loop_on_prime_rescaled_lie_algebras(case):
     assert jacobi_defect(alg) == defect
 
 
+@st.composite
+def lie_bases(draw):
+    """(name, alg, basis): sl2, so3 or the Heisenberg algebra, and a basis of
+    it, the rows of a unitriangular integer shear rescaled by nonzero
+    rationals, as coordinate vectors in the standard basis."""
+    name = draw(st.sampled_from(sorted(LIE_BRACKETS)))
+    brackets = {
+        key: {k: F(v) for k, v in row.items()} for key, row in LIE_BRACKETS[name].items()
+    }
+    entries = st.integers(min_value=-2, max_value=2)
+    shear = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3))
+    scale = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    scales = draw(st.lists(scale, min_size=3, max_size=3))
+    basis = [
+        [scales[i] * (1 if i == j else shear[i][j] if i < j else 0) for j in range(3)]
+        for i in range(3)
+    ]
+    return name, _from_brackets(QQ, 3, brackets), basis
+
+
+def _all_pairs_constants(alg, basis):
+    """sc of alg's bracket on basis from every ordered pair: the coordinates c
+    with c B = [b_i, b_j] are [b_i, b_j] B^-1."""
+    n = len(basis)
+    inv = linalg.mat_inverse(basis, QQ)
+    sc = {}
+    for i in range(n):
+        for j in range(n):
+            v = alg.multiply(basis[i], basis[j])
+            row = {c: sum(v[r] * inv[r][c] for r in range(n)) for c in range(n)}
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                sc[(i, j)] = row
+    return sc
+
+
+@given(lie_bases(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bracket_constants_match_all_pairs_expansion(case, sparse_bracket):
+    _, alg, basis = case
+
+    def bracket(i, j):
+        v = alg.multiply(basis[i], basis[j])
+        return linalg.sparse(v) if sparse_bracket else v
+
+    assert algcore.bracket_constants(basis, bracket, QQ) == _all_pairs_constants(alg, basis)
+
+
+@given(lie_bases(), st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_bracket_constants_reject_a_span_not_closed(case, pair):
+    name, alg, basis = case
+    sub = [basis[k] for k in pair]
+    closed = linalg.SpanSolver(sub, QQ).contains(alg.multiply(sub[0], sub[1]))
+    if name == "so3":
+        assert not closed  # so3 has no 2-dimensional subalgebra over Q
+    if closed:
+        sc = algcore.bracket_constants(sub, lambda i, j: alg.multiply(sub[i], sub[j]), QQ)
+        full = _all_pairs_constants(alg, sub + [basis[3 - sum(pair)]])
+        assert sc == {key: row for key, row in full.items() if max(key) < 2}
+    else:
+        with pytest.raises(AlgebraError):
+            algcore.bracket_constants(sub, lambda i, j: alg.multiply(sub[i], sub[j]), QQ)
+
+
 gaussians = st.builds(
     GaussRational, st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)
 )
@@ -436,8 +519,8 @@ import e6lab
 for mod in pkgutil.iter_modules(e6lab.__path__):
     importlib.import_module("e6lab." + mod.name)
 
-from e6lab.algcore import LieAlgebra, StructAlgebra, derivations, inertia, jacobi_defect, killing_matrix
-from e6lab.composition import hurwitz, octonion_z23_grading
+from e6lab.algcore import LieAlgebra, StructAlgebra, inertia, jacobi_defect, killing_matrix
+from e6lab.composition import octonion_z23_grading
 from e6lab.gradings import induced_on_der
 from e6lab.scalars import QQ
 
@@ -446,7 +529,7 @@ sc = {(0, 1): {1: F(2)}, (1, 0): {1: F(-2)}, (0, 2): {2: F(-2)}, (2, 0): {2: F(2
 sl2 = StructAlgebra(field=QQ, dim=3, basis_labels=["h", "e", "f"], sc=sc)
 assert jacobi_defect(sl2) == []
 assert killing_matrix(LieAlgebra(sl2)) == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
-der = induced_on_der(octonion_z23_grading(), derivations(hurwitz("O").alg)).algebra
+der = induced_on_der(octonion_z23_grading()).algebra
 assert jacobi_defect(der) == []
 r = inertia(killing_matrix(LieAlgebra(der)))
 assert (r.n_plus, r.n_minus, r.n_zero) == (0, 14, 0)

@@ -153,10 +153,8 @@ def test_killing_checks_reject_moved_component():
 
 
 def test_induced_on_der_octonion():
-    o = hurwitz("O")
-    ders = derivations(o.alg)
     g = octonion_z23_grading()
-    ind = induced_on_der(g, ders)
+    ind = induced_on_der(g)
     assert verify(ind).valid
     assert type_vector(ind) == (0, 7)  # 7 components of dim 2, e-component 0
     assert ind.dimension_of((0, 0, 0)) == 0
@@ -213,7 +211,7 @@ def test_induced_on_der_z_grading_contains_operator():
 
     ders = derivations(j.alg)
     g = jordan_gradings(j)["z"]
-    ind = induced_on_der(g, ders)
+    ind = induced_on_der(g)
     op = z_grading_operator(j)
     expander = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
     coeffs = expander.coefficients(
@@ -224,10 +222,8 @@ def test_induced_on_der_z_grading_contains_operator():
 
 
 def test_induced_on_der_m3r_z2():
-    m = m3r()
-    ders = derivations(m.alg)
-    g = jordan_gradings(m)["z^2"]
-    ind = induced_on_der(g, ders)
+    g = jordan_gradings(m3r())["z^2"]
+    ind = induced_on_der(g)
     assert ind.dimension_of((0, 0)) == 2  # diagonal traceless
     assert type_vector_sum(ind) == 8
 

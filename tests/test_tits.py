@@ -5,6 +5,7 @@ import pytest
 
 from e6lab.algcore import (
     StructAlgebra,
+    derivation_algebra,
     inertia,
     jacobi_defect,
     killing_matrix,
@@ -37,6 +38,30 @@ def test_jacobi_certified_on_construction():
     t = tits_model("O", "m3r")
     assert jacobi_defect(t.lie.alg) == []
     assert jacobi_defect(derj_model("albert-split").lie.alg) == []
+    # the Der(J) + J0 view is a twist, which does not re-run Jacobi
+    assert jacobi_defect(derj_model("albert").lie.alg) == []
+
+
+def _block(sc, rng):
+    """The structure constants of sc on the index range rng, shifted to 0."""
+    off = rng.start
+    return {
+        (i - off, j - off): {k - off: v for k, v in row.items()}
+        for (i, j), row in sc.items()
+        if i in rng and j in rng
+    }
+
+
+def test_der_blocks_copy_the_shared_derivation_algebras():
+    tc, trr = tits_model("C", "albert"), tits_model("RR", "albert")
+    der_j = derivation_algebra(tc.jordan.alg)
+    # both builds read one Der(J) algebra object, built once
+    assert derivation_algebra(trr.jordan.alg) is der_j
+    for t in (tc, trr):
+        assert _block(t.lie.alg.sc, t.layout["der_j"]) == der_j.sc
+    t = tits_model("O", "m3r")
+    assert _block(t.lie.alg.sc, t.layout["der_c"]) == derivation_algebra(t.comp.alg).sc
+    assert _block(t.lie.alg.sc, t.layout["der_j"]) == derivation_algebra(t.jordan.alg).sc
 
 
 def test_bracket_antisymmetry_spot():
