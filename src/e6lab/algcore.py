@@ -41,7 +41,7 @@ class StructAlgebra:
     sc: dict  # (i, j) -> {k: scalar}, zero rows omitted
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
-    _der_alg_cache: StructAlgebra = dc_field(default=None, repr=False, compare=False)
+    _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for (i, j), row in self.sc.items():
@@ -180,19 +180,18 @@ def put_antisymmetric(sc: dict, i: int, j: int, row: dict) -> None:
         sc[(j, i)] = {k: -v for k, v in row.items()}
 
 
-def bracket_constants(basis, bracket, field: Field) -> dict:
-    """Structure constants of an anticommutative bracket on a linearly
-    independent basis of vectors.
+def bracket_constants(solver: linalg.SpanSolver, bracket) -> dict:
+    """Structure constants of an anticommutative bracket on the linearly
+    independent basis held by solver.
 
-    bracket(i, j) returns [basis[i], basis[j]] as a dense or sparse vector in
-    the coordinates of the basis vectors.  It is called for i < j only; one
-    SpanSolver expresses it in the basis, and (j, i) gets the negative.
-    Raises AlgebraError when a bracket leaves the span.
+    bracket(i, j) returns [b_i, b_j] as a dense or sparse vector in the
+    coordinates of the basis vectors.  It is called for i < j only; the
+    solver expresses it in the basis, and (j, i) gets the negative.  Raises
+    AlgebraError when a bracket leaves the span.
     """
-    solver = linalg.SpanSolver(basis, field)
     sc = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(solver.n):
+        for j in range(i + 1, solver.n):
             coeffs = solver.coefficients(bracket(i, j))
             if coeffs is None:
                 raise AlgebraError(f"bracket of basis vectors {i}, {j} leaves the span")
@@ -291,14 +290,14 @@ class LieAlgebra:
     """Anticommutative StructAlgebra whose Jacobi identity has been certified."""
 
     def __init__(self, alg: StructAlgebra, check_jacobi: bool = True):
-        if not alg.is_anticommutative():
-            raise AlgebraError("not anticommutative")
         if check_jacobi:
-            defect = jacobi_defect(alg)
+            defect = jacobi_defect(alg)  # rejects a table that is not anticommutative
             if defect:
                 raise AlgebraError(
                     f"Jacobi fails on {len(defect)} basis triples, first {defect[0]}"
                 )
+        elif not alg.is_anticommutative():
+            raise AlgebraError("not anticommutative")
         self.alg = alg
         self._killing = None
 
@@ -420,7 +419,7 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
             if newrow:
                 sc[(i, j)] = newrow
         else:
-            sc[(i, j)] = dict(row)
+            sc[(i, j)] = row  # shared: rows are replaced, never edited in place
     twisted = StructAlgebra(
         field=alg.field, dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc
     )
@@ -454,18 +453,26 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
         ders = derivations(alg)
         mats = [linalg.dense_to_sparse(d) for d in ders]
         n = alg.dim
+        solver = linalg.SpanSolver([sum(d, []) for d in ders], alg.field)
         sc = bracket_constants(
-            [sum(d, []) for d in ders],
-            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
-            alg.field,
+            solver, lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n)
         )
-        alg._der_alg_cache = StructAlgebra(
+        der_alg = StructAlgebra(
             field=alg.field,
             dim=len(ders),
             basis_labels=[f"d{i}" for i in range(len(ders))],
             sc=sc,
         )
-    return alg._der_alg_cache
+        alg._der_alg_cache = (der_alg, solver)
+    return alg._der_alg_cache[0]
+
+
+def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
+    """The SpanSolver on the flattened `derivations(alg)` that
+    `derivation_algebra(alg)` is built with: it expresses a dim x dim matrix,
+    flattened row-major, in the Der(A) basis."""
+    derivation_algebra(alg)
+    return alg._der_alg_cache[1]
 
 
 def _solve_derivations(alg: StructAlgebra):
@@ -530,9 +537,12 @@ def leibniz_defect(alg: StructAlgebra, d) -> bool:
 def is_automorphism(alg: StructAlgebra, m) -> bool:
     """Exact check of M(b_i b_j) = M(b_i) M(b_j) on all basis pairs, on the
     sparse columns of M and the structure constants."""
-    n = alg.dim
+    return _preserves_products(alg, [linalg.sparse([row[q] for row in m]) for q in range(alg.dim)])
+
+
+def _preserves_products(alg: StructAlgebra, cols) -> bool:
+    """M(b_i b_j) = M(b_i) M(b_j) for all i, j, M given by its sparse columns."""
     sc = alg.sc
-    cols = [linalg.sparse([row[q] for row in m]) for q in range(n)]
     for i, ci in enumerate(cols):
         for j, cj in enumerate(cols):
             lhs = {}
@@ -560,27 +570,8 @@ def is_diagonal_automorphism(alg: StructAlgebra, diag) -> bool:
 
 
 def is_monomial_automorphism(alg: StructAlgebra, perm, coef) -> bool:
-    """Fast path for maps b_i -> coef[i] * b_perm[i]."""
-    f = alg.field
-    z = f.zero
-    n = alg.dim
-    table = {}
-    for (i, j), row in alg.sc.items():
-        table[(i, j)] = row
-    for i in range(n):
-        for j in range(n):
-            row = table.get((i, j), {})
-            lhs = {}
-            c = coef[i] * coef[j]
-            target = table.get((perm[i], perm[j]), {})
-            for k, v in row.items():
-                lhs[perm[k]] = coef[k] * v * f.one
-            rhs = {k: c * v for k, v in target.items()}
-            rhs = {k: v for k, v in rhs.items() if v != z}
-            lhs = {k: v for k, v in lhs.items() if v != z}
-            if lhs != rhs:
-                return False
-    return True
+    """`is_automorphism` for the map b_i -> coef[i] * b_perm[i]."""
+    return _preserves_products(alg, [linalg.sparse({perm[i]: c}) for i, c in enumerate(coef)])
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,8 @@ def e6_chevalley() -> ChevalleyBasis:
     basis_change.extend(evecs)
     basis_change.extend(fvecs)
     sc = bracket_constants(
-        basis_change, lambda i, j: bracket(basis_change[i], basis_change[j]), QQ
+        linalg.SpanSolver(basis_change, QQ),
+        lambda i, j: bracket(basis_change[i], basis_change[j]),
     )
     labels = (
         [f"h{j + 1}" for j in range(6)]

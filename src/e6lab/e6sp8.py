@@ -2,10 +2,13 @@
 
 S0 = sp(8) for the form C = [[0, I4], [-I4, 0]]; the odd part is the kernel
 of the contraction c: Lambda^4 -> Lambda^2.  Four monomial symplectic
-matrices A1..A4 act on everything; their joint eigenspaces are computed
-exactly over Q(i) by iterated splitting (eigenvalues are fourth roots of
-unity), and every joint eigenspace turns out to have a rational basis, which
-yields the graded basis of the real form.
+matrices A1..A4 act on everything, with fourth roots of unity as
+eigenvalues.  Their joint eigenspaces are split over Q: a rational v has
+A.v = i^k v iff the real and imaginary parts of A.v are Re(i^k) v and
+Im(i^k) v, so each eigenspace is a common rational kernel, and the dimensions
+adding up certifies that every joint eigenspace has a rational basis.  These
+bases are the graded basis of the real form; Q(i) arithmetic is left only in
+applying the 8x8 frame matrices and their actions.
 
 The odd x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
@@ -33,7 +36,7 @@ from .algcore import (
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import GI_I, GI_ONE, GI_ZERO, QI, QQ, GaussRational, lift
+from .scalars import GI_ZERO, QI, QQ, GaussRational, lift
 
 F = Fraction
 
@@ -151,12 +154,14 @@ def kernel_c_basis():
     mat = contraction_matrix()
     if linalg.rank(mat, QQ) != 28:
         raise AlgebraError("contraction is not surjective")
-    ker = linalg.kernel(mat, 70, QQ)
-    out = []
-    for v in ker:
-        ints = linalg.clear_denominators(v)
-        out.append([F(x) for x in ints])
-    return out
+    return _primitive_rows(linalg.kernel(mat, 70, QQ))
+
+
+def _primitive_rows(rows):
+    """Reduced echelon basis of the span of rational rows, each row scaled to
+    a primitive integer vector (entries kept as Fractions)."""
+    red, _ = linalg.rref(rows, QQ)
+    return [[F(x) for x in linalg.clear_denominators(v)] for v in red]
 
 
 # ---------------------------------------------------------------------------
@@ -265,71 +270,54 @@ def _conjugation(m, field):
 
 
 # ---------------------------------------------------------------------------
-# joint eigenspace splitting over Q(i)
+# joint eigenspace splitting over Q
 
 
-EIGS4 = [GI_ONE, GI_I, -GI_ONE, -GI_I]  # i^k
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
 
 
-def _operator_on_subspace(op_apply, basis, field):
-    solver = linalg.SpanSolver(basis, field)
-    cols = []
-    for v in basis:
-        img = op_apply(v)
-        co = solver.coefficients(img)
-        if co is None:
-            raise AlgebraError("operator does not preserve the subspace")
-        cols.append(co)
-    k = len(basis)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+def _operator_on_subspace(images, basis):
+    """Matrix whose column j holds the coordinates of images[j] in the
+    rational basis."""
+    solver = linalg.SpanSolver(basis, QQ)
+    cols = [solver.coefficients(img) for img in images]
+    if None in cols:
+        raise AlgebraError("operator does not preserve the subspace")
+    return [[co[i] for co in cols] for i in range(len(basis))]
 
 
-def _split(subspaces, op_apply, nev, field):
+def _split(subspaces, op, nev):
+    """Split each rational (basis, tag) into the eigenspaces of a Q(i)-linear
+    op whose eigenvalues are nev-th roots of unity; the tag gains e for the
+    eigenvalue i^(4e/nev).
+
+    A rational v has op(v) = i^k v iff Re op(v) = Re(i^k) v and
+    Im op(v) = Im(i^k) v, so each eigenspace is a common kernel of two
+    rational operators.  Their dimensions must add up to that of the
+    subspace, which certifies that every eigenspace has a rational basis.
+    """
     out = []
     for basis, tag in subspaces:
-        m = _operator_on_subspace(op_apply, basis, field)
         k = len(basis)
+        imgs = [linalg.sparse(op([lift(x) for x in v])) for v in basis]
+        m = _operator_on_subspace(
+            [{c: x.re for c, x in w.items()} for w in imgs]
+            + [{c: x.im for c, x in w.items()} for w in imgs],
+            basis,
+        )
+        re, im = [row[:k] for row in m], [row[k:] for row in m]
         found = 0
         for e in range(nev):
-            lam = EIGS4[(4 // nev) * e] if nev == 4 else EIGS4[2 * e]
-            combos = linalg.eigenspace(m, lam, field)
-            if not combos:
-                continue
-            newbasis = [linalg.lin_comb(combo, basis, field) for combo in combos]
-            out.append((newbasis, tag + (e,)))
-            found += len(combos)
+            lam_re, lam_im = _I_POWERS[(4 // nev) * e]
+            combos = linalg.intersect_spans(
+                linalg.eigenspace(re, lam_re, QQ), linalg.eigenspace(im, lam_im, QQ), QQ
+            )
+            if combos:
+                out.append(([linalg.lin_comb(co, basis, QQ) for co in combos], tag + (e,)))
+                found += len(combos)
         if found != k:
-            raise AlgebraError("operator is not semisimple on the subspace")
+            raise AlgebraError("the rational eigenspaces do not span the subspace")
     return out
-
-
-def _rational_points(basis_qi):
-    """Primitive rational basis of the sigma-fixed points of a Q(i)-span."""
-    k = len(basis_qi)
-    n = len(basis_qi[0])
-    rows = []
-    for coord in range(n):
-        re_row = [basis_qi[j][coord].im for j in range(k)] + [
-            basis_qi[j][coord].re for j in range(k)
-        ]
-        if any(re_row):
-            rows.append([F(x) for x in re_row])
-    combos = linalg.kernel(rows, 2 * k, QQ)
-    out = []
-    for combo in combos:
-        v = [F(0)] * n
-        for j in range(k):
-            alpha, beta = combo[j], combo[k + j]
-            if alpha or beta:
-                for c2 in range(n):
-                    b = basis_qi[j][c2]
-                    v[c2] += alpha * b.re - beta * b.im
-        if any(v):
-            out.append(v)
-    if len(out) != k:
-        raise AlgebraError("eigenspace admits no full rational basis")
-    red, _ = linalg.rref(out, QQ)
-    return [[F(x) for x in linalg.clear_denominators(v)] for v in red]
 
 
 @dataclass
@@ -370,32 +358,19 @@ def sp8_basis():
 
 @lru_cache(maxsize=None)
 def _graded_bases():
-    fr = frame()
-    even = [([[lift(x) for x in v] for v in sp8_rational_basis()], ())]
-    for i in range(4):
-        even = _split(even, _conjugation(fr.a[i], QI), 2 if i < 3 else 4, QI)
-    acts = [wedge4_matrix_sparse(a, QI) for a in fr.a]
-
-    def apply_act(i):
-        m = acts[i]
-
-        def go(v):
-            img = linalg.sp_matvec(m, linalg.sparse(v))
-            dense = [GI_ZERO] * 70
-            for c, x in img.items():
-                dense[c] = x
-            return dense
-
-        return go
-
-    odd = [([[lift(x) for x in v] for v in kernel_c_basis()], ())]
-    for i in range(4):
-        odd = _split(odd, apply_act(i), 2 if i < 3 else 4, QI)
-    even.sort(key=lambda t: t[1])
-    odd.sort(key=lambda t: t[1])
-    even_rat = [(_rational_points(b), tag) for b, tag in even]
-    odd_rat = [(_rational_points(b), tag) for b, tag in odd]
-    return even_rat, odd_rat
+    """(even, odd): the joint eigenspaces of A1., .., A4. on sp8 and on ker c
+    as (primitive reduced-echelon rational basis, tag), sorted by tag."""
+    even = [(sp8_rational_basis(), ())]
+    odd = [(kernel_c_basis(), ())]
+    for i, a in enumerate(frame().a):
+        nev = 2 if i < 3 else 4
+        even = _split(even, _conjugation(a, QI), nev)
+        wedge = wedge4_matrix_sparse(a, QI)
+        odd = _split(odd, lambda v, w=wedge: linalg.sp_matvec(w, linalg.sparse(v)), nev)
+    return tuple(
+        [(_primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
+        for leaves in (even, odd)
+    )
 
 
 def wedge8_pairs():
@@ -418,9 +393,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
     if lam == 0:
         raise AlgebraError("odd bracket scale must be nonzero")
     even_rat, odd_rat = _graded_bases()
-    even_type = {}
-    for b, tag in even_rat:
-        even_type[tag] = len(b)
+    even_type = {tag: len(b) for b, tag in even_rat}
     even_mats = []
     even_tags = []
     for b, tag in even_rat:
@@ -429,12 +402,8 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
                 raise AlgebraError("even eigenvector entries outside {-1,0,1}")
             even_mats.append([v[8 * r : 8 * r + 8] for r in range(8)])
             even_tags.append(tag)
-    odd_vecs = []
-    odd_tags = []
-    for b, tag in odd_rat:
-        for v in b:
-            odd_vecs.append(v)
-            odd_tags.append(tag)
+    odd_vecs = [v for b, _ in odd_rat for v in b]
+    odd_tags = [tag for b, tag in odd_rat for _ in b]
     ne, no = len(even_mats), len(odd_vecs)
     if (ne, no) != (36, 42):
         raise AlgebraError("unexpected graded dimensions")
@@ -446,32 +415,28 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
 
     # even x even: sp8 under the commutator
     sc = bracket_constants(
-        [sum(m, []) for m in even_mats],
+        linalg.SpanSolver([sum(m, []) for m in even_mats], QQ),
         lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
-        QQ,
     )
     # even x odd: derivation action on four-forms stays inside ker c
+    w8 = wedge8_pairs()
+    paired = []  # paired[p][u] = (M_p u) reindexed for the odd x odd wedge8 pairing
     for p in range(ne):
+        per_u = []
         for u in range(no):
             img = linalg.sp_matvec(act_sp[p], odd_sp[u])
             coeffs = odd_expand.coefficients(img)
             if coeffs is None:
                 raise AlgebraError("sp8 action leaves ker c")
             put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
+            per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in img.items()})
+        paired.append(per_u)
     # odd x odd by trace duality: tr(X x) = lam * wedge8((x.u) ^ v)
     gram = [
         [linalg.sp_trace_product(even_sp[p], even_sp[q]) or F(0) for q in range(ne)]
         for p in range(ne)
     ]
     ginv = linalg.mat_inverse(gram, QQ)
-    w8 = wedge8_pairs()
-    paired = []  # paired[x][u] = (M_x u) reindexed for the wedge8 pairing
-    for x in range(ne):
-        per_u = []
-        for u in range(no):
-            w = linalg.sp_matvec(act_sp[x], odd_sp[u])
-            per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in w.items()})
-        paired.append(per_u)
     for u in range(no):
         for v in range(u + 1, no):
             b = []
@@ -617,7 +582,9 @@ def fix_ad_c_a123_dim() -> int:
     if any(x.im != 0 for row in g for x in row):
         raise AlgebraError("C A1 A2 A3 should be real")
     greal = [[x.re for x in row] for row in g]
-    mat = _operator_on_subspace(_conjugation(greal, QQ), sp8_rational_basis(), QQ)
+    basis = sp8_rational_basis()
+    conj = _conjugation(greal, QQ)
+    mat = _operator_on_subspace([conj(v) for v in basis], basis)
     _, dim = fixed_subspace(mat, QQ)
     return dim
 

@@ -161,11 +161,6 @@ class Field:
     def __hash__(self):
         return hash(self.name)
 
-    def conj(self, x: Scalar) -> Scalar:
-        if self.name == "Q":
-            return x
-        return x.conjugate()
-
     def inv(self, x: Scalar) -> Scalar:
         if self.name == "Q":
             if x == 0:

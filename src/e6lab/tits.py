@@ -30,6 +30,7 @@ from .algcore import (
     StructAlgebra,
     bracket_constants,
     derivation_algebra,
+    derivation_solver,
     derivations,
     fixed_subspace,
     inertia,
@@ -90,21 +91,14 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     rng_dj = range(ndc + nc * nj, dim)
 
     der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
-    dc_expand = (
-        linalg.SpanSolver([sum(d, []) for d in der_c], QQ) if ndc else None
-    )
-    dj_expand = linalg.SpanSolver([sum(d, []) for d in der_j], QQ)
+    dc_expand = derivation_solver(c.alg)
+    dj_expand = derivation_solver(j.alg)
     j0_expand = linalg.SpanSolver(j0, QQ)
     ncdim = c.dim
     njdim = j.dim
 
     def expand_der_c(sp):
-        flat = linalg.sp_flatten(sp, ncdim)
-        if not flat:
-            return {}
-        if dc_expand is None:
-            raise AlgebraError("derivation of C outside Der(C) span")
-        coeffs = dc_expand.coefficients(flat)
+        coeffs = dc_expand.coefficients(linalg.sp_flatten(sp, ncdim))
         if coeffs is None:
             raise AlgebraError("derivation of C outside Der(C) span")
         return {i: v for i, v in enumerate(coeffs) if v}
@@ -394,7 +388,7 @@ def sp31_decomposition() -> dict:
         raise AlgebraError("nu is not an automorphism of the Albert algebra")
     # lift: D -> nu D nu^{-1} on Der(J), x -> nu(x) on J0 (here nu^2 = id)
     der = t.der_j_basis
-    dj_solver = linalg.SpanSolver([sum(d, []) for d in der], QQ)
+    dj_solver = derivation_solver(t.jordan.alg)
     j0 = t.j0_vectors
     j0_solver = linalg.SpanSolver(j0, QQ)
     nu_l = [[F(0)] * dim for _ in range(dim)]
@@ -429,7 +423,7 @@ def sp31_decomposition() -> dict:
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
     sub_sc = bracket_constants(
-        even_basis, lambda a, b: lie.bracket(even_basis[a], even_basis[b]), f
+        linalg.SpanSolver(even_basis, f), lambda a, b: lie.bracket(even_basis[a], even_basis[b])
     )
     sub = LieAlgebra(
         StructAlgebra(

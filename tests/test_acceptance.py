@@ -97,8 +97,15 @@ def test_criterion_13_carriers(results):
 
 def test_criterion_14_determinism():
     cmd = [sys.executable, "-m", "e6lab.cli", "verify-all", "--json", "--no-self-check"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # two fresh processes, started together
+    procs = [
+        subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outs = [p.communicate() for p in procs]
+    first, second = (
+        subprocess.CompletedProcess(cmd, p.returncode, *out) for p, out in zip(procs, outs)
+    )
     identical = first.stdout == second.stdout and first.stdout
     status = "PASS" if identical else "FAIL"
     print(f"{status} C14: two fresh verify-all --json runs are byte-identical")

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -171,6 +172,27 @@ def test_twist_identity_and_validation():
         twist(lie, {0, 1}, F(-1))  # not a Z2 split
 
 
+def test_twist_leaves_the_source_table_unchanged():
+    lie = LieAlgebra(sl2())
+    before = copy.deepcopy(lie.alg.sc)
+    for t in (F(-1), F(1, 4), F(0)):
+        twisted = twist(lie, {0}, t)
+        assert lie.alg.sc == before
+        assert twisted.alg.sc[(0, 1)] == before[(0, 1)]
+        assert twisted.alg.sc.get((1, 2), {}) == {k: v * t for k, v in before[(1, 2)].items() if v * t}
+
+
+@pytest.mark.parametrize("check_jacobi", [True, False])
+def test_lie_algebra_rejects_a_table_that_is_not_anticommutative(check_jacobi):
+    a = sl2()
+    a.sc[(1, 0)] = {1: F(2)}  # [e, h] = 2e, the same sign as [h, e]
+    with pytest.raises(AlgebraError):
+        LieAlgebra(a, check_jacobi=check_jacobi)
+    diag = StructAlgebra(field=QQ, dim=2, basis_labels=["x", "y"], sc={(0, 0): {1: F(1)}})
+    with pytest.raises(AlgebraError):
+        LieAlgebra(diag, check_jacobi=check_jacobi)
+
+
 def test_twist_sign_identity_sl2():
     # sign(L) + sign(L^-1) = 2 sign(K|even)
     lie = LieAlgebra(sl2())
@@ -228,6 +250,12 @@ def test_derivation_algebra_built_once_and_only_on_request():
             comm = linalg.mat_sub(linalg.mat_mul(a, b, QQ), linalg.mat_mul(b, a, QQ))
             coeffs = sp.coefficients(sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
+    # the solver the table was built with is kept, not rebuilt
+    solver = algcore.derivation_solver(alg)
+    assert algcore.derivation_solver(alg) is solver
+    assert algcore.derivation_algebra(alg) is der
+    for p, d in enumerate(ders):
+        assert solver.coefficients(sum(d, [])) == [F(int(q == p)) for q in range(3)]
 
 
 def test_automorphism_checks():
@@ -243,6 +271,8 @@ def test_automorphism_checks():
     sw = [[F(-1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(-1), F(0)]]
     assert algcore.is_automorphism(a, sw)
     assert algcore.is_monomial_automorphism(a, [0, 2, 1], [F(-1), F(-1), F(-1)])
+    # one coefficient's sign flipped: [e, f] = h is no longer preserved
+    assert not algcore.is_monomial_automorphism(a, [0, 2, 1], [F(-1), F(1), F(-1)])
 
 
 def test_killing_invariant_under_automorphism():
@@ -464,7 +494,8 @@ def test_bracket_constants_match_all_pairs_expansion(case, sparse_bracket):
         v = alg.multiply(basis[i], basis[j])
         return linalg.sparse(v) if sparse_bracket else v
 
-    assert algcore.bracket_constants(basis, bracket, QQ) == _all_pairs_constants(alg, basis)
+    solver = linalg.SpanSolver(basis, QQ)
+    assert algcore.bracket_constants(solver, bracket) == _all_pairs_constants(alg, basis)
 
 
 @given(lie_bases(), st.sampled_from([(0, 1), (0, 2), (1, 2)]))
@@ -475,13 +506,14 @@ def test_bracket_constants_reject_a_span_not_closed(case, pair):
     closed = linalg.SpanSolver(sub, QQ).contains(alg.multiply(sub[0], sub[1]))
     if name == "so3":
         assert not closed  # so3 has no 2-dimensional subalgebra over Q
+    solver = linalg.SpanSolver(sub, QQ)
     if closed:
-        sc = algcore.bracket_constants(sub, lambda i, j: alg.multiply(sub[i], sub[j]), QQ)
+        sc = algcore.bracket_constants(solver, lambda i, j: alg.multiply(sub[i], sub[j]))
         full = _all_pairs_constants(alg, sub + [basis[3 - sum(pair)]])
         assert sc == {key: row for key, row in full.items() if max(key) < 2}
     else:
         with pytest.raises(AlgebraError):
-            algcore.bracket_constants(sub, lambda i, j: alg.multiply(sub[i], sub[j]), QQ)
+            algcore.bracket_constants(solver, lambda i, j: alg.multiply(sub[i], sub[j]))
 
 
 gaussians = st.builds(

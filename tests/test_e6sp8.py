@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from e6lab import e6sp8, linalg
-from e6lab.algcore import inertia, jacobi_defect
+from e6lab.algcore import AlgebraError, inertia, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import GI_ZERO, QI, QQ, lift
+from e6lab.scalars import GI_I, GI_ZERO, QI, QQ, lift
 
 F = Fraction
 
@@ -40,6 +42,31 @@ def test_b0_entries_and_membership():
 
 def test_eigenspace_type():
     assert e6sp8.eigenspace_type() == (24, 6)
+
+
+def test_split_over_q_diagonal_gaussian_operator():
+    # diag(i, -i): eigenvalue i^1 on the first axis, i^3 on the second
+    basis = [[F(1), F(0)], [F(0), F(1)]]
+
+    def op(v):
+        return [GI_I * v[0], -GI_I * v[1]]
+
+    assert e6sp8._split([(basis, ())], op, 4) == [([[F(1), F(0)]], (1,)), ([[F(0), F(1)]], (3,))]
+    # a tag already present is extended, not replaced
+    assert [tag for _, tag in e6sp8._split([(basis, (0,))], op, 4)] == [(0, 1), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda v: [-v[1], v[0]],  # 90-degree rotation: eigenvalues +-i, none rational
+        lambda v: [v[0] + v[1], v[1]],  # shear: eigenvalue 1, one eigenvector
+    ],
+)
+@pytest.mark.parametrize("nev", [2, 4])
+def test_split_over_q_rejects_eigenspaces_short_of_the_subspace(op, nev):
+    with pytest.raises(AlgebraError):
+        e6sp8._split([([[F(1), F(0)], [F(0), F(1)]], ())], op, nev)
 
 
 def brute_contraction(mono):
