@@ -9,9 +9,13 @@ from one helper, `bracket_constants`.
 
 The Jacobi and Killing certificates are sparse loops over the nonzero
 structure constants.  Both read the Python-int table D*c of `int_tensor` when
-its entries are small.  Past that bound Jacobi reads the constants as integer
-(numerator, denominator) pairs and Killing reads the scalars of ``sc``; every
-table gives the same results.
+its entries are small.  On that table Jacobi packs each row (m, c) into one
+Python int, one slot of w bits per coordinate, with w wide enough that every
+coordinate of a triple's cyclic sum is a signed digit of its slot: the packed
+sum is 0 iff the triple satisfies Jacobi (see `jacobi_defect`).  Past the
+bound Jacobi reads the constants as integer (numerator, denominator) pairs
+and Killing reads the scalars of ``sc``; every table gives the same results.
+Derivations are solved on the integer table D*c as well.
 """
 
 from __future__ import annotations
@@ -142,10 +146,7 @@ class StructAlgebra:
     def _scaled_int_table(self):
         if self.field.name != "Q":
             return (None, None)
-        lcm = 1
-        for row in self.sc.values():
-            for v in row.values():
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        lcm = _common_denominator(self.sc)
         t = {}
         for key, row in self.sc.items():
             trow = t[key] = {}
@@ -155,6 +156,17 @@ class StructAlgebra:
                     return (None, None)
                 trow[k] = x
         return (lcm, t)
+
+
+def _common_denominator(sc: dict) -> int:
+    """Least common denominator of the rational structure constants."""
+    lcm = 1
+    for row in sc.values():
+        for v in row.values():
+            d = v.denominator
+            if d != 1:
+                lcm = lcm * d // gcd(lcm, d)
+    return lcm
 
 
 def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
@@ -207,8 +219,15 @@ def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
     Sums the three cyclic terms [[b_i, b_j], b_k] over the nonzero structure
-    constants of every triple.  On the int table each term carries D^2; past
-    its bound the sums run on integer pairs (`_jacobi_defect_pairs`).
+    constants of every triple.  On the int table T = D*c each row (m, c) is
+    packed into one Python int, sum_q T[m, c][q] 2^(w q), and a triple's sum
+    is a few integer multiply-adds of packed rows.  Every coordinate of that
+    sum adds at most 3n products T[a, b][m] T[m, c][q], each at most M^2 in
+    absolute value (M = max |T|), and w = bitlen(3 n M^2) + 2 makes every
+    such coordinate a signed digit smaller than 2^(w-1) in absolute value.
+    Then the packed sum is 0 iff every coordinate is: a nonzero top digit
+    outweighs all the digits below it.  Past the int table's bound the sums
+    run on integer pairs (`_jacobi_defect_pairs`).
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
@@ -216,22 +235,29 @@ def jacobi_defect(alg: StructAlgebra):
     if t is None:
         return _jacobi_defect_pairs(alg)
     n = alg.dim
+    top = max((abs(y) for row in t.values() for y in row.values()), default=0)
+    w = (3 * n * top * top).bit_length() + 2
+    packed = [{} for _ in range(n)]  # packed[m][c]: row (m, c) as one int
+    for (m, c), row in t.items():
+        packed[m][c] = sum(y << (w * q) for q, y in row.items())
+    # terms[a][b]: (T[a, b][m], packed[m]) for the nonzero entries m
+    terms = [{} for _ in range(n)]
+    for (a, b), row in t.items():
+        terms[a][b] = [(x, packed[m]) for m, x in row.items()]
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
+            t_ij = terms[i].get(j, ())
+            t_j = terms[j]
             for k in range(j + 1, n):
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    vab = t.get((a, b))
-                    if not vab:
-                        continue
-                    for m, x in vab.items():
-                        row = t.get((m, c))
-                        if not row:
-                            continue
-                        for q, y in row.items():
-                            acc[q] = acc.get(q, 0) + x * y
-                if any(acc.values()):
+                acc = 0
+                for x, pm in t_ij:
+                    acc += x * pm.get(k, 0)
+                for x, pm in t_j.get(k, ()):
+                    acc += x * pm.get(i, 0)
+                for x, pm in terms[k].get(i, ()):
+                    acc += x * pm.get(j, 0)
+                if acc:
                     bad.append((i, j, k))
     return bad
 
@@ -300,6 +326,15 @@ class LieAlgebra:
             raise AlgebraError("not anticommutative")
         self.alg = alg
         self._killing = None
+
+    @classmethod
+    def _of_lie_table(cls, alg: StructAlgebra) -> "LieAlgebra":
+        """Wrap a table that is a Lie algebra by construction, such as a
+        twist of a LieAlgebra; nothing is scanned."""
+        lie = cls.__new__(cls)
+        lie.alg = alg
+        lie._killing = None
+        return lie
 
     @property
     def field(self):
@@ -400,7 +435,12 @@ def fixed_subspace(matrix, field: Field = QQ):
 
 
 def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
-    """Scale odd x odd brackets by t; the index split must be a Z2-grading."""
+    """Scale odd x odd brackets by t; the index split must be a Z2-grading.
+
+    Rows (i, j) and (j, i) have the same parities, so the rescaled table
+    stays anticommutative, and every cyclic term of a Jacobi sum picks up the
+    same power of t: the result is a Lie algebra without a rescan.
+    """
     alg = lie.alg
     even = frozenset(even_idx)
     parity = [0 if i in even else 1 for i in range(alg.dim)]
@@ -423,7 +463,7 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
     twisted = StructAlgebra(
         field=alg.field, dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc
     )
-    return LieAlgebra(twisted, check_jacobi=False)
+    return LieAlgebra._of_lie_table(twisted)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +522,20 @@ def _solve_derivations(alg: StructAlgebra):
     acc = linalg.IntKernelAccumulator(n * n)
     commutative = alg.is_commutative()
     anticomm = alg.is_anticommutative()
-    # c[p][j][k] indexed with j fixed: second_tables[j][p] = sc[(p, j)]
-    first = [[alg.sc.get((i, q), None) for q in range(n)] for i in range(n)]
+    # the Leibniz system is homogeneous and linear in c, so the integer table
+    # D*c, D the common denominator, has the same kernel
+    d = _common_denominator(alg.sc)
+    sc = {
+        key: {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+        for key, row in alg.sc.items()
+    }
+    first = [[sc.get((i, q)) for q in range(n)] for i in range(n)]
     for i in range(n):
         jstart = i if commutative else (i + 1 if anticomm else 0)
         for j in range(jstart, n):
             if anticomm and i == j:
                 continue
-            prod = alg.sc.get((i, j), {})
+            prod = sc.get((i, j), {})
             rows = [dict() for _ in range(n)]
             for m, v in prod.items():
                 for k in range(n):

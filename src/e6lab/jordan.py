@@ -108,27 +108,22 @@ def _h3_basis_matrices(c: CompositionAlgebra, gamma):
     return mats, labels
 
 
-def _h3_from_matrix(c: CompositionAlgebra, gamma, m):
-    """Coordinates of a hermitian matrix in the E/iota basis."""
-    nc = c.dim
-    out = []
-    for i in range(3):
-        diag = m[i][i]
-        for ci in range(nc):
-            if ci == c.unit_idx:
-                continue
-            if diag[ci] != 0:
-                raise ValueError("matrix is not hermitian (diagonal)")
-        out.append(diag[c.unit_idx])
-    coords = list(out)
+def _h3_product(c: CompositionAlgebra, gamma, x, y):
+    """Coordinates of x.y = (xy + yx)/2 in the E/iota basis, for
+    gamma-hermitian matrices x and y.
+
+    The involution m* = gamma conj(m)^t gamma is an anti-automorphism of
+    Mat3(C), so yx = y* x* = (xy)*, and one matrix product gives both terms.
+    The symmetrized product is hermitian: its diagonal entries are the real
+    parts of those of xy, and its (t+1, t+2) entries are the iota_t
+    coordinates.
+    """
+    xy = _h3_matrix_mult(c, x, y)
+    coords = [xy[i][i][c.unit_idx] for i in range(3)]
     for t in range(3):
         r, s = (t + 1) % 3, (t + 2) % 3
-        a = m[r][s]
         sign = gamma[r] * gamma[s]
-        expect = [sign * v for v in c.conj(a)]
-        if m[s][r] != expect:
-            raise ValueError("matrix is not hermitian (off-diagonal)")
-        coords.extend(a)
+        coords.extend((a + sign * b) / 2 for a, b in zip(xy[r][s], c.conj(xy[s][r])))
     return coords
 
 
@@ -137,17 +132,14 @@ def _h3_cached(comp_name: str, gamma: tuple) -> JordanAlgebra:
     c = hurwitz(comp_name)
     mats, labels = _h3_basis_matrices(c, gamma)
     n = len(labels)
-
-    def product(i, j):
-        xy = _h3_matrix_mult(c, mats[i], mats[j])
-        yx = _h3_matrix_mult(c, mats[j], mats[i])
-        sym = [
-            [[(a + b) / 2 for a, b in zip(xy[r][s], yx[r][s])] for s in range(3)]
-            for r in range(3)
-        ]
-        return _h3_from_matrix(c, gamma, sym)
-
-    alg = algebra_from_products(QQ, labels, product)
+    sc = {}
+    for i in range(n):
+        for j in range(i, n):  # the product is commutative
+            row = {k: v for k, v in enumerate(_h3_product(c, gamma, mats[i], mats[j])) if v}
+            if row:
+                sc[(i, j)] = row
+                sc[(j, i)] = dict(row)
+    alg = StructAlgebra(field=QQ, dim=n, basis_labels=labels, sc=sc)
     unit = [F(0)] * n
     unit[0] = unit[1] = unit[2] = F(1)
     t_row = [F(0)] * n
@@ -219,13 +211,9 @@ def star(j: JordanAlgebra, x, y):
 
 def inner_der(j: JordanAlgebra, x, y):
     """[R_x, R_y], always a derivation of J."""
-    return linalg.sparse_to_dense(inner_der_sparse(j, x, y), j.dim, j.dim, QQ)
-
-
-def inner_der_sparse(j: JordanAlgebra, x, y) -> dict:
     rx = j.alg.right_mult_matrix(x)
     ry = j.alg.right_mult_matrix(y)
-    return linalg.sp_commutator(rx, ry)
+    return linalg.sparse_to_dense(linalg.sp_commutator(rx, ry), j.dim, j.dim, QQ)
 
 
 def j0_basis(j: JordanAlgebra):

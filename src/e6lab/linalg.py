@@ -540,16 +540,23 @@ class IntKernelAccumulator:
 
 
 def clear_denominators(vec):
-    """Scale a rational dense vector to a primitive integer vector."""
-    vec = [Fraction(v) for v in vec]
+    """Scale a rational dense vector to a primitive integer vector.
+
+    Reads `.numerator` and `.denominator`, which Fractions and ints both
+    have, so integer rows need no conversion.
+    """
+    vec = list(vec)
     lcm = 1
     for v in vec:
         d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(v * lcm) for v in vec]
+        if d != 1:
+            lcm = lcm * d // gcd(lcm, d)
+    ints = [v.numerator * (lcm // v.denominator) for v in vec]
     g = 0
     for x in ints:
-        g = gcd(g, abs(x))
+        g = gcd(g, x)
+        if g == 1:
+            return ints
     if g > 1:
         ints = [x // g for x in ints]
     return ints

@@ -43,7 +43,6 @@ from .composition import CompositionAlgebra, hurwitz
 from .jordan import (
     JordanAlgebra,
     h3,
-    inner_der_sparse,
     j0_basis,
     m3r,
     nu_automorphism,
@@ -181,13 +180,14 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     star_tab = {}
     tj_tab = {}
     inner_tab = {}
+    rmats = [j.alg.right_mult_matrix(v) for v in j0]
     for x in range(nj):
         for y in range(x, nj):
             if nc > 1:  # only the pairs a != b read t_J and the star product
                 tj_tab[(x, y)] = j.t_j(j.mult(j0[x], j0[y]))
                 star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
             if x < y:
-                inner_tab[(x, y)] = expand_der_j(inner_der_sparse(j, j0[x], j0[y]))
+                inner_tab[(x, y)] = expand_der_j(linalg.sp_commutator(rmats[x], rmats[y]))
 
     for a in range(nc):
         for x in range(nj):
@@ -328,6 +328,17 @@ def _ratio_constant(kmat, idx, other):
     return const
 
 
+def _tensor_form(t: TitsAlgebra):
+    """n(a, b) t_J(x.y) on the tensor summand C0 x J0, in its basis order: the
+    Kronecker product of the n table on C0 and the t_J(x.y) table on J0."""
+    c = t.comp
+    j = t.jordan
+    cvecs = [c.alg.basis_vector(b) for b in t.c0_idx]
+    n_tab = [[c.norm_polar(u, v) for v in cvecs] for u in cvecs]
+    t_tab = [[j.t_j(j.mult(x, y)) for y in t.j0_vectors] for x in t.j0_vectors]
+    return [[nv * tv for nv in nrow for tv in trow] for nrow in n_tab for trow in t_tab]
+
+
 def proportionality_constants(t: TitsAlgebra = None) -> dict:
     """The four exact constants tying the Killing form of T(O, M3R) and the
     quaternionic subalgebra to the natural forms of the ingredients."""
@@ -344,20 +355,7 @@ def proportionality_constants(t: TitsAlgebra = None) -> dict:
     # Der(M): k(D, D') = 8 tr(D D')
     c_der_j = _ratio_constant(k, list(t.layout["der_j"]), trace_gram(t.der_j_basis))
     # tensor part: k(a x, b y) = alpha n(a,b) t_M(x.y)
-    c = t.comp
-    j = t.jordan
-    nc, nj = len(t.c0_idx), len(t.j0_vectors)
-    cvecs = [c.alg.basis_vector(b) for b in t.c0_idx]
-    form = [[F(0)] * (nc * nj) for _ in range(nc * nj)]
-    for a in range(nc):
-        for x in range(nj):
-            for b in range(nc):
-                for y in range(nj):
-                    form[a * nj + x][b * nj + y] = c.norm_polar(
-                        cvecs[a], cvecs[b]
-                    ) * j.t_j(j.mult(t.j0_vectors[x], t.j0_vectors[y]))
-    idx_t = list(t.layout["tensor"])
-    alpha = _ratio_constant(k, idx_t, form)
+    alpha = _ratio_constant(k, list(t.layout["tensor"]), _tensor_form(t))
     # delta: K restricted to the 36-dim even part of the Albert nu-twist
     # against that subalgebra's own Killing form
     dec = sp31_decomposition()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import e6lab
-from e6lab import algcore, linalg
+from e6lab import algcore, catalog, linalg
 from e6lab.algcore import (
     AlgebraError,
     LieAlgebra,
@@ -79,6 +80,51 @@ def test_jacobi_exact_path_agrees():
     fast = jacobi_defect(b)
     b._int_cache = (None, None)
     assert fast == jacobi_defect(b)
+
+
+@pytest.mark.parametrize("name", catalog.MODEL_NAMES)
+def test_packed_jacobi_matches_the_pair_loop_on_catalog_models(name):
+    alg = catalog.model(name)[0].alg
+    assert alg.int_tensor()[1] is not None
+    assert jacobi_defect(alg) == algcore._jacobi_defect_pairs(alg) == []
+
+
+def test_packed_jacobi_matches_the_pair_loop_on_a_mutated_model():
+    alg = catalog.model("tits-o-m3r")[0].alg
+    (i, j), row = min((key, row) for key, row in alg.sc.items() if key[0] < key[1])
+    k = min(row)
+    sc = dict(alg.sc)  # rows are replaced below, never edited in place
+    sc[(i, j)] = {**row, k: 3 * row[k]}
+    sc[(j, i)] = {q: -v for q, v in sc[(i, j)].items()}
+    mutant = StructAlgebra(field=QQ, dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+    defect = jacobi_defect(mutant)
+    assert defect
+    assert defect == algcore._jacobi_defect_pairs(mutant)
+
+
+@st.composite
+def integer_tables(draw):
+    """An anticommutative table of dim 3-6 with integer entries of absolute
+    value at most top, often exactly +-top; top goes up to the largest entry
+    the int table takes, and rows go from empty to dense."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    top = draw(st.sampled_from([1, 3, 2**20, isqrt((2**62 - 1) // n)]))
+    entry = st.sampled_from([top, -top]) | st.integers(min_value=-top, max_value=top)
+    sc = {}
+    for i, j in combinations(range(n), 2):
+        row = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), entry, max_size=n))
+        row = {k: F(v) for k, v in row.items() if v}
+        if row:
+            sc[(i, j)] = row
+            sc[(j, i)] = {k: -v for k, v in row.items()}
+    return StructAlgebra(field=QQ, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+
+
+@given(integer_tables())
+@settings(max_examples=150, deadline=None)
+def test_packed_jacobi_matches_the_pair_loop_on_integer_tables(alg):
+    assert alg.int_tensor()[1] is not None
+    assert jacobi_defect(alg) == algcore._jacobi_defect_pairs(alg)
 
 
 def test_int_tensor_bound_is_on_the_entries():

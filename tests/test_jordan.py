@@ -1,7 +1,10 @@
 from fractions import Fraction
 
-from e6lab import linalg
+import pytest
+
+from e6lab import jordan, linalg
 from e6lab.algcore import derivations, inertia, is_automorphism, leibniz_defect
+from e6lab.composition import hurwitz
 from e6lab.gradings import type_vector, verify
 from e6lab.jordan import (
     check_jordan_identity,
@@ -39,6 +42,54 @@ def test_h3_commutative_and_jordan():
         j = h3(name, gamma)
         assert j.alg.is_commutative()
         assert check_jordan_identity(j, extended=False)
+
+
+def _h3_reference_table(comp_name, gamma):
+    """H3(C, gamma) from the definition: (xy + yx)/2 with both matrix
+    products, for every ordered pair, read back entrywise with a hermitian
+    check."""
+    c = hurwitz(comp_name)
+    mats, _ = jordan._h3_basis_matrices(c, gamma)
+    sc = {}
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            xy = jordan._h3_matrix_mult(c, x, y)
+            yx = jordan._h3_matrix_mult(c, y, x)
+            sym = [[[(a + b) / 2 for a, b in zip(xy[r][s], yx[r][s])] for s in range(3)] for r in range(3)]
+            coords = []
+            for r in range(3):
+                assert all(v == 0 for k, v in enumerate(sym[r][r]) if k != c.unit_idx)
+                coords.append(sym[r][r][c.unit_idx])
+            for t in range(3):
+                r, s = (t + 1) % 3, (t + 2) % 3
+                assert sym[s][r] == [gamma[r] * gamma[s] * v for v in c.conj(sym[r][s])]
+                coords.extend(sym[r][s])
+            row = {k: v for k, v in enumerate(coords) if v}
+            if row:
+                sc[(i, j)] = row
+    return sc
+
+
+@pytest.mark.parametrize(
+    "comp_name, gamma", [("O", (1, 1, 1)), ("O", GAMMA_SPLIT), ("Os", (1, 1, 1)), ("RR", (1, 1, 1))]
+)
+def test_h3_table_matches_both_products_on_every_ordered_pair(comp_name, gamma):
+    # albert, albert-split, splitalbert and H3(R+R)
+    assert h3(comp_name, gamma).alg.sc == _h3_reference_table(comp_name, gamma)
+
+
+def test_h3_multiplies_each_unordered_pair_once(monkeypatch):
+    calls = []
+    original = jordan._h3_matrix_mult
+
+    def counted(c, x, y):
+        calls.append(1)
+        return original(c, x, y)
+
+    monkeypatch.setattr(jordan, "_h3_matrix_mult", counted)
+    j = jordan._h3_cached.__wrapped__("O", (1, 1, 1))  # a fresh build
+    assert j.dim == 27
+    assert len(calls) == 27 * 28 // 2
 
 
 def test_jordan_identity_extended_on_split_gamma():

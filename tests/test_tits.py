@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from e6lab import tits as tits_module
 from e6lab.algcore import (
     StructAlgebra,
     derivation_algebra,
@@ -17,6 +18,7 @@ from e6lab.scalars import QQ
 from e6lab.tits import (
     derj_model,
     jacobson_table,
+    jordan_ingredient,
     proportionality_constants,
     sp31_decomposition,
     tits,
@@ -129,6 +131,37 @@ def test_proportionality_constants():
     # the tensor constant of Eq-4-as-printed; the published -60 does not
     # survive exact recomputation (see the acceptance battery)
     assert pc["alpha"] == -144
+
+
+def test_tensor_form_is_the_entrywise_form():
+    t = tits_model("O", "m3r")
+    c, j = t.comp, t.jordan
+    cvecs = [c.alg.basis_vector(b) for b in t.c0_idx]
+    nc, nj = len(cvecs), len(t.j0_vectors)
+    entrywise = [[None] * (nc * nj) for _ in range(nc * nj)]
+    for a in range(nc):
+        for x in range(nj):
+            for b in range(nc):
+                for y in range(nj):
+                    entrywise[a * nj + x][b * nj + y] = c.norm_polar(cvecs[a], cvecs[b]) * j.t_j(
+                        j.mult(t.j0_vectors[x], t.j0_vectors[y])
+                    )
+    assert tits_module._tensor_form(t) == entrywise
+
+
+def test_tits_builds_each_right_multiplication_once(monkeypatch):
+    j = jordan_ingredient("albert")
+    calls = []
+    original = StructAlgebra.right_mult_matrix
+
+    def counted(self, x):
+        if self is j.alg:
+            calls.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(StructAlgebra, "right_mult_matrix", counted)
+    t = tits(hurwitz("RR"), j, comp_name="RR")
+    assert len(calls) == len(t.j0_vectors) == 26
 
 
 def test_sp31_decomposition():
