@@ -15,14 +15,14 @@ coordinate of a triple's cyclic sum is a signed digit of its slot: the packed
 sum is 0 iff the triple satisfies Jacobi (see `jacobi_defect`).  Past the
 bound Jacobi reads the constants as integer (numerator, denominator) pairs
 and Killing reads the scalars of ``sc``; every table gives the same results.
-Derivations are solved on the integer table D*c as well.
+Derivations are solved on the integer table D*c as well, and the bracket of
+Der(A) runs on the derivations scaled to one integer denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .scalars import QQ, FIELDS, Field, Fraction as Rational
@@ -136,8 +136,7 @@ class StructAlgebra:
         denominator; (None, None) over Q(i) or when dim * max|T|^2 >= 2^62.
 
         The bound picks the faster table, not an overflow guard: past it the
-        int products cost more than the exact fallbacks they replace.  The
-        build stops at the first entry past the bound.
+        int products cost more than the exact fallbacks they replace.
         """
         if self._int_cache is None:
             object.__setattr__(self, "_int_cache", self._scaled_int_table())
@@ -146,27 +145,18 @@ class StructAlgebra:
     def _scaled_int_table(self):
         if self.field.name != "Q":
             return (None, None)
-        lcm = _common_denominator(self.sc)
-        t = {}
-        for key, row in self.sc.items():
-            trow = t[key] = {}
-            for k, v in row.items():
-                x = v.numerator * (lcm // v.denominator)
-                if self.dim * x * x >= _INT_TABLE_BOUND:
-                    return (None, None)
-                trow[k] = x
-        return (lcm, t)
+        def fits(values):
+            top = max(map(abs, values), default=0)
+            return self.dim * top * top < _INT_TABLE_BOUND
 
-
-def _common_denominator(sc: dict) -> int:
-    """Least common denominator of the rational structure constants."""
-    lcm = 1
-    for row in sc.values():
-        for v in row.values():
-            d = v.denominator
-            if d != 1:
-                lcm = lcm * d // gcd(lcm, d)
-    return lcm
+        # |D c| >= |numerator of c|, so a large numerator fails the bound
+        # before the table is scaled
+        if not fits(v.numerator for row in self.sc.values() for v in row.values()):
+            return (None, None)
+        d, t = linalg.int_scaled(self.sc)
+        if not fits(x for row in t.values() for x in row.values()):
+            return (None, None)
+        return (d, t)
 
 
 def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
@@ -192,19 +182,20 @@ def put_antisymmetric(sc: dict, i: int, j: int, row: dict) -> None:
         sc[(j, i)] = {k: -v for k, v in row.items()}
 
 
-def bracket_constants(solver: linalg.SpanSolver, bracket) -> dict:
+def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dict:
     """Structure constants of an anticommutative bracket on the linearly
     independent basis held by solver.
 
-    bracket(i, j) returns [b_i, b_j] as a dense or sparse vector in the
-    coordinates of the basis vectors.  It is called for i < j only; the
-    solver expresses it in the basis, and (j, i) gets the negative.  Raises
+    bracket(i, j) returns scale * [b_i, b_j] as a dense or sparse vector in
+    the coordinates of the basis vectors, so that an int scale lets it run on
+    integer-scaled basis vectors.  It is called for i < j only; the solver
+    expresses it in the basis, and (j, i) gets the negative.  Raises
     AlgebraError when a bracket leaves the span.
     """
     sc = {}
     for i in range(solver.n):
         for j in range(i + 1, solver.n):
-            coeffs = solver.coefficients(bracket(i, j))
+            coeffs = solver.coefficients(bracket(i, j), scale)
             if coeffs is None:
                 raise AlgebraError(f"bracket of basis vectors {i}, {j} leaves the span")
             put_antisymmetric(sc, i, j, dict(enumerate(coeffs)))
@@ -491,11 +482,14 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     """
     if alg._der_alg_cache is None:
         ders = derivations(alg)
-        mats = [linalg.dense_to_sparse(d) for d in ders]
+        # the commutators run on the int matrices D*d and come out scaled by D^2
+        den, mats = linalg.int_scaled([linalg.dense_to_sparse(d) for d in ders])
         n = alg.dim
         solver = linalg.SpanSolver([sum(d, []) for d in ders], alg.field)
         sc = bracket_constants(
-            solver, lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n)
+            solver,
+            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
+            den * den,
         )
         der_alg = StructAlgebra(
             field=alg.field,
@@ -524,11 +518,7 @@ def _solve_derivations(alg: StructAlgebra):
     anticomm = alg.is_anticommutative()
     # the Leibniz system is homogeneous and linear in c, so the integer table
     # D*c, D the common denominator, has the same kernel
-    d = _common_denominator(alg.sc)
-    sc = {
-        key: {k: v.numerator * (d // v.denominator) for k, v in row.items()}
-        for key, row in alg.sc.items()
-    }
+    _, sc = linalg.int_scaled(alg.sc)
     first = [[sc.get((i, q)) for q in range(n)] for i in range(n)]
     for i in range(n):
         jstart = i if commutative else (i + 1 if anticomm else 0)

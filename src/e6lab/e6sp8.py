@@ -184,13 +184,13 @@ def sp8_rational_basis():
     return linalg.kernel(rows, 64, QQ)
 
 
-def _act_matrix_sparse(x, field, mons, idx):
+def _act_matrix_sparse(x, mons, idx):
     """Derivation action of an 8x8 matrix on the wedge monomials ``mons``
-    (``idx`` maps a sorted monomial to its position), as a sparse matrix."""
-    z = field.zero
+    (``idx`` maps a sorted monomial to its position), as a sparse matrix
+    with entries of the type of x's (ints stay ints)."""
     cols = {}
     for c in range(8):
-        col = {r: x[r][c] for r in range(8) if x[r][c] != z}
+        col = {r: x[r][c] for r in range(8) if x[r][c]}
         if col:
             cols[c] = col
     out = {}
@@ -209,22 +209,22 @@ def _act_matrix_sparse(x, field, mons, idx):
                     dst = idx[tuple(sorted(order))]
                     sign = _perm_sign(order)
                 row = out.setdefault(dst, {})
-                val = row.get(src, z) + (coef if sign == 1 else -coef)
-                if val == z:
-                    row.pop(src, None)
-                else:
+                val = row.get(src, 0) + (coef if sign == 1 else -coef)
+                if val:
                     row[src] = val
+                else:
+                    row.pop(src, None)
     return {r: row for r, row in out.items() if row}
 
 
-def act4_matrix_sparse(x, field):
+def act4_matrix_sparse(x):
     """Derivation action of an 8x8 matrix on Lambda^4 (sparse, 70x70)."""
-    return _act_matrix_sparse(x, field, MON4, IDX4)
+    return _act_matrix_sparse(x, MON4, IDX4)
 
 
-def act2_matrix_sparse(x, field):
+def act2_matrix_sparse(x):
     """Derivation action of an 8x8 matrix on Lambda^2 (sparse, 28x28)."""
-    return _act_matrix_sparse(x, field, MON2, IDX2)
+    return _act_matrix_sparse(x, MON2, IDX2)
 
 
 def wedge4_matrix_sparse(a, field):
@@ -409,14 +409,18 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
         raise AlgebraError("unexpected graded dimensions")
 
     odd_expand = linalg.SpanSolver(odd_vecs, QQ)
-    even_sp = [linalg.dense_to_sparse(m) for m in even_mats]
-    act_sp = [act4_matrix_sparse(m, QQ) for m in even_mats]
-    odd_sp = [{c: x for c, x in enumerate(v) if x} for v in odd_vecs]
+    # the even matrices (entries in {-1, 0, 1}) and the ker c rows (primitive
+    # integer vectors) as int rows: every product below runs on ints
+    e_den, even_int = linalg.int_scaled(even_mats)
+    o_den, odd_sp = linalg.int_scaled([linalg.sparse(v) for v in odd_vecs])
+    even_sp = [linalg.dense_to_sparse(m) for m in even_int]
+    act_sp = [act4_matrix_sparse(m) for m in even_int]
 
     # even x even: sp8 under the commutator
     sc = bracket_constants(
         linalg.SpanSolver([sum(m, []) for m in even_mats], QQ),
         lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
+        e_den * e_den,
     )
     # even x odd: derivation action on four-forms stays inside ker c
     w8 = wedge8_pairs()
@@ -425,36 +429,46 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
         per_u = []
         for u in range(no):
             img = linalg.sp_matvec(act_sp[p], odd_sp[u])
-            coeffs = odd_expand.coefficients(img)
+            coeffs = odd_expand.coefficients(img, e_den * o_den)
             if coeffs is None:
                 raise AlgebraError("sp8 action leaves ker c")
             put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
             per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in img.items()})
         paired.append(per_u)
-    # odd x odd by trace duality: tr(X x) = lam * wedge8((x.u) ^ v)
+    # odd x odd by trace duality: tr(X x) = lam * wedge8((x.u) ^ v), so
+    # [u, v] = lam * sum_x b_x G^-1[:, x] with b_x = wedge8((x.u) ^ v) and G
+    # the trace Gram matrix of the even basis
     gram = [
-        [linalg.sp_trace_product(even_sp[p], even_sp[q]) or F(0) for q in range(ne)]
+        [F(linalg.sp_trace_product(even_sp[p], even_sp[q]) or 0) for q in range(ne)]
         for p in range(ne)
     ]
-    ginv = linalg.mat_inverse(gram, QQ)
+    g_den, ginv_cols = linalg.int_scaled(
+        [linalg.sparse(col) for col in linalg.transpose(linalg.mat_inverse(gram, QQ))]
+    )
+    # one pass over each image x.u through the index {coordinate: [(v, value)]}
+    # of the ker c rows collects the nonzero b_x of every pair (u, v), v > u
+    by_coord = {}
+    for v, vec in enumerate(odd_sp):
+        for c, val in vec.items():
+            by_coord.setdefault(c, []).append((v, val))
+    den = g_den * e_den * o_den * o_den
     for u in range(no):
-        for v in range(u + 1, no):
-            b = []
-            vv = odd_sp[v]
-            for x in range(ne):
-                w = paired[x][u]
-                acc = F(0)
-                if len(w) > len(vv):
-                    small, big = vv, w
-                else:
-                    small, big = w, vv
-                for c, val in small.items():
-                    other = big.get(c)
-                    if other is not None:
-                        acc += val * other
-                b.append(acc)
-            coeffs = linalg.mat_vec(ginv, b, QQ)
-            put_antisymmetric(sc, ne + u, ne + v, {i: lam * co for i, co in enumerate(coeffs) if co})
+        b = {}  # v -> {x: b_x}
+        for x in range(ne):
+            for c, val in paired[x][u].items():
+                for v, w in by_coord.get(c, ()):
+                    if v > u:
+                        bv = b.setdefault(v, {})
+                        bv[x] = bv.get(x, 0) + val * w
+        for v in sorted(b):
+            acc = {}
+            for x, bx in b[v].items():
+                if bx:
+                    for i, gx in ginv_cols[x].items():
+                        acc[i] = acc.get(i, 0) + gx * bx
+            put_antisymmetric(
+                sc, ne + u, ne + v, {i: lam * F(a, den) for i, a in acc.items() if a}
+            )
 
     labels = [f"x{i}" for i in range(ne)] + [f"u{j}" for j in range(no)]
     alg = StructAlgebra(field=QQ, dim=78, basis_labels=labels, sc=sc)

@@ -166,19 +166,30 @@ def verify(grading: GradedDecomposition) -> GradingReport:
     direct_sum_ok = total == alg.dim and linalg.rank(stacked, f) == alg.dim
     violations = []
     solvers = grading._component_solvers()
-    sparse = {
-        h: [{i: x for i, x in enumerate(y) if x != f.zero} for y in hv]
+    # products x*y run on the int table D*c and the int-scaled rows; membership
+    # in a span does not depend on the scale
+    _, table = alg.int_tensor()
+    if table is None:
+        _, table = linalg.int_scaled(alg.sc)
+    rows = {
+        h: [linalg.int_scaled(linalg.sparse(y))[1] for y in hv]
         for h, hv in grading.components.items()
     }
-    for g, gv in grading.components.items():
-        lmats = [alg.left_mult_matrix(x) for x in gv]
-        for h, hv in sparse.items():
+    for g, gv in rows.items():
+        for h, hv in rows.items():
             target = grading.group.add(g, h)
             tsolver = solvers.get(target)
-            for lx in lmats:
+            for x in gv:
                 for y in hv:
-                    p = linalg.sp_matvec(lx, y)
-                    if p and (tsolver is None or not tsolver.contains(p)):
+                    p = {}
+                    for a, xa in x.items():
+                        for b, yb in y.items():
+                            row = table.get((a, b))
+                            if row:
+                                c = xa * yb
+                                for k, v in row.items():
+                                    p[k] = p.get(k, 0) + c * v
+                    if any(p.values()) and (tsolver is None or not tsolver.contains(p)):
                         violations.append((g, h, target))
     return GradingReport(direct_sum_ok, not violations, violations)
 

@@ -2,23 +2,32 @@
 
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
 dicts and sparse matrices {row: {col: scalar}}.  Zero tests are truthiness
-tests, which Fraction and GaussRational both define.
+tests, which Fraction and GaussRational both define.  Q(i) is accepted by
+the elimination and the dense helpers (`rref`, `kernel`, `mat_inverse`,
+`mat_mul`, ...); the span solver and the integer machinery are over Q only.
 
 `rref` is the one elimination: it reduces dense or sparse rows on {col: x}
 dicts, so its cost follows the nonzeros, not the width.  The reduced row
 echelon form of a matrix is unique, so every basis it returns (and `kernel`,
-`eigenspace`, `rank`, `SpanSolver` and `IntKernelAccumulator` on top of it)
-is deterministic whatever the row order or the order of elimination.
-One span solver (`SpanSolver`) expresses vectors in a fixed basis, one
-symmetric congruence elimination (`congruence_diagonalize`) gives both the
-Witt pivots and the Sylvester inertia, and one Gram loop (`gram`) evaluates a
-bilinear form on lists of vectors.
+`eigenspace`, `rank`, `mat_inverse`, `SpanSolver` and `IntKernelAccumulator`
+on top of it) is deterministic whatever the row order or the order of
+elimination.  One span solver (`SpanSolver`) expresses vectors in a fixed
+basis on integer rows, one symmetric congruence elimination
+(`congruence_diagonalize`) gives both the Witt pivots and the Sylvester
+inertia, and one Gram loop (`gram`) evaluates a bilinear form on lists of
+vectors.
+
+Construction runs on Python ints: `int_scaled` turns a rational vector,
+rows, a matrix or a table into (common denominator d, entries times d as
+ints) once, the sparse helpers (`sp_matvec`, `sp_mul`, `sp_commutator`,
+`sp_trace_product`) keep the type of their inputs, and a Fraction is built
+only for a nonzero coefficient that `SpanSolver.coefficients` returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Field, QQ
 
@@ -188,15 +197,21 @@ def kernel(rows, ncols, field: Field):
 
 
 class SpanSolver:
-    """Expresses vectors in a fixed, linearly independent basis.
+    """Expresses rational vectors in a fixed, linearly independent basis.
 
-    The basis is reduced once; the reduced rows and the transform rows that
-    map them back to the basis are kept as sparse dicts, so a query costs
-    time in the nonzeros of the vector and of the rows it meets.
+    The basis is reduced once, over Q only.  Reduced row p (1 at its own
+    pivot, 0 at the other pivots) is kept as the int row R_p = L * red_p off
+    the pivot columns, and the transform row taking it back to the basis as
+    T_p = M * transform_p, with L and M the common denominators of the two
+    sets.  A query v is scaled once to the int vector V = d * v, d the lcm of
+    its denominators: v is in the span iff L V - sum_p V[p] R_p is 0, and then
+    its coefficients are sum_p V[p] T_p / (d M).  A query costs time in the
+    nonzeros of v and of the rows it meets, in Python ints.
     """
 
     def __init__(self, basis, field: Field):
-        self.field = field
+        if field.name != "Q":
+            raise ValueError("SpanSolver works over Q only")
         n = len(basis)
         ncols = len(basis[0]) if n else 0
         aug = []
@@ -208,33 +223,79 @@ class SpanSolver:
         if len(red) != n or (pivots and pivots[-1] >= ncols):
             raise ValueError("basis vectors are linearly dependent")
         self.n = n
-        self.pivots = pivots
-        self.red = [sparse(row[:ncols]) for row in red]
-        self.transform = [sparse(row[ncols:]) for row in red]
+        pivset = set(pivots)
+        self.lcm_red, self.red = int_scaled(
+            [{c: x for c, x in enumerate(row[:ncols]) if x and c not in pivset} for row in red]
+        )
+        self.lcm_transform, self.transform = int_scaled([sparse(row[ncols:]) for row in red])
+        self._rows = {p: (r, t) for p, r, t in zip(pivots, self.red, self.transform)}
 
-    def coefficients(self, v):
-        """Coefficients of v (a dense list or a sparse dict) wrt the basis,
-        or None if v is outside its span."""
-        resid = sparse(v)
-        # a reduced row has 1 at its own pivot and 0 at every other pivot, so
-        # the residual at a pivot is the coefficient of that row
-        rc = []
-        for p, row in zip(self.pivots, self.red):
-            co = resid.get(p)
-            rc.append(co)
-            if co:
-                sp_add_into(resid, row, -co)
-        if resid:
+    def _in_span(self, vs: dict) -> bool:
+        """Whether the int vector vs lies in the span: L vs - sum_p vs[p] R_p
+        vanishes (at a pivot column the two terms cancel by construction)."""
+        lcm_red = self.lcm_red
+        rows = self._rows
+        resid = {}
+        for c, x in vs.items():
+            pr = rows.get(c)
+            if pr is None:
+                resid[c] = resid.get(c, 0) + lcm_red * x
+            else:
+                for k, r in pr[0].items():
+                    resid[k] = resid.get(k, 0) - x * r
+        return not any(resid.values())
+
+    def coefficients(self, v, scale: int = 1):
+        """Coefficients of v / scale (v a dense list or a sparse dict) wrt the
+        basis, or None if v is outside its span; scale is a positive int."""
+        d, vs = int_scaled(sparse(v))
+        if not self._in_span(vs):
             return None
-        out = [self.field.zero] * self.n
-        for co, trow in zip(rc, self.transform):
-            if co:
-                for j, t in trow.items():
-                    out[j] = out[j] + co * t
+        rows = self._rows
+        acc = {}
+        for c, x in vs.items():
+            pr = rows.get(c)
+            if pr is not None:
+                for j, t in pr[1].items():
+                    acc[j] = acc.get(j, 0) + x * t
+        den = d * self.lcm_transform * scale
+        out = [QQ.zero] * self.n
+        for j, x in acc.items():
+            if x:
+                out[j] = Fraction(x, den)
         return out
 
     def contains(self, v) -> bool:
-        return self.coefficients(v) is not None
+        return self._in_span(int_scaled(sparse(v))[1])
+
+
+def int_scaled(x):
+    """(d, y): d the least common denominator of the rational entries of x,
+    and y the same nest of dicts and lists with every entry times d as a
+    Python int.
+
+    x is a dense or sparse vector, or a list or dict of such nests: sparse
+    rows, a sparse matrix, a structure-constant table, a list of matrices.
+    Entries are Fractions or ints, which both have .numerator and
+    .denominator.
+    """
+    depth = 1
+    entries = list(x.values() if isinstance(x, dict) else x)
+    while entries and isinstance(entries[0], (dict, list)):
+        entries = [e for c in entries for e in (c.values() if isinstance(c, dict) else c)]
+        depth += 1
+    d = lcm(*{e.denominator for e in entries})
+    return d, _times(x, d, depth)
+
+
+def _times(x, d, depth):
+    if depth > 1:
+        if isinstance(x, dict):
+            return {k: _times(v, d, depth - 1) for k, v in x.items()}
+        return [_times(v, d, depth - 1) for v in x]
+    if isinstance(x, dict):
+        return {k: e.numerator * (d // e.denominator) for k, e in x.items()}
+    return [e.numerator * (d // e.denominator) for e in x]
 
 
 def sp_flatten(m: dict, ncols: int) -> dict:
@@ -248,12 +309,18 @@ def sp_flatten(m: dict, ncols: int) -> dict:
 
 
 def mat_inverse(a, field: Field):
-    """Inverse of a square matrix: the transform taking its rows to I."""
-    try:
-        solver = SpanSolver(a, field)
-    except ValueError:
-        raise ValueError("matrix is singular") from None
-    return [[row.get(j, field.zero) for j in range(len(a))] for row in solver.transform]
+    """Inverse of a square matrix, read off the reduced echelon form
+    [I | A^-1] of [A | I]."""
+    n = len(a)
+    aug = []
+    for i, row in enumerate(a):
+        r = sparse(row)
+        r[n + i] = field.one
+        aug.append(r)
+    red, pivots = rref(aug, field, 2 * n)
+    if pivots and pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def eigenspace(m, lam, field: Field):

@@ -89,7 +89,6 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     rng_t = range(ndc, ndc + nc * nj)
     rng_dj = range(ndc + nc * nj, dim)
 
-    der_j_sp = [linalg.dense_to_sparse(d) for d in der_j]
     dc_expand = derivation_solver(c.alg)
     dj_expand = derivation_solver(j.alg)
     j0_expand = linalg.SpanSolver(j0, QQ)
@@ -102,8 +101,8 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
             raise AlgebraError("derivation of C outside Der(C) span")
         return {i: v for i, v in enumerate(coeffs) if v}
 
-    def expand_der_j(sp):
-        coeffs = dj_expand.coefficients(linalg.sp_flatten(sp, njdim))
+    def expand_der_j(sp, scale):
+        coeffs = dj_expand.coefficients(linalg.sp_flatten(sp, njdim), scale)
         if coeffs is None:
             raise AlgebraError("derivation of J outside Der(J) span")
         return {rng_dj.start + i: v for i, v in enumerate(coeffs) if v}
@@ -144,12 +143,15 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
                     tensor_entry(ci, ji),
                     {tensor_entry(ci2, ji): v for ci2, v in img.items()},
                 )
-    j0_sp = [{i: v for i, v in enumerate(vec) if v} for vec in j0]
+    # Der(J) and J0 scaled once to int rows: an image comes out scaled by
+    # the product of the two denominators
+    dj_den, der_j_int = linalg.int_scaled([linalg.dense_to_sparse(d) for d in der_j])
+    j0_den, j0_int = linalg.int_scaled([linalg.sparse(vec) for vec in j0])
     for p in range(ndj):
-        dsp = der_j_sp[p]
+        dsp = der_j_int[p]
         for ji in range(nj):
-            imgvec = linalg.sp_matvec(dsp, j0_sp[ji])
-            coeffs = j0_expand.coefficients(imgvec)
+            imgvec = linalg.sp_matvec(dsp, j0_int[ji])
+            coeffs = j0_expand.coefficients(imgvec, dj_den * j0_den)
             if coeffs is None:
                 raise AlgebraError("derivation image outside J0")
             for ci in range(nc):
@@ -180,14 +182,18 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     star_tab = {}
     tj_tab = {}
     inner_tab = {}
-    rmats = [j.alg.right_mult_matrix(v) for v in j0]
+    # R_x for x in J0, scaled once to int matrices; [R_x, R_y] comes out
+    # scaled by r_den^2
+    r_den, rmats = linalg.int_scaled([j.alg.right_mult_matrix(v) for v in j0])
     for x in range(nj):
         for y in range(x, nj):
             if nc > 1:  # only the pairs a != b read t_J and the star product
                 tj_tab[(x, y)] = j.t_j(j.mult(j0[x], j0[y]))
                 star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
             if x < y:
-                inner_tab[(x, y)] = expand_der_j(linalg.sp_commutator(rmats[x], rmats[y]))
+                inner_tab[(x, y)] = expand_der_j(
+                    linalg.sp_commutator(rmats[x], rmats[y]), r_den * r_den
+                )
 
     for a in range(nc):
         for x in range(nj):

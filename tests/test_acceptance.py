@@ -7,12 +7,13 @@ package is exact, so every comparison here is equality, never approximate.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from e6lab import verify
+from e6lab import catalog, verify
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,14 @@ def test_report_validates_against_schema(results):
         (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
     )
     jsonschema.validate(doc, schema)
+
+
+def test_structure_constants_are_fractions(results):
+    # construction runs on ints, but a stored constant must stay a Fraction:
+    # int / int is a float
+    for name in catalog.MODEL_NAMES:
+        lie, _ = catalog.model(name)
+        assert all(type(x) is Fraction for row in lie.alg.sc.values() for x in row.values()), name
 
 
 def _criterion(results, prefix, label):

@@ -114,8 +114,8 @@ def test_contraction_is_module_map():
     mats = e6sp8.sp8_basis()
     cmat = e6sp8.contraction_matrix()
     for x in mats:
-        a4 = e6sp8.act4_matrix_sparse(x, QQ)
-        a2 = e6sp8.act2_matrix_sparse(x, QQ)
+        a4 = e6sp8.act4_matrix_sparse(x)
+        a2 = e6sp8.act2_matrix_sparse(x)
         for col in range(70):
             u = [F(0)] * 70
             u[col] = F(1)
@@ -212,7 +212,7 @@ def test_odd_bracket_trace_duality():
                 for s in range(8):
                     if x_mat[r][s] and m[s][r]:
                         tr += x_mat[r][s] * m[s][r]
-            act = e6sp8.act4_matrix_sparse(m, QQ)
+            act = e6sp8.act4_matrix_sparse(m)
             xu = linalg.sp_matvec(act, {c: w for c, w in enumerate(u) if w})
             pair = F(0)
             for c, w in xu.items():
@@ -220,6 +220,52 @@ def test_odd_bracket_trace_duality():
                 if v[j]:
                     pair += w * v[j] * sgn
             assert tr == pair
+
+
+def _wedge8_sign(mono, rest):
+    """Sign of e_mono ^ e_rest against e_0 ^ .. ^ e_7: the parity of the
+    inversions of the concatenation."""
+    seq = mono + rest
+    inversions = sum(1 for i in range(8) for j in range(i + 1, 8) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_one_pass_wedge_pairing_matches_per_pair_dot_loop():
+    # reference: the per-pair dot loop on Fractions, b_x = wedge8((x.u) ^ v)
+    # for every even x, then [u, v] = lam G^-1 b, G the trace Gram matrix;
+    # the wedge8 pairing is recomputed here, not read from wedge8_pairs
+    model = e6sp8.assemble_e6()
+    ne, no = model.even_dim, model.odd_dim
+    even_sp = [linalg.dense_to_sparse(m) for m in model.even_matrices]
+    odd_sp = [linalg.sparse(v) for v in model.odd_vectors]
+    pair_of = {}
+    for i, mono in enumerate(e6sp8.MON4):
+        rest = tuple(t for t in range(8) if t not in mono)
+        pair_of[i] = (e6sp8.IDX4[rest], _wedge8_sign(mono, rest))
+    paired = []
+    for m in model.even_matrices:
+        act = e6sp8.act4_matrix_sparse(m)
+        paired.append(
+            [
+                {pair_of[c][0]: pair_of[c][1] * w for c, w in linalg.sp_matvec(act, u).items()}
+                for u in odd_sp
+            ]
+        )
+    gram = [[linalg.sp_trace_product(a, b) or F(0) for b in even_sp] for a in even_sp]
+    ginv = linalg.mat_inverse(gram, QQ)
+    lam = F(model.provenance["odd_bracket_scale"])
+    sc = model.lie.alg.sc
+    for u in range(no):
+        for v in range(u + 1, no):
+            vv = odd_sp[v]
+            b = [
+                sum((w * vv[c] for c, w in paired[x][u].items() if c in vv), F(0))
+                for x in range(ne)
+            ]
+            want = {i: lam * co for i, co in enumerate(linalg.mat_vec(ginv, b, QQ)) if co}
+            got = sc.get((ne + u, ne + v), {})
+            assert got == want, (u, v)
+            assert all(type(x) is F for x in got.values())
 
 
 def test_fix_ad_ca123():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from e6lab import catalog, linalg
-from e6lab.algcore import derivations, inertia
+from e6lab.algcore import StructAlgebra, derivations, inertia
 from e6lab.composition import hurwitz, octonion_z23_grading
 from e6lab.gradings import (
     FinAbGroup,
@@ -150,6 +150,29 @@ def test_killing_checks_reject_moved_component():
     rep = verify(bad)
     assert not rep.closure_ok
     assert len(rep.violations) == 92  # repository fact, frozen
+
+
+def test_verify_past_the_int_table_bound():
+    # b_i -> p_i b_i with large p_i keeps every grading by basis lines, but
+    # the constants c_ij^k p_i p_j / p_k are past the int-table bound, so
+    # closure is checked on the int-scaled Fraction table instead
+    g = octonion_z23_grading()
+    alg = g.algebra
+    p = [2**31 - 1 - 2 * i for i in range(alg.dim)]
+    sc = {
+        (i, j): {k: v * p[i] * p[j] / p[k] for k, v in row.items()}
+        for (i, j), row in alg.sc.items()
+    }
+    big = StructAlgebra(field=QQ, dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc)
+    assert big.int_tensor() == (None, None)
+    assert verify(GradedDecomposition(g.group, big, g.components)).valid
+    # swapping the lines of two degrees breaks closure the same way on both
+    d1, d2 = g.support[1], g.support[2]
+    comps = dict(g.components)
+    comps[d1], comps[d2] = comps[d2], comps[d1]
+    want = verify(GradedDecomposition(g.group, alg, comps)).violations
+    assert want
+    assert verify(GradedDecomposition(g.group, big, comps)).violations == want
 
 
 def test_induced_on_der_octonion():

@@ -175,13 +175,115 @@ def test_span_solver_dense_sparse_agree_qq(raw):
     _check_span_solver(rows[:3], rows[3][:3], rows[4], QQ)
 
 
-@given(span_rows, span_rows)
-@settings(max_examples=40, deadline=None)
-def test_span_solver_dense_sparse_agree_qi(re, im):
-    rows = [
-        [GaussRational(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(re, im)
-    ]
-    _check_span_solver(rows[:3], rows[3][:3], rows[4], QI)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.tuples(small_entries, small_entries), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_mat_inverse_qi(raw, singular):
+    a = [[GaussRational(re, im) for re, im in row] for row in raw]
+    n = len(a)
+    if singular:
+        a[-1] = [2 * x for x in a[0]] if n > 1 else [GaussRational(0)]
+    if linalg.rank(a, QI) < n:
+        with pytest.raises(ValueError):
+            linalg.mat_inverse(a, QI)
+        return
+    inv = linalg.mat_inverse(a, QI)
+    assert linalg.mat_mul(a, inv, QI) == linalg.identity(n, QI)
+    assert linalg.mat_mul(inv, a, QI) == linalg.identity(n, QI)
+
+
+def test_span_solver_is_rational_only():
+    with pytest.raises(ValueError):
+        linalg.SpanSolver([[GaussRational(1), GaussRational(0, 1)]], QI)
+
+
+class _FractionSpanSolver:
+    """The Fraction algorithm that SpanSolver's integer rows replaced: the
+    residual is reduced pivot by pivot, and the coefficients are summed over
+    the Fraction transform rows.  Kept as the reference."""
+
+    def __init__(self, basis):
+        n = len(basis)
+        ncols = len(basis[0])
+        aug = []
+        for i, b in enumerate(basis):
+            row = linalg.sparse(b)
+            row[ncols + i] = F(1)
+            aug.append(row)
+        red, self.pivots = linalg.rref(aug, QQ, ncols + n)
+        self.n = n
+        self.red = [linalg.sparse(row[:ncols]) for row in red]
+        self.transform = [linalg.sparse(row[ncols:]) for row in red]
+
+    def coefficients(self, v):
+        resid = linalg.sparse(v)
+        rc = []
+        for p, row in zip(self.pivots, self.red):
+            co = resid.get(p)
+            rc.append(co)
+            if co:
+                linalg.sp_add_into(resid, row, -co)
+        if resid:
+            return None
+        out = [F(0)] * self.n
+        for co, trow in zip(rc, self.transform):
+            if co:
+                for j, t in trow.items():
+                    out[j] = out[j] + co * t
+        return out
+
+
+rational_entries = st.one_of(
+    st.just(0), st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=1, max_value=n),
+            st.lists(
+                st.lists(rational_entries, min_size=n, max_size=n), min_size=n + 2, max_size=n + 2
+            ),
+        )
+    ),
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_int_span_solver_matches_fraction_reference(data, scale, sparse_query):
+    k, raw = data
+    basis = [[F(x) for x in row] for row in raw[:k]]
+    assume(linalg.rank(basis, QQ) == k)
+    ref = _FractionSpanSolver(basis)
+    solver = linalg.SpanSolver(basis, QQ)
+    # the stored rows hold Python ints only
+    assert type(solver.lcm_red) is int and type(solver.lcm_transform) is int
+    for rows in (solver.red, solver.transform):
+        assert all(type(x) is int for row in rows for x in row.values())
+    coeffs = [F(x) for x in raw[k]][:k]
+    inside = linalg.lin_comb(coeffs, basis, QQ)
+    for v in (inside, [F(x) for x in raw[k + 1]]):
+        query = linalg.sparse(v) if sparse_query else v
+        want = ref.coefficients(v)
+        assert solver.coefficients(query) == want
+        assert solver.contains(query) == (want is not None)
+        scaled_want = None if want is None else [c / scale for c in want]
+        assert solver.coefficients(query, scale) == scaled_want
+        # an int query scaled by a known denominator
+        d, ints = linalg.int_scaled(linalg.sparse(v))
+        assert solver.coefficients(ints, d * scale) == scaled_want
+        if want is not None:
+            assert all(type(c) is F for c in want)
+    assert solver.coefficients(inside) == coeffs
 
 
 @given(
