@@ -1,7 +1,7 @@
 """Finite-dimensional algebras by structure constants, and Lie-algebra services.
 
 A StructAlgebra is an ordered labeled basis plus a sparse structure-constant
-tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q or Q(i).
+tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q.
 Everything downstream (Jacobi checks, derivation solving, Killing forms,
 inertia, twists) works on this one representation, and every bracket table
 built from a basis (Der(A), sp8, the Chevalley chain basis, subalgebras) comes
@@ -133,7 +133,7 @@ class StructAlgebra:
 
     def int_tensor(self):
         """(D, T) with T[(i, j)][k] = D * c[i][j][k] as Python ints, D the common
-        denominator; (None, None) over Q(i) or when dim * max|T|^2 >= 2^62.
+        denominator; (None, None) when dim * max|T|^2 >= 2^62.
 
         The bound picks the faster table, not an overflow guard: past it the
         int products cost more than the exact fallbacks they replace.
@@ -143,8 +143,6 @@ class StructAlgebra:
         return self._int_cache
 
     def _scaled_int_table(self):
-        if self.field.name != "Q":
-            return (None, None)
         def fits(values):
             top = max(map(abs, values), default=0)
             return self.dim * top * top < _INT_TABLE_BOUND
@@ -255,19 +253,16 @@ def jacobi_defect(alg: StructAlgebra):
 
 def _jacobi_defect_pairs(alg: StructAlgebra):
     """`jacobi_defect` on the constants as pairs (numerator, denominator) of
-    integers, a Q(i) scalar carrying denominator 1.
+    integers.
 
     Each output coordinate q keeps one pair (N, D): a term over the same D
     adds to N, any other cross-multiplies.  No gcd is taken and every D is
     nonzero, so the triple is bad iff some N is.
     """
-    if alg.field.name == "Q":
-        pairs = {
-            key: {k: (v.numerator, v.denominator) for k, v in row.items()}
-            for key, row in alg.sc.items()
-        }
-    else:
-        pairs = {key: {k: (v, 1) for k, v in row.items()} for key, row in alg.sc.items()}
+    pairs = {
+        key: {k: (v.numerator, v.denominator) for k, v in row.items()}
+        for key, row in alg.sc.items()
+    }
     n = alg.dim
     bad = []
     for i in range(n):
@@ -510,8 +505,6 @@ def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
 
 
 def _solve_derivations(alg: StructAlgebra):
-    if alg.field.name != "Q":
-        raise AlgebraError("derivations implemented over Q only")
     n = alg.dim
     acc = linalg.IntKernelAccumulator(n * n)
     commutative = alg.is_commutative()
@@ -633,9 +626,13 @@ def algebra_to_json(alg: StructAlgebra, provenance=None) -> dict:
 
 
 def algebra_from_json(doc: dict) -> StructAlgebra:
-    f = FIELDS[doc["field"]]
+    f = FIELDS.get(doc["field"])
+    if f is None:
+        raise AlgebraError(f"field {doc['field']!r} is not supported: algebras are over Q")
     sc = {}
     for i, j, k, val in doc["sc"]:
+        if not isinstance(val, str):
+            raise AlgebraError(f"structure constant {val!r} is not a rational string")
         sc.setdefault((i, j), {})[k] = f.from_json(val)
     return StructAlgebra(
         field=f, dim=doc["dim"], basis_labels=list(doc["basis"]), sc=sc

@@ -3,12 +3,15 @@
 S0 = sp(8) for the form C = [[0, I4], [-I4, 0]]; the odd part is the kernel
 of the contraction c: Lambda^4 -> Lambda^2.  Four monomial symplectic
 matrices A1..A4 act on everything, with fourth roots of unity as
-eigenvalues.  Their joint eigenspaces are split over Q: a rational v has
-A.v = i^k v iff the real and imaginary parts of A.v are Re(i^k) v and
-Im(i^k) v, so each eigenspace is a common rational kernel, and the dimensions
-adding up certifies that every joint eigenspace has a rational basis.  These
-bases are the graded basis of the real form; Q(i) arithmetic is left only in
-applying the 8x8 frame matrices and their actions.
+eigenvalues.  Their entries are 0, +-1 and +-i, and each A = P + iQ is held
+as the pair (P, Q) of rational matrices: products of frame matrices, the
+inverse (read off the real 16x16 form [[P, Q], [-Q, P]]) and the actions on
+sp8 and on Lambda^4 are all (real part, imaginary part) pairs over Q.  The
+joint eigenspaces are split over Q: a rational v has A.v = i^k v iff the
+real and imaginary parts of A.v are Re(i^k) v and Im(i^k) v, so each
+eigenspace is a common rational kernel, and the dimensions adding up
+certifies that every joint eigenspace has a rational basis.  These bases are
+the graded basis of the real form.
 
 The odd x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
@@ -36,7 +39,7 @@ from .algcore import (
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import GI_ZERO, QI, QQ, GaussRational, lift
+from .scalars import QQ
 
 F = Fraction
 
@@ -60,49 +63,71 @@ def c_matrix():
     return [[F(_c_entry(i, j)) for j in range(8)] for i in range(8)]
 
 
-def _gi(re=0, im=0) -> GaussRational:
-    return GaussRational(F(re), F(im))
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
+
+# A1..A4 as displayed: {(row, column): k} for the nonzero entries i^k
+_A_POWERS = (
+    {rc: 1 for rc in ((0, 4), (1, 5), (4, 0), (5, 1), (2, 7), (3, 6), (6, 3), (7, 2))},
+    {(i, i): 1 if i < 4 else 3 for i in range(8)},
+    {(2 * b + s, 2 * b + 1 - s): 0 for b in range(4) for s in (0, 1)},
+    {(i, i): k for i, k in enumerate((0, 2, 3, 1, 0, 2, 1, 3))},
+)
 
 
 def a_matrices():
-    """A1..A4 over Q(i), exactly as displayed; monomial matrices."""
-    z = GI_ZERO
-    a1 = [[z] * 8 for _ in range(8)]
-    for r, c in ((0, 4), (1, 5), (4, 0), (5, 1), (2, 7), (3, 6), (6, 3), (7, 2)):
-        a1[r][c] = _gi(0, 1)
-    a2 = [[z] * 8 for _ in range(8)]
-    for i in range(8):
-        a2[i][i] = _gi(0, 1) if i < 4 else _gi(0, -1)
-    a3 = [[z] * 8 for _ in range(8)]
-    for b in range(4):
-        a3[2 * b][2 * b + 1] = _gi(1)
-        a3[2 * b + 1][2 * b] = _gi(1)
-    a4 = [[z] * 8 for _ in range(8)]
-    diag = [_gi(1), _gi(-1), _gi(0, -1), _gi(0, 1), _gi(1), _gi(-1), _gi(0, 1), _gi(0, -1)]
-    for i in range(8):
-        a4[i][i] = diag[i]
-    return [a1, a2, a3, a4]
+    """A1..A4 exactly as displayed, each A = P + iQ as the pair (P, Q) of
+    rational 8x8 matrices; all four are monomial."""
+    out = []
+    for entries in _A_POWERS:
+        p, q = linalg.zeros(8, 8, QQ), linalg.zeros(8, 8, QQ)
+        for (r, c), k in entries.items():
+            p[r][c], q[r][c] = map(F, _I_POWERS[k])
+        out.append((p, q))
+    return out
+
+
+def _real_form(a):
+    """The real form [[P, Q], [-Q, P]] of A = P + iQ given as (P, Q): the row
+    pair [X | Y] times it is [Re | Im] of (X + iY) A, so the real form of a
+    product is the product of the real forms."""
+    p, q = a
+    return [[*rp, *rq] for rp, rq in zip(p, q)] + [[*nq, *rp] for nq, rp in zip(_neg(q), p)]
+
+
+def pair_mul(x, y):
+    """(P + iQ)(R + iS) = (PR - QS) + i(PS + QR) on (P, Q) and (R, S), read
+    off the one product [P | Q] [[R, S], [-S, R]] = [PR - QS | PS + QR]."""
+    p, q = x
+    n = len(p)
+    prod = linalg.mat_mul([[*rp, *rq] for rp, rq in zip(p, q)], _real_form(y), QQ)
+    return [row[:n] for row in prod], [row[n:] for row in prod]
+
+
+def _real(m):
+    """The pair (m, 0) of a rational matrix m."""
+    return m, linalg.zeros(len(m), len(m[0]), QQ)
+
+
+def _neg(m):
+    return [[-x for x in row] for row in m]
 
 
 @dataclass
 class SymplecticFrame:
     c: list
-    a: list
+    a: list  # A1..A4 as (P, Q) pairs
 
     def check(self):
         """A_i C A_i^t = C for all i; order data of A2, A4."""
-        cqi = [[lift(v) for v in row] for row in self.c]
-        for ai in self.a:
-            at = linalg.transpose(ai)
-            prod = linalg.mat_mul(ai, linalg.mat_mul(cqi, at, QI), QI)
-            if prod != cqi:
+        c = _real(self.c)
+        for p, q in self.a:
+            if pair_mul((p, q), pair_mul(c, (linalg.transpose(p), linalg.transpose(q)))) != c:
                 raise AlgebraError("A C A^t != C")
-        a2sq = linalg.mat_mul(self.a[1], self.a[1], QI)
-        if a2sq != linalg.mat_scale(linalg.identity(8, QI), _gi(-1)):
+        ident = linalg.identity(8, QQ)
+        if pair_mul(self.a[1], self.a[1]) != _real(_neg(ident)):
             raise AlgebraError("A2^2 != -I")
-        a4sq = linalg.mat_mul(self.a[3], self.a[3], QI)
-        a4quad = linalg.mat_mul(a4sq, a4sq, QI)
-        if a4quad != linalg.identity(8, QI):
+        a4sq = pair_mul(self.a[3], self.a[3])
+        if pair_mul(a4sq, a4sq) != _real(ident):
             raise AlgebraError("A4^4 != I")
         return True
 
@@ -227,53 +252,56 @@ def act2_matrix_sparse(x):
     return _act_matrix_sparse(x, MON2, IDX2)
 
 
-def wedge4_matrix_sparse(a, field):
-    """Multiplicative action e_{i1}^..^e_{i4} -> A e_{i1} ^ .. ^ A e_{i4}."""
-    z = field.zero
-    cols = {}
-    for c in range(8):
-        col = [(r, a[r][c]) for r in range(8) if a[r][c] != z]
-        cols[c] = col
-    out = {}
+def wedge4_matrix_sparse(a):
+    """Multiplicative action e_{i1}^..^e_{i4} -> A e_{i1} ^ .. ^ A e_{i4} of
+    A = P + iQ given as (P, Q), as the pair (Re W, Im W) of rational sparse
+    matrices."""
+    p, q = a
+    cols = {c: [(r, (p[r][c], q[r][c])) for r in range(8) if p[r][c] or q[r][c]] for c in range(8)}
+    parts = ({}, {})
     for src, mono in enumerate(MON4):
-        choices = [cols[i] for i in mono]
-        stack = [([], field.one)]
-        for col in choices:
-            nxt = []
-            for chosen, coef in stack:
-                for r, v in col:
-                    if r in chosen:
-                        continue
-                    nxt.append((chosen + [r], coef * v))
-            stack = nxt
+        stack = [([], (1, 0))]
+        for i in mono:
+            stack = [
+                (chosen + [r], (x * u - y * w, x * w + y * u))
+                for chosen, (x, y) in stack
+                for r, (u, w) in cols[i]
+                if r not in chosen
+            ]
         for chosen, coef in stack:
-            sign = _perm_sign(chosen)
             dst = IDX4[tuple(sorted(chosen))]
-            row = out.setdefault(dst, {})
-            val = row.get(src, z) + (coef if sign == 1 else -coef)
-            if val == z:
-                row.pop(src, None)
-            else:
-                row[src] = val
-    return {r: row for r, row in out.items() if row}
+            sign = _perm_sign(chosen)
+            for part, x in zip(parts, coef):
+                if x:
+                    linalg.sp_add_into(part.setdefault(dst, {}), {src: x}, sign)
+    return tuple({r: row for r, row in part.items() if row} for part in parts)
 
 
-def _conjugation(m, field):
-    """X -> M X M^{-1} on 8x8 matrices X flattened row-major to 64-vectors."""
-    minv = linalg.mat_inverse(m, field)
+def pair_inverse(a):
+    """A^{-1} = R + iS of A = P + iQ, both as pairs: the inverse of the real
+    form [[P, Q], [-Q, P]] of A is the real form [[R, S], [-S, R]] of A^{-1}."""
+    n = len(a[0])
+    inv = linalg.mat_inverse(_real_form(a), QQ)
+    return [row[:n] for row in inv[:n]], [row[n:] for row in inv[:n]]
+
+
+def _conjugation(a):
+    """X -> A X A^{-1} for A = P + iQ given as (P, Q), on rational 8x8
+    matrices X flattened row-major to 64-vectors; the image is the pair
+    (Re, Im) of 64-vectors."""
+    p, q = a
+    ainv = pair_inverse(a)
 
     def go(v):
         x = [v[8 * r : 8 * r + 8] for r in range(8)]
-        return sum(linalg.mat_mul(linalg.mat_mul(m, x, field), minv, field), [])
+        ax = (linalg.mat_mul(p, x, QQ), linalg.mat_mul(q, x, QQ))
+        return tuple(sum(part, []) for part in pair_mul(ax, ainv))
 
     return go
 
 
 # ---------------------------------------------------------------------------
 # joint eigenspace splitting over Q
-
-
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
 
 
 def _operator_on_subspace(images, basis):
@@ -287,9 +315,10 @@ def _operator_on_subspace(images, basis):
 
 
 def _split(subspaces, op, nev):
-    """Split each rational (basis, tag) into the eigenspaces of a Q(i)-linear
-    op whose eigenvalues are nev-th roots of unity; the tag gains e for the
-    eigenvalue i^(4e/nev).
+    """Split each rational (basis, tag) into the eigenspaces of a complex
+    linear op whose eigenvalues are nev-th roots of unity; op maps a rational
+    vector v to the pair (Re op(v), Im op(v)) of rational vectors, and the
+    tag gains e for the eigenvalue i^(4e/nev).
 
     A rational v has op(v) = i^k v iff Re op(v) = Re(i^k) v and
     Im op(v) = Im(i^k) v, so each eigenspace is a common kernel of two
@@ -299,12 +328,8 @@ def _split(subspaces, op, nev):
     out = []
     for basis, tag in subspaces:
         k = len(basis)
-        imgs = [linalg.sparse(op([lift(x) for x in v])) for v in basis]
-        m = _operator_on_subspace(
-            [{c: x.re for c, x in w.items()} for w in imgs]
-            + [{c: x.im for c, x in w.items()} for w in imgs],
-            basis,
-        )
+        re_imgs, im_imgs = zip(*(op(v) for v in basis))
+        m = _operator_on_subspace(re_imgs + im_imgs, basis)
         re, im = [row[:k] for row in m], [row[k:] for row in m]
         found = 0
         for e in range(nev):
@@ -364,9 +389,11 @@ def _graded_bases():
     odd = [(kernel_c_basis(), ())]
     for i, a in enumerate(frame().a):
         nev = 2 if i < 3 else 4
-        even = _split(even, _conjugation(a, QI), nev)
-        wedge = wedge4_matrix_sparse(a, QI)
-        odd = _split(odd, lambda v, w=wedge: linalg.sp_matvec(w, linalg.sparse(v)), nev)
+        even = _split(even, _conjugation(a), nev)
+        wedge = wedge4_matrix_sparse(a)
+        odd = _split(
+            odd, lambda v, w=wedge: tuple(linalg.sp_matvec(part, linalg.sparse(v)) for part in w), nev
+        )
     return tuple(
         [(_primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
         for leaves in (even, odd)
@@ -557,13 +584,12 @@ def conjugated_form() -> dict:
     """
     model = assemble_e6()
     fr = frame()
-    m = linalg.mat_mul(fr.a[0], linalg.mat_mul(fr.a[1], fr.a[2], QI), QI)
-    if any(x.im != 0 for row in m for x in row):
+    m, m_im = pair_mul(fr.a[0], pair_mul(fr.a[1], fr.a[2]))
+    if any(x for row in m_im for x in row):
         raise AlgebraError("A1 A2 A3 should be real")
-    m2 = linalg.mat_mul(m, m, QI)
-    ident = linalg.identity(8, QI)
-    neg = linalg.mat_scale(ident, _gi(-1))
-    if m2 != ident and m2 != neg:
+    m2 = linalg.mat_mul(m, m, QQ)
+    ident = linalg.identity(8, QQ)
+    if m2 != ident and m2 != _neg(ident):
         raise AlgebraError("sigma' is not an involution")
     bits = _chi_bits(model)
     even_idx = {i for i, b in enumerate(bits) if b == 0}
@@ -589,16 +615,14 @@ def conjugated_form() -> dict:
 def fix_ad_c_a123_dim() -> int:
     """dim of the Ad(C A1 A2 A3)-fixed subspace of sp8 (rational, dim 24)."""
     fr = frame()
-    cqi = [[lift(v) for v in row] for row in fr.c]
-    g = cqi
+    g = _real(fr.c)
     for a in fr.a[:3]:
-        g = linalg.mat_mul(g, a, QI)
-    if any(x.im != 0 for row in g for x in row):
+        g = pair_mul(g, a)
+    if any(x for row in g[1] for x in row):
         raise AlgebraError("C A1 A2 A3 should be real")
-    greal = [[x.re for x in row] for row in g]
     basis = sp8_rational_basis()
-    conj = _conjugation(greal, QQ)
-    mat = _operator_on_subspace([conj(v) for v in basis], basis)
+    conj = _conjugation(g)
+    mat = _operator_on_subspace([conj(v)[0] for v in basis], basis)
     _, dim = fixed_subspace(mat, QQ)
     return dim
 
@@ -638,25 +662,24 @@ def gamma11_on_split_model() -> GradedDecomposition:
 
 
 def _canonical_mod_sign(m):
-    for row in m:
-        for x in row:
-            if x != GI_ZERO:
-                if x.re < 0 or (x.re == 0 and x.im < 0):
-                    return tuple(
-                        tuple(-y for y in r) for r in m
-                    )
-                return tuple(tuple(r) for r in m)
-    return tuple(tuple(r) for r in m)
+    """The one of +-m, m = P + iQ given as (P, Q), whose first nonzero entry
+    x (row-major) has Re x > 0, or Re x = 0 and Im x > 0, as nested tuples."""
+    p, q = m
+    entries = zip((x for row in p for x in row), (y for row in q for y in row))
+    first = next(((x, y) for x, y in entries if x or y), (0, 0))
+    if first < (0, 0):
+        p, q = _neg(p), _neg(q)
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
 def _order_mod_sign(m) -> int:
     """Least k >= 1 with m^k = +-I (at most 8 for the dot group)."""
-    ident = _canonical_mod_sign(linalg.identity(len(m), QI))
+    ident = _canonical_mod_sign(_real(linalg.identity(len(m[0]), QQ)))
     power = m
     for k in range(1, 9):
         if _canonical_mod_sign(power) == ident:
             return k
-        power = linalg.mat_mul(power, m, QI)
+        power = pair_mul(power, m)
     raise AlgebraError("order mod +-I exceeds 8")
 
 
@@ -671,18 +694,18 @@ def dot_group_order_data() -> dict:
     orders = dot_group_generator_orders()
     words = []
     for exps in product(*(range(o) for o in orders)):
-        m = linalg.identity(8, QI)
+        m = _real(linalg.identity(8, QQ))
         for a, e in zip(fr.a, exps):
             for _ in range(e):
-                m = linalg.mat_mul(m, a, QI)
+                m = pair_mul(m, a)
         words.append(_canonical_mod_sign(m))
     distinct = len(set(words))
     # pairwise commutation mod +-I
     commute = True
     for i in range(4):
         for j in range(i + 1, 4):
-            ab = linalg.mat_mul(fr.a[i], fr.a[j], QI)
-            ba = linalg.mat_mul(fr.a[j], fr.a[i], QI)
+            ab = pair_mul(fr.a[i], fr.a[j])
+            ba = pair_mul(fr.a[j], fr.a[i])
             if _canonical_mod_sign(ab) != _canonical_mod_sign(ba):
                 commute = False
     # words of order <= 2 mod +-I, read from their powers; theta is a

@@ -1,10 +1,8 @@
-"""Exact linear algebra over Q and Q(i).
+"""Exact linear algebra over Q.
 
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
-dicts and sparse matrices {row: {col: scalar}}.  Zero tests are truthiness
-tests, which Fraction and GaussRational both define.  Q(i) is accepted by
-the elimination and the dense helpers (`rref`, `kernel`, `mat_inverse`,
-`mat_mul`, ...); the span solver and the integer machinery are over Q only.
+dicts and sparse matrices {row: {col: scalar}}, with Fraction or int
+entries.  Zero tests are truthiness tests.
 
 `rref` is the one elimination: it reduces dense or sparse rows on {col: x}
 dicts, so its cost follows the nonzeros, not the width.  The reduced row
@@ -96,10 +94,6 @@ def gram(m, xs, ys, field: Field):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
 
 
 def transpose(a):
@@ -199,7 +193,7 @@ def kernel(rows, ncols, field: Field):
 class SpanSolver:
     """Expresses rational vectors in a fixed, linearly independent basis.
 
-    The basis is reduced once, over Q only.  Reduced row p (1 at its own
+    The basis is reduced once.  Reduced row p (1 at its own
     pivot, 0 at the other pivots) is kept as the int row R_p = L * red_p off
     the pivot columns, and the transform row taking it back to the basis as
     T_p = M * transform_p, with L and M the common denominators of the two
@@ -210,8 +204,6 @@ class SpanSolver:
     """
 
     def __init__(self, basis, field: Field):
-        if field.name != "Q":
-            raise ValueError("SpanSolver works over Q only")
         n = len(basis)
         ncols = len(basis[0]) if n else 0
         aug = []

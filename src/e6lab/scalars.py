@@ -1,137 +1,19 @@
-"""Exact scalars: the rationals Q and the Gaussian rationals Q(i).
+"""Exact scalars: the rationals Q.
 
-Every number in this package is one of these two types.  Rationals are
-``fractions.Fraction`` (arbitrary precision, always stored reduced).  Gaussian
-rationals are a separate type on purpose: mixing Q into Q(i) requires an
-explicit lift, which keeps real-form computations provably real.
+Every number in this package is a rational, a ``fractions.Fraction``
+(arbitrary precision, always stored reduced) or an int where a routine keeps
+integer entries.  Complex quantities, such as the entries 0, +-1, +-i of the
+symplectic frame in ``e6sp8``, are held as pairs of rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 Rational = Fraction
 
 QONE = Fraction(1)
 QZERO = Fraction(0)
-
-
-class GaussRational:
-    """An element re + i*im of Q(i), with re, im exact rationals."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        if isinstance(re, GaussRational) or isinstance(im, GaussRational):
-            raise TypeError("GaussRational components must be rational")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
-
-    # -- arithmetic (Q(i) with Q(i) only; ints are unambiguous and allowed) --
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, int):
-            return GaussRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if not self.im:
-            return fmt_rational(self.re)
-        if not self.re:
-            return f"{fmt_rational(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{fmt_rational(self.re)} {sign} {fmt_rational(abs(self.im))}*i"
-
-
-Scalar = Union[Fraction, GaussRational]
-
-GI_ZERO = GaussRational(0)
-GI_ONE = GaussRational(1)
-GI_I = GaussRational(0, 1)
-
-
-def lift(x: Fraction) -> GaussRational:
-    """Explicit embedding Q -> Q(i)."""
-    return GaussRational(x, 0)
 
 
 def fmt_rational(x: Fraction) -> str:
@@ -143,7 +25,7 @@ def parse_rational(s: str) -> Fraction:
 
 
 class Field:
-    """Descriptor for one of the two scalar fields used in the package."""
+    """Descriptor of the scalar field: its name, zero and one."""
 
     __slots__ = ("name", "zero", "one")
 
@@ -161,25 +43,18 @@ class Field:
     def __hash__(self):
         return hash(self.name)
 
-    def inv(self, x: Scalar) -> Scalar:
-        if self.name == "Q":
-            if x == 0:
-                raise ZeroDivisionError("inverse of 0 in Q")
-            return 1 / x
-        return x.inverse()
+    def inv(self, x: Fraction) -> Fraction:
+        if x == 0:
+            raise ZeroDivisionError("inverse of 0 in Q")
+        return QONE / x  # a Fraction for an int x too, where 1 / x is a float
 
-    def to_json(self, x: Scalar):
-        if self.name == "Q":
-            return fmt_rational(x)
-        return {"re": fmt_rational(x.re), "im": fmt_rational(x.im)}
+    def to_json(self, x: Fraction):
+        return fmt_rational(x)
 
-    def from_json(self, data) -> Scalar:
-        if self.name == "Q":
-            return parse_rational(data)
-        return GaussRational(parse_rational(data["re"]), parse_rational(data["im"]))
+    def from_json(self, data) -> Fraction:
+        return parse_rational(data)
 
 
 QQ = Field("Q", QZERO, QONE)
-QI = Field("Qi", GI_ZERO, GI_ONE)
 
-FIELDS = {"Q": QQ, "Qi": QI}
+FIELDS = {"Q": QQ}

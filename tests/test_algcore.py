@@ -25,7 +25,7 @@ from e6lab.algcore import (
     signature_from_fix,
     twist,
 )
-from e6lab.scalars import QI, QQ, GaussRational
+from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -560,31 +560,6 @@ def test_bracket_constants_reject_a_span_not_closed(case, pair):
     else:
         with pytest.raises(AlgebraError):
             algcore.bracket_constants(solver, lambda i, j: alg.multiply(sub[i], sub[j]))
-
-
-gaussians = st.builds(
-    GaussRational, st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)
-)
-
-
-@given(
-    st.lists(gaussians.filter(bool), min_size=3, max_size=3),
-    st.sampled_from([None, (0, 1), (0, 2), (1, 2)]),
-    gaussians.filter(lambda s: s not in (0, 1)),
-)
-@settings(max_examples=30, deadline=None)
-def test_pair_loop_over_gaussian_rationals(scales, mutated, s):
-    brackets = {
-        key: {k: GaussRational(v) for k, v in row.items()}
-        for key, row in LIE_BRACKETS["sl2"].items()
-    }
-    if mutated:
-        brackets[mutated] = {k: s * v for k, v in brackets[mutated].items()}
-    alg = _rescaled(_from_brackets(QI, 3, brackets), scales)
-    defect = [(0, 1, 2)] if ("sl2", mutated) in JACOBI_BREAKERS else []
-    assert alg.int_tensor() == (None, None)
-    assert _jacobi_reference(alg) == defect
-    assert jacobi_defect(alg) == defect
 
 
 NO_NUMPY_SCRIPT = """

@@ -146,3 +146,40 @@ def test_gamma_mutation_is_detected(monkeypatch):
         assert all(c.passed for c in verify_mod.group_jacobson())
     finally:
         tits_mod.tits_model.cache_clear()
+
+
+def _sl2_doc():
+    return {
+        "field": "Q",
+        "dim": 3,
+        "basis": ["h", "e", "f"],
+        "sc": [[0, 1, 1, "2"], [1, 0, 1, "-2"], [0, 2, 2, "-2"], [2, 0, 2, "2"],
+               [1, 2, 0, "1"], [2, 1, 0, "-1"]],
+    }
+
+
+def test_foreign_field_and_complex_entries_are_rejected():
+    from e6lab.algcore import AlgebraError, algebra_from_json
+
+    schema = load_schema("algebra.schema.json")
+    doc = _sl2_doc()
+    jsonschema.validate(doc, schema)
+    assert algebra_from_json(doc).dim == 3
+    gaussian_field = {**doc, "field": "Qi"}
+    complex_entry = {**doc, "sc": doc["sc"][:-1] + [[2, 1, 0, {"re": "-1", "im": "0"}]]}
+    for bad in (gaussian_field, complex_entry):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+    with pytest.raises(AlgebraError, match="'Qi'"):
+        algebra_from_json(gaussian_field)
+    with pytest.raises(AlgebraError):
+        algebra_from_json(complex_entry)
+    grading_schema = load_schema("grading.schema.json")
+    for entry, valid in (("1", True), ({"re": "1", "im": "0"}, False)):
+        grading = {"group": {"free_rank": 0, "torsion": [2]},
+                   "components": [{"degree": [1], "vectors": [[entry]]}]}
+        if valid:
+            jsonschema.validate(grading, grading_schema)
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(grading, grading_schema)

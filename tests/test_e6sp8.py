@@ -6,7 +6,7 @@ import pytest
 from e6lab import e6sp8, linalg
 from e6lab.algcore import AlgebraError, inertia, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import GI_I, GI_ZERO, QI, QQ, lift
+from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -14,6 +14,35 @@ F = Fraction
 def test_frame_invariants():
     fr = e6sp8.frame()
     assert fr.check()
+
+
+# A1..A4 as displayed in the paper: the nonzero entries, all others are 0
+_UNIT = {"1": (1, 0), "-1": (-1, 0), "i": (0, 1), "-i": (0, -1)}
+DISPLAYED = (
+    {(0, 4): "i", (1, 5): "i", (4, 0): "i", (5, 1): "i",
+     (2, 7): "i", (3, 6): "i", (6, 3): "i", (7, 2): "i"},
+    {(k, k): "i" if k < 4 else "-i" for k in range(8)},
+    {(0, 1): "1", (1, 0): "1", (2, 3): "1", (3, 2): "1",
+     (4, 5): "1", (5, 4): "1", (6, 7): "1", (7, 6): "1"},
+    {(k, k): x for k, x in enumerate(("1", "-1", "-i", "i", "1", "-1", "i", "-i"))},
+)
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_frame_matrix_pairs(idx):
+    a = e6sp8.frame().a[idx]
+    p, q = a
+    # the pair entries are the displayed powers of i
+    for r in range(8):
+        for c in range(8):
+            assert (p[r][c], q[r][c]) == _UNIT.get(DISPLAYED[idx].get((r, c)), (0, 0))
+    # the inverse read off the real 16x16 form is a two-sided inverse
+    ident = (linalg.identity(8, QQ), linalg.zeros(8, 8, QQ))
+    inv = e6sp8.pair_inverse(a)
+    assert e6sp8.pair_mul(inv, a) == ident
+    assert e6sp8.pair_mul(a, inv) == ident
+    # order modulo +-I, read from the powers of the pair
+    assert e6sp8._order_mod_sign(a) == (2, 2, 2, 4)[idx]
 
 
 def test_sp8_membership_and_count():
@@ -49,7 +78,7 @@ def test_split_over_q_diagonal_gaussian_operator():
     basis = [[F(1), F(0)], [F(0), F(1)]]
 
     def op(v):
-        return [GI_I * v[0], -GI_I * v[1]]
+        return [F(0), F(0)], [v[0], -v[1]]
 
     assert e6sp8._split([(basis, ())], op, 4) == [([[F(1), F(0)]], (1,)), ([[F(0), F(1)]], (3,))]
     # a tag already present is extended, not replaced
@@ -59,8 +88,8 @@ def test_split_over_q_diagonal_gaussian_operator():
 @pytest.mark.parametrize(
     "op",
     [
-        lambda v: [-v[1], v[0]],  # 90-degree rotation: eigenvalues +-i, none rational
-        lambda v: [v[0] + v[1], v[1]],  # shear: eigenvalue 1, one eigenvector
+        lambda v: ([-v[1], v[0]], [F(0), F(0)]),  # 90-degree rotation: eigenvalues +-i, none rational
+        lambda v: ([v[0] + v[1], v[1]], [F(0), F(0)]),  # shear: eigenvalue 1, one eigenvector
     ],
 )
 @pytest.mark.parametrize("nev", [2, 4])
@@ -308,11 +337,13 @@ def test_gamma11_component_dims_match_on_both_forms():
 
 def test_dot_group_certificate():
     data = e6sp8.dot_group_order_data()
-    assert data["matrix_group_order"] == 32
-    assert data["with_theta_order"] == 64
-    assert data["abelian"]
-    assert data["order_le2_with_theta"] == 32
-    assert data["is_z4_x_z2_4"]
+    assert data == {
+        "matrix_group_order": 32,
+        "with_theta_order": 64,
+        "abelian": True,
+        "order_le2_with_theta": 32,
+        "is_z4_x_z2_4": True,
+    }
     # read from the matrices, not from the exponent ranges of the words
     assert e6sp8.dot_group_generator_orders() == (2, 2, 2, 4)
 
@@ -322,15 +353,12 @@ def test_wedge4_action_is_multiplicative_automorphism():
     # A.(ker c) = ker c via the preserved pairing
     fr = e6sp8.frame()
     a = fr.a[0]
-    w4 = e6sp8.wedge4_matrix_sparse(a, QI)
+    w_re, w_im = e6sp8.wedge4_matrix_sparse(a)
     cmat = e6sp8.contraction_matrix()
     for col in (0, 13, 37, 69):
-        img = linalg.sp_matvec(w4, {col: lift(F(1))})
-        # c(A.u) must equal Lambda^2(A) c(u); verify kernel preservation
+        # c(A.u) must equal Lambda^2(A) c(u); verify kernel preservation on
+        # the real and the imaginary part of A.u
         if all(cmat[r][col] == 0 for r in range(28)):
-            lhs = {}
-            for c2, v in img.items():
-                for r in range(28):
-                    if cmat[r][c2]:
-                        lhs[r] = lhs.get(r, GI_ZERO) + lift(cmat[r][c2]) * v
-            assert all(x == GI_ZERO for x in lhs.values())
+            for w in (w_re, w_im):
+                img = linalg.sp_matvec(w, {col: F(1)})
+                assert all(x == 0 for x in e6sp8.contraction(img))

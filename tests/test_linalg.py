@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import linalg
-from e6lab.scalars import QI, QQ, GaussRational
+from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -31,15 +31,6 @@ def test_kernel_matches_definition():
     assert len(ker) == 2
     for v in ker:
         assert all(sum(r[c] * v[c] for c in range(3)) == 0 for r in rows)
-
-
-def test_kernel_over_qi():
-    i = GaussRational(0, 1)
-    one = GaussRational(1)
-    ker = linalg.kernel([[one, i]], 2, QI)
-    assert len(ker) == 1
-    v = ker[0]
-    assert v[0] * one + v[1] * i == GaussRational(0)
 
 
 def test_span_solver():
@@ -138,6 +129,16 @@ def test_clear_denominators():
     assert linalg.clear_denominators([F(2), F(4)]) == [1, 2]
 
 
+def test_elimination_of_int_rows_stays_rational():
+    red, pivots = linalg.rref([[2, 1], [4, 3]], QQ)
+    inv = linalg.mat_inverse([[2, 0], [1, 3]], QQ)
+    assert (red, pivots) == ([[1, 0], [0, 1]], [0, 1])
+    assert inv == [[F(1, 2), 0], [F(-1, 6), F(1, 3)]]
+    assert linalg.rref([[2, 1]], QQ)[0] == [[1, F(1, 2)]]
+    for row in red + inv + linalg.rref([[2, 1]], QQ)[0]:
+        assert all(isinstance(x, F) for x in row)
+
+
 def test_mat_inverse_rejects_singular():
     with pytest.raises(ValueError):
         linalg.mat_inverse([[F(1), F(2)], [F(2), F(4)]], QQ)
@@ -176,33 +177,27 @@ def test_span_solver_dense_sparse_agree_qq(raw):
 
 
 @given(
-    st.integers(min_value=1, max_value=4).flatmap(
+    st.integers(min_value=1, max_value=6).flatmap(
         lambda n: st.lists(
-            st.lists(st.tuples(small_entries, small_entries), min_size=n, max_size=n),
+            st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         )
     ),
     st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
-def test_mat_inverse_qi(raw, singular):
-    a = [[GaussRational(re, im) for re, im in row] for row in raw]
+@settings(max_examples=80, deadline=None)
+def test_mat_inverse_qq(a, singular):
     n = len(a)
     if singular:
-        a[-1] = [2 * x for x in a[0]] if n > 1 else [GaussRational(0)]
-    if linalg.rank(a, QI) < n:
+        a[-1] = [2 * x for x in a[0]] if n > 1 else [F(0)]
+    if linalg.rank(a, QQ) < n:
         with pytest.raises(ValueError):
-            linalg.mat_inverse(a, QI)
+            linalg.mat_inverse(a, QQ)
         return
-    inv = linalg.mat_inverse(a, QI)
-    assert linalg.mat_mul(a, inv, QI) == linalg.identity(n, QI)
-    assert linalg.mat_mul(inv, a, QI) == linalg.identity(n, QI)
-
-
-def test_span_solver_is_rational_only():
-    with pytest.raises(ValueError):
-        linalg.SpanSolver([[GaussRational(1), GaussRational(0, 1)]], QI)
+    inv = linalg.mat_inverse(a, QQ)
+    assert linalg.mat_mul(a, inv, QQ) == linalg.identity(n, QQ)
+    assert linalg.mat_mul(inv, a, QQ) == linalg.identity(n, QQ)
 
 
 class _FractionSpanSolver:
@@ -399,23 +394,18 @@ sparse_entries = st.one_of(
 
 
 @st.composite
-def sparse_matrices(draw, field):
+def sparse_matrices(draw):
     nrows = draw(st.integers(min_value=0, max_value=7))
     ncols = draw(st.integers(min_value=1, max_value=7))
-
-    def entry():
-        re = draw(sparse_entries)
-        return F(re) if field is QQ else GaussRational(re, draw(sparse_entries))
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[F(draw(sparse_entries)) for _ in range(ncols)] for _ in range(nrows)]
     if draw(st.booleans()):
-        return [[field.zero] * ncols for _ in rows], ncols
+        return [[F(0)] * ncols for _ in rows], ncols
     if nrows and draw(st.booleans()):
-        rows[draw(st.integers(0, nrows - 1))] = [field.zero] * ncols
+        rows[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
     if draw(st.booleans()):
         col = draw(st.integers(0, ncols - 1))
         for row in rows:
-            row[col] = field.zero
+            row[col] = F(0)
     if nrows > 1 and draw(st.booleans()):
         # a dependent row: a multiple of the first plus the second
         rows.append([2 * a + b for a, b in zip(rows[0], rows[1])])
@@ -433,23 +423,17 @@ def _check_rref_and_kernel(rows, ncols, field):
     assert linalg.rank(rows, field) == len(ref[1])
 
 
-@given(sparse_matrices(QQ))
+@given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_dense_reference_qq(data):
     _check_rref_and_kernel(*data, QQ)
 
 
-@given(sparse_matrices(QI))
-@settings(max_examples=100, deadline=None)
-def test_rref_matches_dense_reference_qi(data):
-    _check_rref_and_kernel(*data, QI)
-
-
 def test_rref_of_no_rows():
     assert linalg.rref([], QQ) == ([], [])
-    assert linalg.rref([], QI, 3) == ([], [])
+    assert linalg.rref([], QQ, 3) == ([], [])
     assert linalg.kernel([], 2, QQ) == [[F(1), F(0)], [F(0), F(1)]]
-    assert linalg.kernel([{}, {}], 2, QI) == _dense_kernel([], 2, QI)
+    assert linalg.kernel([{}, {}], 2, QQ) == _dense_kernel([], 2, QQ)
     with pytest.raises(TypeError):
         linalg.rref([{1: F(1)}], QQ)
 
@@ -461,15 +445,14 @@ def _naive_mat_mul(a, b, field):
     ]
 
 
-@given(sparse_matrices(QQ), sparse_matrices(QI), st.integers(min_value=1, max_value=5))
+@given(sparse_matrices(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=80, deadline=None)
-def test_mat_mul_and_mat_vec_match_naive_loops(qq, qi, width):
-    for (a, n), field in ((qq, QQ), (qi, QI)):
-        if not a:
-            continue
-        rng = random.Random(str(a))
-        lift = F if field is QQ else GaussRational
-        b = [[lift(rng.choice((0, 0, 1, -2, F(1, 3)))) for _ in range(width)] for _ in range(n)]
-        assert linalg.mat_mul(a, b, field) == _naive_mat_mul(a, b, field)
-        v = [row[0] for row in b]
-        assert linalg.mat_vec(a, v, field) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v], field)]
+def test_mat_mul_and_mat_vec_match_naive_loops(data, width):
+    a, n = data
+    if not a:
+        return
+    rng = random.Random(str(a))
+    b = [[F(rng.choice((0, 0, 1, -2, F(1, 3)))) for _ in range(width)] for _ in range(n)]
+    assert linalg.mat_mul(a, b, QQ) == _naive_mat_mul(a, b, QQ)
+    v = [row[0] for row in b]
+    assert linalg.mat_vec(a, v, QQ) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v], QQ)]

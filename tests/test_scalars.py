@@ -4,70 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e6lab.scalars import QI, QQ, GaussRational, fmt_rational, lift, parse_rational
+from e6lab.scalars import QQ, fmt_rational, parse_rational
 
 rationals = st.builds(
     Fraction,
     st.integers(min_value=-40, max_value=40),
     st.integers(min_value=1, max_value=24),
 )
-gaussians = st.builds(GaussRational, rationals, rationals)
 
 
 def test_exact_addition():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
-def test_conjugation():
-    z = GaussRational(2, 3)
-    assert z.conjugate() == GaussRational(2, -3)
-
-
-def test_inverse_of_one_plus_i():
-    z = GaussRational(1, 1)
-    inv = z.inverse()
-    # oracle: multiply back out
-    assert z * inv == GaussRational(1, 0)
-    assert inv == GaussRational(Fraction(1, 2), Fraction(-1, 2))
-
-
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
-        GaussRational(0, 0).inverse()
-    with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
-
-
-def test_mixed_arithmetic_requires_lifting():
-    with pytest.raises(TypeError):
-        GaussRational(1, 1) + Fraction(1, 2)  # noqa: B018
-    assert GaussRational(1, 1) + lift(Fraction(1, 2)) == GaussRational(
-        Fraction(3, 2), 1
-    )
-
-
-def test_immutable():
-    z = GaussRational(1, 2)
-    with pytest.raises(AttributeError):
-        z.re = Fraction(5)
-
-
-@given(gaussians, gaussians, gaussians)
-@settings(max_examples=150, deadline=None)
-def test_field_axioms_qi(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
-    assert a * b == b * a
-
-
-@given(gaussians)
-@settings(max_examples=100, deadline=None)
-def test_inverse_and_conj_qi(a):
-    assert a.conjugate().conjugate() == a
-    if a != GaussRational(0):
-        assert a * a.inverse() == GaussRational(1)
 
 
 @given(rationals, rationals, rationals)
@@ -86,7 +38,5 @@ def test_rational_serialization_roundtrip(a):
 def test_serialization_formats():
     assert fmt_rational(Fraction(3)) == "3"
     assert fmt_rational(Fraction(-3, 7)) == "-3/7"
-    z = GaussRational(Fraction(1, 2), Fraction(-2))
-    assert QI.to_json(z) == {"re": "1/2", "im": "-2"}
-    assert QI.from_json(QI.to_json(z)) == z
     assert QQ.to_json(Fraction(5, 3)) == "5/3"
+    assert QQ.from_json("-3/7") == Fraction(-3, 7)
