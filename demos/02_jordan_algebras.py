@@ -9,7 +9,6 @@ from e6lab import linalg
 from e6lab.algcore import derivations, fixed_subspace, inertia
 from e6lab.gradings import type_vector, verify
 from e6lab.jordan import h3, inner_der, j0_basis, jordan_gradings, m3r, nu_automorphism
-from e6lab.scalars import QQ
 
 j = h3("O", (1, 1, 1))
 print(f"The Albert algebra H3(O, I): dim {j.dim}, t_J(E1) = {j.t_j(j.e_vec(0))}")
@@ -32,6 +31,6 @@ print("  the Z grading has component dimensions",
       [zg.dimension_of((k,)) for k in range(-2, 3)])
 
 nu = nu_automorphism()
-_, fix = fixed_subspace(nu, QQ)
+_, fix = fixed_subspace(nu)
 print(f"\nThe quaternionic involution nu of the Albert algebra: dim fix = {fix}"
       f" (15 = H3(H, I)); the other eigenspace has dimension {27 - fix}")

@@ -8,7 +8,6 @@ from collections import Counter
 from e6lab import chevalley
 from e6lab.algcore import fixed_subspace
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import QQ
 
 cb = chevalley.e6_chevalley()
 print(f"split e6 on the chain basis: dim {cb.lie.dim}, "
@@ -16,7 +15,7 @@ print(f"split e6 on the chain basis: dim {cb.lie.dim}, "
       f"signature {chevalley.split_signature(cb)}")
 
 om = chevalley.omega(cb)
-_, d = fixed_subspace(om, QQ)
+_, d = fixed_subspace(om)
 print(f"omega (e_j -> -f_j): dim fix = {d}")
 
 g = chevalley.gamma13(cb)

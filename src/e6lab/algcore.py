@@ -1,7 +1,9 @@
 """Finite-dimensional algebras by structure constants, and Lie-algebra services.
 
 A StructAlgebra is an ordered labeled basis plus a sparse structure-constant
-tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q.
+tensor c[i][j][k] with b_i b_j = sum_k c[i][j][k] b_k, over Q, the only
+field: no builder takes a field, and `StructAlgebra.field` is the tag "Q"
+that the JSON documents carry.
 Everything downstream (Jacobi checks, derivation solving, Killing forms,
 inertia, twists) works on this one representation, and every bracket table
 built from a basis (Der(A), sp8, the Chevalley chain basis, subalgebras) comes
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import linalg
-from .scalars import QQ, FIELDS, Field, Fraction as Rational
+from .scalars import QONE, QQ, QZERO, Fraction as Rational, fmt_rational, parse_rational
 
 _INT_TABLE_BOUND = 2**62
 
@@ -39,15 +41,21 @@ class AlgebraError(ValueError):
 
 @dataclass
 class StructAlgebra:
-    field: Field
     dim: int
     basis_labels: list
     sc: dict  # (i, j) -> {k: scalar}, zero rows omitted
+    # Q's document tag; any other is rejected.  Besides `algebra_from_json`,
+    # only the benchmark's rescaled models pass it (`field=alg.field`).
+    field: str = QQ
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
     _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.field != QQ:
+            raise AlgebraError(f"field {self.field!r} is not supported: algebras are over Q")
+        if len(self.basis_labels) != self.dim:
+            raise AlgebraError(f"{len(self.basis_labels)} basis labels for dimension {self.dim}")
         for (i, j), row in self.sc.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise AlgebraError("structure constant index out of range")
@@ -62,7 +70,7 @@ class StructAlgebra:
         """Bilinear extension of the structure constants to coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError("coordinate vector has wrong length")
-        out = [self.field.zero] * self.dim
+        out = [QZERO] * self.dim
         ys = linalg.sparse(y).items()
         for i, xv in linalg.sparse(x).items():
             for j, yv in ys:
@@ -84,9 +92,8 @@ class StructAlgebra:
 
     def _mult_matrix(self, x, left: bool) -> dict:
         """Sparse matrix of y -> x*y (left) or y -> y*x."""
-        z = self.field.zero
         out = {}
-        xs = [(a, v) for a, v in enumerate(x) if v != z]
+        xs = [(a, v) for a, v in enumerate(x) if v]
         for j in range(self.dim):
             for a, xv in xs:
                 row = self.sc.get((a, j) if left else (j, a))
@@ -94,8 +101,8 @@ class StructAlgebra:
                     continue
                 for k, v in row.items():
                     r = out.setdefault(k, {})
-                    val = r.get(j, z) + xv * v
-                    if val == z:
+                    val = r.get(j, QZERO) + xv * v
+                    if not val:
                         r.pop(j, None)
                     else:
                         r[j] = val
@@ -124,9 +131,8 @@ class StructAlgebra:
         return True
 
     def basis_vector(self, i: int):
-        z = self.field.zero
-        v = [z] * self.dim
-        v[i] = self.field.one
+        v = [QZERO] * self.dim
+        v[i] = QONE
         return v
 
     # -- integer-scaled sparse table (rational algebras only) --
@@ -157,18 +163,16 @@ class StructAlgebra:
         return (d, t)
 
 
-def algebra_from_products(field: Field, labels, product) -> StructAlgebra:
+def algebra_from_products(labels, product) -> StructAlgebra:
     """Build a StructAlgebra from product(i, j) -> coordinate vector."""
     n = len(labels)
-    z = field.zero
     sc = {}
     for i in range(n):
         for j in range(n):
-            vec = product(i, j)
-            row = {k: v for k, v in enumerate(vec) if v != z}
+            row = linalg.sparse(product(i, j))
             if row:
                 sc[(i, j)] = row
-    return StructAlgebra(field=field, dim=n, basis_labels=list(labels), sc=sc)
+    return StructAlgebra(dim=n, basis_labels=list(labels), sc=sc)
 
 
 def put_antisymmetric(sc: dict, i: int, j: int, row: dict) -> None:
@@ -323,10 +327,6 @@ class LieAlgebra:
         return lie
 
     @property
-    def field(self):
-        return self.alg.field
-
-    @property
     def dim(self):
         return self.alg.dim
 
@@ -354,7 +354,7 @@ def killing_matrix(lie: LieAlgebra):
     d, t = alg.int_tensor()
     if t is None:
         t = alg.sc
-    z = alg.field.zero if d is None else 0
+    z = QZERO if d is None else 0
     by_mq = {}
     for (i, m), row in t.items():
         for q, v in row.items():
@@ -410,9 +410,15 @@ def signature_from_fix(dim_s: int, dim_fix: int) -> int:
     return dim_s - 2 * dim_fix
 
 
-def fixed_subspace(matrix, field: Field = QQ):
-    """(basis, dim) of ker(M - id), basis in reduced echelon form."""
-    basis = linalg.eigenspace(matrix, field.one, field)
+def fixed_subspace(matrix, field=QQ):
+    """(basis, dim) of ker(M - id), basis in reduced echelon form.
+
+    The benchmark's solve workload passes QQ as field, the only value taken;
+    the parameter goes with that call.
+    """
+    if field != QQ:
+        raise ValueError(f"field {field!r} is not supported: matrices are over Q")
+    basis = linalg.eigenspace(matrix, QONE)
     return basis, len(basis)
 
 
@@ -447,7 +453,7 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
         else:
             sc[(i, j)] = row  # shared: rows are replaced, never edited in place
     twisted = StructAlgebra(
-        field=alg.field, dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc
+        dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc
     )
     return LieAlgebra._of_lie_table(twisted)
 
@@ -480,14 +486,13 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
         # the commutators run on the int matrices D*d and come out scaled by D^2
         den, mats = linalg.int_scaled([linalg.dense_to_sparse(d) for d in ders])
         n = alg.dim
-        solver = linalg.SpanSolver([sum(d, []) for d in ders], alg.field)
+        solver = linalg.SpanSolver([sum(d, []) for d in ders])
         sc = bracket_constants(
             solver,
             lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
             den * den,
         )
         der_alg = StructAlgebra(
-            field=alg.field,
             dim=len(ders),
             basis_labels=[f"d{i}" for i in range(len(ders))],
             sc=sc,
@@ -545,15 +550,14 @@ def _solve_derivations(alg: StructAlgebra):
 
 def leibniz_defect(alg: StructAlgebra, d) -> bool:
     """True iff the matrix d fails d(xy) = d(x)y + x d(y) on some basis pair."""
-    f = alg.field
     n = alg.dim
     for i in range(n):
         bi = alg.basis_vector(i)
-        dbi = linalg.mat_vec(d, bi, f)
+        dbi = linalg.mat_vec(d, bi)
         for j in range(n):
             bj = alg.basis_vector(j)
-            lhs = linalg.mat_vec(d, alg.multiply(bi, bj), f)
-            rhs = linalg.vec_add(alg.multiply(dbi, bj), alg.multiply(bi, linalg.mat_vec(d, bj, f)))
+            lhs = linalg.mat_vec(d, alg.multiply(bi, bj))
+            rhs = linalg.vec_add(alg.multiply(dbi, bj), alg.multiply(bi, linalg.mat_vec(d, bj)))
             if lhs != rhs:
                 return True
     return False
@@ -608,14 +612,13 @@ def is_monomial_automorphism(alg: StructAlgebra, perm, coef) -> bool:
 
 
 def algebra_to_json(alg: StructAlgebra, provenance=None) -> dict:
-    f = alg.field
     entries = []
     for (i, j) in sorted(alg.sc):
         row = alg.sc[(i, j)]
         for k in sorted(row):
-            entries.append([i, j, k, f.to_json(row[k])])
+            entries.append([i, j, k, fmt_rational(row[k])])
     doc = {
-        "field": f.name,
+        "field": QQ,
         "dim": alg.dim,
         "basis": list(alg.basis_labels),
         "sc": entries,
@@ -626,14 +629,11 @@ def algebra_to_json(alg: StructAlgebra, provenance=None) -> dict:
 
 
 def algebra_from_json(doc: dict) -> StructAlgebra:
-    f = FIELDS.get(doc["field"])
-    if f is None:
-        raise AlgebraError(f"field {doc['field']!r} is not supported: algebras are over Q")
     sc = {}
     for i, j, k, val in doc["sc"]:
         if not isinstance(val, str):
             raise AlgebraError(f"structure constant {val!r} is not a rational string")
-        sc.setdefault((i, j), {})[k] = f.from_json(val)
+        sc.setdefault((i, j), {})[k] = parse_rational(val)
     return StructAlgebra(
-        field=f, dim=doc["dim"], basis_labels=list(doc["basis"]), sc=sc
+        field=doc["field"], dim=doc["dim"], basis_labels=list(doc["basis"]), sc=sc
     )

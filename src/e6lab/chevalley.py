@@ -34,7 +34,6 @@ from .algcore import (
     signature_from_fix,
 )
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import QQ
 
 F = Fraction
 
@@ -184,7 +183,7 @@ def _build_cocycle_algebra(ef_sign: int) -> StructAlgebra:
         + ["e" + "".join(map(str, r)) for r in rs.positive]
         + ["f" + "".join(map(str, r)) for r in rs.positive]
     )
-    return StructAlgebra(field=QQ, dim=dim, basis_labels=labels, sc=sc)
+    return StructAlgebra(dim=dim, basis_labels=labels, sc=sc)
 
 
 @dataclass
@@ -254,7 +253,7 @@ def e6_chevalley() -> ChevalleyBasis:
     basis_change.extend(evecs)
     basis_change.extend(fvecs)
     sc = bracket_constants(
-        linalg.SpanSolver(basis_change, QQ),
+        linalg.SpanSolver(basis_change),
         lambda i, j: bracket(basis_change[i], basis_change[j]),
     )
     labels = (
@@ -262,7 +261,7 @@ def e6_chevalley() -> ChevalleyBasis:
         + ["e" + "".join(map(str, r)) for r in rs.positive]
         + ["f" + "".join(map(str, r)) for r in rs.positive]
     )
-    alg = StructAlgebra(field=QQ, dim=n, basis_labels=labels, sc=sc)
+    alg = StructAlgebra(dim=n, basis_labels=labels, sc=sc)
     for (i, j2), row in alg.sc.items():
         for k, v in row.items():
             if v.denominator != 1:
@@ -338,8 +337,8 @@ def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
 def fix_dim_omega_t(cb: ChevalleyBasis, om, signs) -> int:
     """dim fix(omega t) for om = omega(cb), computed honestly from the matrix kernel."""
     t = torus_element(cb, signs)
-    mat = linalg.mat_mul(om, t, QQ)
-    _, dim = fixed_subspace(mat, QQ)
+    mat = linalg.mat_mul(om, t)
+    _, dim = fixed_subspace(mat)
     return dim
 
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 from . import linalg
 from .algcore import StructAlgebra, algebra_from_products
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import QQ
 
 F = Fraction
 
@@ -87,7 +86,7 @@ def _algebra_from_table(labels, table) -> StructAlgebra:
         out[idx[lbl]] = F(s)
         return out
 
-    return algebra_from_products(QQ, labels, product)
+    return algebra_from_products(labels, product)
 
 
 def _split_quaternion_table():
@@ -137,7 +136,7 @@ def _cayley_dickson(base: CompositionAlgebra) -> CompositionAlgebra:
             second = zero
         return first + second
 
-    doubled = algebra_from_products(QQ, labels, product)
+    doubled = algebra_from_products(labels, product)
     return CompositionAlgebra(alg=doubled, norm_diag=base.norm_diag * 2)
 
 
@@ -186,14 +185,13 @@ def rr_coords(a, b) -> list:
 
 def d_ab(c: CompositionAlgebra, a, b):
     """The standard derivation [l_a,l_b] + [l_a,r_b] + [r_a,r_b] of C."""
-    f = c.alg.field
-    la = linalg.sparse_to_dense(c.alg.left_mult_matrix(a), c.dim, c.dim, f)
-    lb = linalg.sparse_to_dense(c.alg.left_mult_matrix(b), c.dim, c.dim, f)
-    ra = linalg.sparse_to_dense(c.alg.right_mult_matrix(a), c.dim, c.dim, f)
-    rb = linalg.sparse_to_dense(c.alg.right_mult_matrix(b), c.dim, c.dim, f)
+    la = linalg.sparse_to_dense(c.alg.left_mult_matrix(a), c.dim, c.dim)
+    lb = linalg.sparse_to_dense(c.alg.left_mult_matrix(b), c.dim, c.dim)
+    ra = linalg.sparse_to_dense(c.alg.right_mult_matrix(a), c.dim, c.dim)
+    rb = linalg.sparse_to_dense(c.alg.right_mult_matrix(b), c.dim, c.dim)
 
     def comm(x, y):
-        return linalg.mat_sub(linalg.mat_mul(x, y, f), linalg.mat_mul(y, x, f))
+        return linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
 
     out = comm(la, lb)
     out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(la, rb))]

@@ -39,7 +39,6 @@ from .algcore import (
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import QQ
 
 F = Fraction
 
@@ -79,7 +78,7 @@ def a_matrices():
     rational 8x8 matrices; all four are monomial."""
     out = []
     for entries in _A_POWERS:
-        p, q = linalg.zeros(8, 8, QQ), linalg.zeros(8, 8, QQ)
+        p, q = linalg.zeros(8, 8), linalg.zeros(8, 8)
         for (r, c), k in entries.items():
             p[r][c], q[r][c] = map(F, _I_POWERS[k])
         out.append((p, q))
@@ -99,13 +98,13 @@ def pair_mul(x, y):
     off the one product [P | Q] [[R, S], [-S, R]] = [PR - QS | PS + QR]."""
     p, q = x
     n = len(p)
-    prod = linalg.mat_mul([[*rp, *rq] for rp, rq in zip(p, q)], _real_form(y), QQ)
+    prod = linalg.mat_mul([[*rp, *rq] for rp, rq in zip(p, q)], _real_form(y))
     return [row[:n] for row in prod], [row[n:] for row in prod]
 
 
 def _real(m):
     """The pair (m, 0) of a rational matrix m."""
-    return m, linalg.zeros(len(m), len(m[0]), QQ)
+    return m, linalg.zeros(len(m), len(m[0]))
 
 
 def _neg(m):
@@ -123,7 +122,7 @@ class SymplecticFrame:
         for p, q in self.a:
             if pair_mul((p, q), pair_mul(c, (linalg.transpose(p), linalg.transpose(q)))) != c:
                 raise AlgebraError("A C A^t != C")
-        ident = linalg.identity(8, QQ)
+        ident = linalg.identity(8)
         if pair_mul(self.a[1], self.a[1]) != _real(_neg(ident)):
             raise AlgebraError("A2^2 != -I")
         a4sq = pair_mul(self.a[3], self.a[3])
@@ -170,22 +169,22 @@ def contraction_matrix():
 
 def contraction(u):
     """Apply c to a four-form given as a 70-coordinate vector."""
-    return linalg.mat_vec(contraction_matrix(), u, QQ)
+    return linalg.mat_vec(contraction_matrix(), u)
 
 
 @lru_cache(maxsize=None)
 def kernel_c_basis():
     """Rational basis of ker c (dim 42), primitive integer vectors."""
     mat = contraction_matrix()
-    if linalg.rank(mat, QQ) != 28:
+    if linalg.rank(mat) != 28:
         raise AlgebraError("contraction is not surjective")
-    return _primitive_rows(linalg.kernel(mat, 70, QQ))
+    return _primitive_rows(linalg.kernel(mat, 70))
 
 
 def _primitive_rows(rows):
     """Reduced echelon basis of the span of rational rows, each row scaled to
     a primitive integer vector (entries kept as Fractions)."""
-    red, _ = linalg.rref(rows, QQ)
+    red, _ = linalg.rref(rows)
     return [[F(x) for x in linalg.clear_denominators(v)] for v in red]
 
 
@@ -206,7 +205,7 @@ def sp8_rational_basis():
                 row[j * 8 + k] += c[i][k]
             if any(row):
                 rows.append(row)
-    return linalg.kernel(rows, 64, QQ)
+    return linalg.kernel(rows, 64)
 
 
 def _act_matrix_sparse(x, mons, idx):
@@ -281,23 +280,33 @@ def pair_inverse(a):
     """A^{-1} = R + iS of A = P + iQ, both as pairs: the inverse of the real
     form [[P, Q], [-Q, P]] of A is the real form [[R, S], [-S, R]] of A^{-1}."""
     n = len(a[0])
-    inv = linalg.mat_inverse(_real_form(a), QQ)
+    inv = linalg.mat_inverse(_real_form(a))
     return [row[:n] for row in inv[:n]], [row[n:] for row in inv[:n]]
 
 
 def _conjugation(a):
     """X -> A X A^{-1} for A = P + iQ given as (P, Q), on rational 8x8
-    matrices X flattened row-major to 64-vectors; the image is the pair
-    (Re, Im) of 64-vectors."""
-    p, q = a
-    ainv = pair_inverse(a)
+    matrices X flattened row-major to 64-vectors, as the pair (Re M, Im M)
+    of rational sparse 64x64 matrices: M[8r + c][8k + l] = A[r][k] A^{-1}[l][c]."""
 
-    def go(v):
-        x = [v[8 * r : 8 * r + 8] for r in range(8)]
-        ax = (linalg.mat_mul(p, x, QQ), linalg.mat_mul(q, x, QQ))
-        return tuple(sum(part, []) for part in pair_mul(ax, ainv))
+    def entries(m):
+        p, q = m
+        return [(r, c, p[r][c], q[r][c]) for r in range(8) for c in range(8) if p[r][c] or q[r][c]]
 
-    return go
+    inv = entries(pair_inverse(a))
+    parts = ({}, {})
+    for r, k, x, y in entries(a):
+        for l, c, u, w in inv:
+            for part, z in zip(parts, (x * u - y * w, x * w + y * u)):
+                if z:
+                    part.setdefault(8 * r + c, {})[8 * k + l] = z
+    return parts
+
+
+def _pair_op(m):
+    """v -> (Re M v, Im M v) for M given as the pair (Re M, Im M) of sparse
+    matrices."""
+    return lambda v: tuple(linalg.sp_matvec(part, linalg.sparse(v)) for part in m)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +316,7 @@ def _conjugation(a):
 def _operator_on_subspace(images, basis):
     """Matrix whose column j holds the coordinates of images[j] in the
     rational basis."""
-    solver = linalg.SpanSolver(basis, QQ)
+    solver = linalg.SpanSolver(basis)
     cols = [solver.coefficients(img) for img in images]
     if None in cols:
         raise AlgebraError("operator does not preserve the subspace")
@@ -335,10 +344,10 @@ def _split(subspaces, op, nev):
         for e in range(nev):
             lam_re, lam_im = _I_POWERS[(4 // nev) * e]
             combos = linalg.intersect_spans(
-                linalg.eigenspace(re, lam_re, QQ), linalg.eigenspace(im, lam_im, QQ), QQ
+                linalg.eigenspace(re, lam_re), linalg.eigenspace(im, lam_im)
             )
             if combos:
-                out.append(([linalg.lin_comb(co, basis, QQ) for co in combos], tag + (e,)))
+                out.append(([linalg.lin_comb(co, basis) for co in combos], tag + (e,)))
                 found += len(combos)
         if found != k:
             raise AlgebraError("the rational eigenspaces do not span the subspace")
@@ -389,11 +398,8 @@ def _graded_bases():
     odd = [(kernel_c_basis(), ())]
     for i, a in enumerate(frame().a):
         nev = 2 if i < 3 else 4
-        even = _split(even, _conjugation(a), nev)
-        wedge = wedge4_matrix_sparse(a)
-        odd = _split(
-            odd, lambda v, w=wedge: tuple(linalg.sp_matvec(part, linalg.sparse(v)) for part in w), nev
-        )
+        even = _split(even, _pair_op(_conjugation(a)), nev)
+        odd = _split(odd, _pair_op(wedge4_matrix_sparse(a)), nev)
     return tuple(
         [(_primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
         for leaves in (even, odd)
@@ -435,7 +441,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
     if (ne, no) != (36, 42):
         raise AlgebraError("unexpected graded dimensions")
 
-    odd_expand = linalg.SpanSolver(odd_vecs, QQ)
+    odd_expand = linalg.SpanSolver(odd_vecs)
     # the even matrices (entries in {-1, 0, 1}) and the ker c rows (primitive
     # integer vectors) as int rows: every product below runs on ints
     e_den, even_int = linalg.int_scaled(even_mats)
@@ -445,7 +451,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
 
     # even x even: sp8 under the commutator
     sc = bracket_constants(
-        linalg.SpanSolver([sum(m, []) for m in even_mats], QQ),
+        linalg.SpanSolver([sum(m, []) for m in even_mats]),
         lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
         e_den * e_den,
     )
@@ -470,7 +476,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
         for p in range(ne)
     ]
     g_den, ginv_cols = linalg.int_scaled(
-        [linalg.sparse(col) for col in linalg.transpose(linalg.mat_inverse(gram, QQ))]
+        [linalg.sparse(col) for col in linalg.transpose(linalg.mat_inverse(gram))]
     )
     # one pass over each image x.u through the index {coordinate: [(v, value)]}
     # of the ker c rows collects the nonzero b_x of every pair (u, v), v > u
@@ -498,7 +504,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
             )
 
     labels = [f"x{i}" for i in range(ne)] + [f"u{j}" for j in range(no)]
-    alg = StructAlgebra(field=QQ, dim=78, basis_labels=labels, sc=sc)
+    alg = StructAlgebra(dim=78, basis_labels=labels, sc=sc)
     lie = LieAlgebra(alg)
     return Sp8Model(
         lie=lie,
@@ -535,7 +541,7 @@ def odd_bracket(u, v, lam: Fraction = ODD_BRACKET_SCALE):
     """Bracket of two ker-c vectors (70 coords), as an 8x8 sp8 matrix."""
     model = assemble_e6()
     ne = model.even_dim
-    ex = linalg.SpanSolver(model.odd_vectors, QQ)
+    ex = linalg.SpanSolver(model.odd_vectors)
     cu = ex.coefficients(u)
     cv = ex.coefficients(v)
     if cu is None or cv is None:
@@ -587,8 +593,8 @@ def conjugated_form() -> dict:
     m, m_im = pair_mul(fr.a[0], pair_mul(fr.a[1], fr.a[2]))
     if any(x for row in m_im for x in row):
         raise AlgebraError("A1 A2 A3 should be real")
-    m2 = linalg.mat_mul(m, m, QQ)
-    ident = linalg.identity(8, QQ)
+    m2 = linalg.mat_mul(m, m)
+    ident = linalg.identity(8)
     if m2 != ident and m2 != _neg(ident):
         raise AlgebraError("sigma' is not an involution")
     bits = _chi_bits(model)
@@ -621,9 +627,9 @@ def fix_ad_c_a123_dim() -> int:
     if any(x for row in g[1] for x in row):
         raise AlgebraError("C A1 A2 A3 should be real")
     basis = sp8_rational_basis()
-    conj = _conjugation(g)
-    mat = _operator_on_subspace([conj(v)[0] for v in basis], basis)
-    _, dim = fixed_subspace(mat, QQ)
+    conj, _ = _conjugation(g)
+    mat = _operator_on_subspace([linalg.sp_matvec(conj, linalg.sparse(v)) for v in basis], basis)
+    _, dim = fixed_subspace(mat)
     return dim
 
 
@@ -674,7 +680,7 @@ def _canonical_mod_sign(m):
 
 def _order_mod_sign(m) -> int:
     """Least k >= 1 with m^k = +-I (at most 8 for the dot group)."""
-    ident = _canonical_mod_sign(_real(linalg.identity(len(m[0]), QQ)))
+    ident = _canonical_mod_sign(_real(linalg.identity(len(m[0]))))
     power = m
     for k in range(1, 9):
         if _canonical_mod_sign(power) == ident:
@@ -694,7 +700,7 @@ def dot_group_order_data() -> dict:
     orders = dot_group_generator_orders()
     words = []
     for exps in product(*(range(o) for o in orders)):
-        m = _real(linalg.identity(8, QQ))
+        m = _real(linalg.identity(8))
         for a, e in zip(fr.a, exps):
             for _ in range(e):
                 m = pair_mul(m, a)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivations, inertia
-from .scalars import QQ
+from .scalars import QONE, QZERO, fmt_rational, parse_rational
 
 
 class GradingError(ValueError):
@@ -116,7 +116,9 @@ class GradedDecomposition:
         clean = {}
         for g, vecs in self.components.items():
             g = self.group.reduce(g)
-            vecs = [list(v) for v in vecs if any(x != self.algebra.field.zero for x in v)]
+            if any(len(v) != self.algebra.dim for v in vecs):
+                raise GradingError(f"degree {g}: a vector's length is not {self.algebra.dim}")
+            vecs = [list(v) for v in vecs if any(v)]
             if vecs:
                 if g in clean:
                     raise GradingError(f"duplicate degree {g}")
@@ -140,7 +142,7 @@ class GradedDecomposition:
     def _component_solvers(self):
         if self._solvers is None:
             self._solvers = {
-                g: linalg.SpanSolver(vecs, self.algebra.field)
+                g: linalg.SpanSolver(vecs)
                 for g, vecs in self.components.items()
             }
         return self._solvers
@@ -160,10 +162,9 @@ class GradingReport:
 def verify(grading: GradedDecomposition) -> GradingReport:
     """Exhaustive check of direct sum and closure A_g A_h <= A_{g+h}."""
     alg = grading.algebra
-    f = alg.field
     stacked = [v for vecs in grading.components.values() for v in vecs]
     total = len(stacked)
-    direct_sum_ok = total == alg.dim and linalg.rank(stacked, f) == alg.dim
+    direct_sum_ok = total == alg.dim and linalg.rank(stacked) == alg.dim
     violations = []
     solvers = grading._component_solvers()
     # products x*y run on the int table D*c and the int-scaled rows; membership
@@ -222,7 +223,6 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     attached to `derivation_algebra(A)`.
     """
     alg = grading.algebra
-    f = alg.field
     der_basis = derivations(alg)
     m = len(der_basis)
     supp = grading.support
@@ -238,18 +238,18 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
         for r, v in enumerate(grading.components[h]):
             stacked.append(v)
             positions.append((h, r))
-    full_solver = linalg.SpanSolver(stacked, f)
+    full_solver = linalg.SpanSolver(stacked)
     slices = {}  # (h, vi) -> {target: [per-der {r: coeff}] }
     for h in supp:
         for vi, v in enumerate(grading.components[h]):
-            vsp = {i: x for i, x in enumerate(v) if x != f.zero}
+            vsp = linalg.sparse(v)
             per_target = {}
             for t, dsp in enumerate(der_sparse):
                 coeffs = full_solver.coefficients(linalg.sp_matvec(dsp, vsp))
                 if coeffs is None:
                     raise GradingError("derivation image outside the algebra")
                 for pos, co in enumerate(coeffs):
-                    if co != f.zero:
+                    if co:
                         tgt, r = positions[pos]
                         per_target.setdefault(tgt, {}).setdefault(t, {})[r] = co
             slices[(h, vi)] = per_target
@@ -306,21 +306,20 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     if grading_c.algebra.sc != c.alg.sc or grading_j.algebra.sc != j.alg.sc:
         # the induced pieces are read in the model's Der(C), Der(J) bases
         raise GradingError("gradings do not live on the model's C and J")
-    f = QQ
     gc, gj = grading_c.group, grading_j.group
     lie = t.lie
     nj0 = len(t.j0_vectors)
     indc = induced_on_der(grading_c) if t.der_c_basis else None
     indj = induced_on_der(grading_j)
     # traceless parts of the graded components, in C0 / J0 coordinates
-    j0_expand = linalg.SpanSolver(t.j0_vectors, f)
+    j0_expand = linalg.SpanSolver(t.j0_vectors)
     c0g = {}
     for g, vecs in grading_c.components.items():
         tv = [c.trace(v) for v in vecs]
-        combos = linalg.kernel([tv], len(vecs), f)
+        combos = linalg.kernel([tv], len(vecs))
         out = []
         for combo in combos:
-            v = linalg.lin_comb(combo, vecs, f)
+            v = linalg.lin_comb(combo, vecs)
             if v[c.unit_idx] != 0:
                 raise GradingError("traceless C component touches the unit")
             out.append([v[b] for b in t.c0_idx])
@@ -329,10 +328,10 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     j0h = {}
     for h, vecs in grading_j.components.items():
         tv = [j.t_j(v) for v in vecs]
-        combos = linalg.kernel([tv], len(vecs), f)
+        combos = linalg.kernel([tv], len(vecs))
         out = []
         for combo in combos:
-            v = linalg.lin_comb(combo, vecs, f)
+            v = linalg.lin_comb(combo, vecs)
             coeffs = j0_expand.coefficients(v)
             if coeffs is None:
                 raise GradingError("traceless J component outside J0")
@@ -353,14 +352,14 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
         for g, vecs in indc.components.items():
             dst = bucket(g, ej)
             for coeffs in vecs:
-                v = [f.zero] * lie.dim
+                v = [QZERO] * lie.dim
                 for i2, co in enumerate(coeffs):
                     v[dc_off + i2] = co
                 dst.append(v)
     for h, vecs in indj.components.items():
         dst = bucket(ec, h)
         for coeffs in vecs:
-            v = [f.zero] * lie.dim
+            v = [QZERO] * lie.dim
             for i2, co in enumerate(coeffs):
                 v[dj_off + i2] = co
             dst.append(v)
@@ -369,11 +368,11 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
             dst = bucket(g, h)
             for a in avecs:
                 for x in xvecs:
-                    v = [f.zero] * lie.dim
+                    v = [QZERO] * lie.dim
                     for ci2, av in enumerate(a):
-                        if av != f.zero:
+                        if av:
                             for ji2, xv in enumerate(x):
-                                if xv != f.zero:
+                                if xv:
                                     v[tn_off + ci2 * nj0 + ji2] = av * xv
                     dst.append(v)
     group = gc.product(gj)
@@ -385,13 +384,12 @@ def common_refinement(g1: GradedDecomposition, g2: GradedDecomposition) -> Grade
     if g1.algebra is not g2.algebra and g1.algebra.sc != g2.algebra.sc:
         raise GradingError("gradings live on different algebras")
     alg = g1.algebra
-    f = alg.field
     group = g1.group.product(g2.group)
     comps = {}
     total = 0
     for a, va in g1.components.items():
         for b, vb in g2.components.items():
-            inter = linalg.intersect_spans(va, vb, f)
+            inter = linalg.intersect_spans(va, vb)
             if inter:
                 comps[g1.group.combine_elements(g2.group, a, b)] = inter
                 total += len(inter)
@@ -421,7 +419,7 @@ def _homogeneous_gram(grading: GradedDecomposition, lie: LieAlgebra):
     for g in grading.support:
         spans[g] = slice(len(rows), len(rows) + len(grading.components[g]))
         rows.extend(grading.components[g])
-    return linalg.gram(lie.killing_matrix(), rows, rows, lie.field), spans
+    return linalg.gram(lie.killing_matrix(), rows, rows), spans
 
 
 def killing_orthogonality_violations(grading: GradedDecomposition, lie: LieAlgebra):
@@ -464,7 +462,6 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     certificate recomputes the Gram matrix of the final basis from K.
     """
     k = lie.killing_matrix()
-    f = lie.field
     group = grading.group
     kp, spans = _homogeneous_gram(grading, lie)
 
@@ -483,7 +480,7 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
             diag, p = linalg.congruence_diagonalize(block(g, g))
             if any(d == 0 for d in diag):
                 raise GradingError(f"Killing form degenerate on component {g}")
-            zvecs.extend(zip(linalg.mat_mul(linalg.transpose(p), gv, f), diag))
+            zvecs.extend(zip(linalg.mat_mul(linalg.transpose(p), gv), diag))
             done.add(g)
         else:
             if neg not in grading.components:
@@ -491,8 +488,8 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
             hv = grading.components[neg]
             if len(gv) != len(hv):
                 raise GradingError("paired components have different dimensions")
-            ginv = linalg.mat_inverse(block(g, neg), f)
-            pairs.extend(zip(gv, linalg.mat_mul(linalg.transpose(ginv), hv, f)))
+            ginv = linalg.mat_inverse(block(g, neg))
+            pairs.extend(zip(gv, linalg.mat_mul(linalg.transpose(ginv), hv)))
             done.add(g)
             done.add(neg)
     # certificate: the Gram matrix of the full basis, recomputed from K
@@ -500,12 +497,12 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     for u, v in pairs:
         basis.extend([u, v])
     basis.extend(z for z, _ in zvecs)
-    gram = linalg.gram(k, basis, basis, f)
+    gram = linalg.gram(k, basis, basis)
     nb = len(basis)
-    expected = [[f.zero] * nb for _ in range(nb)]
+    expected = linalg.zeros(nb, nb)
     for t in range(len(pairs)):
-        expected[2 * t][2 * t + 1] = f.one
-        expected[2 * t + 1][2 * t] = f.one
+        expected[2 * t][2 * t + 1] = QONE
+        expected[2 * t + 1][2 * t] = QONE
     for t, (_, piv) in enumerate(zvecs):
         i = 2 * len(pairs) + t
         expected[i][i] = piv
@@ -527,13 +524,12 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
 
 
 def grading_to_json(grading: GradedDecomposition) -> dict:
-    f = grading.algebra.field
     comps = []
     for g in grading.support:
         comps.append(
             {
                 "degree": list(g),
-                "vectors": [[f.to_json(x) for x in v] for v in grading.components[g]],
+                "vectors": [[fmt_rational(x) for x in v] for v in grading.components[g]],
             }
         )
     return {
@@ -547,10 +543,9 @@ def grading_to_json(grading: GradedDecomposition) -> dict:
 
 def grading_from_json(doc: dict, algebra: StructAlgebra) -> GradedDecomposition:
     group = FinAbGroup(doc["group"]["free_rank"], tuple(doc["group"]["torsion"]))
-    f = algebra.field
     comps = {}
     for c in doc["components"]:
         comps[tuple(c["degree"])] = [
-            [f.from_json(x) for x in v] for v in c["vectors"]
+            [parse_rational(x) for x in v] for v in c["vectors"]
         ]
     return GradedDecomposition(group=group, algebra=algebra, components=comps)

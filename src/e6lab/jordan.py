@@ -17,7 +17,6 @@ from . import linalg
 from .algcore import StructAlgebra, algebra_from_products
 from .composition import CompositionAlgebra, hurwitz
 from .gradings import FinAbGroup, GradedDecomposition, GradingError
-from .scalars import QQ
 
 F = Fraction
 
@@ -57,7 +56,7 @@ class JordanAlgebra:
     def r_op(self, x):
         """Dense matrix of the multiplication operator y -> y . x."""
         return linalg.sparse_to_dense(
-            self.alg.right_mult_matrix(x), self.dim, self.dim, QQ
+            self.alg.right_mult_matrix(x), self.dim, self.dim
         )
 
 
@@ -139,7 +138,7 @@ def _h3_cached(comp_name: str, gamma: tuple) -> JordanAlgebra:
             if row:
                 sc[(i, j)] = row
                 sc[(j, i)] = dict(row)
-    alg = StructAlgebra(field=QQ, dim=n, basis_labels=labels, sc=sc)
+    alg = StructAlgebra(dim=n, basis_labels=labels, sc=sc)
     unit = [F(0)] * n
     unit[0] = unit[1] = unit[2] = F(1)
     t_row = [F(0)] * n
@@ -185,7 +184,7 @@ def m3r() -> JordanAlgebra:
             out[3 * r + q] += F(1, 2)
         return out
 
-    alg = algebra_from_products(QQ, labels, product)
+    alg = algebra_from_products(labels, product)
     unit = [F(0)] * 9
     t_row = [F(0)] * 9
     for i in range(3):
@@ -213,7 +212,7 @@ def inner_der(j: JordanAlgebra, x, y):
     """[R_x, R_y], always a derivation of J."""
     rx = j.alg.right_mult_matrix(x)
     ry = j.alg.right_mult_matrix(y)
-    return linalg.sparse_to_dense(linalg.sp_commutator(rx, ry), j.dim, j.dim, QQ)
+    return linalg.sparse_to_dense(linalg.sp_commutator(rx, ry), j.dim, j.dim)
 
 
 def j0_basis(j: JordanAlgebra):
@@ -305,7 +304,7 @@ def _z_on_h3(j: JordanAlgebra) -> GradedDecomposition:
     comps = {}
     total = 0
     for lam in range(-2, 3):
-        basis = linalg.eigenspace(op, F(lam), QQ)
+        basis = linalg.eigenspace(op, F(lam))
         if basis:
             comps[(lam,)] = basis
             total += len(basis)

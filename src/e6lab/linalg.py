@@ -2,7 +2,9 @@
 
 Dense matrices are lists of row lists; sparse vectors are {index: scalar}
 dicts and sparse matrices {row: {col: scalar}}, with Fraction or int
-entries.  Zero tests are truthiness tests.
+entries.  Zero tests are truthiness tests.  Q is the only field, so no
+routine takes one: every zero or one a routine writes is the Fraction
+`QZERO` or `QONE`, and a pivot is inverted as `QONE / x`.
 
 `rref` is the one elimination: it reduces dense or sparse rows on {col: x}
 dicts, so its cost follows the nonzeros, not the width.  The reduced row
@@ -27,31 +29,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Field, QQ
+from .scalars import QONE, QZERO
 
 
 # ---------------------------------------------------------------------------
 # dense helpers
 
 
-def zeros(n, m, field: Field):
-    z = field.zero
-    return [[z] * m for _ in range(n)]
+def zeros(n, m):
+    return [[QZERO] * m for _ in range(n)]
 
 
-def identity(n, field: Field):
-    m = zeros(n, n, field)
+def identity(n):
+    m = zeros(n, n)
     for i in range(n):
-        m[i][i] = field.one
+        m[i][i] = QONE
     return m
 
 
-def mat_vec(m, v, field: Field):
+def mat_vec(m, v):
     vs = sparse(v)
-    z = field.zero
     out = []
     for row in m:
-        acc = z
+        acc = QZERO
         for j, x in vs.items():
             a = row[j]
             if a:
@@ -60,13 +60,12 @@ def mat_vec(m, v, field: Field):
     return out
 
 
-def mat_mul(a, b, field: Field):
-    z = field.zero
+def mat_mul(a, b):
     nb = len(b[0])
     bsp = [sparse(row) for row in b]
     out = []
     for arow in a:
-        orow = [z] * nb
+        orow = [QZERO] * nb
         for aik, brow in zip(arow, bsp):
             if aik:
                 for j, x in brow.items():
@@ -75,20 +74,19 @@ def mat_mul(a, b, field: Field):
     return out
 
 
-def gram(m, xs, ys, field: Field):
+def gram(m, xs, ys):
     """[[x m y^T for y in ys] for x in xs]: the bilinear form m on two lists
     of row vectors, skipping zero entries of the rows and of m."""
-    z = field.zero
-    ysp = [[(j, b) for j, b in enumerate(y) if b != z] for y in ys]
+    ysp = [[(j, b) for j, b in enumerate(y) if b] for y in ys]
     out = []
     for x in xs:
         xm = {}
         for i, a in enumerate(x):
-            if a != z:
+            if a:
                 for j, c in enumerate(m[i]):
-                    if c != z:
-                        xm[j] = xm.get(j, z) + a * c
-        out.append([sum((xm[j] * b for j, b in y if j in xm), z) for y in ysp])
+                    if c:
+                        xm[j] = xm.get(j, QZERO) + a * c
+        out.append([sum((xm[j] * b for j, b in y if j in xm), QZERO) for y in ysp])
     return out
 
 
@@ -117,20 +115,20 @@ def sparse(v) -> dict:
     return {i: x for i, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
 
 
-def lin_comb(coeffs, vectors, field: Field):
+def lin_comb(coeffs, vectors):
     """sum(c * v) as a dense list, accumulated over the nonzeros only."""
     acc = {}
     for co, v in zip(coeffs, vectors):
         if co:
             sp_add_into(acc, sparse(v), co)
-    return [acc.get(j, field.zero) for j in range(len(vectors[0]))]
+    return [acc.get(j, QZERO) for j in range(len(vectors[0]))]
 
 
 # ---------------------------------------------------------------------------
 # echelon forms, kernels, solving
 
 
-def rref(rows, field: Field, ncols=None):
+def rref(rows, ncols=None):
     """Reduced row echelon form of dense rows, or of {col: x} rows of width
     ncols.
 
@@ -145,7 +143,6 @@ def rref(rows, field: Field, ncols=None):
         if rows and isinstance(rows[0], dict):
             raise TypeError("rref of dict rows needs ncols")
         ncols = len(rows[0]) if rows else 0
-    one = field.one
     echelon = {}  # pivot column -> row with 1 there and nothing to its left
     for r in rows:
         r = sparse(r)
@@ -153,8 +150,8 @@ def rref(rows, field: Field, ncols=None):
             c = min(r)
             p = echelon.get(c)
             if p is None:
-                if r[c] != one:
-                    inv = field.inv(r[c])
+                if r[c] != 1:
+                    inv = QONE / r[c]  # a Fraction for an int pivot too
                     r = {k: x * inv for k, x in r.items()}
                 echelon[c] = r
                 break
@@ -166,28 +163,27 @@ def rref(rows, field: Field, ncols=None):
         r = echelon[pc]
         for c in [c for c in r if c != pc and c in echelon]:
             sp_add_into(r, echelon[c], -r[c])
-    z = field.zero
-    return [[echelon[pc].get(j, z) for j in range(ncols)] for pc in pivots], pivots
+    return [[echelon[pc].get(j, QZERO) for j in range(ncols)] for pc in pivots], pivots
 
 
-def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[1])
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
-def kernel(rows, ncols, field: Field):
+def kernel(rows, ncols):
     """Canonical basis of {v : rows @ v = 0}, itself in reduced echelon form;
     rows are dense lists or {col: x} dicts."""
-    red, pivots = rref(rows, field, ncols)
+    red, pivots = rref(rows, ncols)
     pivset = set(pivots)
     basis = []
     for fc in range(ncols):
         if fc not in pivset:
-            v = {fc: field.one}
+            v = {fc: QONE}
             for r, pc in enumerate(pivots):
                 if red[r][fc]:
                     v[pc] = -red[r][fc]
             basis.append(v)
-    return rref(basis, field, ncols)[0]
+    return rref(basis, ncols)[0]
 
 
 class SpanSolver:
@@ -203,15 +199,15 @@ class SpanSolver:
     nonzeros of v and of the rows it meets, in Python ints.
     """
 
-    def __init__(self, basis, field: Field):
+    def __init__(self, basis):
         n = len(basis)
         ncols = len(basis[0]) if n else 0
         aug = []
         for i, b in enumerate(basis):
             row = sparse(b)
-            row[ncols + i] = field.one
+            row[ncols + i] = QONE
             aug.append(row)
-        red, pivots = rref(aug, field, ncols + n)
+        red, pivots = rref(aug, ncols + n)
         if len(red) != n or (pivots and pivots[-1] >= ncols):
             raise ValueError("basis vectors are linearly dependent")
         self.n = n
@@ -251,7 +247,7 @@ class SpanSolver:
                 for j, t in pr[1].items():
                     acc[j] = acc.get(j, 0) + x * t
         den = d * self.lcm_transform * scale
-        out = [QQ.zero] * self.n
+        out = [QZERO] * self.n
         for j, x in acc.items():
             if x:
                 out[j] = Fraction(x, den)
@@ -300,29 +296,29 @@ def sp_flatten(m: dict, ncols: int) -> dict:
     return out
 
 
-def mat_inverse(a, field: Field):
+def mat_inverse(a):
     """Inverse of a square matrix, read off the reduced echelon form
     [I | A^-1] of [A | I]."""
     n = len(a)
     aug = []
     for i, row in enumerate(a):
         r = sparse(row)
-        r[n + i] = field.one
+        r[n + i] = QONE
         aug.append(r)
-    red, pivots = rref(aug, field, 2 * n)
+    red, pivots = rref(aug, 2 * n)
     if pivots and pivots[-1] >= n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
 
 
-def eigenspace(m, lam, field: Field):
+def eigenspace(m, lam):
     rows = [sparse(row) for row in m]
     for i, r in enumerate(rows):
-        sp_add_into(r, {i: field.one}, -lam)
-    return kernel(rows, len(m), field)
+        sp_add_into(r, {i: QONE}, -lam)
+    return kernel(rows, len(m))
 
 
-def intersect_spans(basis_a, basis_b, field: Field):
+def intersect_spans(basis_a, basis_b):
     """Basis of span(basis_a) & span(basis_b)."""
     if not basis_a or not basis_b:
         return []
@@ -336,8 +332,8 @@ def intersect_spans(basis_a, basis_b, field: Field):
     for j, b in enumerate(basis_b):
         for col, x in sparse(b).items():
             rows[col][na + j] = -x
-    combos = kernel(rows, na + len(basis_b), field)
-    return rref([lin_comb(c[:na], basis_a, field) for c in combos], field, ncols)[0]
+    combos = kernel(rows, na + len(basis_b))
+    return rref([lin_comb(c[:na], basis_a) for c in combos], ncols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +500,8 @@ def dense_to_sparse(m) -> dict:
     return {i: r for i, row in enumerate(m) if (r := sparse(row))}
 
 
-def sparse_to_dense(m: dict, nrows, ncols, field: Field):
-    out = zeros(nrows, ncols, field)
+def sparse_to_dense(m: dict, nrows, ncols):
+    out = zeros(nrows, ncols)
     for i, row in m.items():
         for j, x in row.items():
             out[i][j] = x
@@ -595,7 +591,7 @@ class IntKernelAccumulator:
             {u: Fraction(x) for u, x in self.basis[vid].items()}
             for vid in sorted(self.basis)
         ]
-        return rref(rows, QQ, self.n)[0]
+        return rref(rows, self.n)[0]
 
 
 def clear_denominators(vec):

@@ -48,7 +48,6 @@ from .jordan import (
     nu_automorphism,
     star,
 )
-from .scalars import QQ
 
 F = Fraction
 
@@ -91,7 +90,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
 
     dc_expand = derivation_solver(c.alg)
     dj_expand = derivation_solver(j.alg)
-    j0_expand = linalg.SpanSolver(j0, QQ)
+    j0_expand = linalg.SpanSolver(j0)
     ncdim = c.dim
     njdim = j.dim
 
@@ -229,7 +228,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
         + [f"t[{c.labels[c0[a]]};{x}]" for a in range(nc) for x in range(nj)]
         + [f"dJ{p}" for p in range(ndj)]
     )
-    alg = StructAlgebra(field=QQ, dim=dim, basis_labels=labels, sc=sc)
+    alg = StructAlgebra(dim=dim, basis_labels=labels, sc=sc)
     lie = LieAlgebra(alg)  # certifies Jacobi; a convention bug fails loudly here
     return TitsAlgebra(
         lie=lie,
@@ -394,14 +393,14 @@ def sp31_decomposition() -> dict:
     der = t.der_j_basis
     dj_solver = derivation_solver(t.jordan.alg)
     j0 = t.j0_vectors
-    j0_solver = linalg.SpanSolver(j0, QQ)
+    j0_solver = linalg.SpanSolver(j0)
     nu_l = [[F(0)] * dim for _ in range(dim)]
     for ji, x in enumerate(j0):
-        img = j0_solver.coefficients(linalg.mat_vec(nu_j, x, QQ))
+        img = j0_solver.coefficients(linalg.mat_vec(nu_j, x))
         for r, v in enumerate(img):
             nu_l[t.layout["tensor"].start + r][t.layout["tensor"].start + ji] = v
     for p, d in enumerate(der):
-        conj = linalg.mat_mul(nu_j, linalg.mat_mul(d, nu_j, QQ), QQ)
+        conj = linalg.mat_mul(nu_j, linalg.mat_mul(d, nu_j))
         img = dj_solver.coefficients(sum(conj, []))
         if img is None:
             raise AlgebraError("nu conjugation leaves Der(J)")
@@ -410,10 +409,10 @@ def sp31_decomposition() -> dict:
     theta = [[F(0)] * dim for _ in range(dim)]
     for i in range(dim):
         theta[i][i] = F(1) if i in t.layout["der_j"] else F(-1)
-    nu_prime = linalg.mat_mul(theta, nu_l, QQ)
+    nu_prime = linalg.mat_mul(theta, nu_l)
     if not is_automorphism(lie.alg, nu_prime):
         raise AlgebraError("theta*nu is not an automorphism")
-    even_basis, even_dim = fixed_subspace(nu_prime, QQ)
+    even_basis, even_dim = fixed_subspace(nu_prime)
     # fix(theta) & fix(nu) = derivations commuting with nu (nu_l is block
     # diagonal, so restrict to the Der block and take its fixed space)
     der_range = t.layout["der_j"]
@@ -421,17 +420,15 @@ def sp31_decomposition() -> dict:
         [nu_l[der_range.start + r][der_range.start + p] for p in range(len(der))]
         for r in range(len(der))
     ]
-    fix_both, _ = fixed_subspace(nu_der_block, QQ)
-    f = QQ
-    gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis, f)
+    fix_both, _ = fixed_subspace(nu_der_block)
+    gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis)
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
     sub_sc = bracket_constants(
-        linalg.SpanSolver(even_basis, f), lambda a, b: lie.bracket(even_basis[a], even_basis[b])
+        linalg.SpanSolver(even_basis), lambda a, b: lie.bracket(even_basis[a], even_basis[b])
     )
     sub = LieAlgebra(
         StructAlgebra(
-            field=f,
             dim=even_dim,
             basis_labels=[f"s{i}" for i in range(even_dim)],
             sc=sub_sc,

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import catalog, chevalley, e6sp8
-from .algcore import derivations, jacobi_defect
+from .algcore import derivations, fixed_subspace, jacobi_defect
 from .composition import hurwitz
 from .gradings import (
     killing_orthogonality_violations,
@@ -254,10 +254,7 @@ def group_chevalley():
     out = []
     out.append(_check("C12.roots", "number of roots", 72, 2 * len(cb.roots.positive)))
     out.append(_check("C12.split-sig", "split form signature", 6, chevalley.split_signature(cb)))
-    from .algcore import fixed_subspace
-    from .scalars import QQ
-
-    _, dfo = fixed_subspace(chevalley.omega(cb), QQ)
+    _, dfo = fixed_subspace(chevalley.omega(cb))
     out.append(_check("C12.fix-omega", "dim fix(omega)", 36, dfo))
     inh = chevalley.inheriting_signatures(cb)
     all36 = all(r["dim_fix_omega_t"] == 36 for r in inh["rows"])

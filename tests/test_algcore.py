@@ -25,7 +25,6 @@ from e6lab.algcore import (
     signature_from_fix,
     twist,
 )
-from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -40,7 +39,7 @@ def sl2() -> StructAlgebra:
         (1, 2): {0: F(1)},
         (2, 1): {0: F(-1)},
     }
-    return StructAlgebra(field=QQ, dim=3, basis_labels=["h", "e", "f"], sc=sc)
+    return StructAlgebra(dim=3, basis_labels=["h", "e", "f"], sc=sc)
 
 
 def test_multiply_bilinear():
@@ -63,7 +62,7 @@ def test_jacobi_perturbed_nonempty():
     a = sl2()
     a.sc[(0, 1)] = {1: F(3)}
     a.sc[(1, 0)] = {1: F(-3)}
-    a = StructAlgebra(field=QQ, dim=3, basis_labels=a.basis_labels, sc=a.sc)
+    a = StructAlgebra(dim=3, basis_labels=a.basis_labels, sc=a.sc)
     assert jacobi_defect(a) != []
 
 
@@ -75,7 +74,7 @@ def test_jacobi_exact_path_agrees():
     b = sl2()
     b.sc[(1, 2)] = {0: F(1), 1: F(1)}
     b.sc[(2, 1)] = {0: F(-1), 1: F(-1)}
-    b = StructAlgebra(field=QQ, dim=3, basis_labels=b.basis_labels, sc=b.sc)
+    b = StructAlgebra(dim=3, basis_labels=b.basis_labels, sc=b.sc)
     assert b.int_tensor()[1] is not None
     fast = jacobi_defect(b)
     b._int_cache = (None, None)
@@ -96,7 +95,7 @@ def test_packed_jacobi_matches_the_pair_loop_on_a_mutated_model():
     sc = dict(alg.sc)  # rows are replaced below, never edited in place
     sc[(i, j)] = {**row, k: 3 * row[k]}
     sc[(j, i)] = {q: -v for q, v in sc[(i, j)].items()}
-    mutant = StructAlgebra(field=QQ, dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+    mutant = StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
     defect = jacobi_defect(mutant)
     assert defect
     assert defect == algcore._jacobi_defect_pairs(mutant)
@@ -117,7 +116,7 @@ def integer_tables(draw):
         if row:
             sc[(i, j)] = row
             sc[(j, i)] = {k: -v for k, v in row.items()}
-    return StructAlgebra(field=QQ, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+    return StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
 
 
 @given(integer_tables())
@@ -131,7 +130,7 @@ def test_int_tensor_bound_is_on_the_entries():
     # dim 4, so dim * T^2 < 2^62 iff |T| < 2^30; the 1/2 and 1/3 entries give
     # D = 6 with max |T| = 3, and the third bracket sets max |T| on its own
     def alg_with(c):
-        return _from_brackets(QQ, 4, {(0, 1): {2: F(1, 2)}, (1, 2): {0: F(1, 3)}, (0, 2): {1: c}})
+        return _from_brackets(4, {(0, 1): {2: F(1, 2)}, (1, 2): {0: F(1, 3)}, (0, 2): {1: c}})
 
     d, t = alg_with(F(1)).int_tensor()
     assert (d, t[(0, 1)], t[(1, 2)], t[(0, 2)]) == (6, {2: 3}, {0: 2}, {1: 6})
@@ -146,14 +145,14 @@ def test_killing_sl2():
     # oracle: hand-expanded 3x3 ad matrices
     ad = {}
     for idx in range(3):
-        m = linalg.zeros(3, 3, QQ)
+        m = linalg.zeros(3, 3)
         for q in range(3):
             for p, v in lie.alg.sc.get((idx, q), {}).items():
                 m[p][q] = v
         ad[idx] = m
     for i in range(3):
         for j in range(3):
-            prod = linalg.mat_mul(ad[i], ad[j], QQ)
+            prod = linalg.mat_mul(ad[i], ad[j])
             assert k[i][j] == sum(prod[d][d] for d in range(3))
     assert k == [
         [F(8), F(0), F(0)],
@@ -172,13 +171,13 @@ def test_killing_exact_fallback_agrees():
 
 
 def test_abelian_killing_zero():
-    a = StructAlgebra(field=QQ, dim=3, basis_labels=["x", "y", "z"], sc={})
+    a = StructAlgebra(dim=3, basis_labels=["x", "y", "z"], sc={})
     k = killing_matrix(LieAlgebra(a))
     assert all(v == 0 for row in k for v in row)
 
 
 def test_inertia_basics():
-    r = inertia(linalg.identity(4, QQ))
+    r = inertia(linalg.identity(4))
     assert (r.n_plus, r.n_minus, r.n_zero) == (4, 0, 0)
     r = inertia([[F(1), F(0)], [F(0), F(-1)]])
     assert r.signature == 0
@@ -198,12 +197,16 @@ def test_signature_from_fix_table():
 
 
 def test_fixed_subspace():
-    basis, dim = fixed_subspace(linalg.identity(5, QQ), QQ)
+    basis, dim = fixed_subspace(linalg.identity(5))
     assert dim == 5
     m = [[F(0), F(1)], [F(1), F(0)]]
-    basis, dim = fixed_subspace(m, QQ)
+    basis, dim = fixed_subspace(m)
     assert dim == 1
     assert basis == [[F(1), F(1)]]
+    # the benchmark's second argument: Q's tag only
+    assert fixed_subspace(m, "Q") == (basis, dim)
+    with pytest.raises(ValueError, match="'Qi'"):
+        fixed_subspace(m, "Qi")
 
 
 def test_twist_identity_and_validation():
@@ -234,7 +237,7 @@ def test_lie_algebra_rejects_a_table_that_is_not_anticommutative(check_jacobi):
     a.sc[(1, 0)] = {1: F(2)}  # [e, h] = 2e, the same sign as [h, e]
     with pytest.raises(AlgebraError):
         LieAlgebra(a, check_jacobi=check_jacobi)
-    diag = StructAlgebra(field=QQ, dim=2, basis_labels=["x", "y"], sc={(0, 0): {1: F(1)}})
+    diag = StructAlgebra(dim=2, basis_labels=["x", "y"], sc={(0, 0): {1: F(1)}})
     with pytest.raises(AlgebraError):
         LieAlgebra(diag, check_jacobi=check_jacobi)
 
@@ -256,15 +259,15 @@ def test_derivations_sl2():
     for d in ders:
         assert not algcore.leibniz_defect(sl2(), d)
     # closed under commutator
-    sp = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
+    sp = linalg.SpanSolver([sum(d, []) for d in ders])
     for a in ders:
         for b in ders:
-            comm = linalg.mat_sub(linalg.mat_mul(a, b, QQ), linalg.mat_mul(b, a, QQ))
+            comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             assert sp.contains(sum(comm, []))
 
 
 def test_derivations_abelian():
-    a = StructAlgebra(field=QQ, dim=2, basis_labels=["x", "y"], sc={})
+    a = StructAlgebra(dim=2, basis_labels=["x", "y"], sc={})
     assert len(derivations(a)) == 4
 
 
@@ -289,11 +292,11 @@ def test_derivation_algebra_built_once_and_only_on_request():
     assert der.dim == len(ders) == 3
     assert der.basis_labels == ["d0", "d1", "d2"]
     assert jacobi_defect(der) == []
-    sp = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
+    sp = linalg.SpanSolver([sum(d, []) for d in ders])
     for p in range(3):
         for q in range(3):
             a, b = ders[p], ders[q]
-            comm = linalg.mat_sub(linalg.mat_mul(a, b, QQ), linalg.mat_mul(b, a, QQ))
+            comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             coeffs = sp.coefficients(sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
     # the solver the table was built with is kept, not rebuilt
@@ -306,7 +309,7 @@ def test_derivation_algebra_built_once_and_only_on_request():
 
 def test_automorphism_checks():
     a = sl2()
-    ident = linalg.identity(3, QQ)
+    ident = linalg.identity(3)
     assert algcore.is_automorphism(a, ident)
     # h -> h, e -> 2e, f -> f/2 is an automorphism of sl2
     m = [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(1, 2)]]
@@ -329,10 +332,10 @@ def test_killing_invariant_under_automorphism():
     m = [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(1, 2)]]
     assert algcore.is_automorphism(a, m)
     mt = linalg.transpose(m)
-    assert linalg.mat_mul(mt, linalg.mat_mul(k, m, QQ), QQ) == k
+    assert linalg.mat_mul(mt, linalg.mat_mul(k, m)) == k
     sw = [[F(-1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(-1), F(0)]]
     swt = linalg.transpose(sw)
-    assert linalg.mat_mul(swt, linalg.mat_mul(k, sw, QQ), QQ) == k
+    assert linalg.mat_mul(swt, linalg.mat_mul(k, sw)) == k
 
 
 def test_json_roundtrip():
@@ -364,7 +367,7 @@ def anticommutative_algebras(draw):
         if row:
             sc[(i, j)] = row
             sc[(j, i)] = {k: -v for k, v in row.items()}
-    alg = StructAlgebra(field=QQ, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+    alg = StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
     return alg, wide
 
 
@@ -425,24 +428,23 @@ PRIMES = [p for p in range(2, 100) if all(p % d for d in range(2, p))] + [
 ]
 
 
-def _from_brackets(field, n, brackets):
+def _from_brackets(n, brackets):
     sc = {}
     for (i, j), row in brackets.items():
         sc[(i, j)] = row
         sc[(j, i)] = {k: -v for k, v in row.items()}
-    return StructAlgebra(field=field, dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+    return StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
 
 
 def _sheared(alg, shear):
     """The algebra on the basis b'_j = b_j + sum_{i<j} shear[i][j] b_i."""
     n = alg.dim
     p = [[F(1 if i == j else shear[i][j] if i < j else 0) for j in range(n)] for i in range(n)]
-    p_inv = linalg.mat_inverse(p, QQ)
+    p_inv = linalg.mat_inverse(p)
     cols = [[p[r][c] for r in range(n)] for c in range(n)]
     return algcore.algebra_from_products(
-        QQ,
         alg.basis_labels,
-        lambda i, j: linalg.mat_vec(p_inv, alg.multiply(cols[i], cols[j]), QQ),
+        lambda i, j: linalg.mat_vec(p_inv, alg.multiply(cols[i], cols[j])),
     )
 
 
@@ -452,7 +454,7 @@ def _rescaled(alg, scales):
         (i, j): {k: v * scales[i] * scales[j] / scales[k] for k, v in row.items()}
         for (i, j), row in alg.sc.items()
     }
-    return StructAlgebra(field=alg.field, dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+    return StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
 
 
 @st.composite
@@ -481,7 +483,7 @@ def rescaled_lie_algebras(draw):
     entries = st.integers(min_value=-2, max_value=2)
     shear = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     primes = draw(st.lists(st.sampled_from(PRIMES), min_size=n, max_size=n, unique=True))
-    return _rescaled(_sheared(_from_brackets(QQ, n, brackets), shear), primes), breaks
+    return _rescaled(_sheared(_from_brackets(n, brackets), shear), primes), breaks
 
 
 @given(rescaled_lie_algebras())
@@ -512,14 +514,14 @@ def lie_bases(draw):
         [scales[i] * (1 if i == j else shear[i][j] if i < j else 0) for j in range(3)]
         for i in range(3)
     ]
-    return name, _from_brackets(QQ, 3, brackets), basis
+    return name, _from_brackets(3, brackets), basis
 
 
 def _all_pairs_constants(alg, basis):
     """sc of alg's bracket on basis from every ordered pair: the coordinates c
     with c B = [b_i, b_j] are [b_i, b_j] B^-1."""
     n = len(basis)
-    inv = linalg.mat_inverse(basis, QQ)
+    inv = linalg.mat_inverse(basis)
     sc = {}
     for i in range(n):
         for j in range(n):
@@ -540,7 +542,7 @@ def test_bracket_constants_match_all_pairs_expansion(case, sparse_bracket):
         v = alg.multiply(basis[i], basis[j])
         return linalg.sparse(v) if sparse_bracket else v
 
-    solver = linalg.SpanSolver(basis, QQ)
+    solver = linalg.SpanSolver(basis)
     assert algcore.bracket_constants(solver, bracket) == _all_pairs_constants(alg, basis)
 
 
@@ -549,10 +551,10 @@ def test_bracket_constants_match_all_pairs_expansion(case, sparse_bracket):
 def test_bracket_constants_reject_a_span_not_closed(case, pair):
     name, alg, basis = case
     sub = [basis[k] for k in pair]
-    closed = linalg.SpanSolver(sub, QQ).contains(alg.multiply(sub[0], sub[1]))
+    closed = linalg.SpanSolver(sub).contains(alg.multiply(sub[0], sub[1]))
     if name == "so3":
         assert not closed  # so3 has no 2-dimensional subalgebra over Q
-    solver = linalg.SpanSolver(sub, QQ)
+    solver = linalg.SpanSolver(sub)
     if closed:
         sc = algcore.bracket_constants(solver, lambda i, j: alg.multiply(sub[i], sub[j]))
         full = _all_pairs_constants(alg, sub + [basis[3 - sum(pair)]])
@@ -575,11 +577,10 @@ for mod in pkgutil.iter_modules(e6lab.__path__):
 from e6lab.algcore import LieAlgebra, StructAlgebra, inertia, jacobi_defect, killing_matrix
 from e6lab.composition import octonion_z23_grading
 from e6lab.gradings import induced_on_der
-from e6lab.scalars import QQ
 
 sc = {(0, 1): {1: F(2)}, (1, 0): {1: F(-2)}, (0, 2): {2: F(-2)}, (2, 0): {2: F(2)},
       (1, 2): {0: F(1)}, (2, 1): {0: F(-1)}}
-sl2 = StructAlgebra(field=QQ, dim=3, basis_labels=["h", "e", "f"], sc=sc)
+sl2 = StructAlgebra(dim=3, basis_labels=["h", "e", "f"], sc=sc)
 assert jacobi_defect(sl2) == []
 assert killing_matrix(LieAlgebra(sl2)) == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
 der = induced_on_der(octonion_z23_grading()).algebra

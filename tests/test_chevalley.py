@@ -6,7 +6,6 @@ import pytest
 from e6lab import algcore, chevalley, linalg
 from e6lab.algcore import fixed_subspace, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -60,13 +59,13 @@ def test_omega():
     cb = chevalley.e6_chevalley()
     om = chevalley.omega(cb)
     n = cb.lie.dim
-    assert linalg.mat_mul(om, om, QQ) == linalg.identity(n, QQ)
+    assert linalg.mat_mul(om, om) == linalg.identity(n)
     for j in range(6):
         col = [om[i][j] for i in range(n)]
         want = [F(0)] * n
         want[j] = F(-1)
         assert col == want  # omega(h_j) = -h_j
-    _, dim = fixed_subspace(om, QQ)
+    _, dim = fixed_subspace(om)
     assert dim == 36
     # on the simple roots: e_j -> -f_j
     rs = cb.roots
@@ -82,9 +81,9 @@ def test_omega():
 def test_torus_elements():
     cb = chevalley.e6_chevalley()
     ident = chevalley.torus_element(cb, (1,) * 6)
-    assert ident == linalg.identity(78, QQ)
+    assert ident == linalg.identity(78)
     t = chevalley.torus_element(cb, (-1, 1, 1, 1, 1, 1))
-    _, dim = fixed_subspace(t, QQ)
+    _, dim = fixed_subspace(t)
     assert dim == 46
     assert chevalley.fix_dim_t(cb, (-1, 1, 1, 1, 1, 1)) == 46
     with pytest.raises(ValueError):
@@ -96,7 +95,7 @@ def test_omega_commutes_with_torus():
     om = chevalley.omega(cb)
     for signs in [(-1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1)]:
         t = chevalley.torus_element(cb, signs)
-        assert linalg.mat_mul(om, t, QQ) == linalg.mat_mul(t, om, QQ)
+        assert linalg.mat_mul(om, t) == linalg.mat_mul(t, om)
 
 
 def test_fix_omega_t_structure():
@@ -106,10 +105,10 @@ def test_fix_omega_t_structure():
     signs = (1, -1, 1, 1, -1, 1)
     om = chevalley.omega(cb)
     t = chevalley.torus_element(cb, signs)
-    mat = linalg.mat_mul(om, t, QQ)
-    basis, dim = fixed_subspace(mat, QQ)
+    mat = linalg.mat_mul(om, t)
+    basis, dim = fixed_subspace(mat)
     assert dim == 36
-    sp = linalg.SpanSolver(basis, QQ)
+    sp = linalg.SpanSolver(basis)
     for r, alpha in enumerate(cb.roots.positive):
         flips = sum(1 for c, s in zip(alpha, signs) if c % 2 and s == -1)
         sgn = F((-1) ** sum(alpha))
@@ -156,7 +155,7 @@ def test_killing_invariant_under_omega_and_torus():
     k = cb.lie.killing_matrix()
     for m in (chevalley.omega(cb), chevalley.torus_element(cb, (1, -1, 1, 1, 1, -1))):
         mt = linalg.transpose(m)
-        assert linalg.mat_mul(mt, linalg.mat_mul(k, m, QQ), QQ) == k
+        assert linalg.mat_mul(mt, linalg.mat_mul(k, m)) == k
 
 
 def test_fix_dims_honest_vs_formula():
@@ -168,7 +167,7 @@ def test_fix_dims_honest_vs_formula():
     for _ in range(6):
         signs = tuple(rng.choice((1, -1)) for _ in range(6))
         t = chevalley.torus_element(cb, signs)
-        _, dim = fixed_subspace(t, QQ)
+        _, dim = fixed_subspace(t)
         assert dim == chevalley.fix_dim_t(cb, signs)
         assert chevalley.fix_dim_omega_t(cb, om, signs) == 36
 

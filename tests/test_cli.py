@@ -174,6 +174,8 @@ def test_foreign_field_and_complex_entries_are_rejected():
         algebra_from_json(gaussian_field)
     with pytest.raises(AlgebraError):
         algebra_from_json(complex_entry)
+    with pytest.raises(AlgebraError, match="2 basis labels for dimension 3"):
+        algebra_from_json({**doc, "basis": ["h", "e"]})
     grading_schema = load_schema("grading.schema.json")
     for entry, valid in (("1", True), ({"re": "1", "im": "0"}, False)):
         grading = {"group": {"free_rank": 0, "torsion": [2]},

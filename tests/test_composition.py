@@ -13,7 +13,6 @@ from e6lab.composition import (
     rr_coords,
 )
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -132,10 +131,10 @@ def test_norm_signatures():
 def test_d_ab_trivial_cases():
     o = hurwitz("O")
     a = vec(o, "i")
-    zero = linalg.zeros(8, 8, QQ)
+    zero = linalg.zeros(8, 8)
     assert d_ab(o, a, a) == zero
     rr = hurwitz("RR")
-    assert d_ab(rr, vec(rr, "1"), vec(rr, "s")) == linalg.zeros(2, 2, QQ)
+    assert d_ab(rr, vec(rr, "1"), vec(rr, "s")) == linalg.zeros(2, 2)
 
 
 def test_d_ab_spans_der_o():
@@ -146,12 +145,12 @@ def test_d_ab_spans_der_o():
             d = d_ab(o, o.alg.basis_vector(i), o.alg.basis_vector(j))
             assert not leibniz_defect(o.alg, d)
             mats.append(sum(d, []))
-    assert linalg.rank(mats, QQ) == 14
+    assert linalg.rank(mats) == 14
     # commutator of two d_ab stays in the span
-    span = linalg.SpanSolver(linalg.rref(mats, QQ)[0], QQ)
+    span = linalg.SpanSolver(linalg.rref(mats)[0])
     a = d_ab(o, vec(o, "i"), vec(o, "j"))
     b = d_ab(o, vec(o, "l"), vec(o, "kl"))
-    comm = linalg.mat_sub(linalg.mat_mul(a, b, QQ), linalg.mat_mul(b, a, QQ))
+    comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
     assert span.contains(sum(comm, []))
 
 

@@ -6,7 +6,6 @@ import pytest
 from e6lab import e6sp8, linalg
 from e6lab.algcore import AlgebraError, inertia, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -37,7 +36,7 @@ def test_frame_matrix_pairs(idx):
         for c in range(8):
             assert (p[r][c], q[r][c]) == _UNIT.get(DISPLAYED[idx].get((r, c)), (0, 0))
     # the inverse read off the real 16x16 form is a two-sided inverse
-    ident = (linalg.identity(8, QQ), linalg.zeros(8, 8, QQ))
+    ident = (linalg.identity(8), linalg.zeros(8, 8))
     inv = e6sp8.pair_inverse(a)
     assert e6sp8.pair_mul(inv, a) == ident
     assert e6sp8.pair_mul(a, inv) == ident
@@ -51,8 +50,8 @@ def test_sp8_membership_and_count():
     assert len(basis) == 36
     for v in basis:
         x = [v[8 * r : 8 * r + 8] for r in range(8)]
-        xc = linalg.mat_mul(x, c, QQ)
-        cxt = linalg.mat_mul(c, linalg.transpose(x), QQ)
+        xc = linalg.mat_mul(x, c)
+        cxt = linalg.mat_mul(c, linalg.transpose(x))
         assert all(
             xc[i][j] + cxt[i][j] == 0 for i in range(8) for j in range(8)
         )
@@ -64,8 +63,8 @@ def test_b0_entries_and_membership():
     c = e6sp8.c_matrix()
     for m in mats:
         assert all(v in (-1, 0, 1) for row in m for v in row)
-        xc = linalg.mat_mul(m, c, QQ)
-        cxt = linalg.mat_mul(c, linalg.transpose(m), QQ)
+        xc = linalg.mat_mul(m, c)
+        cxt = linalg.mat_mul(c, linalg.transpose(m))
         assert all(xc[i][j] == -cxt[i][j] for i in range(8) for j in range(8))
 
 
@@ -135,7 +134,7 @@ def test_contraction_trivial_and_kernel():
     u[e6sp8.IDX4[(0, 1, 2, 3)]] = F(1)
     assert all(v == 0 for v in e6sp8.contraction(u))
     assert len(e6sp8.kernel_c_basis()) == 42
-    assert linalg.rank(e6sp8.contraction_matrix(), QQ) == 28
+    assert linalg.rank(e6sp8.contraction_matrix()) == 28
 
 
 def test_contraction_is_module_map():
@@ -185,7 +184,7 @@ def test_wedge8_pairing_symmetric_nondegenerate():
             row.append(acc)
         gram.append(row)
     assert all(gram[i][j] == gram[j][i] for i in range(42) for j in range(42))
-    assert linalg.rank(gram, QQ) == 42
+    assert linalg.rank(gram) == 42
 
 
 def test_assembled_model():
@@ -281,7 +280,7 @@ def test_one_pass_wedge_pairing_matches_per_pair_dot_loop():
             ]
         )
     gram = [[linalg.sp_trace_product(a, b) or F(0) for b in even_sp] for a in even_sp]
-    ginv = linalg.mat_inverse(gram, QQ)
+    ginv = linalg.mat_inverse(gram)
     lam = F(model.provenance["odd_bracket_scale"])
     sc = model.lie.alg.sc
     for u in range(no):
@@ -291,7 +290,7 @@ def test_one_pass_wedge_pairing_matches_per_pair_dot_loop():
                 sum((w * vv[c] for c, w in paired[x][u].items() if c in vv), F(0))
                 for x in range(ne)
             ]
-            want = {i: lam * co for i, co in enumerate(linalg.mat_vec(ginv, b, QQ)) if co}
+            want = {i: lam * co for i, co in enumerate(linalg.mat_vec(ginv, b)) if co}
             got = sc.get((ne + u, ne + v), {})
             assert got == want, (u, v)
             assert all(type(x) is F for x in got.values())

@@ -21,7 +21,6 @@ from e6lab.gradings import (
     verify,
 )
 from e6lab.jordan import h3, jordan_gradings, m3r
-from e6lab.scalars import QQ
 from e6lab.tits import tits_model
 
 F = Fraction
@@ -163,7 +162,7 @@ def test_verify_past_the_int_table_bound():
         (i, j): {k: v * p[i] * p[j] / p[k] for k, v in row.items()}
         for (i, j), row in alg.sc.items()
     }
-    big = StructAlgebra(field=QQ, dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc)
+    big = StructAlgebra(dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc)
     assert big.int_tensor() == (None, None)
     assert verify(GradedDecomposition(g.group, big, g.components)).valid
     # swapping the lines of two degrees breaks closure the same way on both
@@ -236,7 +235,7 @@ def test_induced_on_der_z_grading_contains_operator():
     g = jordan_gradings(j)["z"]
     ind = induced_on_der(g)
     op = z_grading_operator(j)
-    expander = linalg.SpanSolver([sum(d, []) for d in ders], QQ)
+    expander = linalg.SpanSolver([sum(d, []) for d in ders])
     coeffs = expander.coefficients(
         {i: v for i, v in enumerate(sum(op, [])) if v}
     )
@@ -270,8 +269,8 @@ def test_combine_coarsening_consistency():
     direct = combine(octonion_z23_grading(), trivial_j, t)
     assert proj.support == direct.support
     for deg in proj.support:
-        a = linalg.rref(proj.components[deg], QQ)[0]
-        b = linalg.rref(direct.components[deg], QQ)[0]
+        a = linalg.rref(proj.components[deg])[0]
+        b = linalg.rref(direct.components[deg])[0]
         assert a == b, deg
 
 
@@ -304,3 +303,27 @@ def test_grading_json_roundtrip():
     back = grading_from_json(doc, g.algebra)
     assert back.components == g.components
     assert back.group == g.group
+
+
+def test_grading_vectors_of_the_wrong_length_are_rejected():
+    from e6lab.gradings import grading_from_json
+
+    sl2 = StructAlgebra(dim=3, basis_labels=["h", "e", "f"], sc={
+        (0, 1): {1: F(2)}, (1, 0): {1: F(-2)}, (0, 2): {2: F(-2)}, (2, 0): {2: F(2)},
+        (1, 2): {0: F(1)}, (2, 1): {0: F(-1)},
+    })
+
+    def doc(e_vector):
+        return {
+            "group": {"free_rank": 1, "torsion": []},
+            "components": [
+                {"degree": [0], "vectors": [["1", "0", "0"]]},
+                {"degree": [2], "vectors": [e_vector]},
+                {"degree": [-2], "vectors": [["0", "0", "1"]]},
+            ],
+        }
+
+    assert verify(grading_from_json(doc(["0", "1", "0"]), sl2)).valid
+    for short_or_long in (["0", "1"], ["0", "1", "0", "7"]):
+        with pytest.raises(GradingError, match=r"\(2,\)"):
+            grading_from_json(doc(short_or_long), sl2)

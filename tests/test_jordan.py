@@ -18,7 +18,6 @@ from e6lab.jordan import (
     star,
     z_grading_operator,
 )
-from e6lab.scalars import QQ
 
 F = Fraction
 
@@ -136,14 +135,14 @@ def test_r_op_matches_multiplication():
     r = j.r_op(x)
     for i in (0, 3, 12, 26):
         y = j.alg.basis_vector(i)
-        assert linalg.mat_vec(r, y, QQ) == j.mult(y, x)
+        assert linalg.mat_vec(r, y) == j.mult(y, x)
 
 
 def test_star_and_inner_trivials():
     j = h3("O")
     assert star(j, j.unit, j.unit) == [F(0)] * 27
     x = j.iota(0, j.comp.alg.basis_vector(3))
-    assert inner_der(j, x, x) == linalg.zeros(27, 27, QQ)
+    assert inner_der(j, x, x) == linalg.zeros(27, 27)
     # star lands in J0 for traceless arguments
     jb = j0_basis(j)
     for a in jb[:5]:
@@ -159,7 +158,7 @@ def test_inner_der_span_is_52():
         for k in range(i + 1, len(basis)):
             d = inner_der(j, basis[i], basis[k])
             mats.append(sum(d, []))
-    assert linalg.rank(mats, QQ) == 52
+    assert linalg.rank(mats) == 52
     d = inner_der(j, basis[0], basis[5])
     assert not leibniz_defect(j.alg, d)
 
@@ -174,11 +173,11 @@ def test_h3rr_isomorphic_m3r():
     iso = h3rr_to_m3r_iso()
     dst = m3r()
     cols = [[iso[p][q] for p in range(9)] for q in range(9)]
-    assert linalg.rank(iso, QQ) == 9
+    assert linalg.rank(iso) == 9
     for i in range(9):
         for j in range(9):
             lhs = linalg.mat_vec(
-                iso, src.mult(src.alg.basis_vector(i), src.alg.basis_vector(j)), QQ
+                iso, src.mult(src.alg.basis_vector(i), src.alg.basis_vector(j))
             )
             rhs = dst.mult(cols[i], cols[j])
             assert lhs == rhs
@@ -252,16 +251,16 @@ def test_nu_automorphism():
     assert is_automorphism(j.alg, nu)
     from e6lab.algcore import fixed_subspace
 
-    _, dim = fixed_subspace(nu, QQ)
+    _, dim = fixed_subspace(nu)
     assert dim == 15
     neg = [[-v for v in row] for row in nu]
-    _, dimneg = fixed_subspace(neg, QQ)
+    _, dimneg = fixed_subspace(neg)
     assert dimneg == 12
     # nu(E1) = E1, nu(iota1(l)) = -iota1(l)
     e1 = j.e_vec(0)
-    assert linalg.mat_vec(nu, e1, QQ) == e1
+    assert linalg.mat_vec(nu, e1) == e1
     il = j.iota(0, j.comp.alg.basis_vector(4))
-    assert linalg.mat_vec(nu, il, QQ) == [-x for x in il]
+    assert linalg.mat_vec(nu, il) == [-x for x in il]
 
 
 def test_gamma_display_convention():

@@ -6,28 +6,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import linalg
-from e6lab.scalars import QQ
 
 F = Fraction
 
 
 def test_rref_simple():
     rows = [[F(2), F(4)], [F(1), F(2)]]
-    red, pivots = linalg.rref(rows, QQ)
+    red, pivots = linalg.rref(rows)
     assert red == [[F(1), F(2)]]
     assert pivots == [0]
 
 
 def test_rref_deterministic_under_row_order():
     rows = [[F(0), F(1), F(3)], [F(2), F(0), F(4)], [F(2), F(1), F(7)]]
-    a, _ = linalg.rref(rows, QQ)
-    b, _ = linalg.rref(rows[::-1], QQ)
+    a, _ = linalg.rref(rows)
+    b, _ = linalg.rref(rows[::-1])
     assert a == b
 
 
 def test_kernel_matches_definition():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    ker = linalg.kernel(rows, 3, QQ)
+    ker = linalg.kernel(rows, 3)
     assert len(ker) == 2
     for v in ker:
         assert all(sum(r[c] * v[c] for c in range(3)) == 0 for r in rows)
@@ -35,30 +34,30 @@ def test_kernel_matches_definition():
 
 def test_span_solver():
     basis = [[F(1), F(1), F(0)], [F(0), F(2), F(2)]]
-    s = linalg.SpanSolver(basis, QQ)
+    s = linalg.SpanSolver(basis)
     v = [F(2), F(4), F(2)]
     coeffs = s.coefficients(v)
     assert coeffs == [F(2), F(1)]
     assert s.coefficients([F(1), F(0), F(0)]) is None
     with pytest.raises(ValueError):
-        linalg.SpanSolver([[F(1), F(0)], [F(2), F(0)]], QQ)
+        linalg.SpanSolver([[F(1), F(0)], [F(2), F(0)]])
 
 
 def test_mat_inverse():
     a = [[F(2), F(1)], [F(1), F(1)]]
-    inv = linalg.mat_inverse(a, QQ)
-    assert linalg.mat_mul(a, inv, QQ) == linalg.identity(2, QQ)
+    inv = linalg.mat_inverse(a)
+    assert linalg.mat_mul(a, inv) == linalg.identity(2)
 
 
 def test_intersect_spans():
     a = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
     b = [[F(0), F(1), F(1)], [F(1), F(0), F(1)]]
-    inter = linalg.intersect_spans(a, b, QQ)
+    inter = linalg.intersect_spans(a, b)
     assert len(inter) == 1
     v = inter[0]
     # must lie in both spans
-    assert linalg.SpanSolver(a, QQ).contains(v)
-    assert linalg.SpanSolver(b, QQ).contains(v)
+    assert linalg.SpanSolver(a).contains(v)
+    assert linalg.SpanSolver(b).contains(v)
 
 
 def test_inertia_identity_and_diag():
@@ -86,10 +85,10 @@ def test_inertia_congruence_invariant(raw):
     rng = random.Random(str(raw))
     while True:
         p = [[F(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-        if linalg.rank(p, QQ) == 4:
+        if linalg.rank(p) == 4:
             break
     pt = linalg.transpose(p)
-    m2 = linalg.mat_mul(pt, linalg.mat_mul(m, p, QQ), QQ)
+    m2 = linalg.mat_mul(pt, linalg.mat_mul(m, p))
     assert linalg.congruence_inertia(m) == linalg.congruence_inertia(m2)
 
 
@@ -97,7 +96,7 @@ def test_congruence_diagonalize_certificate():
     m = [[F(0), F(1), F(2)], [F(1), F(0), F(0)], [F(2), F(0), F(3)]]
     diag, p = linalg.congruence_diagonalize(m)
     pt = linalg.transpose(p)
-    d = linalg.mat_mul(pt, linalg.mat_mul(m, p, QQ), QQ)
+    d = linalg.mat_mul(pt, linalg.mat_mul(m, p))
     for i in range(3):
         for j in range(3):
             assert d[i][j] == (diag[i] if i == j else 0)
@@ -114,13 +113,13 @@ def test_incremental_kernel_matches_dense(raw):
     acc = linalg.IntKernelAccumulator(5)
     for r in rows:
         acc.add_constraint({i: v for i, v in enumerate(r) if v})
-    dense = linalg.kernel(rows, 5, QQ)
+    dense = linalg.kernel(rows, 5)
     assert acc.kernel_basis() == dense
 
 
 def test_eigenspace():
     m = [[F(2), F(0)], [F(0), F(3)]]
-    e2 = linalg.eigenspace(m, F(2), QQ)
+    e2 = linalg.eigenspace(m, F(2))
     assert e2 == [[F(1), F(0)]]
 
 
@@ -130,36 +129,57 @@ def test_clear_denominators():
 
 
 def test_elimination_of_int_rows_stays_rational():
-    red, pivots = linalg.rref([[2, 1], [4, 3]], QQ)
-    inv = linalg.mat_inverse([[2, 0], [1, 3]], QQ)
+    red, pivots = linalg.rref([[2, 1], [4, 3]])
+    inv = linalg.mat_inverse([[2, 0], [1, 3]])
     assert (red, pivots) == ([[1, 0], [0, 1]], [0, 1])
     assert inv == [[F(1, 2), 0], [F(-1, 6), F(1, 3)]]
-    assert linalg.rref([[2, 1]], QQ)[0] == [[1, F(1, 2)]]
-    for row in red + inv + linalg.rref([[2, 1]], QQ)[0]:
+    assert linalg.rref([[2, 1]])[0] == [[1, F(1, 2)]]
+    for row in red + inv + linalg.rref([[2, 1]])[0]:
         assert all(isinstance(x, F) for x in row)
+    # zeros are the Fraction 0, never the int 0, on int input too
+    computed = [
+        linalg.zeros(2, 3),
+        linalg.identity(3),
+        [linalg.mat_vec([[2, 0], [0, 0]], [3, 0])],
+        linalg.mat_mul([[2, 0], [0, 0]], [[1, 0], [0, 3]]),
+        linalg.rref([[2, 1, 0], [4, 3, 0]])[0],
+        linalg.kernel([[2, 4, 0]], 3),
+        linalg.mat_inverse([[2, 0], [0, 3]]),
+        [linalg.SpanSolver([[2, 0, 2], [0, 3, 3]]).coefficients([0, 3, 3])],
+    ]
+    for rows in computed:
+        assert all(type(x) is F for row in rows for x in row), rows
+    # the sparse helpers keep the type of the entries they copy or multiply,
+    # so only their zeros are Fractions
+    copied = [
+        [linalg.lin_comb([2, 0], [[1, 0], [5, 7]])],
+        linalg.sparse_to_dense({0: {1: 3}}, 2, 2),
+    ]
+    for rows in copied:
+        assert all(type(x) is F for row in rows for x in row if x == 0), rows
 
 
 def test_mat_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        linalg.mat_inverse([[F(1), F(2)], [F(2), F(4)]], QQ)
+        linalg.mat_inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def _combine(coeffs, basis, field):
+def _combine(coeffs, basis):
     return [
-        sum((c * b[j] for c, b in zip(coeffs, basis)), field.zero)
+        sum((c * b[j] for c, b in zip(coeffs, basis)), F(0))
         for j in range(len(basis[0]))
     ]
 
 
-def _check_span_solver(basis, coeffs, outside, field):
-    assume(linalg.rank(basis, field) == len(basis))
-    s = linalg.SpanSolver(basis, field)
-    v = _combine(coeffs, basis, field)
+def _check_span_solver(basis, coeffs, outside):
+    assume(linalg.rank(basis) == len(basis))
+    s = linalg.SpanSolver(basis)
+    v = _combine(coeffs, basis)
     dense = s.coefficients(v)
     assert dense == s.coefficients({j: x for j, x in enumerate(v) if x})
     assert dense == coeffs
-    assert _combine(dense, basis, field) == v
-    if linalg.rank(basis + [outside], field) > len(basis):
+    assert _combine(dense, basis) == v
+    if linalg.rank(basis + [outside]) > len(basis):
         assert s.coefficients(outside) is None
         assert s.coefficients({j: x for j, x in enumerate(outside) if x}) is None
 
@@ -173,7 +193,7 @@ span_rows = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_span_solver_dense_sparse_agree_qq(raw):
     rows = [[F(x) for x in r] for r in raw]
-    _check_span_solver(rows[:3], rows[3][:3], rows[4], QQ)
+    _check_span_solver(rows[:3], rows[3][:3], rows[4])
 
 
 @given(
@@ -191,13 +211,13 @@ def test_mat_inverse_qq(a, singular):
     n = len(a)
     if singular:
         a[-1] = [2 * x for x in a[0]] if n > 1 else [F(0)]
-    if linalg.rank(a, QQ) < n:
+    if linalg.rank(a) < n:
         with pytest.raises(ValueError):
-            linalg.mat_inverse(a, QQ)
+            linalg.mat_inverse(a)
         return
-    inv = linalg.mat_inverse(a, QQ)
-    assert linalg.mat_mul(a, inv, QQ) == linalg.identity(n, QQ)
-    assert linalg.mat_mul(inv, a, QQ) == linalg.identity(n, QQ)
+    inv = linalg.mat_inverse(a)
+    assert linalg.mat_mul(a, inv) == linalg.identity(n)
+    assert linalg.mat_mul(inv, a) == linalg.identity(n)
 
 
 class _FractionSpanSolver:
@@ -213,7 +233,7 @@ class _FractionSpanSolver:
             row = linalg.sparse(b)
             row[ncols + i] = F(1)
             aug.append(row)
-        red, self.pivots = linalg.rref(aug, QQ, ncols + n)
+        red, self.pivots = linalg.rref(aug, ncols + n)
         self.n = n
         self.red = [linalg.sparse(row[:ncols]) for row in red]
         self.transform = [linalg.sparse(row[ncols:]) for row in red]
@@ -257,15 +277,15 @@ rational_entries = st.one_of(
 def test_int_span_solver_matches_fraction_reference(data, scale, sparse_query):
     k, raw = data
     basis = [[F(x) for x in row] for row in raw[:k]]
-    assume(linalg.rank(basis, QQ) == k)
+    assume(linalg.rank(basis) == k)
     ref = _FractionSpanSolver(basis)
-    solver = linalg.SpanSolver(basis, QQ)
+    solver = linalg.SpanSolver(basis)
     # the stored rows hold Python ints only
     assert type(solver.lcm_red) is int and type(solver.lcm_transform) is int
     for rows in (solver.red, solver.transform):
         assert all(type(x) is int for row in rows for x in row.values())
     coeffs = [F(x) for x in raw[k]][:k]
-    inside = linalg.lin_comb(coeffs, basis, QQ)
+    inside = linalg.lin_comb(coeffs, basis)
     for v in (inside, [F(x) for x in raw[k + 1]]):
         query = linalg.sparse(v) if sparse_query else v
         want = ref.coefficients(v)
@@ -312,7 +332,7 @@ def test_congruence_inertia_is_sign_count_of_diagonalize(raw, zero_diag, singula
     assert linalg.congruence_inertia(m) == signs
     if singular and n > 1:
         assert signs[2] >= 1
-    d = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m, p, QQ), QQ)
+    d = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m, p))
     assert d == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -342,28 +362,27 @@ def test_gram_equals_x_m_yt(data, zero_rows, zero_block):
         h = (n + 1) // 2
         m = [[F(0) if i < h and j < h else x for j, x in enumerate(row)] for i, row in enumerate(m)]
         xs = [[F(0)] * h + x[h:] for x in xs]
-    expected = linalg.mat_mul(linalg.mat_mul(xs, m, QQ), linalg.transpose(ys), QQ)
-    assert linalg.gram(m, xs, ys, QQ) == expected
+    expected = linalg.mat_mul(linalg.mat_mul(xs, m), linalg.transpose(ys))
+    assert linalg.gram(m, xs, ys) == expected
 
 
-def _dense_rref(rows, field):
+def _dense_rref(rows):
     """The dense Gauss-Jordan elimination `rref` replaced, kept as the
     reference: every pivot rewrites every column of every row."""
-    z = field.zero
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if m[i][c] != z), None)
+        sel = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        inv = field.inv(m[r][c])
+        inv = F(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != z:
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -373,19 +392,19 @@ def _dense_rref(rows, field):
     return m[:r], pivots
 
 
-def _dense_kernel(rows, ncols, field):
+def _dense_kernel(rows, ncols):
     if not rows:
-        return [[field.one if i == j else field.zero for j in range(ncols)] for i in range(ncols)]
-    red, pivots = _dense_rref(rows, field)
+        return [[F(1) if i == j else F(0) for j in range(ncols)] for i in range(ncols)]
+    red, pivots = _dense_rref(rows)
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
-            v = [field.zero] * ncols
-            v[fc] = field.one
+            v = [F(0)] * ncols
+            v[fc] = F(1)
             for r, pc in enumerate(pivots):
                 v[pc] = -red[r][fc]
             basis.append(v)
-    return _dense_rref(basis, field)[0] if basis else []
+    return _dense_rref(basis)[0] if basis else []
 
 
 sparse_entries = st.one_of(
@@ -412,35 +431,35 @@ def sparse_matrices(draw):
     return rows, ncols
 
 
-def _check_rref_and_kernel(rows, ncols, field):
-    ref = _dense_rref(rows, field)
+def _check_rref_and_kernel(rows, ncols):
+    ref = _dense_rref(rows)
     as_dicts = [linalg.sparse(r) for r in rows]
-    assert linalg.rref(rows, field) == ref
-    assert linalg.rref(as_dicts, field, ncols) == ref
-    ker = _dense_kernel(rows, ncols, field)
-    assert linalg.kernel(rows, ncols, field) == ker
-    assert linalg.kernel(as_dicts, ncols, field) == ker
-    assert linalg.rank(rows, field) == len(ref[1])
+    assert linalg.rref(rows) == ref
+    assert linalg.rref(as_dicts, ncols) == ref
+    ker = _dense_kernel(rows, ncols)
+    assert linalg.kernel(rows, ncols) == ker
+    assert linalg.kernel(as_dicts, ncols) == ker
+    assert linalg.rank(rows) == len(ref[1])
 
 
 @given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_dense_reference_qq(data):
-    _check_rref_and_kernel(*data, QQ)
+    _check_rref_and_kernel(*data)
 
 
 def test_rref_of_no_rows():
-    assert linalg.rref([], QQ) == ([], [])
-    assert linalg.rref([], QQ, 3) == ([], [])
-    assert linalg.kernel([], 2, QQ) == [[F(1), F(0)], [F(0), F(1)]]
-    assert linalg.kernel([{}, {}], 2, QQ) == _dense_kernel([], 2, QQ)
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([], 3) == ([], [])
+    assert linalg.kernel([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert linalg.kernel([{}, {}], 2) == _dense_kernel([], 2)
     with pytest.raises(TypeError):
-        linalg.rref([{1: F(1)}], QQ)
+        linalg.rref([{1: F(1)}])
 
 
-def _naive_mat_mul(a, b, field):
+def _naive_mat_mul(a, b):
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), field.zero) for j in range(len(b[0]))]
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
@@ -453,6 +472,6 @@ def test_mat_mul_and_mat_vec_match_naive_loops(data, width):
         return
     rng = random.Random(str(a))
     b = [[F(rng.choice((0, 0, 1, -2, F(1, 3)))) for _ in range(width)] for _ in range(n)]
-    assert linalg.mat_mul(a, b, QQ) == _naive_mat_mul(a, b, QQ)
+    assert linalg.mat_mul(a, b) == _naive_mat_mul(a, b)
     v = [row[0] for row in b]
-    assert linalg.mat_vec(a, v, QQ) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v], QQ)]
+    assert linalg.mat_vec(a, v) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v])]

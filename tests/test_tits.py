@@ -14,7 +14,6 @@ from e6lab.algcore import (
 )
 from e6lab.composition import hurwitz
 from e6lab.jordan import h3
-from e6lab.scalars import QQ
 from e6lab.tits import (
     derj_model,
     jacobson_table,
@@ -202,7 +201,7 @@ def test_tensor_coefficient_rigidity():
         else:
             sc[(i, j)] = dict(row)
     mod = StructAlgebra(
-        field=QQ, dim=t.dim, basis_labels=t.lie.alg.basis_labels, sc=sc
+        dim=t.dim, basis_labels=t.lie.alg.basis_labels, sc=sc
     )
     assert jacobi_defect(mod) != []
 
