@@ -15,8 +15,9 @@ its entries are small.  On that table Jacobi packs each row (m, c) into one
 Python int, one slot of w bits per coordinate, with w wide enough that every
 coordinate of a triple's cyclic sum is a signed digit of its slot: the packed
 sum is 0 iff the triple satisfies Jacobi (see `jacobi_defect`).  Past the
-bound Jacobi reads the constants as integer (numerator, denominator) pairs
-and Killing reads the scalars of ``sc``; every table gives the same results.
+bound Jacobi scales each output coordinate and each left row to ints on its
+own, so its sums stay exact ints with no common denominator and no gcd, and
+Killing reads the scalars of ``sc``; every table gives the same results.
 Derivations are solved on the integer table D*c as well, and the bracket of
 Der(A) runs on the derivations scaled to one integer denominator.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import isqrt, lcm
 
 from . import linalg
 from .scalars import QONE, QQ, QZERO, Fraction as Rational, fmt_rational, parse_rational
@@ -149,17 +151,16 @@ class StructAlgebra:
         return self._int_cache
 
     def _scaled_int_table(self):
-        def fits(values):
-            top = max(map(abs, values), default=0)
-            return self.dim * top * top < _INT_TABLE_BOUND
-
-        # |D c| >= |numerator of c|, so a large numerator fails the bound
-        # before the table is scaled
-        if not fits(v.numerator for row in self.sc.values() for v in row.values()):
-            return (None, None)
-        d, t = linalg.int_scaled(self.sc)
-        if not fits(x for row in t.values() for x in row.values()):
-            return (None, None)
+        # dim * x^2 < 2^62 iff |x| <= top
+        top = isqrt((_INT_TABLE_BOUND - 1) // max(self.dim, 1))
+        d = lcm(*{v.denominator for row in self.sc.values() for v in row.values()})
+        t = {}
+        for key, row in self.sc.items():
+            trow = t[key] = {}
+            for k, v in row.items():
+                x = trow[k] = v.numerator * (d // v.denominator)
+                if not -top <= x <= top:
+                    return (None, None)
         return (d, t)
 
 
@@ -220,13 +221,14 @@ def jacobi_defect(alg: StructAlgebra):
     such coordinate a signed digit smaller than 2^(w-1) in absolute value.
     Then the packed sum is 0 iff every coordinate is: a nonzero top digit
     outweighs all the digits below it.  Past the int table's bound the sums
-    run on integer pairs (`_jacobi_defect_pairs`).
+    run on the constants scaled to ints by rows and by columns
+    (`_jacobi_defect_scaled`).
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
     _, t = alg.int_tensor()
     if t is None:
-        return _jacobi_defect_pairs(alg)
+        return _jacobi_defect_scaled(alg)
     n = alg.dim
     top = max((abs(y) for row in t.values() for y in row.values()), default=0)
     w = (3 * n * top * top).bit_length() + 2
@@ -255,45 +257,57 @@ def jacobi_defect(alg: StructAlgebra):
     return bad
 
 
-def _jacobi_defect_pairs(alg: StructAlgebra):
-    """`jacobi_defect` on the constants as pairs (numerator, denominator) of
-    integers.
+def _jacobi_defect_scaled(alg: StructAlgebra):
+    """`jacobi_defect` on the constants scaled to ints by rows and columns.
 
-    Each output coordinate q keeps one pair (N, D): a term over the same D
-    adds to N, any other cross-multiplies.  No gcd is taken and every D is
-    nonzero, so the triple is bad iff some N is.
+    Output coordinate q is scaled by f_q, the lcm of the denominators in
+    column q of the table: U[m, c][q] = f_q c[m, c][q].  Each left row (a, b)
+    is scaled by its own lcm e_ab: X[a, b][m] = e_ab c[a, b][m].  The term
+    sum_m X[a, b][m] U[m, c][q] is then e_ab f_q [[b_a, b_b], b_c]_q, and
+    with e1, e2, e3 the factors of the rows (i, j), (j, k), (k, i)
+    e2 e3 (term ijk) + e1 e3 (term jki) + e1 e2 (term kij) = e1 e2 e3 f_q J_q:
+    an exact int sum, with no bound and no gcd, that is 0 iff J_q is.
     """
-    pairs = {
-        key: {k: (v.numerator, v.denominator) for k, v in row.items()}
-        for key, row in alg.sc.items()
-    }
     n = alg.dim
+    cols = [set() for _ in range(n)]
+    for row in alg.sc.values():
+        for q, v in row.items():
+            cols[q].add(v.denominator)
+    f = [lcm(*dens) for dens in cols]
+    u = [{} for _ in range(n)]  # u[m][c]: U[m, c] as {q: int}
+    for (m, c), row in alg.sc.items():
+        u[m][c] = {q: v.numerator * (f[q] // v.denominator) for q, v in row.items()}
+    # terms[a][b]: (e_ab, [(X[a, b][m], u[m]) for the nonzero entries m])
+    terms = [[(1, ())] * n for _ in range(n)]
+    for (a, b), row in alg.sc.items():
+        e = lcm(*(v.denominator for v in row.values()))
+        terms[a][b] = (e, [(v.numerator * (e // v.denominator), u[m]) for m, v in row.items()])
     bad = []
     for i in range(n):
+        col_i = [terms[k][i] for k in range(n)]
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                num = {}
-                den = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    vab = pairs.get((a, b))
-                    if not vab:
-                        continue
-                    for m, (xn, xd) in vab.items():
-                        row = pairs.get((m, c))
-                        if not row:
-                            continue
-                        for q, (yn, yd) in row.items():
-                            d = xd * yd
-                            sd = den.get(q)
-                            if sd is None:
-                                num[q] = xn * yn
-                                den[q] = d
-                            elif sd == d:
-                                num[q] += xn * yn
-                            else:
-                                num[q] = num[q] * d + xn * yn * sd
-                                den[q] = sd * d
-                if any(num.values()):
+            e1, t_ij = terms[i][j]
+            for k, (e2, t_jk), (e3, t_ki) in zip(range(j + 1, n), terms[j][j + 1 :], col_i[j + 1 :]):
+                acc = {}
+                for x, um in t_ij:
+                    row = um.get(k)
+                    if row:
+                        x *= e2 * e3
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                for x, um in t_jk:
+                    row = um.get(i)
+                    if row:
+                        x *= e1 * e3
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                for x, um in t_ki:
+                    row = um.get(j)
+                    if row:
+                        x *= e1 * e2
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                if any(acc.values()):
                     bad.append((i, j, k))
     return bad
 
@@ -373,7 +387,8 @@ def killing_matrix(lie: LieAlgebra):
         for j in range(i):
             kmat[i][j] = kmat[j][i]
     if d is not None:
-        kmat = [[Fraction(v, d * d) for v in row] for row in kmat]
+        dd = d * d
+        kmat = [[Fraction(v, dd) if v else QZERO for v in row] for row in kmat]
     return kmat
 
 

@@ -15,7 +15,9 @@ elimination.  One span solver (`SpanSolver`) expresses vectors in a fixed
 basis on integer rows, one symmetric congruence elimination
 (`congruence_diagonalize`) gives both the Witt pivots and the Sylvester
 inertia, and one Gram loop (`gram`) evaluates a bilinear form on lists of
-vectors.
+vectors.  The congruence elimination runs on sparse symmetric {col: x} rows
+and keeps its change of basis as sparse columns, so a step costs time in the
+nonzeros it meets; its results are Fractions, `QZERO` for a zero.
 
 Construction runs on Python ints: `int_scaled` turns a rational vector,
 rows, a matrix or a table into (common denominator d, entries times d as
@@ -343,72 +345,110 @@ def intersect_spans(basis_a, basis_b):
 def congruence_diagonalize(m):
     """(diag, p) with p^T m p = diag(diag), p rational invertible.
 
-    Simultaneous row/column elimination.  A zero diagonal pivot with a
-    nonzero off-diagonal a_ij is repaired by adding row/col j into i, which
-    makes the diagonal entry 2*a_ij != 0 over Q; when the rest of the matrix
-    is zero, the remaining diagonal entries are 0.  Rows and columns before
-    the pivot k are already eliminated, so step k touches a only at indices
-    >= k.
+    m is symmetric, given by dense rows or {col: x} rows.  Simultaneous
+    row/column elimination on sparse symmetric rows.  A zero pivot a_kk is
+    swapped with the first later nonzero diagonal entry; when there is none,
+    the first nonzero a_ij (i < j, row by row) is repaired by adding row/col
+    j into i, which makes the diagonal entry 2*a_ij != 0 over Q; when the
+    rest of the matrix is zero, the remaining diagonal entries are 0.  Rows
+    and columns before the pivot k are already eliminated and dropped, so
+    step k costs time in the nonzeros of row k and of the rows it meets; p
+    is kept as sparse columns, and a column operation touches their nonzeros
+    only.  Every entry returned is a Fraction, `QZERO` where it is zero.
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [{c: Fraction(x) for c, x in sparse(row).items()} for row in m]
+    pcols = [{c: QONE} for c in range(n)]  # pcols[c]: the nonzeros of column c of p
+    diag = [QZERO] * n
     for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j]), None)
+        if k not in a[k]:
+            swap = next((j for j in range(k + 1, n) if j in a[j]), None)
             if swap is None:
                 pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                    ((i, min(js)) for i in range(k, n) if (js := [j for j in a[i] if j > i])),
                     None,
                 )
                 if pair is None:
                     break
                 i, j = pair
-                for r in range(k, n):
-                    a[r][i] += a[r][j]
-                ai, aj = a[i], a[j]
-                for c in range(k, n):
-                    ai[c] += aj[c]
-                for row in p:
-                    if row[j]:
-                        row[i] += row[j]
+                _add_row_col(a, i, j)
+                sp_add_into(pcols[i], pcols[j], QONE)
                 swap = i
             if swap != k:
-                a[k], a[swap] = a[swap], a[k]
-                for r in range(k, n):
-                    a[r][k], a[r][swap] = a[r][swap], a[r][k]
-                for row in p:
-                    row[k], row[swap] = row[swap], row[k]
+                _swap_row_col(a, k, swap)
+                pcols[k], pcols[swap] = pcols[swap], pcols[k]
         ak = a[k]
-        piv = ak[k]
+        a[k] = {}
+        piv = diag[k] = ak.pop(k)
         # column c -= (a_kc / piv) column k, and the same for rows: the Schur
         # complement a_rc -= a_rk a_kc / piv, nonzero only where a_rk, a_kc are
-        fs = [(c, ak[c] / piv) for c in range(k + 1, n) if ak[c]]
+        fs = [(c, x / piv) for c, x in ak.items()]
         for r, _ in fs:
             ar = a[r]
-            x = ar[k]
+            x = ar.pop(k)
             for c, fc in fs:
-                ar[c] -= fc * x
-            ar[k] = ak[r] = Fraction(0)
-        for row in p:
-            x = row[k]
-            if x:
-                for c, fc in fs:
-                    row[c] -= fc * x
-    return [a[i][i] for i in range(n)], p
+                v = ar.get(c)
+                v = -fc * x if v is None else v - fc * x
+                if v:
+                    ar[c] = v
+                else:
+                    ar.pop(c, None)
+        pk = pcols[k]
+        for c, fc in fs:
+            sp_add_into(pcols[c], pk, -fc)
+    p = [[QZERO] * n for _ in range(n)]
+    for c, col in enumerate(pcols):
+        for r, x in col.items():
+            p[r][c] = x
+    return diag, p
+
+
+def _add_row_col(a, i, j):
+    """Add row and column j of the sparse symmetric matrix a into row and
+    column i: the new a_ii is a_ii + 2 a_ij + a_jj."""
+    ri = a[i]
+    new = dict(ri)
+    sp_add_into(new, a[j], QONE)
+    v = new.get(i, QZERO) + new.get(j, QZERO)
+    if v:
+        new[i] = v
+    else:
+        new.pop(i, None)
+    for r in set(ri) | set(new):
+        if r != i:
+            if r in new:
+                a[r][i] = new[r]
+            else:
+                a[r].pop(i, None)
+    a[i] = new
+
+
+def _swap_row_col(a, k, s):
+    """Swap rows and columns k and s of the sparse symmetric matrix a."""
+    rk, rs = a[k], a[s]
+    for r in (set(rk) | set(rs)) - {k, s}:
+        row = a[r]
+        x, y = row.pop(k, None), row.pop(s, None)
+        if x is not None:
+            row[s] = x
+        if y is not None:
+            row[k] = y
+    swapped = {k: s, s: k}
+    a[k] = {swapped.get(c, c): x for c, x in rs.items()}
+    a[s] = {swapped.get(c, c): x for c, x in rk.items()}
 
 
 def congruence_inertia(m):
     """(n_plus, n_minus, n_zero) of a symmetric rational matrix: the signs
     of the diagonal that `congruence_diagonalize` reaches."""
     n = len(m)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
-    diag, _ = congruence_diagonalize(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    rows = [sparse(row) for row in m]
+    # if a_ij != a_ji, one of them is nonzero and the other row does not match it
+    if any(rows[c].get(r) != x for r, row in enumerate(rows) for c, x in row.items()):
+        raise ValueError("matrix is not symmetric")
+    diag, _ = congruence_diagonalize(rows)
     npos = sum(1 for d in diag if d > 0)
     nneg = sum(1 for d in diag if d < 0)
     return npos, nneg, n - npos - nneg

@@ -85,20 +85,73 @@ def test_jacobi_exact_path_agrees():
 def test_packed_jacobi_matches_the_pair_loop_on_catalog_models(name):
     alg = catalog.model(name)[0].alg
     assert alg.int_tensor()[1] is not None
-    assert jacobi_defect(alg) == algcore._jacobi_defect_pairs(alg) == []
+    assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg) == []
 
 
-def test_packed_jacobi_matches_the_pair_loop_on_a_mutated_model():
+def _mutated_tits_o_m3r():
+    """tits-o-m3r with its first bracket entry tripled (and its mirror)."""
     alg = catalog.model("tits-o-m3r")[0].alg
     (i, j), row = min((key, row) for key, row in alg.sc.items() if key[0] < key[1])
     k = min(row)
     sc = dict(alg.sc)  # rows are replaced below, never edited in place
     sc[(i, j)] = {**row, k: 3 * row[k]}
     sc[(j, i)] = {q: -v for q, v in sc[(i, j)].items()}
-    mutant = StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+    return StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+
+
+def test_packed_jacobi_matches_the_pair_loop_on_a_mutated_model():
+    mutant = _mutated_tits_o_m3r()
     defect = jacobi_defect(mutant)
     assert defect
-    assert defect == algcore._jacobi_defect_pairs(mutant)
+    assert defect == algcore._jacobi_defect_scaled(mutant)
+
+
+def _primes_below(top, count):
+    """The `count` largest odd primes below the odd number top, top <
+    3,215,031,751, for which Miller-Rabin with the bases 2, 3, 5, 7 is exact."""
+    def is_prime(n):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    out = []
+    n = top
+    while len(out) < count:
+        n -= 2
+        if is_prime(n):
+            out.append(n)
+    return out
+
+
+def test_scaled_jacobi_past_the_bound_finds_the_mutants_triples():
+    # b_i -> p_i b_i with distinct 31-bit primes: c'[i, j][k] = c[i, j][k]
+    # p_i p_j / p_k.  The common denominator then pushes the table past the
+    # int bound, and a diagonal change of basis keeps the bad triples.
+    mutant = _mutated_tits_o_m3r()
+    primes = _primes_below(2**31 - 1, mutant.dim)
+    assert len(set(primes)) == mutant.dim and all(p.bit_length() == 31 for p in primes)
+    sc = {
+        (i, j): {k: v * primes[i] * primes[j] / primes[k] for k, v in row.items()}
+        for (i, j), row in mutant.sc.items()
+    }
+    wide = StructAlgebra(dim=mutant.dim, basis_labels=mutant.basis_labels, sc=sc)
+    assert wide.int_tensor() == (None, None)
+    assert mutant.int_tensor()[1] is not None
+    defect = jacobi_defect(mutant)
+    assert defect
+    assert jacobi_defect(wide) == defect
 
 
 @st.composite
@@ -123,7 +176,7 @@ def integer_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_packed_jacobi_matches_the_pair_loop_on_integer_tables(alg):
     assert alg.int_tensor()[1] is not None
-    assert jacobi_defect(alg) == algcore._jacobi_defect_pairs(alg)
+    assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg)
 
 
 def test_int_tensor_bound_is_on_the_entries():
@@ -493,7 +546,7 @@ def test_pair_loop_on_prime_rescaled_lie_algebras(case):
     defect = _jacobi_reference(alg)
     assert bool(defect) == breaks
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the integer-pair loop, whatever the entry sizes
+    alg._int_cache = (None, None)  # the row/column-scaled loop, whatever the entry sizes
     assert jacobi_defect(alg) == defect
 
 

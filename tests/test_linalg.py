@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from e6lab import linalg
+from e6lab import catalog, linalg
 
 F = Fraction
 
@@ -301,6 +301,72 @@ def test_int_span_solver_matches_fraction_reference(data, scale, sparse_query):
     assert solver.coefficients(inside) == coeffs
 
 
+def _dense_congruence_diagonalize(m):
+    """The dense elimination `congruence_diagonalize` replaced, kept as the
+    reference: every entry is copied through Fraction, p starts as a dense
+    Fraction identity, and every step scans every row of p."""
+    n = len(m)
+    a = [[F(x) for x in row] for row in m]
+    p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if swap is None:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                    None,
+                )
+                if pair is None:
+                    break
+                i, j = pair
+                for r in range(k, n):
+                    a[r][i] += a[r][j]
+                ai, aj = a[i], a[j]
+                for c in range(k, n):
+                    ai[c] += aj[c]
+                for row in p:
+                    if row[j]:
+                        row[i] += row[j]
+                swap = i
+            if swap != k:
+                a[k], a[swap] = a[swap], a[k]
+                for r in range(k, n):
+                    a[r][k], a[r][swap] = a[r][swap], a[r][k]
+                for row in p:
+                    row[k], row[swap] = row[swap], row[k]
+        ak = a[k]
+        piv = ak[k]
+        fs = [(c, ak[c] / piv) for c in range(k + 1, n) if ak[c]]
+        for r, _ in fs:
+            ar = a[r]
+            x = ar[k]
+            for c, fc in fs:
+                ar[c] -= fc * x
+            ar[k] = ak[r] = F(0)
+        for row in p:
+            x = row[k]
+            if x:
+                for c, fc in fs:
+                    row[c] -= fc * x
+    return [a[i][i] for i in range(n)], p
+
+
+def _typed(xs):
+    """Nested lists with each entry paired with its type, so that equality
+    also compares types (F(0) == 0, but an int digests differently)."""
+    if isinstance(xs, list):
+        return [_typed(x) for x in xs]
+    return (type(xs), xs)
+
+
+def _check_congruence_matches_dense(m):
+    want = _dense_congruence_diagonalize(m)
+    assert _typed(list(linalg.congruence_diagonalize(m))) == _typed(list(want))
+    as_dicts = [linalg.sparse(row) for row in m]
+    assert _typed(list(linalg.congruence_diagonalize(as_dicts))) == _typed(list(want))
+    return want
+
+
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
         lambda n: st.lists(
@@ -323,7 +389,7 @@ def test_congruence_inertia_is_sign_count_of_diagonalize(raw, zero_diag, singula
             m[n - 1][j] = m[0][j]
         for i in range(n):
             m[i][n - 1] = m[i][0]
-    diag, p = linalg.congruence_diagonalize(m)
+    diag, p = _check_congruence_matches_dense(m)
     signs = (
         sum(1 for d in diag if d > 0),
         sum(1 for d in diag if d < 0),
@@ -334,6 +400,13 @@ def test_congruence_inertia_is_sign_count_of_diagonalize(raw, zero_diag, singula
         assert signs[2] >= 1
     d = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(m, p))
     assert d == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", catalog.MODEL_NAMES)
+def test_congruence_matches_dense_reference_on_killing_matrices(name):
+    k = catalog.model(name)[0].killing_matrix()
+    diag, _ = _check_congruence_matches_dense(k)
+    assert all(diag)  # e6 is semisimple: the Killing form is nondegenerate
 
 
 rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
