@@ -426,7 +426,8 @@ def signature_from_fix(dim_s: int, dim_fix: int) -> int:
 
 
 def fixed_subspace(matrix, field=QQ):
-    """(basis, dim) of ker(M - id), basis in reduced echelon form.
+    """(basis, dim) of ker(M - id), basis in reduced echelon form; M is
+    square, given by dense or {col: x} rows.
 
     The benchmark's solve workload passes QQ as field, the only value taken;
     the parameter goes with that call.

@@ -9,12 +9,16 @@ positive root, which keeps every partial sum a root.
 
 omega is the involution e_j -> -f_j, f_j -> -e_j (it inverts the Cartan);
 together with the 64 order-2 torus elements it produces the Z2^7 grading and
-the classification of the real forms inheriting it.
+the classification of the real forms inheriting it.  omega is monomial and a
+torus element is diagonal, so neither is built as a dense matrix: `omega`
+returns its sparse {col: +-1} rows and `torus_element` its +-1 diagonal, the
+forms their automorphism checks take.  dim fix(omega t) is 78 minus the rank
+of the sparse rows of omega t - 1, two nonzeros each at most.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -25,7 +29,6 @@ from .algcore import (
     LieAlgebra,
     StructAlgebra,
     bracket_constants,
-    fixed_subspace,
     inertia,
     is_diagonal_automorphism,
     is_monomial_automorphism,
@@ -191,6 +194,7 @@ class ChevalleyBasis:
     lie: LieAlgebra
     roots: RootSystem
     chains: list  # chain per positive root
+    _inheriting: dict = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -201,6 +205,13 @@ class ChevalleyBasis:
 
     def f_index(self, r: int) -> int:
         return 6 + 36 + r
+
+    def inheriting_signatures(self) -> dict:
+        """`inheriting_signatures` of this basis, computed on the first call
+        and kept: every later call returns the same dict."""
+        if self._inheriting is None:
+            self._inheriting = inheriting_signatures(self)
+        return self._inheriting
 
 
 @lru_cache(maxsize=None)
@@ -277,32 +288,30 @@ def e6_chevalley() -> ChevalleyBasis:
 def omega(cb: ChevalleyBasis = None):
     """The automorphism with e_j -> -f_j, f_j -> -e_j; inverts the Cartan.
 
-    Propagating through the chains gives e_a -> (-1)^height f_a."""
+    Propagating through the chains gives e_a -> (-1)^height f_a.  Returns
+    its 78 sparse rows: row i is {j: m[i][j]}, one +-1 int each."""
     if cb is None:
         cb = e6_chevalley()
     n = cb.lie.dim
-    m = [[F(0)] * n for _ in range(n)]
     perm = list(range(n))
-    coef = [F(0)] * n
-    for j in range(6):
-        m[j][j] = F(-1)
-        perm[j] = j
-        coef[j] = F(-1)
+    coef = [-1] * n
     for r, alpha in enumerate(cb.roots.positive):
-        sign = F(-1) ** sum(alpha)
+        sign = (-1) ** sum(alpha)
         ei, fi = cb.e_index(r), cb.f_index(r)
-        m[fi][ei] = sign
-        m[ei][fi] = sign
         perm[ei], perm[fi] = fi, ei
-        coef[ei] = sign
-        coef[fi] = sign
+        coef[ei] = coef[fi] = sign
     if not is_monomial_automorphism(cb.lie.alg, perm, coef):
         raise AlgebraError("omega is not an automorphism")
-    return m
+    rows = [{} for _ in range(n)]
+    for q in range(n):  # column q holds coef[q] at row perm[q]
+        rows[perm[q]][q] = coef[q]
+    return rows
 
 
 def torus_element(cb: ChevalleyBasis, signs):
-    """Diagonal automorphism: identity on h, s^alpha on the root vectors."""
+    """Diagonal automorphism: identity on h, s^alpha on the root vectors.
+
+    Returns its diagonal, a list of 78 ints +-1."""
     if len(signs) != 6 or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a +-1 vector of length 6")
     n = cb.lie.dim
@@ -314,13 +323,9 @@ def torus_element(cb: ChevalleyBasis, signs):
                 val = -val
         diag[cb.e_index(r)] = val
         diag[cb.f_index(r)] = val
-    # the check multiplies +-1 ints, not Fractions; the returned matrix is over Q
     if not is_diagonal_automorphism(cb.lie.alg, diag):
         raise AlgebraError("torus element is not an automorphism")
-    m = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = F(diag[i])
-    return m
+    return diag
 
 
 def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
@@ -334,12 +339,26 @@ def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
     return count
 
 
+def omega_t_minus_one(om, diag) -> list:
+    """Sparse rows of omega t - 1, for om the sparse rows of `omega` and diag
+    the diagonal of t: row i is {j: om[i][j] t_j} minus e_i."""
+    rows = []
+    for i, row in enumerate(om):
+        r = {j: x * diag[j] for j, x in row.items()}
+        x = r.get(i, 0) - 1
+        if x:
+            r[i] = x
+        else:
+            del r[i]
+        rows.append(r)
+    return rows
+
+
 def fix_dim_omega_t(cb: ChevalleyBasis, om, signs) -> int:
-    """dim fix(omega t) for om = omega(cb), computed honestly from the matrix kernel."""
-    t = torus_element(cb, signs)
-    mat = linalg.mat_mul(om, t)
-    _, dim = fixed_subspace(mat)
-    return dim
+    """dim fix(omega t) for om = omega(cb): 78 minus the rank of the sparse
+    rows of omega t - 1, computed exactly, not read off a formula."""
+    rows = omega_t_minus_one(om, torus_element(cb, signs))
+    return len(rows) - linalg.rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def cmd_constants(args) -> int:
 def cmd_chevalley(args) -> int:
     t0 = time.time()
     cb = chevalley.e6_chevalley()
-    inh = chevalley.inheriting_signatures(cb)
+    inh = cb.inheriting_signatures()
     doc = {
         "roots": 2 * len(cb.roots.positive),
         "split_signature": chevalley.split_signature(cb),

@@ -7,10 +7,12 @@ routine takes one: every zero or one a routine writes is the Fraction
 `QZERO` or `QONE`, and a pivot is inverted as `QONE / x`.
 
 `rref` is the one elimination: it reduces dense or sparse rows on {col: x}
-dicts, so its cost follows the nonzeros, not the width.  The reduced row
-echelon form of a matrix is unique, so every basis it returns (and `kernel`,
-`eigenspace`, `rank`, `mat_inverse`, `SpanSolver` and `IntKernelAccumulator`
-on top of it) is deterministic whatever the row order or the order of
+dicts, so its cost follows the nonzeros, not the width, and every entry it
+returns is a Fraction, for int rows too.  The reduced row echelon form of a
+matrix is unique, so every basis it returns (and `kernel`, `eigenspace`,
+`mat_inverse`, `SpanSolver` and `IntKernelAccumulator` on top of it) is
+deterministic whatever the row order or the order of elimination.  `rank`
+takes dense or {col: x} rows too, and only counts the pivots of the forward
 elimination.  One span solver (`SpanSolver`) expresses vectors in a fixed
 basis on integer rows, one symmetric congruence elimination
 (`congruence_diagonalize`) gives both the Witt pivots and the Sylvester
@@ -24,6 +26,9 @@ rows, a matrix or a table into (common denominator d, entries times d as
 ints) once, the sparse helpers (`sp_matvec`, `sp_mul`, `sp_commutator`,
 `sp_trace_product`) keep the type of their inputs, and a Fraction is built
 only for a nonzero coefficient that `SpanSolver.coefficients` returns.
+`IntKernelAccumulator` keeps its kernel as primitive int vectors: an int
+constraint row is only divided by its gcd, and a rational one is cleared of
+denominators first.
 """
 
 from __future__ import annotations
@@ -134,30 +139,17 @@ def rref(rows, ncols=None):
     """Reduced row echelon form of dense rows, or of {col: x} rows of width
     ncols.
 
-    Returns (reduced nonzero rows as dense lists, pivot column list).  The
-    elimination runs on sparse rows: each row is reduced at its leading
-    column by the echelon row already there, or becomes the echelon row of
-    that column; back-substitution then clears each pivot column from the
-    rows above it.  The reduced echelon form is unique, so the result does
-    not depend on the row order.
+    Returns (reduced nonzero rows as dense lists of Fractions, pivot column
+    list).  The rows are reduced to echelon form by `_echelon`;
+    back-substitution then clears each pivot column from the rows above it.
+    The reduced echelon form is unique, so the result does not depend on the
+    row order, and its entries are Fractions whatever the input's types.
     """
     if ncols is None:
         if rows and isinstance(rows[0], dict):
             raise TypeError("rref of dict rows needs ncols")
         ncols = len(rows[0]) if rows else 0
-    echelon = {}  # pivot column -> row with 1 there and nothing to its left
-    for r in rows:
-        r = sparse(r)
-        while r:
-            c = min(r)
-            p = echelon.get(c)
-            if p is None:
-                if r[c] != 1:
-                    inv = QONE / r[c]  # a Fraction for an int pivot too
-                    r = {k: x * inv for k, x in r.items()}
-                echelon[c] = r
-                break
-            sp_add_into(r, p, -r[c])
+    echelon = _echelon(rows)
     pivots = sorted(echelon)
     # rows below are already reduced, so clearing their pivot columns here
     # touches no other pivot column
@@ -168,8 +160,36 @@ def rref(rows, ncols=None):
     return [[echelon[pc].get(j, QZERO) for j in range(ncols)] for pc in pivots], pivots
 
 
+def _echelon(rows) -> dict:
+    """{pivot column: row} for the echelon form of dense or {col: x} rows.
+
+    The elimination runs on sparse rows: each row is reduced at its leading
+    column by the echelon row already there, or becomes the echelon row of
+    that column, scaled to 1 there.  A row is scaled by a Fraction unless it
+    is all Fractions with a 1 there already, so every entry of an echelon
+    row is a Fraction, for int rows too.
+    """
+    echelon = {}  # pivot column -> row with 1 there and nothing to its left
+    for r in rows:
+        r = sparse(r)
+        while r:
+            c = min(r)
+            p = echelon.get(c)
+            if p is None:
+                piv = r[c]
+                if piv != 1 or any(type(x) is not Fraction for x in r.values()):
+                    inv = QONE / piv
+                    r = {k: x * inv for k, x in r.items()}
+                echelon[c] = r
+                break
+            sp_add_into(r, p, -r[c])
+    return echelon
+
+
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """Rank of dense rows or of {col: x} rows: the pivots of the echelon
+    form, so dict rows need no width and nothing is back-substituted."""
+    return len(_echelon(rows))
 
 
 def kernel(rows, ncols):
@@ -314,6 +334,7 @@ def mat_inverse(a):
 
 
 def eigenspace(m, lam):
+    """Basis of ker(m - lam), m square, given by dense or {col: x} rows."""
     rows = [sparse(row) for row in m]
     for i, r in enumerate(rows):
         sp_add_into(r, {i: QONE}, -lam)
@@ -573,11 +594,19 @@ class IntKernelAccumulator:
         return len(self.basis)
 
     def add_constraint(self, row: dict) -> bool:
-        """Add one {unknown: Fraction|int} row; True if the dimension dropped."""
+        """Add one {unknown: Fraction|int} row; True if the dimension dropped.
+
+        An int row, such as a Leibniz row on the integer table D*c, is only
+        divided by its gcd; a rational row goes through `clear_denominators`.
+        """
         row = {k: v for k, v in row.items() if v}
         if not row:
             return False
-        introw = dict(zip(row, clear_denominators(row.values())))
+        if all(type(v) is int for v in row.values()):
+            g = gcd(*row.values())
+            introw = row if g == 1 else {k: v // g for k, v in row.items()}
+        else:
+            introw = dict(zip(row, clear_denominators(row.values())))
         key = tuple(sorted(introw.items()))
         if key in self._seen:
             return False

@@ -256,7 +256,7 @@ def group_chevalley():
     out.append(_check("C12.split-sig", "split form signature", 6, chevalley.split_signature(cb)))
     _, dfo = fixed_subspace(chevalley.omega(cb))
     out.append(_check("C12.fix-omega", "dim fix(omega)", 36, dfo))
-    inh = chevalley.inheriting_signatures(cb)
+    inh = cb.inheriting_signatures()
     all36 = all(r["dim_fix_omega_t"] == 36 for r in inh["rows"])
     out.append(_check_bool("C12.fix-omega-t", "dim fix(omega t) = 36 for all 64 t", all36))
     out.append(
@@ -294,7 +294,7 @@ def group_carriers():
             catalog.grading_carrier_signature("gamma13"),
         )
     )
-    inh = chevalley.inheriting_signatures()
+    inh = chevalley.e6_chevalley().inheriting_signatures()
     out.append(_check_bool("C13.gamma13.excludes-minus26", "-26 does not inherit the Z2^7 grading", not inh["contains_minus_26"]))
     return out
 

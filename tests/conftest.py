@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -32,3 +34,26 @@ def every_twist_is_anticommutative():
     yield
     for mod, name in bound:
         setattr(mod, name, original)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_child():
+    """perfbench/child.py, loaded as a module from its file."""
+    pytest.importorskip("numpy")  # child.py calibrates with numpy
+    sys.path.insert(0, str(PERFBENCH))  # child.py imports its sibling spans.py
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return mod
+
+
+@pytest.fixture(scope="session")
+def fixture_documents(perfbench_child):
+    """name -> the benchmark's fixture document, from the catalog's builds."""
+    return perfbench_child.fixture_documents()

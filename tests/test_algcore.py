@@ -82,7 +82,7 @@ def test_jacobi_exact_path_agrees():
 
 
 @pytest.mark.parametrize("name", catalog.MODEL_NAMES)
-def test_packed_jacobi_matches_the_pair_loop_on_catalog_models(name):
+def test_packed_jacobi_matches_the_scaled_loop_on_catalog_models(name):
     alg = catalog.model(name)[0].alg
     assert alg.int_tensor()[1] is not None
     assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg) == []
@@ -99,7 +99,7 @@ def _mutated_tits_o_m3r():
     return StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
 
 
-def test_packed_jacobi_matches_the_pair_loop_on_a_mutated_model():
+def test_packed_jacobi_matches_the_scaled_loop_on_a_mutated_model():
     mutant = _mutated_tits_o_m3r()
     defect = jacobi_defect(mutant)
     assert defect

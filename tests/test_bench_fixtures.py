@@ -9,9 +9,7 @@ vector fails here, in the test suite, and not only in a benchmark run.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,26 +18,11 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PREFIXES = ("model-", "grading-")
 
 
-def _load_child():
-    pytest.importorskip("numpy")  # child.py calibrates with numpy
-    sys.path.insert(0, str(PERFBENCH))  # child.py imports its sibling spans.py
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_child", PERFBENCH / "child.py"
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return mod
-
-
 @pytest.fixture(scope="module")
-def digests():
-    child = _load_child()
+def digests(perfbench_child, fixture_documents):
     return {
-        name: hashlib.sha256(child.canonical(doc)).hexdigest()
-        for name, doc in child.fixture_documents().items()
+        name: hashlib.sha256(perfbench_child.canonical(doc)).hexdigest()
+        for name, doc in fixture_documents.items()
         if name.startswith(PREFIXES)
     }
 

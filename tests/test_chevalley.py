@@ -10,6 +10,30 @@ from e6lab.gradings import type_vector, verify
 F = Fraction
 
 
+def _dense_omega(cb):
+    """omega as a dense 78x78 Fraction matrix, for the dense checks."""
+    m = [[F(0)] * cb.dim for _ in range(cb.dim)]
+    for i, row in enumerate(chevalley.omega(cb)):
+        for j, x in row.items():
+            m[i][j] = F(x)
+    return m
+
+
+def _dense_diagonal(diag):
+    """The dense Fraction matrix with the given diagonal."""
+    return [[F(x) if i == j else F(0) for j in range(len(diag))] for i, x in enumerate(diag)]
+
+
+def _dense_torus(cb, signs):
+    return _dense_diagonal(chevalley.torus_element(cb, signs))
+
+
+def _dense_fix_omega_t(om, t):
+    """The dense fix(omega t) path the sparse rank replaced, kept as the
+    reference: the dense product omega t, then `fixed_subspace`."""
+    return fixed_subspace(linalg.mat_mul(om, t))
+
+
 def test_root_count_and_heights():
     rs = chevalley.e6_roots()
     assert len(rs.positive) == 36
@@ -57,7 +81,7 @@ def test_split_signature():
 
 def test_omega():
     cb = chevalley.e6_chevalley()
-    om = chevalley.omega(cb)
+    om = _dense_omega(cb)
     n = cb.lie.dim
     assert linalg.mat_mul(om, om) == linalg.identity(n)
     for j in range(6):
@@ -80,9 +104,9 @@ def test_omega():
 
 def test_torus_elements():
     cb = chevalley.e6_chevalley()
-    ident = chevalley.torus_element(cb, (1,) * 6)
+    ident = _dense_torus(cb, (1,) * 6)
     assert ident == linalg.identity(78)
-    t = chevalley.torus_element(cb, (-1, 1, 1, 1, 1, 1))
+    t = _dense_torus(cb, (-1, 1, 1, 1, 1, 1))
     _, dim = fixed_subspace(t)
     assert dim == 46
     assert chevalley.fix_dim_t(cb, (-1, 1, 1, 1, 1, 1)) == 46
@@ -92,9 +116,9 @@ def test_torus_elements():
 
 def test_omega_commutes_with_torus():
     cb = chevalley.e6_chevalley()
-    om = chevalley.omega(cb)
+    om = _dense_omega(cb)
     for signs in [(-1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1)]:
-        t = chevalley.torus_element(cb, signs)
+        t = _dense_torus(cb, signs)
         assert linalg.mat_mul(om, t) == linalg.mat_mul(t, om)
 
 
@@ -103,8 +127,8 @@ def test_fix_omega_t_structure():
     # s-odd ones, up to the height sign; dimension always 36
     cb = chevalley.e6_chevalley()
     signs = (1, -1, 1, 1, -1, 1)
-    om = chevalley.omega(cb)
-    t = chevalley.torus_element(cb, signs)
+    om = _dense_omega(cb)
+    t = _dense_torus(cb, signs)
     mat = linalg.mat_mul(om, t)
     basis, dim = fixed_subspace(mat)
     assert dim == 36
@@ -153,7 +177,7 @@ def test_inheriting_signatures():
 def test_killing_invariant_under_omega_and_torus():
     cb = chevalley.e6_chevalley()
     k = cb.lie.killing_matrix()
-    for m in (chevalley.omega(cb), chevalley.torus_element(cb, (1, -1, 1, 1, 1, -1))):
+    for m in (_dense_omega(cb), _dense_torus(cb, (1, -1, 1, 1, 1, -1))):
         mt = linalg.transpose(m)
         assert linalg.mat_mul(mt, linalg.mat_mul(k, m)) == k
 
@@ -166,7 +190,7 @@ def test_fix_dims_honest_vs_formula():
     om = chevalley.omega(cb)
     for _ in range(6):
         signs = tuple(rng.choice((1, -1)) for _ in range(6))
-        t = chevalley.torus_element(cb, signs)
+        t = _dense_torus(cb, signs)
         _, dim = fixed_subspace(t)
         assert dim == chevalley.fix_dim_t(cb, signs)
         assert chevalley.fix_dim_omega_t(cb, om, signs) == 36
@@ -190,8 +214,8 @@ def _dense_is_automorphism(alg, m):
 def test_sparse_automorphism_check_matches_dense():
     cb = chevalley.e6_chevalley()
     alg = cb.lie.alg
-    om = chevalley.omega(cb)
-    t = chevalley.torus_element(cb, (-1, 1, -1, 1, 1, -1))
+    om = _dense_omega(cb)
+    t = _dense_torus(cb, (-1, 1, -1, 1, 1, -1))
     q = cb.e_index(0)
     p = next(p for p in range(alg.dim) if om[p][q])
     om_bad = [row[:] for row in om]
@@ -208,12 +232,75 @@ def test_diagonal_check_same_verdict_on_int_and_fraction_signs():
     alg = cb.lie.alg
     q = cb.e_index(0)
     for signs in product((1, -1), repeat=6):
-        t = chevalley.torus_element(cb, signs)
-        frac = [t[i][i] for i in range(alg.dim)]
-        ints = [int(v) for v in frac]
+        ints = chevalley.torus_element(cb, signs)
+        frac = [F(v) for v in ints]
         bad_frac, bad_ints = frac[:], ints[:]
         bad_frac[q], bad_ints[q] = -frac[q], -ints[q]
         verdicts = [
             algcore.is_diagonal_automorphism(alg, d) for d in (ints, frac, bad_ints, bad_frac)
         ]
         assert verdicts == [True, True, False, False]
+
+
+def test_omega_rows_and_torus_diagonals():
+    cb = chevalley.e6_chevalley()
+    om = chevalley.omega(cb)
+    assert len(om) == cb.dim
+    assert all(len(row) == 1 for row in om)
+    assert all(type(x) is int and x in (1, -1) for row in om for x in row.values())
+    diag = chevalley.torus_element(cb, (1, -1, 1, 1, -1, 1))
+    assert len(diag) == cb.dim
+    assert all(type(x) is int and x in (1, -1) for x in diag)
+
+
+def _both_fix_omega_t_paths(cb, om, om_dense, diag):
+    """(kernel basis, dim) of omega t - 1 on the sparse rows and on the dense
+    reference; the sparse dim is 78 minus the rank.  The sparse rows must be
+    the nonzeros of the dense omega t - 1."""
+    rows = chevalley.omega_t_minus_one(om, diag)
+    t = _dense_diagonal(diag)
+    dense_rows = linalg.mat_sub(linalg.mat_mul(om_dense, t), linalg.identity(cb.dim))
+    assert rows == [linalg.sparse(r) for r in dense_rows]
+    return (
+        (linalg.kernel(rows, cb.dim), cb.dim - linalg.rank(rows)),
+        _dense_fix_omega_t(om_dense, t),
+    )
+
+
+def test_fix_omega_t_matches_dense_reference():
+    cb = chevalley.e6_chevalley()
+    om, om_dense = chevalley.omega(cb), _dense_omega(cb)
+    for signs in product((1, -1), repeat=6):
+        diag = chevalley.torus_element(cb, signs)
+        (basis, dim), (ref_basis, ref_dim) = _both_fix_omega_t_paths(cb, om, om_dense, diag)
+        assert basis == ref_basis
+        assert all(type(x) is F for v in basis for x in v)
+        assert dim == ref_dim == len(basis) == 36
+        assert chevalley.fix_dim_omega_t(cb, om, signs) == dim
+
+
+def test_fix_omega_t_paths_agree_on_a_mutated_diagonal():
+    # e_alpha flipped but not f_alpha: not an automorphism, so it goes to the
+    # kernel paths straight; omega t swaps e_alpha and f_alpha with product
+    # of signs -1 there, which loses the fixed vector of that pair
+    cb = chevalley.e6_chevalley()
+    om, om_dense = chevalley.omega(cb), _dense_omega(cb)
+    diag = chevalley.torus_element(cb, (1, -1, 1, 1, -1, 1))
+    q = cb.e_index(5)
+    diag[q] = -diag[q]
+    assert not algcore.is_diagonal_automorphism(cb.lie.alg, diag)
+    (basis, dim), (ref_basis, ref_dim) = _both_fix_omega_t_paths(cb, om, om_dense, diag)
+    assert basis == ref_basis
+    assert dim == ref_dim == len(basis) == 35
+
+
+def test_inheriting_signatures_is_kept_on_the_basis():
+    cb = chevalley.e6_chevalley()
+    fresh = chevalley.ChevalleyBasis(lie=cb.lie, roots=cb.roots, chains=cb.chains)
+    assert fresh._inheriting is None
+    first = fresh.inheriting_signatures()
+    assert fresh.inheriting_signatures() is first
+    # the module function computes afresh and leaves the memo alone
+    again = chevalley.inheriting_signatures(fresh)
+    assert again == first and again is not first
+    assert fresh.inheriting_signatures() is first

@@ -117,6 +117,23 @@ def test_incremental_kernel_matches_dense(raw):
     assert acc.kernel_basis() == dense
 
 
+@given(
+    st.lists(
+        st.lists(small_entries, min_size=5, max_size=5), min_size=7, max_size=7
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_incremental_kernel_same_on_int_and_fraction_rows(raw):
+    # int rows are only divided by their gcd; Fraction rows are cleared of
+    # denominators first: both reach the same primitive rows and basis
+    accs = [linalg.IntKernelAccumulator(5) for _ in range(2)]
+    for r in raw:
+        accs[0].add_constraint({i: 3 * v for i, v in enumerate(r) if v})
+        accs[1].add_constraint({i: F(v, 2) for i, v in enumerate(r) if v})
+    assert accs[0].basis == accs[1].basis
+    assert accs[0].kernel_basis() == accs[1].kernel_basis() == linalg.kernel(raw, 5)
+
+
 def test_eigenspace():
     m = [[F(2), F(0)], [F(0), F(3)]]
     e2 = linalg.eigenspace(m, F(2))
@@ -157,6 +174,24 @@ def test_elimination_of_int_rows_stays_rational():
     ]
     for rows in copied:
         assert all(type(x) is F for row in rows for x in row if x == 0), rows
+
+
+def test_rref_returns_fractions_whatever_the_scale_of_int_rows():
+    # a leading 1 used to keep an int row's entries as ints
+    one, two = linalg.rref([[1, 2]]), linalg.rref([[2, 4]])
+    assert one == two == ([[F(1), F(2)]], [0])
+    ker = linalg.kernel([{0: 1, 1: -1}], 2)
+    assert ker == linalg.kernel([{0: F(3), 1: F(-3)}], 2) == [[F(1), F(1)]]
+    for rows in (one[0], two[0], ker):
+        assert all(type(x) is F for row in rows for x in row), rows
+
+
+def test_rank_of_dict_rows():
+    rows = [[2, 0, 4, 0], [1, 0, 2, 0], [0, 0, 0, 0], [0, 3, 0, -1]]
+    sparse_rows = [linalg.sparse(r) for r in rows]
+    assert linalg.rank(sparse_rows) == linalg.rank(rows) == 2
+    assert linalg.rank([{}, {5: F(1, 3)}]) == 1
+    assert linalg.rank([]) == 0
 
 
 def test_mat_inverse_rejects_singular():
