@@ -533,35 +533,34 @@ def _solve_derivations(alg: StructAlgebra):
     # the Leibniz system is homogeneous and linear in c, so the integer table
     # D*c, D the common denominator, has the same kernel
     _, sc = linalg.int_scaled(alg.sc)
-    first = [[sc.get((i, q)) for q in range(n)] for i in range(n)]
+    by_left = [[] for _ in range(n)]  # by_left[i]: (q, c[i][q]) for the nonzero rows
+    by_right = [[] for _ in range(n)]  # by_right[j]: (p, c[p][j])
+    for (a, b), row in sc.items():
+        by_left[a].append((b, row))
+        by_right[b].append((a, row))
     for i in range(n):
         jstart = i if commutative else (i + 1 if anticomm else 0)
         for j in range(jstart, n):
             if anticomm and i == j:
                 continue
-            prod = sc.get((i, j), {})
-            rows = [dict() for _ in range(n)]
-            for m, v in prod.items():
-                for k in range(n):
-                    rows[k][k * n + m] = rows[k].get(k * n + m, 0) + v
-            for p in range(n):
-                row_pj = first[p][j]
-                if row_pj:
-                    for k, v in row_pj.items():
-                        rows[k][p * n + i] = rows[k].get(p * n + i, 0) - v
-            for q in range(n):
-                row_iq = first[i][q]
-                if row_iq:
-                    for k, v in row_iq.items():
-                        rows[k][q * n + j] = rows[k].get(q * n + j, 0) - v
-            for r in rows:
-                if r:
-                    acc.add_constraint(r)
+            # row k of d(b_i b_j) - d(b_i) b_j - b_i d(b_j), in the unknowns
+            # d[k][m] = (coefficient of b_k in d(b_m)) at k * n + m; only the
+            # rows some term reaches are built
+            prod = sc.get((i, j))
+            rows = {k: {k * n + m: v for m, v in prod.items()} for k in range(n)} if prod else {}
+            for terms, col in ((by_right[j], i), (by_left[i], j)):
+                for p, row in terms:
+                    u = p * n + col
+                    for k, v in row.items():
+                        r = rows.get(k)
+                        if r is None:
+                            rows[k] = {u: -v}
+                        else:
+                            r[u] = r.get(u, 0) - v
+            for r in rows.values():
+                acc.add_constraint(r)
     basis = acc.kernel_basis()
-    out = []
-    for vec in basis:
-        out.append([vec[p * n : (p + 1) * n] for p in range(n)])
-    return out
+    return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in basis]
 
 
 def leibniz_defect(alg: StructAlgebra, d) -> bool:
@@ -586,12 +585,8 @@ def leibniz_defect(alg: StructAlgebra, d) -> bool:
 def is_automorphism(alg: StructAlgebra, m) -> bool:
     """Exact check of M(b_i b_j) = M(b_i) M(b_j) on all basis pairs, on the
     sparse columns of M and the structure constants."""
-    return _preserves_products(alg, [linalg.sparse([row[q] for row in m]) for q in range(alg.dim)])
-
-
-def _preserves_products(alg: StructAlgebra, cols) -> bool:
-    """M(b_i b_j) = M(b_i) M(b_j) for all i, j, M given by its sparse columns."""
     sc = alg.sc
+    cols = [linalg.sparse([row[q] for row in m]) for q in range(alg.dim)]
     for i, ci in enumerate(cols):
         for j, cj in enumerate(cols):
             lhs = {}
@@ -619,8 +614,31 @@ def is_diagonal_automorphism(alg: StructAlgebra, diag) -> bool:
 
 
 def is_monomial_automorphism(alg: StructAlgebra, perm, coef) -> bool:
-    """`is_automorphism` for the map b_i -> coef[i] * b_perm[i]."""
-    return _preserves_products(alg, [linalg.sparse({perm[i]: c}) for i, c in enumerate(coef)])
+    """Whether the map b_i -> coef[i] * b_perm[i] is an automorphism.
+
+    The map is invertible iff perm is a permutation of the basis indices and
+    no coef is 0.  It then preserves products iff
+    coef[k] c[i][j][k] = coef[i] coef[j] c[perm i][perm j][perm k] for all
+    i, j, k, which is checked in one pass over the rows (i, j) of the table:
+    the int table D*c of `int_tensor` (the equation is homogeneous in c), or
+    ``sc`` past its bound.  Row (perm i, perm j) must hold perm k for every
+    k of row (i, j) and be as long, so each nonzero row maps onto a nonzero
+    row, and hence each zero row onto a zero row.
+    """
+    n = alg.dim
+    if len(coef) != n or sorted(perm) != list(range(n)) or not all(coef):
+        return False
+    table = alg.int_tensor()[1] or alg.sc
+    for (i, j), row in table.items():
+        image = table.get((perm[i], perm[j]))
+        if image is None or len(image) != len(row):
+            return False
+        lam = coef[i] * coef[j]
+        for k, v in row.items():
+            w = image.get(perm[k])
+            if w is None or coef[k] * v != lam * w:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def _primitive_rows(rows):
     """Reduced echelon basis of the span of rational rows, each row scaled to
     a primitive integer vector (entries kept as Fractions)."""
     red, _ = linalg.rref(rows)
-    return [[F(x) for x in linalg.clear_denominators(v)] for v in red]
+    return [[F(x) for x in linalg.primitive(linalg.int_scaled(v)[1])] for v in red]
 
 
 # ---------------------------------------------------------------------------

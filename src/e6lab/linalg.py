@@ -4,20 +4,24 @@ Dense matrices are lists of row lists; sparse vectors are {index: scalar}
 dicts and sparse matrices {row: {col: scalar}}, with Fraction or int
 entries.  Zero tests are truthiness tests.  Q is the only field, so no
 routine takes one: every zero or one a routine writes is the Fraction
-`QZERO` or `QONE`, and a pivot is inverted as `QONE / x`.
+`QZERO` or `QONE`.
 
 `rref` is the one elimination: it reduces dense or sparse rows on {col: x}
-dicts, so its cost follows the nonzeros, not the width, and every entry it
-returns is a Fraction, for int rows too.  The reduced row echelon form of a
-matrix is unique, so every basis it returns (and `kernel`, `eigenspace`,
+dicts, so its cost follows the nonzeros, not the width, and it is
+fraction-free: each row is cleared of denominators once and made primitive
+(`primitive`), and a row is reduced by an echelon row p as a r - b p with
+a, b coprime ints, then divided by its content (`_eliminate`).  Only the
+result is rational: every entry `rref` returns is a Fraction, one built per
+nonzero, for int rows too.  The reduced row echelon form of a matrix is
+unique, so every basis it returns (and `kernel`, `eigenspace`,
 `mat_inverse`, `SpanSolver` and `IntKernelAccumulator` on top of it) is
 deterministic whatever the row order or the order of elimination.  `rank`
 takes dense or {col: x} rows too, and only counts the pivots of the forward
-elimination.  One span solver (`SpanSolver`) expresses vectors in a fixed
-basis on integer rows, one symmetric congruence elimination
-(`congruence_diagonalize`) gives both the Witt pivots and the Sylvester
-inertia, and one Gram loop (`gram`) evaluates a bilinear form on lists of
-vectors.  The congruence elimination runs on sparse symmetric {col: x} rows
+elimination, with no Fraction built.  One span solver (`SpanSolver`)
+expresses vectors in a fixed basis on integer rows, one symmetric
+congruence elimination (`congruence_diagonalize`) gives both the Witt
+pivots and the Sylvester inertia, and one Gram loop (`gram`) evaluates a
+bilinear form on lists of vectors.  The congruence elimination runs on sparse symmetric {col: x} rows
 and keeps its change of basis as sparse columns, so a step costs time in the
 nonzeros it meets; its results are Fractions, `QZERO` for a zero.
 
@@ -26,9 +30,10 @@ rows, a matrix or a table into (common denominator d, entries times d as
 ints) once, the sparse helpers (`sp_matvec`, `sp_mul`, `sp_commutator`,
 `sp_trace_product`) keep the type of their inputs, and a Fraction is built
 only for a nonzero coefficient that `SpanSolver.coefficients` returns.
-`IntKernelAccumulator` keeps its kernel as primitive int vectors: an int
-constraint row is only divided by its gcd, and a rational one is cleared of
-denominators first.
+`IntKernelAccumulator` keeps its kernel as primitive int vectors and
+reduces them with the same `_eliminate`: a constraint row is dotted as it
+is, and only the dot products of a rational row are cleared of
+denominators.
 """
 
 from __future__ import annotations
@@ -140,10 +145,12 @@ def rref(rows, ncols=None):
     ncols.
 
     Returns (reduced nonzero rows as dense lists of Fractions, pivot column
-    list).  The rows are reduced to echelon form by `_echelon`;
-    back-substitution then clears each pivot column from the rows above it.
-    The reduced echelon form is unique, so the result does not depend on the
-    row order, and its entries are Fractions whatever the input's types.
+    list).  `_echelon` reduces the rows to primitive int echelon rows;
+    back-substitution then clears each pivot column from the rows above it
+    on the same int rows, and row p is read off as one `Fraction(x, lead)`
+    per nonzero entry, lead its entry at the pivot.  The reduced echelon
+    form is unique, so the result does not depend on the row order, and its
+    entries are Fractions (`QZERO` for a zero) whatever the input's types.
     """
     if ncols is None:
         if rows and isinstance(rows[0], dict):
@@ -151,44 +158,81 @@ def rref(rows, ncols=None):
         ncols = len(rows[0]) if rows else 0
     echelon = _echelon(rows)
     pivots = sorted(echelon)
+    red = []
     # rows below are already reduced, so clearing their pivot columns here
-    # touches no other pivot column
+    # brings in no other pivot column
     for pc in reversed(pivots):
         r = echelon[pc]
         for c in [c for c in r if c != pc and c in echelon]:
-            sp_add_into(r, echelon[c], -r[c])
-    return [[echelon[pc].get(j, QZERO) for j in range(ncols)] for pc in pivots], pivots
+            r = _eliminate(r, r[c], echelon[c], echelon[c][c])
+        echelon[pc] = r
+        lead = r[pc]
+        out = [QZERO] * ncols
+        for c, x in r.items():
+            out[c] = Fraction(x, lead)
+        red.append(out)
+    red.reverse()
+    return red, pivots
 
 
 def _echelon(rows) -> dict:
-    """{pivot column: row} for the echelon form of dense or {col: x} rows.
+    """{pivot column: row} for the echelon form of dense or {col: x} rows,
+    fraction-free.
 
-    The elimination runs on sparse rows: each row is reduced at its leading
-    column by the echelon row already there, or becomes the echelon row of
-    that column, scaled to 1 there.  A row is scaled by a Fraction unless it
-    is all Fractions with a 1 there already, so every entry of an echelon
-    row is a Fraction, for int rows too.
+    Each row is cleared of denominators once and made primitive, so the
+    elimination runs on sparse Python-int rows: a row is reduced at its
+    leading column c by the echelon row p already there, as
+    a r - b p with a, b coprime (`_eliminate`), or becomes the echelon row
+    of c.  Every echelon row is a primitive {col: int} row; its entry at
+    the pivot is any nonzero int.
     """
-    echelon = {}  # pivot column -> row with 1 there and nothing to its left
+    echelon = {}  # pivot column -> primitive int row with nothing to its left
     for r in rows:
-        r = sparse(r)
+        r = primitive(int_scaled(sparse(r))[1])
         while r:
             c = min(r)
             p = echelon.get(c)
             if p is None:
-                piv = r[c]
-                if piv != 1 or any(type(x) is not Fraction for x in r.values()):
-                    inv = QONE / piv
-                    r = {k: x * inv for k, x in r.items()}
                 echelon[c] = r
                 break
-            sp_add_into(r, p, -r[c])
+            r = _eliminate(r, r[c], p, p[c])
     return echelon
 
 
+def _eliminate(r: dict, x, p: dict, y) -> dict:
+    """The int row a r - b p divided by its content, where a = y / g and
+    b = x / g for g = gcd(x, y): a linear form that takes r to x and p to y
+    vanishes on it, such as the entry at a column where r holds x and p
+    holds y.  r is overwritten."""
+    g = gcd(x, y)
+    a, b = y // g, x // g
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in p.items():
+        w = r.get(k, 0) - b * v
+        if w:
+            r[k] = w
+        else:
+            del r[k]
+    return primitive(r)
+
+
+def primitive(row):
+    """An int row, dense or {col: x}, divided by the gcd of its entries;
+    returned as it is when that gcd is 0 or 1."""
+    g = gcd(*(row.values() if isinstance(row, dict) else row))
+    if g <= 1:
+        return row
+    if isinstance(row, dict):
+        return {k: x // g for k, x in row.items()}
+    return [x // g for x in row]
+
+
 def rank(rows) -> int:
-    """Rank of dense rows or of {col: x} rows: the pivots of the echelon
-    form, so dict rows need no width and nothing is back-substituted."""
+    """Rank of dense rows or of {col: x} rows: the pivots of the
+    fraction-free echelon form, so dict rows need no width, nothing is
+    back-substituted and no Fraction is built."""
     return len(_echelon(rows))
 
 
@@ -578,7 +622,8 @@ class IntKernelAccumulator:
 
     The basis of the current solution space is kept as primitive integer
     sparse vectors; each new constraint either is already satisfied or cuts
-    the dimension by one.  A column index accelerates the dot products.
+    the dimension by one.  A column index, cols[u] = {vector id: its entry
+    at u}, gives the dot products.
     """
 
     def __init__(self, nunknowns: int):
@@ -586,8 +631,7 @@ class IntKernelAccumulator:
         self.basis: dict[int, dict[int, int]] = {
             u: {u: 1} for u in range(nunknowns)
         }
-        self.cols: dict[int, set[int]] = {u: {u} for u in range(nunknowns)}
-        self._seen: set[tuple] = set()
+        self.cols: dict[int, dict[int, int]] = {u: {u: 1} for u in range(nunknowns)}
 
     @property
     def dimension(self) -> int:
@@ -596,91 +640,42 @@ class IntKernelAccumulator:
     def add_constraint(self, row: dict) -> bool:
         """Add one {unknown: Fraction|int} row; True if the dimension dropped.
 
-        An int row, such as a Leibniz row on the integer table D*c, is only
-        divided by its gcd; a rational row goes through `clear_denominators`.
+        The row is dotted as it is with the basis vectors that touch its
+        unknowns; it is never stored, so scaling it would only scale the dot
+        products.  A row the kernel satisfies, a repeated row among them,
+        leaves the basis as it is.  Otherwise the dot products of a rational
+        row are cleared of denominators together (`int_scaled`), the first
+        vector the row does not annihilate is dropped, and each other one, v,
+        becomes the primitive int vector `_eliminate` makes of v and the
+        dropped one, which the row annihilates.
         """
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            return False
-        if all(type(v) is int for v in row.values()):
-            g = gcd(*row.values())
-            introw = row if g == 1 else {k: v // g for k, v in row.items()}
-        else:
-            introw = dict(zip(row, clear_denominators(row.values())))
-        key = tuple(sorted(introw.items()))
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        dots: dict[int, int] = {}
-        for u, c in introw.items():
-            ids = self.cols.get(u)
-            if not ids:
-                continue
-            for vid in ids:
-                d = dots.get(vid, 0) + c * self.basis[vid][u]
-                dots[vid] = d
+        basis, cols = self.basis, self.cols
+        dots = {}
+        for u, c in row.items():
+            if c:
+                for vid, x in cols.get(u, {}).items():
+                    dots[vid] = dots.get(vid, 0) + c * x
         hit = [(vid, d) for vid, d in dots.items() if d]
         if not hit:
             return False
         hit.sort()
+        if not all(type(d) is int for _, d in hit):
+            hit = list(zip([vid for vid, _ in hit], int_scaled([d for _, d in hit])[1]))
         pid, pd = hit[0]
-        pvec = self.basis.pop(pid)
+        pvec = basis.pop(pid)
         for u in pvec:
-            self.cols[u].discard(pid)
+            del cols[u][pid]
         for vid, d in hit[1:]:
-            vvec = self.basis[vid]
-            newvec = {}
-            for u, x in vvec.items():
-                newvec[u] = pd * x
-            for u, x in pvec.items():
-                val = newvec.get(u, 0) - d * x
-                if val:
-                    newvec[u] = val
-                else:
-                    newvec.pop(u, None)
-            g = 0
-            for x in newvec.values():
-                g = gcd(g, abs(x))
-                if g == 1:
-                    break
-            if g > 1:
-                newvec = {u: x // g for u, x in newvec.items()}
-            for u in vvec:
+            newvec = basis[vid] = _eliminate(basis[vid], d, pvec, pd)
+            # only an entry where both v and pvec are nonzero can vanish
+            for u in pvec:
                 if u not in newvec:
-                    self.cols[u].discard(vid)
-            for u in newvec:
-                if u not in vvec:
-                    self.cols.setdefault(u, set()).add(vid)
-            self.basis[vid] = newvec
+                    del cols[u][vid]
+            for u, x in newvec.items():
+                cols[u][vid] = x
         return True
 
     def kernel_basis(self):
-        """Deterministic rational basis (reduced echelon) of the kernel."""
-        rows = [
-            {u: Fraction(x) for u, x in self.basis[vid].items()}
-            for vid in sorted(self.basis)
-        ]
-        return rref(rows, self.n)[0]
-
-
-def clear_denominators(vec):
-    """Scale a rational dense vector to a primitive integer vector.
-
-    Reads `.numerator` and `.denominator`, which Fractions and ints both
-    have, so integer rows need no conversion.
-    """
-    vec = list(vec)
-    lcm = 1
-    for v in vec:
-        d = v.denominator
-        if d != 1:
-            lcm = lcm * d // gcd(lcm, d)
-    ints = [v.numerator * (lcm // v.denominator) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-        if g == 1:
-            return ints
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+        """Deterministic rational basis (reduced echelon) of the kernel: the
+        int basis rows go to `rref` as they are."""
+        return rref(list(self.basis.values()), self.n)[0]

@@ -174,7 +174,7 @@ def integer_tables(draw):
 
 @given(integer_tables())
 @settings(max_examples=150, deadline=None)
-def test_packed_jacobi_matches_the_pair_loop_on_integer_tables(alg):
+def test_packed_jacobi_matches_the_scaled_loop_on_integer_tables(alg):
     assert alg.int_tensor()[1] is not None
     assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg)
 
@@ -375,6 +375,12 @@ def test_automorphism_checks():
     assert algcore.is_monomial_automorphism(a, [0, 2, 1], [F(-1), F(-1), F(-1)])
     # one coefficient's sign flipped: [e, f] = h is no longer preserved
     assert not algcore.is_monomial_automorphism(a, [0, 2, 1], [F(-1), F(1), F(-1)])
+    # on an abelian algebra every map preserves products, and only the
+    # invertible ones are automorphisms
+    ab = StructAlgebra(dim=2, basis_labels=["x", "y"], sc={})
+    assert algcore.is_monomial_automorphism(ab, [1, 0], [2, -1])
+    assert not algcore.is_monomial_automorphism(ab, [0, 0], [1, 1])
+    assert not algcore.is_monomial_automorphism(ab, [0, 1], [1, 0])
 
 
 def test_killing_invariant_under_automorphism():
@@ -541,7 +547,7 @@ def rescaled_lie_algebras(draw):
 
 @given(rescaled_lie_algebras())
 @settings(max_examples=80, deadline=None)
-def test_pair_loop_on_prime_rescaled_lie_algebras(case):
+def test_scaled_loop_on_prime_rescaled_lie_algebras(case):
     alg, breaks = case
     defect = _jacobi_reference(alg)
     assert bool(defect) == breaks

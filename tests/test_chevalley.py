@@ -242,6 +242,46 @@ def test_diagonal_check_same_verdict_on_int_and_fraction_signs():
         assert verdicts == [True, True, False, False]
 
 
+def _omega_perm_coef(cb):
+    """(perm, coef) with omega(b_q) = coef[q] b_perm[q], read off its rows."""
+    perm, coef = [None] * cb.dim, [None] * cb.dim
+    for i, row in enumerate(chevalley.omega(cb)):
+        for q, x in row.items():
+            perm[q], coef[q] = i, x
+    return perm, coef
+
+
+def _monomial_matrix(perm, coef):
+    m = [[F(0)] * len(perm) for _ in perm]
+    for q, (p, c) in enumerate(zip(perm, coef)):
+        m[p][q] = F(c)
+    return m
+
+
+def test_monomial_check_rejects_the_mutants_the_dense_check_rejects():
+    cb = chevalley.e6_chevalley()
+    alg = cb.lie.alg
+    # the same table without its int table, so the check reads sc
+    fallback = algcore.StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc)
+    fallback._int_cache = (None, None)
+    perm, coef = _omega_perm_coef(cb)
+    q, p = cb.e_index(0), cb.e_index(1)
+    flipped = coef[:]
+    flipped[q] = -coef[q]
+    two_onto_one = perm[:]
+    two_onto_one[q] = perm[p]  # e_alpha1 and e_alpha2 both onto -f_alpha2
+    cases = (
+        (perm, coef, True),
+        (perm, [F(c) for c in coef], True),
+        (perm, flipped, False),
+        (two_onto_one, coef, False),
+    )
+    for pm, cf, expected in cases:
+        assert algcore.is_monomial_automorphism(alg, pm, cf) is expected
+        assert algcore.is_monomial_automorphism(fallback, pm, cf) is expected
+        assert _dense_is_automorphism(alg, _monomial_matrix(pm, cf)) is expected
+
+
 def test_omega_rows_and_torus_diagonals():
     cb = chevalley.e6_chevalley()
     om = chevalley.omega(cb)

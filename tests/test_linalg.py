@@ -124,8 +124,9 @@ def test_incremental_kernel_matches_dense(raw):
 )
 @settings(max_examples=40, deadline=None)
 def test_incremental_kernel_same_on_int_and_fraction_rows(raw):
-    # int rows are only divided by their gcd; Fraction rows are cleared of
-    # denominators first: both reach the same primitive rows and basis
+    # int rows are used as they are and Fraction rows are cleared of
+    # denominators: their dot products differ by a scale only, so both reach
+    # the same primitive basis
     accs = [linalg.IntKernelAccumulator(5) for _ in range(2)]
     for r in raw:
         accs[0].add_constraint({i: 3 * v for i, v in enumerate(r) if v})
@@ -140,9 +141,11 @@ def test_eigenspace():
     assert e2 == [[F(1), F(0)]]
 
 
-def test_clear_denominators():
-    assert linalg.clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
-    assert linalg.clear_denominators([F(2), F(4)]) == [1, 2]
+def test_primitive_of_cleared_rows():
+    assert linalg.primitive(linalg.int_scaled([F(1, 2), F(1, 3)])[1]) == [3, 2]
+    assert linalg.primitive(linalg.int_scaled([F(2), F(4)])[1]) == [1, 2]
+    assert linalg.primitive({3: -4, 7: 6}) == {3: -2, 7: 3}
+    assert linalg.primitive([0, 0]) == [0, 0]
 
 
 def test_elimination_of_int_rows_stays_rational():
@@ -518,17 +521,27 @@ def _dense_kernel(rows, ncols):
 sparse_entries = st.one_of(
     st.just(0), st.just(0), st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
+# denominators above 2^40, so the int rows `_echelon` clears them to are wide
+wide_entries = st.builds(F, st.integers(-3, 3), st.integers(2**40 + 1, 2**42))
 
 
 @st.composite
 def sparse_matrices(draw):
     nrows = draw(st.integers(min_value=0, max_value=7))
     ncols = draw(st.integers(min_value=1, max_value=7))
-    rows = [[F(draw(sparse_entries)) for _ in range(ncols)] for _ in range(nrows)]
+    entries = st.one_of(sparse_entries, wide_entries) if draw(st.booleans()) else sparse_entries
+    rows = [[F(draw(entries)) for _ in range(ncols)] for _ in range(nrows)]
     if draw(st.booleans()):
         return [[F(0)] * ncols for _ in rows], ncols
     if nrows and draw(st.booleans()):
         rows[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [F(0)] * ncols)
+    if rows and draw(st.booleans()):
+        # a duplicate row, or a multiple of one
+        dup = rows[draw(st.integers(0, len(rows) - 1))]
+        scale = draw(st.sampled_from((1, 1, -3, F(1, 2**41 + 1))))
+        rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in dup])
     if draw(st.booleans()):
         col = draw(st.integers(0, ncols - 1))
         for row in rows:
@@ -542,12 +555,17 @@ def sparse_matrices(draw):
 def _check_rref_and_kernel(rows, ncols):
     ref = _dense_rref(rows)
     as_dicts = [linalg.sparse(r) for r in rows]
-    assert linalg.rref(rows) == ref
+    red = linalg.rref(rows)
+    assert red == ref
+    assert all(type(x) is F for row in red[0] for x in row)
     assert linalg.rref(as_dicts, ncols) == ref
     ker = _dense_kernel(rows, ncols)
     assert linalg.kernel(rows, ncols) == ker
     assert linalg.kernel(as_dicts, ncols) == ker
     assert linalg.rank(rows) == len(ref[1])
+    assert linalg.rank(as_dicts) == len(ref[1])
+    # the echelon rows are Python ints, for Fraction input too
+    assert all(type(x) is int for r in linalg._echelon(rows).values() for x in r.values())
 
 
 @given(sparse_matrices())
