@@ -10,8 +10,10 @@ built from a basis (Der(A), sp8, the Chevalley chain basis, subalgebras) comes
 from one helper, `bracket_constants`.
 
 The Jacobi and Killing certificates are sparse loops over the nonzero
-structure constants.  Both read the Python-int table D*c of `int_tensor` when
-its entries are small.  On that table Jacobi packs each row (m, c) into one
+structure constants.  Jacobi walks only the basis triples through a set of
+basis vectors whose ad maps generate the algebra, which certifies every
+triple.  Both read the Python-int table D*c of `int_tensor` when its
+entries are small.  On that table Jacobi packs each row (m, c) into one
 Python int, one slot of w bits per coordinate, with w wide enough that every
 coordinate of a triple's cyclic sum is a signed digit of its slot: the packed
 sum is 0 iff the triple satisfies Jacobi (see `jacobi_defect`).  Past the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 
 from . import linalg
@@ -111,24 +114,39 @@ class StructAlgebra:
         return {k: r for k, r in out.items() if r}
 
     def is_anticommutative(self) -> bool:
-        for (i, j), row in self.sc.items():
-            if i == j and row:
-                return False
-            other = self.sc.get((j, i), {})
-            if set(row) != set(other):
-                return False
-            for k, v in row.items():
-                if other[k] != -v:
-                    return False
-        return True
+        """Whether c[j][i] = -c[i][j] for all i, j and every c[i][i] is 0."""
+        return self._mirrors(-1)
 
     def is_commutative(self) -> bool:
-        for (i, j), row in self.sc.items():
-            other = self.sc.get((j, i), {})
-            if set(row) != set(other):
+        """Whether c[j][i] = c[i][j] for all i, j."""
+        return self._mirrors(1)
+
+    def _mirrors(self, sign: int) -> bool:
+        """Whether row (j, i) is sign times row (i, j) for every row, and
+        with sign -1 no row (i, i) is stored.
+
+        Entries are Fractions or ints, both in lowest terms with a positive
+        denominator, so an entry equals sign times another iff the
+        numerators do and the denominators are equal: no Fraction is
+        built.  The mirror row holds the same keys iff it holds each key of
+        the row and is as long.
+        """
+        sc = self.sc
+        for (i, j), row in sc.items():
+            if i == j:
+                if sign == -1 and row:
+                    return False
+                continue
+            other = sc.get((j, i), {})
+            if len(other) != len(row):
                 return False
             for k, v in row.items():
-                if other[k] != v:
+                w = other.get(k)
+                if (
+                    w is None
+                    or w.numerator != sign * v.numerator
+                    or w.denominator != v.denominator
+                ):
                     return False
         return True
 
@@ -212,24 +230,69 @@ def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dic
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
-    Sums the three cyclic terms [[b_i, b_j], b_k] over the nonzero structure
-    constants of every triple.  On the int table T = D*c each row (m, c) is
-    packed into one Python int, sum_q T[m, c][q] 2^(w q), and a triple's sum
-    is a few integer multiply-adds of packed rows.  Every coordinate of that
-    sum adds at most 3n products T[a, b][m] T[m, c][q], each at most M^2 in
-    absolute value (M = max |T|), and w = bitlen(3 n M^2) + 2 makes every
-    such coordinate a signed digit smaller than 2^(w-1) in absolute value.
-    Then the packed sum is 0 iff every coordinate is: a nonzero top digit
-    outweighs all the digits below it.  Past the int table's bound the sums
-    run on the constants scaled to ints by rows and by columns
+    Jacobi is checked on the triples that hold a generator of L under its
+    own ad maps (`_ad_generators`), which certifies every triple:
+
+    Lemma.  Let L be anticommutative, V = {x : ad x is a derivation}, and S
+    basis indices such that the smallest subspace U that holds every b_s,
+    s in S, and is closed under every ad b_s is all of L.  If the Jacobi
+    sum vanishes on every basis triple that holds some s in S, it vanishes
+    on every basis triple.
+
+    Proof.  The Jacobi sum J(x, y, z) is trilinear and, L being
+    anticommutative, alternating, and ad x is a derivation iff J(x, y, z)
+    = 0 for all y, z; so b_s is in V iff J vanishes on every basis triple
+    that holds s, and the hypothesis puts S in V.  V is a subspace, since
+    the derivations are one.  It is a subalgebra: if ad x is a derivation,
+    ad x [y, z] = [ad x y, z] + [y, ad x z] reads ad [x, y] = [ad x, ad y],
+    a commutator of two derivations when y is in V too, so a derivation.
+    Every element of U is a sum of iterated brackets [b_s1, [b_s2, ...
+    b_sk]] of elements of S, so U is in V, and V = L: every ad is a
+    derivation, and J vanishes on every triple.
+
+    The walk over S stops at its first defect; if there is one, the full
+    walk over every triple i<j<k gives the list, so the result is the same
+    as the full walk's on every input.
+
+    Each triple sums the three cyclic terms [[b_i, b_j], b_k] over the
+    nonzero structure constants.  On the int table T = D*c each row (m, c)
+    is packed into one Python int, sum_q T[m, c][q] 2^(w q), and a triple's
+    sum is a few integer multiply-adds of packed rows.  Every coordinate of
+    that sum adds at most 3n products T[a, b][m] T[m, c][q], each at most
+    M^2 in absolute value (M = max |T|), and w = bitlen(3 n M^2) + 2 makes
+    every such coordinate a signed digit smaller than 2^(w-1) in absolute
+    value.  Then the packed sum is 0 iff every coordinate is: a nonzero top
+    digit outweighs all the digits below it.  Past the int table's bound
+    the sums run on the constants scaled to ints by rows and by columns
     (`_jacobi_defect_scaled`).
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
-    _, t = alg.int_tensor()
+    t = alg.int_tensor()[1]
     if t is None:
-        return _jacobi_defect_scaled(alg)
-    n = alg.dim
+        walk = partial(_jacobi_defect_scaled, alg)
+    else:
+        walk = partial(_jacobi_defect_packed, t, alg.dim)
+    if not walk(_ad_generators(alg), stop=True):
+        return []
+    return walk()
+
+
+def _triple_walk(n, firsts):
+    """(s, rest) for each first index s in firsts: rest lists the indices
+    that are neither s nor an earlier first index, in order, and the triples
+    through s left to check are (s, j, k) for j before k in rest.  With
+    every index first this is the walk i<j<k, in that order."""
+    done = [False] * n
+    for s in firsts:
+        done[s] = True
+        yield s, [j for j in range(n) if not done[j]]
+
+
+def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
+    """The triples through the first indices in firsts (every index when
+    None) whose Jacobi sum on the packed int table t of dimension n is not
+    0; with stop, only the first one found."""
     top = max((abs(y) for row in t.values() for y in row.values()), default=0)
     w = (3 * n * top * top).bit_length() + 2
     packed = [{} for _ in range(n)]  # packed[m][c]: row (m, c) as one int
@@ -240,25 +303,32 @@ def jacobi_defect(alg: StructAlgebra):
     for (a, b), row in t.items():
         terms[a][b] = [(x, packed[m]) for m, x in row.items()]
     bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            t_ij = terms[i].get(j, ())
+    for s, rest in _triple_walk(n, range(n) if firsts is None else firsts):
+        t_s = terms[s]
+        col_s = [terms[k].get(s, ()) for k in range(n)]
+        for a, j in enumerate(rest):
+            t_sj = t_s.get(j, ())
             t_j = terms[j]
-            for k in range(j + 1, n):
+            for k in rest[a + 1 :]:
                 acc = 0
-                for x, pm in t_ij:
+                for x, pm in t_sj:
                     acc += x * pm.get(k, 0)
                 for x, pm in t_j.get(k, ()):
-                    acc += x * pm.get(i, 0)
-                for x, pm in terms[k].get(i, ()):
+                    acc += x * pm.get(s, 0)
+                for x, pm in col_s[k]:
                     acc += x * pm.get(j, 0)
                 if acc:
-                    bad.append((i, j, k))
+                    bad.append((s, j, k))
+                    if stop:
+                        return bad
     return bad
 
 
-def _jacobi_defect_scaled(alg: StructAlgebra):
-    """`jacobi_defect` on the constants scaled to ints by rows and columns.
+def _jacobi_defect_scaled(alg: StructAlgebra, firsts=None, stop=False):
+    """`jacobi_defect`'s walk on the constants scaled to ints by rows and
+    columns: the triples through the first indices in firsts (every index,
+    the full reference, when None) that fail Jacobi; with stop, only the
+    first one found.
 
     Output coordinate q is scaled by f_q, the lcm of the denominators in
     column q of the table: U[m, c][q] = f_q c[m, c][q].  Each left row (a, b)
@@ -283,33 +353,91 @@ def _jacobi_defect_scaled(alg: StructAlgebra):
         e = lcm(*(v.denominator for v in row.values()))
         terms[a][b] = (e, [(v.numerator * (e // v.denominator), u[m]) for m, v in row.items()])
     bad = []
-    for i in range(n):
-        col_i = [terms[k][i] for k in range(n)]
-        for j in range(i + 1, n):
-            e1, t_ij = terms[i][j]
-            for k, (e2, t_jk), (e3, t_ki) in zip(range(j + 1, n), terms[j][j + 1 :], col_i[j + 1 :]):
+    for s, rest in _triple_walk(n, range(n) if firsts is None else firsts):
+        t_s = terms[s]
+        col_s = [terms[k][s] for k in range(n)]
+        for a, j in enumerate(rest):
+            e1, t_sj = t_s[j]
+            t_j = terms[j]
+            for k in rest[a + 1 :]:
+                e2, t_jk = t_j[k]
+                e3, t_ks = col_s[k]
                 acc = {}
-                for x, um in t_ij:
+                for x, um in t_sj:
                     row = um.get(k)
                     if row:
                         x *= e2 * e3
                         for q, y in row.items():
                             acc[q] = acc.get(q, 0) + x * y
                 for x, um in t_jk:
-                    row = um.get(i)
+                    row = um.get(s)
                     if row:
                         x *= e1 * e3
                         for q, y in row.items():
                             acc[q] = acc.get(q, 0) + x * y
-                for x, um in t_ki:
+                for x, um in t_ks:
                     row = um.get(j)
                     if row:
                         x *= e1 * e2
                         for q, y in row.items():
                             acc[q] = acc.get(q, 0) + x * y
                 if any(acc.values()):
-                    bad.append((i, j, k))
+                    bad.append((s, j, k))
+                    if stop:
+                        return bad
     return bad
+
+
+def _ad_generators(alg: StructAlgebra) -> list:
+    """Basis indices S, in index order, such that the smallest subspace U
+    that holds every b_s (s in S) and is closed under every ad b_s is the
+    whole algebra: the generators `jacobi_defect` checks.
+
+    The basis is walked in index order: index b joins S when the basis
+    vector b_b is not in U yet, and U is then closed again under ad_S.  U is
+    held as primitive int echelon rows; each bracket [b_s, u] is a sparse
+    row on the int table of `int_tensor` (``sc`` past its bound), and
+    `linalg.echelon_insert` clears it of denominators, makes it primitive
+    and adds it to U when it does not reduce to 0.  Every basis vector ends
+    in U, as a generator or not, so U is the whole algebra when the walk
+    ends.
+    """
+    n = alg.dim
+    table = alg.int_tensor()[1] or alg.sc
+    ad = [{} for _ in range(n)]  # ad[s][m]: the row [b_s, b_m]
+    for (s, m), row in table.items():
+        ad[s][m] = row
+    gens = []
+    echelon = {}
+    rows = []  # U's echelon rows, in the order they joined
+    applied = []  # applied[i]: gens[:applied[i]] have been applied to rows[i]
+    for b in range(n):
+        if len(echelon) == n:
+            break
+        r = linalg.echelon_insert(echelon, {b: 1})
+        if r is None:
+            continue
+        gens.append(b)
+        rows.append(r)
+        applied.append(0)
+        i = 0
+        while i < len(rows) and len(echelon) < n:
+            u = rows[i]
+            for s in gens[applied[i] :]:
+                acc = {}
+                ad_s = ad[s]
+                for m, x in u.items():
+                    row = ad_s.get(m)
+                    if row:
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                v = linalg.echelon_insert(echelon, acc)
+                if v is not None:
+                    rows.append(v)
+                    applied.append(0)
+            applied[i] = len(gens)
+            i += 1
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,7 @@ class ChevalleyBasis:
     roots: RootSystem
     chains: list  # chain per positive root
     _inheriting: dict = field(default=None, repr=False, compare=False)
+    _torus_generators: list = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -212,6 +213,22 @@ class ChevalleyBasis:
         if self._inheriting is None:
             self._inheriting = inheriting_signatures(self)
         return self._inheriting
+
+    def torus_generators(self) -> list:
+        """The diagonals of the six torus elements with one sign -1, each
+        certified an automorphism on the first call and kept."""
+        if self._torus_generators is None:
+            gens = []
+            for i in range(6):
+                diag = [1] * self.dim
+                for r, alpha in enumerate(self.roots.positive):
+                    if alpha[i] % 2:
+                        diag[self.e_index(r)] = diag[self.f_index(r)] = -1
+                if not is_diagonal_automorphism(self.lie.alg, diag):
+                    raise AlgebraError("torus element is not an automorphism")
+                gens.append(diag)
+            self._torus_generators = gens
+        return self._torus_generators
 
 
 @lru_cache(maxsize=None)
@@ -311,20 +328,16 @@ def omega(cb: ChevalleyBasis = None):
 def torus_element(cb: ChevalleyBasis, signs):
     """Diagonal automorphism: identity on h, s^alpha on the root vectors.
 
-    Returns its diagonal, a list of 78 ints +-1."""
+    Returns its diagonal, a list of 78 ints +-1: the entrywise product of
+    the certified generator diagonals (`ChevalleyBasis.torus_generators`)
+    for the signs -1.  A product of automorphisms is one, so no check runs
+    here."""
     if len(signs) != 6 or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a +-1 vector of length 6")
-    n = cb.lie.dim
-    diag = [1] * n
-    for r, alpha in enumerate(cb.roots.positive):
-        val = 1
-        for i, c in enumerate(alpha):
-            if c % 2 and signs[i] == -1:
-                val = -val
-        diag[cb.e_index(r)] = val
-        diag[cb.f_index(r)] = val
-    if not is_diagonal_automorphism(cb.lie.alg, diag):
-        raise AlgebraError("torus element is not an automorphism")
+    diag = [1] * cb.dim
+    for s, gen in zip(signs, cb.torus_generators()):
+        if s == -1:
+            diag = [x * y for x, y in zip(diag, gen)]
     return diag
 
 

@@ -183,20 +183,30 @@ def _echelon(rows) -> dict:
     elimination runs on sparse Python-int rows: a row is reduced at its
     leading column c by the echelon row p already there, as
     a r - b p with a, b coprime (`_eliminate`), or becomes the echelon row
-    of c.  Every echelon row is a primitive {col: int} row; its entry at
-    the pivot is any nonzero int.
+    of c (`echelon_insert`).  Every echelon row is a primitive {col: int}
+    row; its entry at the pivot is any nonzero int.
     """
     echelon = {}  # pivot column -> primitive int row with nothing to its left
     for r in rows:
-        r = primitive(int_scaled(sparse(r))[1])
-        while r:
-            c = min(r)
-            p = echelon.get(c)
-            if p is None:
-                echelon[c] = r
-                break
-            r = _eliminate(r, r[c], p, p[c])
+        echelon_insert(echelon, r)
     return echelon
+
+
+def echelon_insert(echelon: dict, row):
+    """Clear the dense or {col: x} row of denominators, make it primitive
+    and reduce it against the echelon rows {pivot column: row} of
+    `_echelon`; insert what is left at its leading column and return it, or
+    None when the row reduces to 0, that is when it lies in the span of the
+    echelon rows.  row itself is left as it is."""
+    r = primitive(int_scaled(sparse(row))[1])
+    while r:
+        c = min(r)
+        p = echelon.get(c)
+        if p is None:
+            echelon[c] = r
+            return r
+        r = _eliminate(r, r[c], p, p[c])
+    return None
 
 
 def _eliminate(r: dict, x, p: dict, y) -> dict:

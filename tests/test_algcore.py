@@ -8,7 +8,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import e6lab
@@ -554,6 +554,152 @@ def test_scaled_loop_on_prime_rescaled_lie_algebras(case):
     assert jacobi_defect(alg) == defect
     alg._int_cache = (None, None)  # the row/column-scaled loop, whatever the entry sizes
     assert jacobi_defect(alg) == defect
+
+
+# Lie algebras for the generator walk: direct sums of sl2, the Heisenberg
+# algebra and an abelian summand, so S has several elements and the closure
+# crosses summands only through the change of basis.
+SUMMANDS = {
+    "sl2": (3, LIE_BRACKETS["sl2"]),
+    "heisenberg": (3, LIE_BRACKETS["heisenberg"]),
+    "abelian1": (1, {}),
+    "abelian2": (2, {}),
+}
+
+
+@st.composite
+def transported_lie_algebras(draw):
+    """A direct sum of sl2, Heisenberg and abelian summands (dim at most 8)
+    on the basis of the columns of a random invertible integer matrix; in
+    half the draws one entry of a bracket and of its mirror is then changed
+    by the same nonzero rational, which keeps the table anticommutative."""
+    kinds = draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=1, max_size=3))
+    brackets, n = {}, 0
+    for kind in kinds:
+        size, table = SUMMANDS[kind]
+        if n + size > 8:
+            break
+        for (i, j), row in table.items():
+            brackets[(n + i, n + j)] = {n + k: F(v) for k, v in row.items()}
+        n += size
+    entries = st.integers(min_value=-3, max_value=3)
+    p = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(linalg.rank(p) == n)
+    p_inv = linalg.mat_inverse(p)
+    cols = [[F(p[r][c]) for r in range(n)] for c in range(n)]
+    alg = algcore.algebra_from_products(
+        [f"b{i}" for i in range(n)],
+        lambda i, j: linalg.mat_vec(p_inv, _from_brackets(n, brackets).multiply(cols[i], cols[j])),
+    )
+    if n >= 2 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        k = draw(st.integers(0, n - 1))
+        delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+        row = dict(alg.sc.get((i, j), {}))
+        row[k] = row.get(k, 0) + delta
+        sc = {key: r for key, r in alg.sc.items() if key not in ((i, j), (j, i))}
+        algcore.put_antisymmetric(sc, i, j, row)
+        alg = StructAlgebra(dim=n, basis_labels=alg.basis_labels, sc=sc)
+    return alg
+
+
+def _ad_closure(alg, gens):
+    """Reduced echelon rows of the smallest subspace holding b_s (s in gens)
+    and closed under every ad b_s, grown a bracket level at a time until
+    `linalg.rank` stops rising: an oracle apart from `_ad_generators`'
+    echelon walk."""
+    ads = [alg.left_mult_matrix(alg.basis_vector(s)) for s in gens]
+    span = [{s: 1} for s in gens]
+    dim = linalg.rank(span)
+    while True:
+        basis = [linalg.sparse(v) for v in linalg.rref(span, alg.dim)[0]]
+        span = basis + [linalg.sp_matvec(ad, v) for ad in ads for v in basis]
+        grown = linalg.rank(span)
+        if grown == dim:
+            return basis
+        dim = grown
+
+
+@given(transported_lie_algebras())
+@settings(max_examples=120, deadline=None)
+def test_generator_walk_matches_the_reference_on_both_tables(alg):
+    defect = _jacobi_reference(alg)
+    gens = algcore._ad_generators(alg)
+    assert len(_ad_closure(alg, gens)) == alg.dim
+    # index order: b is a generator iff it is not in the closure of the
+    # generators before it
+    for b in range(alg.dim):
+        before = _ad_closure(alg, [s for s in gens if s < b])
+        assert (b in gens) == (linalg.rank(before + [{b: 1}]) > len(before))
+    assert jacobi_defect(alg) == defect
+    alg._int_cache = (None, None)  # the row/column-scaled walk
+    assert algcore._ad_generators(alg) == gens
+    assert jacobi_defect(alg) == defect
+
+
+# |S| in index order: the Tits models over R+R and C share a basis layout
+GENERATOR_COUNTS = {"tits-o-m3r": 8, "sp8-e6": 6, "chevalley-e6": 18}
+
+
+@pytest.mark.parametrize("name", catalog.MODEL_NAMES)
+def test_ad_generators_generate_each_catalog_model(name):
+    alg = catalog.model(name)[0].alg
+    gens = algcore._ad_generators(alg)
+    assert gens == sorted(set(gens)) and len(gens) == GENERATOR_COUNTS.get(name, 11)
+    assert len(_ad_closure(alg, gens)) == 78
+    assert linalg.rank(_ad_closure(alg, gens[:-1])) < 78
+
+
+def test_generator_walk_covers_every_triple_once():
+    # with every index first the walk is i<j<k in order; with a subset, each
+    # triple through a first index comes once, under its earliest one
+    n = 7
+    walk = algcore._triple_walk(n, range(n))
+    assert [(s, j, k) for s, rest in walk for j, k in combinations(rest, 2)] == list(
+        combinations(range(n), 3)
+    )
+    firsts = [1, 4, 5]
+    walked = [
+        tuple(sorted((s, j, k)))
+        for s, rest in algcore._triple_walk(n, firsts)
+        for j, k in combinations(rest, 2)
+    ]
+    through = [t for t in combinations(range(n), 3) if set(t) & set(firsts)]
+    assert sorted(walked) == through
+
+
+def _mirrors_reference(sc, sign):
+    """The Fraction-comparing check `_mirrors` replaced."""
+    for (i, j), row in sc.items():
+        if sign == -1 and i == j and row:
+            return False
+        other = sc.get((j, i), {})
+        if set(row) != set(other) or any(other[k] != sign * v for k, v in row.items()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "sc,anti,comm",
+    [
+        ({(0, 1): {2: F(1)}}, False, False),  # no mirror row
+        ({(0, 1): {2: F(1)}, (1, 0): {2: F(-1), 0: F(1)}}, False, False),  # one extra key
+        ({(0, 1): {2: F(1), 0: F(1)}, (1, 0): {2: F(-1)}}, False, False),  # one key short
+        ({(0, 1): {2: F(1, 2)}, (1, 0): {2: F(-1, 3)}}, False, False),  # denominators differ
+        ({(0, 1): {2: F(1, 2)}, (1, 0): {2: F(1, 3)}}, False, False),
+        # int entries mixed with Fractions
+        ({(0, 1): {2: 2, 0: F(1, 3)}, (1, 0): {2: F(-2), 0: F(-1, 3)}}, True, False),
+        ({(0, 1): {2: F(3)}, (1, 0): {2: 3}}, False, True),
+        ({(0, 1): {2: F(-4, 6)}, (1, 0): {2: F(2, 3)}}, True, False),
+        ({(0, 0): {1: F(1)}}, False, True),  # a nonzero diagonal row
+        ({(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}, (2, 2): {0: 5}}, False, False),
+        ({}, True, True),
+    ],
+)
+def test_mirror_checks_compare_numerators_and_denominators(sc, anti, comm):
+    alg = StructAlgebra(dim=3, basis_labels=["a", "b", "c"], sc=sc)
+    assert alg.is_anticommutative() is anti == _mirrors_reference(sc, -1)
+    assert alg.is_commutative() is comm == _mirrors_reference(sc, 1)
 
 
 @st.composite

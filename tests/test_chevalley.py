@@ -114,6 +114,50 @@ def test_torus_elements():
         chevalley.torus_element(cb, (2, 1, 1, 1, 1, 1))
 
 
+def _torus_reference(cb, signs):
+    """The diagonal of t by its formula: s^alpha, the product of the signs
+    at the odd coordinates of alpha, on e_alpha and f_alpha, 1 on h."""
+    diag = [1] * cb.dim
+    for r, alpha in enumerate(cb.roots.positive):
+        val = 1
+        for i, c in enumerate(alpha):
+            if c % 2 and signs[i] == -1:
+                val = -val
+        diag[cb.e_index(r)] = diag[cb.f_index(r)] = val
+    return diag
+
+
+def test_torus_elements_are_products_of_certified_generators():
+    cb = chevalley.e6_chevalley()
+    fresh = chevalley.ChevalleyBasis(lie=cb.lie, roots=cb.roots, chains=cb.chains)
+    gens = fresh.torus_generators()
+    assert fresh.torus_generators() is gens
+    assert gens == [
+        _torus_reference(cb, tuple(-1 if i == j else 1 for j in range(6))) for i in range(6)
+    ]
+    for signs in product((1, -1), repeat=6):
+        diag = chevalley.torus_element(fresh, signs)
+        assert diag == _torus_reference(cb, signs)
+        assert all(type(x) is int for x in diag)
+        assert algcore.is_diagonal_automorphism(cb.lie.alg, diag)
+
+
+def test_torus_generators_reject_a_table_they_do_not_preserve():
+    # [e_a1, f_a1] gains an e_a1 component: the flip of alpha1 sends the
+    # left side to -e_a1 and the right side, a product of two -1s, to +e_a1
+    cb = chevalley.e6_chevalley()
+    alg = cb.lie.alg
+    e, f = cb.e_index(0), cb.f_index(0)
+    sc = dict(alg.sc)
+    algcore.put_antisymmetric(sc, e, f, {**sc[(e, f)], e: F(1)})
+    bad = algcore.StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+    mutant = chevalley.ChevalleyBasis(
+        lie=algcore.LieAlgebra._of_lie_table(bad), roots=cb.roots, chains=cb.chains
+    )
+    with pytest.raises(algcore.AlgebraError):
+        chevalley.torus_element(mutant, (1,) * 6)
+
+
 def test_omega_commutes_with_torus():
     cb = chevalley.e6_chevalley()
     om = _dense_omega(cb)

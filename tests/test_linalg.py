@@ -148,6 +148,19 @@ def test_primitive_of_cleared_rows():
     assert linalg.primitive([0, 0]) == [0, 0]
 
 
+def test_echelon_insert_reduces_and_inserts_what_is_left():
+    echelon = {}
+    assert linalg.echelon_insert(echelon, {0: 2, 2: 1}) == {0: 2, 2: 1}
+    assert linalg.echelon_insert(echelon, {0: F(4, 3), 2: F(2, 3)}) is None  # a multiple
+    row = {0: 1, 1: 3, 2: 0}
+    assert linalg.echelon_insert(echelon, row) == {1: 6, 2: -1}
+    assert row == {0: 1, 1: 3, 2: 0}  # left as it is
+    assert linalg.echelon_insert(echelon, [0, 12, -2]) is None
+    assert linalg.echelon_insert(echelon, {}) is None
+    assert echelon == {0: {0: 2, 2: 1}, 1: {1: 6, 2: -1}}
+    assert linalg._echelon([[2, 0, 1], [1, 3, 0]]) == echelon
+
+
 def test_elimination_of_int_rows_stays_rational():
     red, pivots = linalg.rref([[2, 1], [4, 3]])
     inv = linalg.mat_inverse([[2, 0], [1, 3]])
