@@ -230,8 +230,9 @@ def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dic
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
-    Jacobi is checked on the triples that hold a generator of L under its
-    own ad maps (`_ad_generators`), which certifies every triple:
+    Jacobi is checked, for each generator s of L under its own ad maps
+    (`_ad_generators`, in index order), on the triples (s, j, k) with
+    s < j < k, which certifies every triple:
 
     Lemma.  Let L be anticommutative, V = {x : ad x is a derivation}, and S
     basis indices such that the smallest subspace U that holds every b_s,
@@ -249,6 +250,14 @@ def jacobi_defect(alg: StructAlgebra):
     Every element of U is a sum of iterated brackets [b_s1, [b_s2, ...
     b_sk]] of elements of S, so U is in V, and V = L: every ad is a
     derivation, and J vanishes on every triple.
+
+    Walking only j, k > s meets the hypothesis, by induction over S in index
+    order.  Let s be in S and assume every earlier generator is in V.  Every
+    index j < s lies in the closure U_s of the generators before s: b_j is
+    such a generator, or `_ad_generators` found it inside that closure when
+    it reached j.  V is a subalgebra, so U_s lies in V, and J vanishes on
+    every triple through such a j.  The triples through s left are those
+    with j, k > s; once they pass, b_s is in V too.
 
     The walk over S stops at its first defect; if there is one, the full
     walk over every triple i<j<k gives the list, so the result is the same
@@ -278,21 +287,10 @@ def jacobi_defect(alg: StructAlgebra):
     return walk()
 
 
-def _triple_walk(n, firsts):
-    """(s, rest) for each first index s in firsts: rest lists the indices
-    that are neither s nor an earlier first index, in order, and the triples
-    through s left to check are (s, j, k) for j before k in rest.  With
-    every index first this is the walk i<j<k, in that order."""
-    done = [False] * n
-    for s in firsts:
-        done[s] = True
-        yield s, [j for j in range(n) if not done[j]]
-
-
 def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
-    """The triples through the first indices in firsts (every index when
-    None) whose Jacobi sum on the packed int table t of dimension n is not
-    0; with stop, only the first one found."""
+    """The triples (s, j, k), s < j < k, for s in firsts (every index, the
+    walk i<j<k, when None) whose Jacobi sum on the packed int table t of
+    dimension n is not 0; with stop, only the first one found."""
     top = max((abs(y) for row in t.values() for y in row.values()), default=0)
     w = (3 * n * top * top).bit_length() + 2
     packed = [{} for _ in range(n)]  # packed[m][c]: row (m, c) as one int
@@ -303,13 +301,13 @@ def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
     for (a, b), row in t.items():
         terms[a][b] = [(x, packed[m]) for m, x in row.items()]
     bad = []
-    for s, rest in _triple_walk(n, range(n) if firsts is None else firsts):
+    for s in range(n) if firsts is None else firsts:
         t_s = terms[s]
         col_s = [terms[k].get(s, ()) for k in range(n)]
-        for a, j in enumerate(rest):
+        for j in range(s + 1, n):
             t_sj = t_s.get(j, ())
             t_j = terms[j]
-            for k in rest[a + 1 :]:
+            for k in range(j + 1, n):
                 acc = 0
                 for x, pm in t_sj:
                     acc += x * pm.get(k, 0)
@@ -326,9 +324,9 @@ def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
 
 def _jacobi_defect_scaled(alg: StructAlgebra, firsts=None, stop=False):
     """`jacobi_defect`'s walk on the constants scaled to ints by rows and
-    columns: the triples through the first indices in firsts (every index,
-    the full reference, when None) that fail Jacobi; with stop, only the
-    first one found.
+    columns: the triples (s, j, k), s < j < k, for s in firsts (every index,
+    the full reference walk i<j<k, when None) that fail Jacobi; with stop,
+    only the first one found.
 
     Output coordinate q is scaled by f_q, the lcm of the denominators in
     column q of the table: U[m, c][q] = f_q c[m, c][q].  Each left row (a, b)
@@ -353,13 +351,13 @@ def _jacobi_defect_scaled(alg: StructAlgebra, firsts=None, stop=False):
         e = lcm(*(v.denominator for v in row.values()))
         terms[a][b] = (e, [(v.numerator * (e // v.denominator), u[m]) for m, v in row.items()])
     bad = []
-    for s, rest in _triple_walk(n, range(n) if firsts is None else firsts):
+    for s in range(n) if firsts is None else firsts:
         t_s = terms[s]
         col_s = [terms[k][s] for k in range(n)]
-        for a, j in enumerate(rest):
+        for j in range(s + 1, n):
             e1, t_sj = t_s[j]
             t_j = terms[j]
-            for k in rest[a + 1 :]:
+            for k in range(j + 1, n):
                 e2, t_jk = t_j[k]
                 e3, t_ks = col_s[k]
                 acc = {}

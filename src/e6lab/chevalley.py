@@ -2,10 +2,11 @@
 
 Roots are integer coordinate vectors over the simple roots (Bourbaki E6
 numbering: the branch node is alpha_2, attached to alpha_4).  Structure
-constants come from a lattice 2-cocycle; the global [e, e_-] sign is fixed by
-running the Jacobi certificate at build time.  The delivered basis is then
-rebuilt through iterated bracket chains (height-lexicographic), one chain per
-positive root, which keeps every partial sum a root.
+constants come from a lattice 2-cocycle.  The delivered basis is built through
+iterated bracket chains (height-lexicographic), one chain per positive root,
+which keeps every partial sum a root.  Each chain bracket is +-1 times a
+cocycle basis vector, so the chain basis is the cocycle basis up to signs read
+off the chains, and one Jacobi certificate runs on the delivered table.
 
 omega is the involution e_j -> -f_j, f_j -> -e_j (it inverts the Cartan);
 together with the 64 order-2 torus elements it produces the Z2^7 grading and
@@ -28,11 +29,9 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
-    bracket_constants,
     inertia,
     is_diagonal_automorphism,
     is_monomial_automorphism,
-    jacobi_defect,
     put_antisymmetric,
     signature_from_fix,
 )
@@ -144,7 +143,10 @@ def _epsilon_form():
     return b
 
 
-def _build_cocycle_algebra(ef_sign: int) -> StructAlgebra:
+def _build_cocycle_algebra() -> StructAlgebra:
+    """The split form on the cocycle basis: [x_a, x_b] = eps(a, b) x_(a+b)
+    and [x_a, x_-a] = eps(a, -a) h_a.  The opposite sign of the second
+    bracket fails Jacobi on 1,440 triples."""
     rs = e6_roots()
     cartan = rs.cartan
     bform = _epsilon_form()
@@ -176,8 +178,7 @@ def _build_cocycle_algebra(ef_sign: int) -> StructAlgebra:
             b = roots[r2]
             s = tuple(x + y for x, y in zip(a, b))
             if all(c == 0 for c in s):
-                # [x_a, x_-a] = ef_sign * eps(a,-a) * h_a
-                coeff = F(ef_sign * eps(a, tuple(-c for c in a)))
+                coeff = F(eps(a, tuple(-c for c in a)))
                 put_antisymmetric(sc, 6 + r1, 6 + r2, {i: coeff * c for i, c in enumerate(a)})
             elif s in ridx:
                 put_antisymmetric(sc, 6 + r1, 6 + r2, {6 + ridx[s]: F(eps(a, b))})
@@ -231,67 +232,47 @@ class ChevalleyBasis:
         return self._torus_generators
 
 
+def _chain_sign(row: dict, k: int) -> int:
+    """The sign s with row = s b_k, for row a chain bracket in the cocycle
+    basis; AlgebraError unless the bracket is exactly +-1 times b_k."""
+    if row.keys() != {k} or row[k] not in (1, -1):
+        raise AlgebraError(f"chain bracket {row} is not +-1 times basis vector {k}")
+    return int(row[k])
+
+
 @lru_cache(maxsize=None)
 def e6_chevalley() -> ChevalleyBasis:
-    """The split form on the iterated-bracket chain basis, Jacobi certified."""
+    """The split form on the iterated-bracket chain basis, Jacobi certified.
+
+    Each chain bracket is +-1 times the cocycle vector of its root, so the
+    chain basis is the cocycle basis up to one sign s_i per basis vector,
+    read off the chains, and its constants are s_i s_j s_k c[i][j][k]."""
     rs = e6_roots()
-    base = None
-    chosen = None
-    for ef_sign in (-1, 1):
-        cand = _build_cocycle_algebra(ef_sign)
-        if not jacobi_defect(cand):
-            base = cand
-            chosen = ef_sign
-            break
-    if base is None:
-        raise AlgebraError("no sign convention satisfies Jacobi")
-    # [x_a, x_-a] = -ef_sign h_a (eps(a,-a) = -1), so seed f_j with the
+    base = _build_cocycle_algebra()
+    # [x_a, x_-a] = -h_a for a simple (eps(a,-a) = -1), so seed f_j with the
     # compensating sign to get [e_j, f_j] = +h_j
-    f_seed = -chosen
-    # rebuild e_alpha, f_alpha through the chains; each is +-(cocycle vector)
+    f_seed = -1
     chains = [chain_for(rs, alpha) for alpha in rs.positive]
-    n = base.dim
-    basis_change = []  # new basis vectors in old coordinates
-
-    def bracket(x, y):
-        return base.multiply(x, y)
-
-    def simple_pos(j: int) -> int:
-        alpha = tuple(1 if i == j else 0 for i in range(6))
-        return rs.index[alpha]
-
-    def f_gen(j: int):
-        v = base.basis_vector(6 + 36 + simple_pos(j))
-        return v if f_seed == 1 else [-x for x in v]
-
-    evecs = []
-    fvecs = []
+    simple = [rs.index[tuple(int(i == j) for i in range(6))] for j in range(6)]
+    signs = [1] * base.dim  # chain basis vector i = signs[i] * cocycle vector i
     for chain in chains:
-        e = base.basis_vector(6 + simple_pos(chain[0]))
-        f = f_gen(chain[0])
+        root = [int(i == chain[0]) for i in range(6)]
+        r = simple[chain[0]]
+        se, sf = 1, f_seed
         for j in chain[1:]:
-            e = bracket(base.basis_vector(6 + simple_pos(j)), e)
-            f = bracket(f_gen(j), f)
-        if all(v == 0 for v in e) or all(v == 0 for v in f):
-            raise AlgebraError("chain bracket collapsed")
-        evecs.append(e)
-        fvecs.append(f)
-    for j in range(6):
-        basis_change.append(base.basis_vector(j))
-    basis_change.extend(evecs)
-    basis_change.extend(fvecs)
-    sc = bracket_constants(
-        linalg.SpanSolver(basis_change),
-        lambda i, j: bracket(basis_change[i], basis_change[j]),
-    )
-    labels = (
-        [f"h{j + 1}" for j in range(6)]
-        + ["e" + "".join(map(str, r)) for r in rs.positive]
-        + ["f" + "".join(map(str, r)) for r in rs.positive]
-    )
-    alg = StructAlgebra(dim=n, basis_labels=labels, sc=sc)
-    for (i, j2), row in alg.sc.items():
-        for k, v in row.items():
+            root[j] += 1
+            q = rs.index[tuple(root)]
+            se *= _chain_sign(base.mult_basis(6 + simple[j], 6 + r), 6 + q)
+            sf *= f_seed * _chain_sign(base.mult_basis(42 + simple[j], 42 + r), 42 + q)
+            r = q
+        signs[6 + r], signs[42 + r] = se, sf
+    sc = {
+        (i, j): {k: signs[i] * signs[j] * signs[k] * v for k, v in row.items()}
+        for (i, j), row in base.sc.items()
+    }
+    alg = StructAlgebra(dim=base.dim, basis_labels=base.basis_labels, sc=sc)
+    for row in alg.sc.values():
+        for v in row.values():
             if v.denominator != 1:
                 raise AlgebraError("chain basis has non-integer constants")
     lie = LieAlgebra(alg)

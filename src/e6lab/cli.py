@@ -8,7 +8,6 @@ identical invocations produce byte-identical documents.
 from __future__ import annotations
 
 import argparse
-import json
 import subprocess
 import sys
 import time
@@ -17,10 +16,6 @@ from . import catalog, chevalley, verify
 from .algcore import algebra_to_json, inertia, jacobi_defect
 from .gradings import grading_to_json, type_vector, verify as verify_grading
 from .tits import proportionality_constants
-
-
-def _emit(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _elapsed_note(t0: float):
@@ -47,7 +42,7 @@ def cmd_build(args) -> int:
     defect = jacobi_defect(lie.alg)
     sig = catalog.model_signature(args.model)
     doc = algebra_to_json(lie.alg, provenance=provenance)
-    if args.out and not _write(args.out, _emit(doc)):
+    if args.out and not _write(args.out, verify.render_json(doc)):
         return 2
     report = {
         "model": args.model,
@@ -57,7 +52,7 @@ def cmd_build(args) -> int:
         "path": args.out,
     }
     if args.json:
-        sys.stdout.write(_emit(report))
+        sys.stdout.write(verify.render_json(report))
     else:
         status = "ok" if not defect else f"FAILED ({len(defect)} triples)"
         print(f"{args.model}: dim {lie.dim}, jacobi {status}, signature {sig}")
@@ -89,10 +84,10 @@ def cmd_grading(args) -> int:
         },
         "verified": verified,
     }
-    if args.out and not _write(args.out, _emit(grading_to_json(g))):
+    if args.out and not _write(args.out, verify.render_json(grading_to_json(g))):
         return 2
     if args.json:
-        sys.stdout.write(_emit(doc))
+        sys.stdout.write(verify.render_json(doc))
     else:
         print(f"{args.name} on {desc}: group {doc['group']}")
         if args.type or not args.verify:
@@ -127,7 +122,7 @@ def cmd_killing(args) -> int:
         "signature": r.signature,
     }
     if args.json:
-        sys.stdout.write(_emit(doc))
+        sys.stdout.write(verify.render_json(doc))
     else:
         print(
             f"{args.model}: inertia (+{r.n_plus}, -{r.n_minus}, 0:{r.n_zero}), signature {r.signature}"
@@ -141,7 +136,7 @@ def cmd_constants(args) -> int:
     pc = proportionality_constants()
     doc = {k: str(v) for k, v in pc.items()}
     if args.json:
-        sys.stdout.write(_emit(doc))
+        sys.stdout.write(verify.render_json(doc))
     else:
         for k in sorted(doc):
             print(f"{k} = {doc[k]}")
@@ -171,7 +166,7 @@ def cmd_chevalley(args) -> int:
         if not _write(args.csv, "".join(lines)):
             return 2
     if args.json:
-        sys.stdout.write(_emit(doc))
+        sys.stdout.write(verify.render_json(doc))
     else:
         print(f"roots: {doc['roots']}, split signature: {doc['split_signature']}")
         print(f"real forms inheriting the Z2^7 grading: {doc['inheriting_signatures']}")

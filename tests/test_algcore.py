@@ -650,22 +650,59 @@ def test_ad_generators_generate_each_catalog_model(name):
     assert linalg.rank(_ad_closure(alg, gens[:-1])) < 78
 
 
-def test_generator_walk_covers_every_triple_once():
-    # with every index first the walk is i<j<k in order; with a subset, each
-    # triple through a first index comes once, under its earliest one
+def _every_triple_fails(n):
+    """An int table of dimension n, every entry 1, and the same table with
+    every entry 1/2: each Jacobi coordinate is a sum of positive products,
+    so every triple a kernel walks is a defect, and without stop it lists
+    exactly the triples it walks, in order."""
+    t = {(a, b): dict.fromkeys(range(n), 1) for a in range(n) for b in range(n)}
+    sc = {key: {q: F(1, 2) for q in row} for key, row in t.items()}
+    return t, StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+
+
+def test_jacobi_walk_is_s_j_k_through_the_firsts():
     n = 7
-    walk = algcore._triple_walk(n, range(n))
-    assert [(s, j, k) for s, rest in walk for j, k in combinations(rest, 2)] == list(
-        combinations(range(n), 3)
-    )
-    firsts = [1, 4, 5]
-    walked = [
-        tuple(sorted((s, j, k)))
-        for s, rest in algcore._triple_walk(n, firsts)
-        for j, k in combinations(rest, 2)
-    ]
-    through = [t for t in combinations(range(n), 3) if set(t) & set(firsts)]
-    assert sorted(walked) == through
+    t, alg = _every_triple_fails(n)
+    # every index first: the reference walk i<j<k, in order
+    full = list(combinations(range(n), 3))
+    assert algcore._jacobi_defect_packed(t, n) == full
+    assert algcore._jacobi_defect_scaled(alg) == full
+    # a subset: exactly the triples (s, j, k) with s < j < k, s first
+    firsts = [1, 2, 4]
+    through = [(s, j, k) for s in firsts for j, k in combinations(range(s + 1, n), 2)]
+    assert algcore._jacobi_defect_packed(t, n, firsts) == through
+    assert algcore._jacobi_defect_scaled(alg, firsts) == through
+
+
+def test_jacobi_finds_a_defect_through_the_last_generator_only():
+    # ad b0 is a derivation and ad b1 is not: S = [0, 1], and the one
+    # defect (1, 2, 3) is found only by the walk through the last generator
+    sc = {}
+    for (i, j), k in {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 3): 0}.items():
+        algcore.put_antisymmetric(sc, i, j, {k: F(1)})
+    alg = StructAlgebra(dim=4, basis_labels=["b0", "b1", "b2", "b3"], sc=sc)
+    assert algcore._ad_generators(alg) == [0, 1]
+    assert jacobi_defect(alg) == _jacobi_reference(alg) == [(1, 2, 3)]
+    alg._int_cache = (None, None)  # the row/column-scaled walk
+    assert jacobi_defect(alg) == [(1, 2, 3)]
+
+
+# triples (s, j, k), s < j < k, walked through S on the certified table
+WALKED_TRIPLES = {"tits-o-m3r": 17411, "sp8-e6": 13686, "chevalley-e6": 33396}
+
+
+@pytest.mark.parametrize("name", catalog.MODEL_NAMES)
+def test_indices_below_a_generator_lie_in_the_earlier_closure(name):
+    # the induction step of `jacobi_defect`: every index j < s that is not a
+    # generator lies in the closure of the generators before s
+    alg = catalog.model(name)[0].alg
+    gens = algcore._ad_generators(alg)
+    for a, s in enumerate(gens[1:], start=1):
+        before = _ad_closure(alg, gens[:a])
+        below = [{j: 1} for j in range(s) if j not in gens]
+        assert linalg.rank(before + below) == len(before), (s, below)
+    walked = sum((alg.dim - 1 - s) * (alg.dim - 2 - s) // 2 for s in gens)
+    assert walked == WALKED_TRIPLES.get(name, 28171)
 
 
 def _mirrors_reference(sc, sign):

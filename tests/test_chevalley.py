@@ -75,6 +75,71 @@ def test_chevalley_basis():
         assert all(k < 6 for k in prod)
 
 
+def _chain_basis_reference():
+    """The change-of-basis rebuild the signs replaced, kept as the reference:
+    the chain vectors e_a, f_a as dense vectors in the cocycle basis (f_j
+    seeded as -x_-a_j), and the bracket of every pair of them solved back
+    into that basis through `SpanSolver`."""
+    rs = chevalley.e6_roots()
+    base = chevalley._build_cocycle_algebra()
+    simple = [rs.index[tuple(int(i == j) for i in range(6))] for j in range(6)]
+
+    def e_gen(j):
+        return base.basis_vector(6 + simple[j])
+
+    def f_gen(j):
+        return [-x for x in base.basis_vector(42 + simple[j])]
+
+    evecs, fvecs = [], []
+    for alpha in rs.positive:
+        chain = chevalley.chain_for(rs, alpha)
+        e, f = e_gen(chain[0]), f_gen(chain[0])
+        for j in chain[1:]:
+            e = base.multiply(e_gen(j), e)
+            f = base.multiply(f_gen(j), f)
+        evecs.append(e)
+        fvecs.append(f)
+    basis = [base.basis_vector(j) for j in range(6)] + evecs + fvecs
+    return algcore.bracket_constants(
+        linalg.SpanSolver(basis), lambda i, j: base.multiply(basis[i], basis[j])
+    )
+
+
+def test_chevalley_table_equals_the_change_of_basis_reference():
+    sc = chevalley.e6_chevalley().lie.alg.sc
+    ref = _chain_basis_reference()
+    assert sc.keys() == ref.keys()
+    assert sc == ref
+    for table in (sc, ref):
+        assert all(type(v) is F for row in table.values() for v in row.values())
+
+
+def test_the_opposite_h_a_sign_fails_jacobi():
+    # the cocycle convention [x_a, x_-a] = eps(a, -a) h_a is forced: the
+    # other sign fails Jacobi
+    base = chevalley._build_cocycle_algebra()
+    assert jacobi_defect(base) == []
+    sc = dict(base.sc)
+    for r in range(36):  # the rows [x_a, x_-a] and [x_-a, x_a]
+        for key in ((6 + r, 42 + r), (42 + r, 6 + r)):
+            sc[key] = {k: -v for k, v in sc[key].items()}
+    flipped = algcore.StructAlgebra(dim=base.dim, basis_labels=base.basis_labels, sc=sc)
+    assert len(jacobi_defect(flipped)) == 1440
+
+
+def test_chain_sign_rejects_a_bracket_that_is_not_a_signed_basis_vector():
+    base = chevalley._build_cocycle_algebra()
+    rs = chevalley.e6_roots()
+    # [x_a1, x_a3] = +-x_(a1+a3)
+    a1, a3 = (rs.index[tuple(int(i == j) for i in range(6))] for j in (0, 2))
+    k = 6 + rs.index[(1, 0, 1, 0, 0, 0)]
+    row = base.mult_basis(6 + a1, 6 + a3)
+    assert chevalley._chain_sign(row, k) in (1, -1)
+    for bad in ({k: 2 * v for k, v in row.items()}, {}, {**row, 0: F(1)}):
+        with pytest.raises(algcore.AlgebraError):
+            chevalley._chain_sign(bad, k)
+
+
 def test_split_signature():
     assert chevalley.split_signature() == 6
 
