@@ -64,77 +64,80 @@ class JordanAlgebra:
 # H3(C, gamma)
 
 
-def _h3_matrix_mult(c: CompositionAlgebra, x, y):
-    """Product in Mat3(C) with entries as C-coordinate vectors."""
-    nc = c.dim
-    zero = [F(0)] * nc
-    out = [[list(zero) for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = list(zero)
-            for k in range(3):
-                xv = x[i][k]
-                yv = y[k][j]
-                if any(xv) and any(yv):
-                    acc = linalg.vec_add(acc, c.alg.multiply(xv, yv))
-            out[i][j] = acc
+def _h3_matrix_mult(table, x, y):
+    """Product in Mat3(C) of matrices {(r, s): {C basis index: int}} with
+    their zero entries omitted, on the int table D*c of C (`int_scaled`):
+    the entries of the product come out scaled by D."""
+    out = {}
+    for (r, k), xv in x.items():
+        for (k2, s), yv in y.items():
+            if k != k2:
+                continue
+            acc = out.setdefault((r, s), {})
+            for a, u in xv.items():
+                for b, w in yv.items():
+                    row = table.get((a, b))
+                    if row:
+                        for m, v in row.items():
+                            acc[m] = acc.get(m, 0) + u * w * v
     return out
 
 
 def _h3_basis_matrices(c: CompositionAlgebra, gamma):
-    """Matrices of E1,E2,E3 and iota_t(b_k); iota_t(a) has a at (t+1, t+2)
-    and gamma_{t+1} gamma_{t+2} conj(a) at (t+2, t+1), indices mod 3."""
-    nc = c.dim
-    zero = [F(0)] * nc
-    unit = c.unit()
-    mats = []
-    labels = []
-    for i in range(3):
-        m = [[list(zero) for _ in range(3)] for _ in range(3)]
-        m[i][i] = list(unit)
-        mats.append(m)
-        labels.append(f"E{i + 1}")
+    """Matrices of E1,E2,E3 and iota_t(b_k) in the form of `_h3_matrix_mult`;
+    iota_t(a) has a at (t+1, t+2) and gamma_{t+1} gamma_{t+2} conj(a) at
+    (t+2, t+1), indices mod 3.  conj(b_k) is b_k for the unit and -b_k
+    otherwise, so each entry is one signed basis vector."""
+    u = c.unit_idx
+    mats = [{(i, i): {u: 1}} for i in range(3)]
+    labels = [f"E{i + 1}" for i in range(3)]
     for t in range(3):
         r, s = (t + 1) % 3, (t + 2) % 3
         sign = gamma[r] * gamma[s]
-        for ci in range(nc):
-            a = c.alg.basis_vector(ci)
-            m = [[list(zero) for _ in range(3)] for _ in range(3)]
-            m[r][s] = list(a)
-            m[s][r] = [sign * v for v in c.conj(a)]
-            mats.append(m)
+        for ci in range(c.dim):
+            mats.append({(r, s): {ci: 1}, (s, r): {ci: sign if ci == u else -sign}})
             labels.append(f"i{t + 1}({c.labels[ci]})")
     return mats, labels
 
 
-def _h3_product(c: CompositionAlgebra, gamma, x, y):
-    """Coordinates of x.y = (xy + yx)/2 in the E/iota basis, for
-    gamma-hermitian matrices x and y.
+@lru_cache(maxsize=None)
+def _h3_cached(comp_name: str, gamma: tuple) -> JordanAlgebra:
+    """The table of x.y = (xy + yx)/2 in the E/iota basis, one matrix
+    product per unordered basis pair.
 
     The involution m* = gamma conj(m)^t gamma is an anti-automorphism of
     Mat3(C), so yx = y* x* = (xy)*, and one matrix product gives both terms.
     The symmetrized product is hermitian: its diagonal entries are the real
-    parts of those of xy, and its (t+1, t+2) entries are the iota_t
-    coordinates.
+    parts of those of xy, and its (t+1, t+2) entries, the iota_t
+    coordinates, are (xy_{t+1,t+2} + gamma_{t+1} gamma_{t+2}
+    conj(xy_{t+2,t+1}))/2.  The products run on the int table D*c of C, and
+    D and the 1/2 are divided out once per entry, as its Fraction is built.
     """
-    xy = _h3_matrix_mult(c, x, y)
-    coords = [xy[i][i][c.unit_idx] for i in range(3)]
-    for t in range(3):
-        r, s = (t + 1) % 3, (t + 2) % 3
-        sign = gamma[r] * gamma[s]
-        coords.extend((a + sign * b) / 2 for a, b in zip(xy[r][s], c.conj(xy[s][r])))
-    return coords
-
-
-@lru_cache(maxsize=None)
-def _h3_cached(comp_name: str, gamma: tuple) -> JordanAlgebra:
     c = hurwitz(comp_name)
+    d, table = linalg.int_scaled(c.alg.sc)
+    u = c.unit_idx
     mats, labels = _h3_basis_matrices(c, gamma)
     n = len(labels)
+    nc = c.dim
+    slots = []  # (first iota_t index, (t+1, t+2), (t+2, t+1), gamma_{t+1} gamma_{t+2})
+    for t in range(3):
+        r, s = (t + 1) % 3, (t + 2) % 3
+        slots.append((3 + t * nc, (r, s), (s, r), gamma[r] * gamma[s]))
     sc = {}
     for i in range(n):
         for j in range(i, n):  # the product is commutative
-            row = {k: v for k, v in enumerate(_h3_product(c, gamma, mats[i], mats[j])) if v}
+            xy = _h3_matrix_mult(table, mats[i], mats[j])
+            row = {}
+            for e in range(3):
+                v = xy.get((e, e), {}).get(u)
+                if v:
+                    row[e] = F(v, d)
+            for base, rs, sr, sign in slots:
+                a, b = xy.get(rs, {}), xy.get(sr, {})
+                for ci in sorted(a.keys() | b.keys()):
+                    v = a.get(ci, 0) + (sign if ci == u else -sign) * b.get(ci, 0)
+                    if v:
+                        row[base + ci] = F(v, 2 * d)
             if row:
                 sc[(i, j)] = row
                 sc[(j, i)] = dict(row)
@@ -143,7 +146,6 @@ def _h3_cached(comp_name: str, gamma: tuple) -> JordanAlgebra:
     unit[0] = unit[1] = unit[2] = F(1)
     t_row = [F(0)] * n
     t_row[0] = t_row[1] = t_row[2] = F(1, 3)
-    nc = c.dim
     return JordanAlgebra(
         alg=alg,
         unit=unit,
@@ -345,21 +347,28 @@ def jordan_gradings(j: JordanAlgebra) -> dict:
 # the order-2 automorphism nu of the Albert algebra
 
 
-def nu_automorphism():
-    """Matrix on H3(O, I): identity on the H3(H, I) part, -1 on the H l part."""
+def nu_diagonal():
+    """nu on H3(O, I) as its list of +-1 diagonal entries: +1 on the
+    H3(H, I) part, -1 on the H l part."""
     j = h3("O", (1, 1, 1))
     quat = {"1", "i", "j", "k"}
     diag = []
     for lbl in j.alg.basis_labels:
         if lbl.startswith("E"):
-            diag.append(F(1))
+            diag.append(1)
         else:
             inner = lbl[lbl.index("(") + 1 : -1]
-            diag.append(F(1) if inner in quat else F(-1))
-    n = j.dim
+            diag.append(1 if inner in quat else -1)
+    return diag
+
+
+def nu_automorphism():
+    """Matrix on H3(O, I): identity on the H3(H, I) part, -1 on the H l part."""
+    diag = nu_diagonal()
+    n = len(diag)
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = diag[i]
+        m[i][i] = F(diag[i])
     return m
 
 

@@ -12,12 +12,14 @@ fraction-free: each row is cleared of denominators once and made primitive
 (`primitive`), and a row is reduced by an echelon row p as a r - b p with
 a, b coprime ints, then divided by its content (`_eliminate`).  Only the
 result is rational: every entry `rref` returns is a Fraction, one built per
-nonzero, for int rows too.  The reduced row echelon form of a matrix is
-unique, so every basis it returns (and `kernel`, `eigenspace`,
-`mat_inverse`, `SpanSolver` and `IntKernelAccumulator` on top of it) is
-deterministic whatever the row order or the order of elimination.  `rank`
-takes dense or {col: x} rows too, and only counts the pivots of the forward
-elimination, with no Fraction built.  One span solver (`SpanSolver`)
+nonzero, for int rows too.  `kernel` and `SpanSolver` read the int rows
+of the reduced form (`_reduced_echelon`) before any Fraction is built.  The
+reduced row echelon form of a matrix is unique, so every basis it returns
+(and `kernel`, `eigenspace`, `mat_inverse`, `SpanSolver` and
+`IntKernelAccumulator` on top of it) is deterministic whatever the row
+order or the order of elimination.  `rank` takes dense or {col: x} rows
+too, and only counts the pivots of the forward elimination, with no
+Fraction built.  One span solver (`SpanSolver`)
 expresses vectors in a fixed basis on integer rows, one symmetric
 congruence elimination (`congruence_diagonalize`) gives both the Witt
 pivots and the Sylvester inertia, and one Gram loop (`gram`) evaluates a
@@ -145,20 +147,39 @@ def rref(rows, ncols=None):
     ncols.
 
     Returns (reduced nonzero rows as dense lists of Fractions, pivot column
-    list).  `_echelon` reduces the rows to primitive int echelon rows;
-    back-substitution then clears each pivot column from the rows above it
-    on the same int rows, and row p is read off as one `Fraction(x, lead)`
-    per nonzero entry, lead its entry at the pivot.  The reduced echelon
-    form is unique, so the result does not depend on the row order, and its
-    entries are Fractions (`QZERO` for a zero) whatever the input's types.
+    list).  `_reduced_echelon` gives the primitive int rows, each zero at
+    every pivot column but its own, and row p is read off as one
+    `Fraction(x, lead)` per nonzero entry, lead its entry at the pivot.  The
+    reduced echelon form is unique, so the result does not depend on the row
+    order, and its entries are Fractions (`QZERO` for a zero) whatever the
+    input's types.
     """
     if ncols is None:
         if rows and isinstance(rows[0], dict):
             raise TypeError("rref of dict rows needs ncols")
         ncols = len(rows[0]) if rows else 0
+    reduced = _reduced_echelon(rows)
+    red = []
+    for pc, r in reduced.items():
+        lead = r[pc]
+        out = [QZERO] * ncols
+        for c, x in r.items():
+            out[c] = Fraction(x, lead)
+        red.append(out)
+    return red, list(reduced)
+
+
+def _reduced_echelon(rows) -> dict:
+    """{pivot column: primitive int row} in pivot order for the reduced row
+    echelon form of dense or {col: x} rows: row p is the reduced row of
+    pivot p times its entry at p, so it is 0 at every other pivot column.
+
+    `_echelon` reduces the rows to primitive int echelon rows;
+    back-substitution then clears each pivot column from the rows above it
+    on the same int rows.
+    """
     echelon = _echelon(rows)
     pivots = sorted(echelon)
-    red = []
     # rows below are already reduced, so clearing their pivot columns here
     # brings in no other pivot column
     for pc in reversed(pivots):
@@ -166,13 +187,7 @@ def rref(rows, ncols=None):
         for c in [c for c in r if c != pc and c in echelon]:
             r = _eliminate(r, r[c], echelon[c], echelon[c][c])
         echelon[pc] = r
-        lead = r[pc]
-        out = [QZERO] * ncols
-        for c, x in r.items():
-            out[c] = Fraction(x, lead)
-        red.append(out)
-    red.reverse()
-    return red, pivots
+    return {pc: echelon[pc] for pc in pivots}
 
 
 def _echelon(rows) -> dict:
@@ -248,16 +263,22 @@ def rank(rows) -> int:
 
 def kernel(rows, ncols):
     """Canonical basis of {v : rows @ v = 0}, itself in reduced echelon form;
-    rows are dense lists or {col: x} dicts."""
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
+    rows are dense lists or {col: x} dicts.
+
+    A free column fc gives the kernel vector with fc at 1 and -red_p[fc] at
+    each pivot p; it goes to `rref` as the int row L e_fc - sum_p
+    (L / lead_p) r_p[fc] e_p, L the lcm of the leads of the rows that reach
+    fc, read off the int rows of `_reduced_echelon`.
+    """
+    reduced = _reduced_echelon(rows)
     basis = []
     for fc in range(ncols):
-        if fc not in pivset:
-            v = {fc: QONE}
-            for r, pc in enumerate(pivots):
-                if red[r][fc]:
-                    v[pc] = -red[r][fc]
+        if fc not in reduced:
+            reach = [(pc, r[fc], r[pc]) for pc, r in reduced.items() if fc in r]
+            big = lcm(*(lead for _, _, lead in reach))
+            v = {fc: big}
+            for pc, x, lead in reach:
+                v[pc] = -x * (big // lead)
             basis.append(v)
     return rref(basis, ncols)[0]
 
@@ -265,14 +286,16 @@ def kernel(rows, ncols):
 class SpanSolver:
     """Expresses rational vectors in a fixed, linearly independent basis.
 
-    The basis is reduced once.  Reduced row p (1 at its own
-    pivot, 0 at the other pivots) is kept as the int row R_p = L * red_p off
-    the pivot columns, and the transform row taking it back to the basis as
-    T_p = M * transform_p, with L and M the common denominators of the two
-    sets.  A query v is scaled once to the int vector V = d * v, d the lcm of
-    its denominators: v is in the span iff L V - sum_p V[p] R_p is 0, and then
-    its coefficients are sum_p V[p] T_p / (d M).  A query costs time in the
-    nonzeros of v and of the rows it meets, in Python ints.
+    The basis, augmented by the identity, is reduced once to the int rows of
+    `_reduced_echelon`, and no Fraction is built.  Reduced row p (1 at its
+    own pivot, 0 at the other pivots) is kept as the int row R_p = L * red_p
+    off the pivot columns, and the transform row taking it back to the basis
+    as T_p = M * transform_p, with L and M the common denominators of the
+    two sets (`_common_scale`).  A query v is scaled once to the int vector
+    V = d * v, d the lcm of its denominators: v is in the span iff
+    L V - sum_p V[p] R_p is 0, and then its coefficients are
+    sum_p V[p] T_p / (d M).  A query costs time in the nonzeros of v and of
+    the rows it meets, in Python ints.
     """
 
     def __init__(self, basis):
@@ -283,16 +306,18 @@ class SpanSolver:
             row = sparse(b)
             row[ncols + i] = QONE
             aug.append(row)
-        red, pivots = rref(aug, ncols + n)
-        if len(red) != n or (pivots and pivots[-1] >= ncols):
+        reduced = _reduced_echelon(aug)
+        if len(reduced) != n or (reduced and max(reduced) >= ncols):
             raise ValueError("basis vectors are linearly dependent")
         self.n = n
-        pivset = set(pivots)
-        self.lcm_red, self.red = int_scaled(
-            [{c: x for c, x in enumerate(row[:ncols]) if x and c not in pivset} for row in red]
-        )
-        self.lcm_transform, self.transform = int_scaled([sparse(row[ncols:]) for row in red])
-        self._rows = {p: (r, t) for p, r, t in zip(pivots, self.red, self.transform)}
+        red, transform = [], []
+        for pc, r in reduced.items():
+            red.append({c: x for c, x in r.items() if c < ncols and c not in reduced})
+            transform.append({c - ncols: x for c, x in r.items() if c >= ncols})
+        leads = [r[pc] for pc, r in reduced.items()]
+        self.lcm_red, self.red = _common_scale(red, leads)
+        self.lcm_transform, self.transform = _common_scale(transform, leads)
+        self._rows = {p: (r, t) for p, r, t in zip(reduced, self.red, self.transform)}
 
     def _in_span(self, vs: dict) -> bool:
         """Whether the int vector vs lies in the span: L vs - sum_p vs[p] R_p
@@ -331,6 +356,14 @@ class SpanSolver:
 
     def contains(self, v) -> bool:
         return self._in_span(int_scaled(sparse(v))[1])
+
+
+def _common_scale(rows, leads):
+    """(L, [L * row / lead for each int row and its lead]) as Python ints, L
+    the least common denominator of the rationals row / lead: row / lead is
+    in lowest terms over |lead| / gcd(lead, content of row)."""
+    big = lcm(*(abs(lead) // gcd(lead, *row.values()) for row, lead in zip(rows, leads)))
+    return big, [{c: x * big // lead for c, x in row.items()} for row, lead in zip(rows, leads)]
 
 
 def int_scaled(x):

@@ -28,13 +28,11 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
-    bracket_constants,
     derivation_algebra,
     derivation_solver,
     derivations,
-    fixed_subspace,
     inertia,
-    is_automorphism,
+    is_diagonal_automorphism,
     killing_matrix,
     put_antisymmetric,
     twist,
@@ -45,7 +43,7 @@ from .jordan import (
     h3,
     j0_basis,
     m3r,
-    nu_automorphism,
+    nu_diagonal,
     star,
 )
 
@@ -377,56 +375,61 @@ def proportionality_constants(t: TitsAlgebra = None) -> dict:
 # the sp(3,1) decomposition of the Albert model
 
 
+def _lifted_sign(factors) -> int:
+    """s when each +-1 factor a diagonal map puts on a nonzero entry of one
+    vector is s, so that the map takes the vector to s times itself;
+    AlgebraError otherwise."""
+    found = set(factors)
+    if len(found) != 1:
+        raise AlgebraError("the lift of nu does not map a basis vector to +- itself")
+    return found.pop()
+
+
 @lru_cache(maxsize=None)
 def sp31_decomposition() -> dict:
     """Even part of the theta*nu involution on Der(J) + J0, J the Albert
     algebra: dimension 36, theta-and-nu fixed dimension 24, Killing
-    signature -12, Killing ratio delta against its own Killing form."""
+    signature -12, Killing ratio delta against its own Killing form.
+
+    nu is a +-1 diagonal on J (`nu_diagonal`), so it lifts entrywise: x ->
+    nu(x) on J0 and D -> nu D nu^{-1} on Der(J), whose (p, q) entry is
+    nu_p nu_q D[p][q].  Each basis vector of J0 and of Der(J) must go to +-
+    itself, so theta*nu (theta = +1 on Der(J), -1 on J0) is a +-1 diagonal
+    on the model's basis too, certified by `is_diagonal_automorphism`.  Its
+    even part is spanned by the basis vectors of sign +1: the Gram matrix is
+    K on those indices and the subalgebra's table is `sc` on them.
+    """
     j = h3("O", (1, 1, 1))
     t = derj_model("albert")
     lie = t.lie
     dim = lie.dim
-    nu_j = nu_automorphism()
-    if not is_automorphism(j.alg, nu_j):
+    nu = nu_diagonal()
+    if not is_diagonal_automorphism(j.alg, nu):
         raise AlgebraError("nu is not an automorphism of the Albert algebra")
-    # lift: D -> nu D nu^{-1} on Der(J), x -> nu(x) on J0 (here nu^2 = id)
-    der = t.der_j_basis
-    dj_solver = derivation_solver(t.jordan.alg)
-    j0 = t.j0_vectors
-    j0_solver = linalg.SpanSolver(j0)
-    nu_l = [[F(0)] * dim for _ in range(dim)]
-    for ji, x in enumerate(j0):
-        img = j0_solver.coefficients(linalg.mat_vec(nu_j, x))
-        for r, v in enumerate(img):
-            nu_l[t.layout["tensor"].start + r][t.layout["tensor"].start + ji] = v
-    for p, d in enumerate(der):
-        conj = linalg.mat_mul(nu_j, linalg.mat_mul(d, nu_j))
-        img = dj_solver.coefficients(sum(conj, []))
-        if img is None:
-            raise AlgebraError("nu conjugation leaves Der(J)")
-        for r, v in enumerate(img):
-            nu_l[t.layout["der_j"].start + r][t.layout["der_j"].start + p] = v
-    theta = [[F(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        theta[i][i] = F(1) if i in t.layout["der_j"] else F(-1)
-    nu_prime = linalg.mat_mul(theta, nu_l)
-    if not is_automorphism(lie.alg, nu_prime):
-        raise AlgebraError("theta*nu is not an automorphism")
-    even_basis, even_dim = fixed_subspace(nu_prime)
-    # fix(theta) & fix(nu) = derivations commuting with nu (nu_l is block
-    # diagonal, so restrict to the Der block and take its fixed space)
-    der_range = t.layout["der_j"]
-    nu_der_block = [
-        [nu_l[der_range.start + r][der_range.start + p] for p in range(len(der))]
-        for r in range(len(der))
+    nu_j0 = [_lifted_sign(nu[k] for k in linalg.sparse(x)) for x in t.j0_vectors]
+    nu_der = [
+        _lifted_sign(nu[p] * nu[q] for p, row in linalg.dense_to_sparse(d).items() for q in row)
+        for d in t.der_j_basis
     ]
-    fix_both, _ = fixed_subspace(nu_der_block)
-    gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis)
+    theta_nu = [0] * dim
+    for i, s in zip(t.layout["tensor"], nu_j0):
+        theta_nu[i] = -s
+    for i, s in zip(t.layout["der_j"], nu_der):
+        theta_nu[i] = s
+    if not is_diagonal_automorphism(lie.alg, theta_nu):
+        raise AlgebraError("theta*nu is not an automorphism")
+    even = [i for i in range(dim) if theta_nu[i] == 1]
+    even_dim = len(even)
+    pos = {i: a for a, i in enumerate(even)}
+    gram = _submatrix(lie.killing_matrix(), even)
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
-    sub_sc = bracket_constants(
-        linalg.SpanSolver(even_basis), lambda a, b: lie.bracket(even_basis[a], even_basis[b])
-    )
+    sub_sc = {}
+    for (a, b), row in lie.alg.sc.items():
+        if a in pos and b in pos:
+            if not row.keys() <= pos.keys():
+                raise AlgebraError("the even part is not closed under the bracket")
+            sub_sc[(pos[a], pos[b])] = {pos[k]: v for k, v in row.items()}
     sub = LieAlgebra(
         StructAlgebra(
             dim=even_dim,
@@ -440,11 +443,11 @@ def sp31_decomposition() -> dict:
     return {
         "even_dim": even_dim,
         "odd_dim": dim - even_dim,
-        "fix_theta_and_nu_dim": len(fix_both),
+        "fix_theta_and_nu_dim": nu_der.count(1),
         "even_signature": even_sig,
         "delta": delta,
         "model": t,
-        "even_basis": even_basis,
+        "even_basis": [lie.alg.basis_vector(i) for i in even],
     }
 
 

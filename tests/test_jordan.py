@@ -43,17 +43,57 @@ def test_h3_commutative_and_jordan():
         assert check_jordan_identity(j, extended=False)
 
 
+def _h3_matrix_mult(c, x, y):
+    """Product in Mat3(C) with entries as dense C-coordinate vectors of
+    Fractions."""
+    nc = c.dim
+    zero = [F(0)] * nc
+    out = [[list(zero) for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            acc = list(zero)
+            for k in range(3):
+                xv = x[i][k]
+                yv = y[k][j]
+                if any(xv) and any(yv):
+                    acc = linalg.vec_add(acc, c.alg.multiply(xv, yv))
+            out[i][j] = acc
+    return out
+
+
+def _h3_basis_matrices(c, gamma):
+    """Dense matrices of E1,E2,E3 and iota_t(b_k); iota_t(a) has a at
+    (t+1, t+2) and gamma_{t+1} gamma_{t+2} conj(a) at (t+2, t+1), indices
+    mod 3."""
+    zero = [F(0)] * c.dim
+    mats = []
+    for i in range(3):
+        m = [[list(zero) for _ in range(3)] for _ in range(3)]
+        m[i][i] = c.unit()
+        mats.append(m)
+    for t in range(3):
+        r, s = (t + 1) % 3, (t + 2) % 3
+        sign = gamma[r] * gamma[s]
+        for ci in range(c.dim):
+            a = c.alg.basis_vector(ci)
+            m = [[list(zero) for _ in range(3)] for _ in range(3)]
+            m[r][s] = list(a)
+            m[s][r] = [sign * v for v in c.conj(a)]
+            mats.append(m)
+    return mats
+
+
 def _h3_reference_table(comp_name, gamma):
-    """H3(C, gamma) from the definition: (xy + yx)/2 with both matrix
-    products, for every ordered pair, read back entrywise with a hermitian
-    check."""
+    """H3(C, gamma) from the definition: (xy + yx)/2 with both Fraction
+    matrix products, for every ordered pair, read back entrywise with a
+    hermitian check."""
     c = hurwitz(comp_name)
-    mats, _ = jordan._h3_basis_matrices(c, gamma)
+    mats = _h3_basis_matrices(c, gamma)
     sc = {}
     for i, x in enumerate(mats):
         for j, y in enumerate(mats):
-            xy = jordan._h3_matrix_mult(c, x, y)
-            yx = jordan._h3_matrix_mult(c, y, x)
+            xy = _h3_matrix_mult(c, x, y)
+            yx = _h3_matrix_mult(c, y, x)
             sym = [[[(a + b) / 2 for a, b in zip(xy[r][s], yx[r][s])] for s in range(3)] for r in range(3)]
             coords = []
             for r in range(3):
@@ -70,11 +110,14 @@ def _h3_reference_table(comp_name, gamma):
 
 
 @pytest.mark.parametrize(
-    "comp_name, gamma", [("O", (1, 1, 1)), ("O", GAMMA_SPLIT), ("Os", (1, 1, 1)), ("RR", (1, 1, 1))]
+    "comp_name, gamma",
+    [("O", (1, 1, 1)), ("O", GAMMA_SPLIT), ("Os", (1, 1, 1)), ("RR", (1, 1, 1)), ("C", (1, 1, 1))],
 )
 def test_h3_table_matches_both_products_on_every_ordered_pair(comp_name, gamma):
-    # albert, albert-split, splitalbert and H3(R+R)
-    assert h3(comp_name, gamma).alg.sc == _h3_reference_table(comp_name, gamma)
+    # albert, albert-split, splitalbert, H3(R+R) and H3(C)
+    sc = h3(comp_name, gamma).alg.sc
+    assert sc == _h3_reference_table(comp_name, gamma)
+    assert all(type(v) is Fraction for row in sc.values() for v in row.values())
 
 
 def test_h3_multiplies_each_unordered_pair_once(monkeypatch):

@@ -596,6 +596,43 @@ def test_rref_of_no_rows():
         linalg.rref([{1: F(1)}])
 
 
+def _span_rows_through_rref(basis):
+    """SpanSolver's int rows as they were first derived: the Fraction rows
+    of `rref` on [basis | I], scaled back to ints by `int_scaled`."""
+    n, ncols = len(basis), len(basis[0])
+    aug = []
+    for i, b in enumerate(basis):
+        row = linalg.sparse(b)
+        row[ncols + i] = F(1)
+        aug.append(row)
+    red, pivots = linalg.rref(aug, ncols + n)
+    pivset = set(pivots)
+    lcm_red, rows = linalg.int_scaled(
+        [{c: x for c, x in enumerate(row[:ncols]) if x and c not in pivset} for row in red]
+    )
+    lcm_transform, transform = linalg.int_scaled([linalg.sparse(row[ncols:]) for row in red])
+    return lcm_red, rows, lcm_transform, transform
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_span_solver_int_rows_equal_the_rref_derived_ones(data):
+    rows, _ = data
+    basis, dependent = [], []
+    echelon = {}
+    for r in rows:
+        (dependent if linalg.echelon_insert(echelon, r) is None else basis).append(r)
+    assume(basis)
+    solver = linalg.SpanSolver(basis)
+    got = (solver.lcm_red, solver.red, solver.lcm_transform, solver.transform)
+    assert got == _span_rows_through_rref(basis)
+    assert type(solver.lcm_red) is int and type(solver.lcm_transform) is int
+    assert all(type(x) is int for part in (solver.red, solver.transform) for r in part for x in r.values())
+    if dependent:
+        with pytest.raises(ValueError):
+            linalg.SpanSolver(basis + dependent[:1])
+
+
 def _naive_mat_mul(a, b):
     return [
         [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]

@@ -3,17 +3,26 @@ from fractions import Fraction
 
 import pytest
 
+from dataclasses import replace
+
+from e6lab import jordan, linalg
 from e6lab import tits as tits_module
 from e6lab.algcore import (
+    AlgebraError,
+    LieAlgebra,
     StructAlgebra,
+    bracket_constants,
     derivation_algebra,
+    derivation_solver,
+    fixed_subspace,
     inertia,
+    is_automorphism,
     jacobi_defect,
     killing_matrix,
     twist,
 )
 from e6lab.composition import hurwitz
-from e6lab.jordan import h3
+from e6lab.jordan import h3, nu_automorphism
 from e6lab.tits import (
     derj_model,
     jacobson_table,
@@ -169,6 +178,126 @@ def test_sp31_decomposition():
     assert dec["odd_dim"] == 42
     assert dec["fix_theta_and_nu_dim"] == 24
     assert dec["even_signature"] == -12
+
+
+def _dense_sp31_reference():
+    """The dense sp(3,1) decomposition that the diagonal one replaced, kept
+    as the reference: nu as a 27x27 matrix checked by `is_automorphism`, its
+    lift through the J0 and Der(J) span solvers and `mat_mul`, theta*nu as a
+    78x78 matrix, the even part as its fixed space, and the subalgebra's
+    table through `bracket_constants`."""
+    j = h3("O", (1, 1, 1))
+    t = tits_module.derj_model("albert")
+    lie = t.lie
+    dim = lie.dim
+    nu_j = nu_automorphism()
+    if not is_automorphism(j.alg, nu_j):
+        raise AlgebraError("nu is not an automorphism of the Albert algebra")
+    der = t.der_j_basis
+    dj_solver = derivation_solver(t.jordan.alg)
+    j0 = t.j0_vectors
+    j0_solver = linalg.SpanSolver(j0)
+    nu_l = [[F(0)] * dim for _ in range(dim)]
+    for ji, x in enumerate(j0):
+        img = j0_solver.coefficients(linalg.mat_vec(nu_j, x))
+        for r, v in enumerate(img):
+            nu_l[t.layout["tensor"].start + r][t.layout["tensor"].start + ji] = v
+    for p, d in enumerate(der):
+        conj = linalg.mat_mul(nu_j, linalg.mat_mul(d, nu_j))
+        img = dj_solver.coefficients(sum(conj, []))
+        if img is None:
+            raise AlgebraError("nu conjugation leaves Der(J)")
+        for r, v in enumerate(img):
+            nu_l[t.layout["der_j"].start + r][t.layout["der_j"].start + p] = v
+    theta = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        theta[i][i] = F(1) if i in t.layout["der_j"] else F(-1)
+    nu_prime = linalg.mat_mul(theta, nu_l)
+    if not is_automorphism(lie.alg, nu_prime):
+        raise AlgebraError("theta*nu is not an automorphism")
+    even_basis, even_dim = fixed_subspace(nu_prime)
+    der_range = t.layout["der_j"]
+    nu_der_block = [
+        [nu_l[der_range.start + r][der_range.start + p] for p in range(len(der))]
+        for r in range(len(der))
+    ]
+    fix_both, _ = fixed_subspace(nu_der_block)
+    gram = linalg.gram(lie.killing_matrix(), even_basis, even_basis)
+    even_sig = inertia(gram).signature
+    sub_sc = bracket_constants(
+        linalg.SpanSolver(even_basis), lambda a, b: lie.bracket(even_basis[a], even_basis[b])
+    )
+    sub = LieAlgebra(
+        StructAlgebra(dim=even_dim, basis_labels=[f"s{i}" for i in range(even_dim)], sc=sub_sc),
+        check_jacobi=False,
+    )
+    k0 = killing_matrix(sub)
+    delta = tits_module._ratio_constant(gram, list(range(even_dim)), k0)
+    return {
+        "even_dim": even_dim,
+        "odd_dim": dim - even_dim,
+        "fix_theta_and_nu_dim": len(fix_both),
+        "even_signature": even_sig,
+        "delta": delta,
+        "model": t,
+        "even_basis": even_basis,
+    }
+
+
+def test_sp31_decomposition_equals_the_dense_reference():
+    dec = sp31_decomposition()
+    ref = _dense_sp31_reference()
+    assert dec.keys() == ref.keys()
+    assert dec["model"] is ref["model"]
+    for key in ("even_dim", "odd_dim", "fix_theta_and_nu_dim", "even_signature"):
+        assert dec[key] == ref[key], key
+    assert dec["delta"] == ref["delta"] == F(12, 5)
+    assert type(dec["delta"]) is type(ref["delta"]) is Fraction
+    assert dec["even_basis"] == ref["even_basis"]
+    assert [[type(x) for x in row] for row in dec["even_basis"]] == [
+        [type(x) for x in row] for row in ref["even_basis"]
+    ]
+
+
+def test_sp31_rejects_a_nu_with_one_iota_sign_flipped(monkeypatch):
+    j = h3("O", (1, 1, 1))
+    nu = jordan.nu_diagonal()
+    flipped = list(nu)
+    flipped[j.alg.basis_labels.index("i1(l)")] *= -1
+    monkeypatch.setattr(jordan, "nu_diagonal", lambda: flipped)
+    monkeypatch.setattr(tits_module, "nu_diagonal", lambda: flipped)
+    with pytest.raises(AlgebraError, match="nu is not an automorphism"):
+        sp31_decomposition.__wrapped__()
+    with pytest.raises(AlgebraError, match="nu is not an automorphism"):
+        _dense_sp31_reference()
+
+
+def _first_of_other_sign(vectors, sign_of):
+    """The first index whose vector takes the other sign than vector 0."""
+    first = sign_of(vectors[0])
+    return next(q for q, v in enumerate(vectors) if sign_of(v) != first)
+
+
+@pytest.mark.parametrize("block", ["j0_vectors", "der_j_basis"])
+def test_sp31_rejects_a_lift_that_is_not_diagonal(monkeypatch, block):
+    # replace basis vector 0 of J0 or Der(J) by its sum with one of the other
+    # nu-sign: nu then maps it to the difference, not to +- itself
+    t = derj_model("albert")
+    nu = jordan.nu_diagonal()
+    vectors = getattr(t, block)
+    if block == "j0_vectors":
+        q = _first_of_other_sign(vectors, lambda x: nu[next(k for k, v in enumerate(x) if v)])
+        mixed = linalg.vec_add(vectors[0], vectors[q])
+    else:
+        q = _first_of_other_sign(
+            vectors,
+            lambda d: next(nu[a] * nu[b] for a, row in enumerate(d) for b, v in enumerate(row) if v),
+        )
+        mixed = [linalg.vec_add(r, s) for r, s in zip(vectors[0], vectors[q])]
+    mutant = replace(t, **{block: [mixed] + vectors[1:]})
+    monkeypatch.setattr(tits_module, "derj_model", lambda jname: mutant)
+    with pytest.raises(AlgebraError, match="does not map a basis vector"):
+        sp31_decomposition.__wrapped__()
 
 
 def test_twist_identity():
