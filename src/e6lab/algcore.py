@@ -456,6 +456,7 @@ class LieAlgebra:
             raise AlgebraError("not anticommutative")
         self.alg = alg
         self._killing = None
+        self._inertia = None
 
     @classmethod
     def _of_lie_table(cls, alg: StructAlgebra) -> "LieAlgebra":
@@ -464,6 +465,7 @@ class LieAlgebra:
         lie = cls.__new__(cls)
         lie.alg = alg
         lie._killing = None
+        lie._inertia = None
         return lie
 
     @property
@@ -481,6 +483,13 @@ class LieAlgebra:
         if self._killing is None:
             self._killing = killing_matrix(self)
         return self._killing
+
+    def killing_inertia(self) -> "InertiaResult":
+        """Sylvester inertia of `killing_matrix`, computed once and kept
+        beside it."""
+        if self._inertia is None:
+            self._inertia = inertia(self.killing_matrix())
+        return self._inertia
 
 
 def killing_matrix(lie: LieAlgebra):

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from . import chevalley as chev
 from . import e6sp8
-from .algcore import inertia
 from .composition import hurwitz, octonion_z23_grading
 from .gradings import (
     FinAbGroup,
@@ -69,7 +68,7 @@ def model(name: str):
 
 def model_signature(name: str) -> int:
     lie, _ = model(name)
-    return inertia(lie.killing_matrix()).signature
+    return lie.killing_inertia().signature
 
 
 def rr_z2_grading() -> GradedDecomposition:
@@ -115,4 +114,4 @@ def grading(name: str):
 
 def grading_carrier_signature(name: str) -> int:
     _, carrier, _ = grading(name)
-    return inertia(carrier.killing_matrix()).signature
+    return carrier.killing_inertia().signature

@@ -29,7 +29,6 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
-    inertia,
     is_diagonal_automorphism,
     is_monomial_automorphism,
     put_antisymmetric,
@@ -429,4 +428,4 @@ def inheriting_signatures(cb: ChevalleyBasis = None) -> dict:
 def split_signature(cb: ChevalleyBasis = None) -> int:
     if cb is None:
         cb = e6_chevalley()
-    return inertia(cb.lie.killing_matrix()).signature
+    return cb.lie.killing_inertia().signature

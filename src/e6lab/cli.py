@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import catalog, chevalley, verify
-from .algcore import algebra_to_json, inertia, jacobi_defect
+from .algcore import algebra_to_json, jacobi_defect
 from .gradings import grading_to_json, type_vector, verify as verify_grading
 from .tits import proportionality_constants
 
@@ -113,7 +113,7 @@ def cmd_killing(args) -> int:
         print(f"unknown model {args.model!r}", file=sys.stderr)
         return 2
     lie, _ = catalog.model(args.model)
-    r = inertia(lie.killing_matrix())
+    r = lie.killing_inertia()
     doc = {
         "model": args.model,
         "n_plus": r.n_plus,

@@ -604,7 +604,7 @@ def conjugated_form() -> dict:
     theta_even = list(range(model.even_dim))
     sub = [[k[i][j] for j in theta_even] for i in theta_even]
     even_sig = inertia(sub).signature
-    full_sig = inertia(k).signature
+    full_sig = lprime.killing_inertia().signature
     twisted = twist(lprime, set(theta_even), F(-1))
     twisted_sig = inertia(killing_matrix(twisted)).signature
     return {

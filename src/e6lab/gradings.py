@@ -1,9 +1,22 @@
 """Gradings of algebras by finitely generated abelian groups.
 
 A GradedDecomposition attaches to a StructAlgebra a degree map from group
-elements to component bases (coordinate vectors).  Verification is exhaustive:
-the components must sum directly to the whole algebra and every product of
-homogeneous basis vectors must land in the component of the degree sum.
+elements to component bases (coordinate vectors).  Each decomposition owns
+its homogeneous basis (`HomogeneousBasis`), built on the first call that
+needs it: the component vectors stacked in support order as the rows of P,
+their degrees, and P^-1 from one `linalg.SpanSolver`.  Every graded check
+reads it:
+
+- `verify` is exhaustive: the sum is direct iff P is invertible, and
+  closure A_g A_h <= A_{g+h} is a support test of c' = P^-1 c(P., P.) over
+  every nonzero product of rows of P, on Python ints;
+- `degree_of` reads the degrees of the coordinates in P;
+- `induced_on_der` projects each derivation onto its degree parts, in the
+  coordinates of P;
+- Killing orthogonality and the graded Witt basis read one Gram table
+  K' = P K P^T per carrier, built from the nonzeros of K, and the signature
+  bound and the Witt certificate read the carrier's one Killing inertia
+  (`LieAlgebra.killing_inertia`).
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivations, inertia
+from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivations
 from .scalars import QONE, QZERO, fmt_rational, parse_rational
 
 
@@ -110,7 +123,7 @@ class GradedDecomposition:
     group: FinAbGroup
     algebra: StructAlgebra
     components: dict  # group element -> list of coordinate vectors
-    _solvers: dict = dc_field(default=None, repr=False, compare=False)
+    _basis: HomogeneousBasis = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -132,20 +145,77 @@ class GradedDecomposition:
     def dimension_of(self, g) -> int:
         return len(self.components.get(self.group.reduce(g), ()))
 
-    def degree_of(self, vec):
-        """Degree of a homogeneous vector, or None if not homogeneous."""
-        for g, s in self._component_solvers().items():
-            if s.contains(vec):
-                return g
-        return None
+    def homogeneous_basis(self) -> HomogeneousBasis:
+        """The basis P of the components, built on the first call."""
+        if self._basis is None:
+            self._basis = HomogeneousBasis(self)
+        return self._basis
 
-    def _component_solvers(self):
-        if self._solvers is None:
-            self._solvers = {
-                g: linalg.SpanSolver(vecs)
-                for g, vecs in self.components.items()
-            }
-        return self._solvers
+    def degree_of(self, vec):
+        """Degree of a homogeneous vector, or None if it is 0 or not
+        homogeneous: its coordinates in P all sit at one degree.  Raises
+        GradingError if the sum of the components is not direct."""
+        basis = self.homogeneous_basis()
+        if basis.inverse is None:
+            raise GradingError("the components do not sum directly to the algebra")
+        coords = basis.coordinates(linalg.int_scaled(linalg.sparse(vec))[1])
+        degs = {basis.degree_ids[r] for r, x in coords.items() if x}
+        return basis.support[degs.pop()] if len(degs) == 1 else None
+
+
+class HomogeneousBasis:
+    """The component vectors of a decomposition stacked in support order:
+    the rows of P, as sparse rows (`rows`) and as one int-scaled copy
+    (`int_rows`, all times one positive int), with the support index of the
+    degree of each row (`degree_ids`) and the slice of rows each degree
+    occupies (`spans`).
+
+    The sum is direct iff P is a basis of the algebra: as many rows as its
+    dimension, and one `linalg.SpanSolver` on them succeeds.  Then
+    `inverse[k]` is P^-1 e_k times one positive int, as a {row: int} dict;
+    otherwise `inverse` is None.  `kprime` keeps the Gram table
+    K' = P K P^T of one carrier.
+    """
+
+    def __init__(self, grading: GradedDecomposition):
+        self.support = grading.support
+        self.rows, self.degree_ids, self.spans = [], [], {}
+        for gi, g in enumerate(self.support):
+            vecs = grading.components[g]
+            self.spans[g] = slice(len(self.rows), len(self.rows) + len(vecs))
+            self.rows.extend(linalg.sparse(v) for v in vecs)
+            self.degree_ids.extend([gi] * len(vecs))
+        _, self.int_rows = linalg.int_scaled(self.rows)
+        dim = grading.algebra.dim
+        self.inverse = None
+        if len(self.rows) == dim:
+            try:
+                solver = linalg.SpanSolver(self.rows, dim)
+            except ValueError:
+                pass
+            else:
+                # every column is a pivot, so transform row k is M P^-1 e_k
+                self.inverse = solver.transform
+        self._carrier = self._killing_rows = self._kprime = None
+
+    def coordinates(self, vec: dict) -> dict:
+        """{row: int}: the coordinates in P of the {col: int} vector vec,
+        times the positive int of `inverse`."""
+        out = {}
+        for k, x in vec.items():
+            for r, t in self.inverse[k].items():
+                out[r] = out.get(r, 0) + x * t
+        return out
+
+    def kprime(self, lie: LieAlgebra):
+        """(K as sparse rows, K' = P K P^T as dense rows) for the carrier
+        lie, built once from the nonzeros of K and kept until another
+        carrier is asked for."""
+        if self._carrier is not lie:
+            k = [linalg.sparse(row) for row in lie.killing_matrix()]
+            self._carrier, self._killing_rows = lie, k
+            self._kprime = linalg.gram(k, self.rows, self.rows)
+        return self._killing_rows, self._kprime
 
 
 @dataclass
@@ -159,40 +229,94 @@ class GradingReport:
         return self.direct_sum_ok and self.closure_ok
 
 
+def _sum_test(group: FinAbGroup, support):
+    """(codes, sums): an int per degree of the support, with g + h = s in
+    the group iff codes[g] + codes[h] - codes[s] is in the set sums.
+
+    Coordinate i of a degree fills a field of w bits of its code, so field
+    i of codes[g] + codes[h] - codes[s] holds g_i + h_i - s_i, with w bits
+    enough for its sign and size and for m_i: g + h = s iff each of these
+    is 0, or is 0 or m_i at a torsion coordinate mod m_i, since reduced
+    coordinates lie in [0, m_i).
+    """
+    top = max([abs(c) for g in support for c in g] + list(group.torsion), default=0)
+    w = (3 * top).bit_length() + 1
+    codes = [sum(c << (w * i) for i, c in enumerate(g)) for g in support]
+    sums = {0}
+    for i, m in enumerate(group.torsion, group.free_rank):
+        sums |= {z + (m << (w * i)) for z in sums}
+    return codes, sums
+
+
 def verify(grading: GradedDecomposition) -> GradingReport:
-    """Exhaustive check of direct sum and closure A_g A_h <= A_{g+h}."""
+    """Exhaustive check of direct sum and closure A_g A_h <= A_{g+h}.
+
+    On the homogeneous basis P (`HomogeneousBasis`) the sum is direct iff P
+    is invertible, and closure is a support test of the table
+    c' = P^-1 c(P., P.): the product of a row x of degree g and a row y of
+    degree h fails when one of its coordinates in P sits at a degree other
+    than g+h (`_sum_test`).  Each table row c(a, b) is taken through P^-1
+    once, and c'(x, y) is summed as x_a y_b P^-1 c(a, b) over the pairs
+    (a, b) that meet x and y, so every product is covered but only the
+    nonzero ones are formed.  All of it runs on ints: the int table D*c
+    (`int_tensor`, or `int_scaled` past its bound), the int rows of P and
+    P^-1 times an int, positive scales that leave a support as it is.
+    Violations (g, h, g+h), one per failing pair x, y, come in the order g,
+    then h in components order, then x, then y.
+
+    A decomposition whose sum is not direct gets (False, False, []): closure
+    is not tested without P^-1.
+    """
+    basis = grading.homogeneous_basis()
+    inverse = basis.inverse
+    if inverse is None:
+        return GradingReport(False, False, [])
     alg = grading.algebra
-    stacked = [v for vecs in grading.components.values() for v in vecs]
-    total = len(stacked)
-    direct_sum_ok = total == alg.dim and linalg.rank(stacked) == alg.dim
-    violations = []
-    solvers = grading._component_solvers()
-    # products x*y run on the int table D*c and the int-scaled rows; membership
-    # in a span does not depend on the scale
     _, table = alg.int_tensor()
     if table is None:
         _, table = linalg.int_scaled(alg.sc)
-    rows = {
-        h: [linalg.int_scaled(linalg.sparse(y))[1] for y in hv]
-        for h, hv in grading.components.items()
-    }
-    for g, gv in rows.items():
-        for h, hv in rows.items():
-            target = grading.group.add(g, h)
-            tsolver = solvers.get(target)
-            for x in gv:
-                for y in hv:
-                    p = {}
-                    for a, xa in x.items():
-                        for b, yb in y.items():
-                            row = table.get((a, b))
-                            if row:
-                                c = xa * yb
-                                for k, v in row.items():
-                                    p[k] = p.get(k, 0) + c * v
-                    if any(p.values()) and (tsolver is None or not tsolver.contains(p)):
-                        violations.append((g, h, target))
-    return GradingReport(direct_sum_ok, not violations, violations)
+    ids = basis.degree_ids
+    codes, sums = _sum_test(grading.group, basis.support)
+    code = [codes[i] for i in ids]  # the degree code of each row of P
+    left = {}  # a -> [(b, the coordinates in P of the table row (a, b))]
+    for (a, b), row in table.items():
+        w = {}
+        for k, v in row.items():
+            for r, t in inverse[k].items():
+                w[r] = w.get(r, 0) + v * t
+        left.setdefault(a, []).append((b, list(w.items())))
+    cols = {}  # b -> [(y, entry of row y at b)] over the rows of P
+    for y, row in enumerate(basis.int_rows):
+        for b, v in row.items():
+            cols.setdefault(b, []).append((y, v))
+    found = []
+    for x, xrow in enumerate(basis.int_rows):
+        products = {}  # y -> the coordinates in P of x y
+        for a, xa in xrow.items():
+            for b, w in left.get(a, ()):
+                for y, yb in cols.get(b, ()):
+                    c = xa * yb
+                    p = products.get(y)
+                    if p is None:
+                        p = products[y] = {}
+                    for r, v in w:
+                        p[r] = p.get(r, 0) + c * v
+        cx = code[x]
+        for y, p in products.items():
+            cxy = cx + code[y]
+            for r, v in p.items():
+                if v and cxy - code[r] not in sums:
+                    found.append((x, y))
+                    break
+    # order the failing pairs x, y as g, then h in components order, then x, y
+    supp = basis.support
+    order = {g: c for c, g in enumerate(grading.components)}
+    found.sort(key=lambda xy: (order[supp[ids[xy[0]]]], order[supp[ids[xy[1]]]], xy))
+    violations = []
+    for x, y in found:
+        g, h = supp[ids[x]], supp[ids[y]]
+        violations.append((g, h, grading.group.add(g, h)))
+    return GradingReport(True, not violations, violations)
 
 
 def type_vector(grading: GradedDecomposition) -> tuple:
@@ -217,76 +341,60 @@ def type_vector_sum(grading: GradedDecomposition) -> int:
 def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     """Grading on Der(A) induced by a grading on A (over Q).
 
-    Der(A)_g = {d : d(A_h) <= A_{g+h} for all h}; solved degree by degree
-    inside the span of `derivations(A)`.  The pieces must exhaust Der(A); the
-    returned components are coefficient vectors with respect to that basis,
-    attached to `derivation_algebra(A)`.
+    Der(A)_g = {d : d(A_h) <= A_{g+h} for all h}, read by projection: for a
+    derivation d, the part pi_g(d) that maps each A_h into A_{h+g} is again
+    a derivation (take the degree h+k+g part of d(xy) = d(x)y + xd(y) for x
+    in A_h, y in A_k), so Der(A)_g is spanned by the pi_g(d_t) over the
+    basis d_t of `derivations(A)`, and the pieces sum to Der(A), directly,
+    because the pi_g sum to the identity and keep disjoint blocks.  Each d_t
+    is written in block coordinates, the coordinates in P of d_t(P_i) for
+    the rows P_i of the homogeneous basis; pi_g(d_t) keeps the blocks from
+    degree h to h+g.  One `linalg.SpanSolver` on the d_t gives the
+    coordinates of each nonzero pi_g(d_t), and each component is the
+    reduced echelon basis of its span.  The returned components are
+    coefficient vectors with respect to that basis, attached to
+    `derivation_algebra(A)`.
+
+    Raises GradingError if the components do not sum directly to A, or if
+    some pi_g(d_t) is not a derivation, which happens only when the
+    decomposition is not a grading.
     """
     alg = grading.algebra
+    basis = grading.homogeneous_basis()
+    if basis.inverse is None:
+        raise GradingError("the components do not sum directly to the algebra")
     der_basis = derivations(alg)
-    m = len(der_basis)
-    supp = grading.support
-    # d(A_h) lives in sum over supp of components; candidates g = h' - h
-    candidates = sorted(
-        {grading.group.add(h2, grading.group.neg(h1)) for h1 in supp for h2 in supp}
-    )
-    # decompose every derivation image once over the whole grading
-    der_sparse = [linalg.dense_to_sparse(d) for d in der_basis]
-    stacked = []
-    positions = []  # (degree, index inside component) per stacked row
-    for h in supp:
-        for r, v in enumerate(grading.components[h]):
-            stacked.append(v)
-            positions.append((h, r))
-    full_solver = linalg.SpanSolver(stacked)
-    slices = {}  # (h, vi) -> {target: [per-der {r: coeff}] }
-    for h in supp:
-        for vi, v in enumerate(grading.components[h]):
-            vsp = linalg.sparse(v)
-            per_target = {}
-            for t, dsp in enumerate(der_sparse):
-                coeffs = full_solver.coefficients(linalg.sp_matvec(dsp, vsp))
-                if coeffs is None:
-                    raise GradingError("derivation image outside the algebra")
-                for pos, co in enumerate(coeffs):
-                    if co:
-                        tgt, r = positions[pos]
-                        per_target.setdefault(tgt, {}).setdefault(t, {})[r] = co
-            slices[(h, vi)] = per_target
+    n = alg.dim
+    group, supp, ids = grading.group, basis.support, basis.degree_ids
+    # block coordinates on one int scale, so the solver's coefficients are exact
+    _, ders = linalg.int_scaled([linalg.dense_to_sparse(d) for d in der_basis])
+    shifts = {}  # (id of h, id of h') -> h' - h
+    pieces = {}  # g -> {t: block coordinates of pi_g(d_t)}
+    blocks = []
+    for t, d in enumerate(ders):
+        block = {}
+        for i, row in enumerate(basis.int_rows):
+            hi = ids[i]
+            for r, v in basis.coordinates(linalg.sp_matvec(d, row)).items():
+                if v:
+                    block[i * n + r] = v
+                    g = shifts.get((hi, ids[r]))
+                    if g is None:
+                        g = shifts[(hi, ids[r])] = group.add(supp[ids[r]], group.neg(supp[hi]))
+                    pieces.setdefault(g, {}).setdefault(t, {})[i * n + r] = v
+        blocks.append(block)
+    solver = linalg.SpanSolver(blocks, n * n)
     comps = {}
-    total = 0
-    for g in candidates:
-        acc = linalg.IntKernelAccumulator(m)
-        alive = True
-        for (h, vi), per_target in slices.items():
-            if not alive:
-                break
-            allowed = grading.group.add(g, h)
-            for target, per_der in per_target.items():
-                if target == allowed:
-                    continue
-                rs = {r for d in per_der.values() for r in d}
-                for r in rs:
-                    row = {
-                        t: d[r] for t, d in per_der.items() if r in d
-                    }
-                    if not row:
-                        continue
-                    acc.add_constraint(row)
-                    if acc.dimension == 0:
-                        alive = False
-                        break
-                if not alive:
-                    break
-        combos = acc.kernel_basis() if alive else []
-        if not combos:
-            continue
-        comps[g] = combos
-        total += len(combos)
-    if total != m:
-        raise GradingError(
-            f"induced derivation pieces sum to {total}, expected {m}"
-        )
+    for g in sorted(pieces):
+        coeffs = []
+        for piece in pieces[g].values():
+            co = solver.coefficients(piece)
+            if co is None:
+                raise GradingError(
+                    f"the degree {g} part of a derivation is not a derivation: not a grading"
+                )
+            coeffs.append(co)
+        comps[g] = linalg.rref(coeffs)[0]
     return GradedDecomposition(
         group=grading.group, algebra=derivation_algebra(alg), components=comps
     )
@@ -411,33 +519,27 @@ def coarsen(grading: GradedDecomposition, hom, target_group: FinAbGroup) -> Grad
 # Killing-form tools on graded real Lie algebras
 
 
-def _homogeneous_gram(grading: GradedDecomposition, lie: LieAlgebra):
-    """K' = P K P^T on the homogeneous rows P stacked in support order, and
-    the slice of rows each degree occupies in it."""
-    spans = {}
-    rows = []
-    for g in grading.support:
-        spans[g] = slice(len(rows), len(rows) + len(grading.components[g]))
-        rows.extend(grading.components[g])
-    return linalg.gram(lie.killing_matrix(), rows, rows), spans
-
-
 def killing_orthogonality_violations(grading: GradedDecomposition, lie: LieAlgebra):
-    """Pairs (g,h) with g+h != e but K(L_g, L_h) != 0 (must be empty)."""
-    kp, spans = _homogeneous_gram(grading, lie)
-    supp = grading.support
-    return [
-        (g, h)
-        for gi, g in enumerate(supp)
-        for h in supp[gi:]
-        if not grading.group.is_identity(grading.group.add(g, h))
-        and any(x for row in kp[spans[g]] for x in row[spans[h]])
-    ]
+    """Pairs (g,h) with g+h != e but K(L_g, L_h) != 0 (must be empty), in
+    support order, g before or at h: read off the nonzeros of the Gram
+    table K' of the homogeneous basis."""
+    basis = grading.homogeneous_basis()
+    _, kp = basis.kprime(lie)
+    supp, ids, group = basis.support, basis.degree_ids, grading.group
+    bad = set()
+    for i, row in enumerate(kp):
+        gi = ids[i]
+        for j in range(i, len(row)):
+            pair = (gi, ids[j])
+            if row[j] and pair not in bad:
+                if not group.is_identity(group.add(supp[gi], supp[pair[1]])):
+                    bad.add(pair)
+    return [(supp[gi], supp[hi]) for gi, hi in sorted(bad)]
 
 
 def signature_bound(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     """|sign L - dim L_e| <= sum of dims over order-2 nonidentity degrees."""
-    sig = inertia(lie.killing_matrix()).signature
+    sig = lie.killing_inertia().signature
     dim_e = grading.dimension_of(grading.group.identity())
     d = sum(
         len(vecs)
@@ -459,11 +561,13 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     guarantees everything else vanishes); degrees with 2g = e are diagonalized
     by exact congruence, keeping the rational pivots and their signs.  Both
     read their blocks from the Gram table K' of the homogeneous basis; the
-    certificate recomputes the Gram matrix of the final basis from K.
+    certificate recomputes the Gram matrix of the final basis from the sparse
+    rows of K, and compares the signature with the carrier's inertia.
     """
-    k = lie.killing_matrix()
     group = grading.group
-    kp, spans = _homogeneous_gram(grading, lie)
+    basis_p = grading.homogeneous_basis()
+    k, kp = basis_p.kprime(lie)
+    spans = basis_p.spans
 
     def block(g, h):
         return [row[spans[h]] for row in kp[spans[g]]]
@@ -509,7 +613,7 @@ def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     if gram != expected:
         raise GradingError("Witt basis Gram certificate failed")
     sig = sum(1 if piv > 0 else -1 for _, piv in zvecs)
-    if sig != inertia(k).signature:
+    if sig != lie.killing_inertia().signature:
         raise GradingError("Witt signature disagrees with inertia")
     return {
         "hyperbolic_pairs": pairs,

@@ -90,17 +90,33 @@ def mat_mul(a, b):
 
 def gram(m, xs, ys):
     """[[x m y^T for y in ys] for x in xs]: the bilinear form m on two lists
-    of row vectors, skipping zero entries of the rows and of m."""
-    ysp = [[(j, b) for j, b in enumerate(y) if b] for y in ys]
+    of row vectors; m, xs and ys are dense or {col: x} rows.
+
+    Only nonzeros are visited: x m is summed over the nonzeros of x and of
+    the rows of m they select, and spread over the ys through an index of
+    their nonzero columns.  Every entry is a Fraction, `QZERO` for a zero.
+    """
+    msp = {}
+    cols = {}  # column c -> [(j, y_j[c])] over the nonzeros of the ys
+    for j, y in enumerate(ys):
+        for c, b in sparse(y).items():
+            cols.setdefault(c, []).append((j, b))
     out = []
     for x in xs:
         xm = {}
-        for i, a in enumerate(x):
-            if a:
-                for j, c in enumerate(m[i]):
-                    if c:
-                        xm[j] = xm.get(j, QZERO) + a * c
-        out.append([sum((xm[j] * b for j, b in y if j in xm), QZERO) for y in ysp])
+        for i, a in sparse(x).items():
+            mrow = msp.get(i)
+            if mrow is None:
+                mrow = msp[i] = sparse(m[i])
+            for c, v in mrow.items():
+                if c in cols:
+                    xm[c] = xm.get(c, QZERO) + a * v
+        orow = [QZERO] * len(ys)
+        for c, v in xm.items():
+            if v:
+                for j, b in cols[c]:
+                    orow[j] += v * b
+        out.append(orow)
     return out
 
 
@@ -284,7 +300,8 @@ def kernel(rows, ncols):
 
 
 class SpanSolver:
-    """Expresses rational vectors in a fixed, linearly independent basis.
+    """Expresses rational vectors in a fixed, linearly independent basis,
+    given by dense rows or by {col: x} rows of width ncols.
 
     The basis, augmented by the identity, is reduced once to the int rows of
     `_reduced_echelon`, and no Fraction is built.  Reduced row p (1 at its
@@ -298,9 +315,12 @@ class SpanSolver:
     the rows it meets, in Python ints.
     """
 
-    def __init__(self, basis):
+    def __init__(self, basis, ncols=None):
         n = len(basis)
-        ncols = len(basis[0]) if n else 0
+        if ncols is None:
+            if basis and isinstance(basis[0], dict):
+                raise TypeError("SpanSolver of dict rows needs ncols")
+            ncols = len(basis[0]) if n else 0
         aug = []
         for i, b in enumerate(basis):
             row = sparse(b)

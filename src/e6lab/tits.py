@@ -299,7 +299,7 @@ def jacobson_table() -> dict:
     for cname in ("C", "RR"):
         for jname in JORDAN_INGREDIENTS:
             t = tits_model(cname, jname)
-            sig = inertia(t.lie.killing_matrix()).signature
+            sig = t.lie.killing_inertia().signature
             out[(cname, jname)] = sig
     return out
 
@@ -456,7 +456,7 @@ def twist_signature_identity() -> dict:
     t = derj_model("albert")
     lie = t.lie
     k = lie.killing_matrix()
-    sig = inertia(k).signature
+    sig = lie.killing_inertia().signature
     tw = twist(lie, set(t.even_indices()), F(-1))
     sig_tw = inertia(killing_matrix(tw)).signature
     even_idx = t.even_indices()

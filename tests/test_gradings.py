@@ -327,3 +327,323 @@ def test_grading_vectors_of_the_wrong_length_are_rejected():
     for short_or_long in (["0", "1"], ["0", "1", "0", "7"]):
         with pytest.raises(GradingError, match=r"\(2,\)"):
             grading_from_json(doc(short_or_long), sl2)
+
+
+# ---------------------------------------------------------------------------
+# the graded certificates against the per-degree bodies they replaced
+#
+# `verify` was a per-degree `SpanSolver.contains` query about every product,
+# Killing orthogonality and the Witt blocks read a dense K' = P K P^T built
+# by `gram` on the dense K, and `induced_on_der` solved one kernel per
+# candidate degree.  Those bodies are kept here as references.
+
+
+def _reference_verify(grading):
+    alg = grading.algebra
+    stacked = [v for vecs in grading.components.values() for v in vecs]
+    direct_sum_ok = len(stacked) == alg.dim and linalg.rank(stacked) == alg.dim
+    solvers = {g: linalg.SpanSolver(vecs) for g, vecs in grading.components.items()}
+    violations = []
+    for g, gv in grading.components.items():
+        for h, hv in grading.components.items():
+            target = grading.group.add(g, h)
+            tsolver = solvers.get(target)
+            for x in gv:
+                for y in hv:
+                    p = alg.multiply(x, y)
+                    if any(p) and (tsolver is None or not tsolver.contains(p)):
+                        violations.append((g, h, target))
+    return direct_sum_ok, not violations, violations
+
+
+def _reference_homogeneous_gram(grading, lie):
+    spans = {}
+    rows = []
+    for g in grading.support:
+        spans[g] = slice(len(rows), len(rows) + len(grading.components[g]))
+        rows.extend(grading.components[g])
+    kp = linalg.mat_mul(linalg.mat_mul(rows, lie.killing_matrix()), linalg.transpose(rows))
+    return kp, spans
+
+
+def _reference_orthogonality(grading, lie):
+    kp, spans = _reference_homogeneous_gram(grading, lie)
+    supp = grading.support
+    return [
+        (g, h)
+        for gi, g in enumerate(supp)
+        for h in supp[gi:]
+        if not grading.group.is_identity(grading.group.add(g, h))
+        and any(x for row in kp[spans[g]] for x in row[spans[h]])
+    ]
+
+
+def _reference_witt(grading, lie):
+    k = lie.killing_matrix()
+    group = grading.group
+    kp, spans = _reference_homogeneous_gram(grading, lie)
+
+    def block(g, h):
+        return [row[spans[h]] for row in kp[spans[g]]]
+
+    pairs, zvecs, done = [], [], set()
+    for g in grading.support:
+        if g in done:
+            continue
+        neg = group.neg(g)
+        gv = grading.components[g]
+        if neg == g:
+            diag, p = linalg.congruence_diagonalize(block(g, g))
+            if any(d == 0 for d in diag):
+                raise GradingError(f"Killing form degenerate on component {g}")
+            zvecs.extend(zip(linalg.mat_mul(linalg.transpose(p), gv), diag))
+            done.add(g)
+        else:
+            if neg not in grading.components:
+                raise GradingError(f"component {g} has no pairing partner")
+            hv = grading.components[neg]
+            if len(gv) != len(hv):
+                raise GradingError("paired components have different dimensions")
+            ginv = linalg.mat_inverse(block(g, neg))
+            pairs.extend(zip(gv, linalg.mat_mul(linalg.transpose(ginv), hv)))
+            done.update((g, neg))
+    basis = [w for u, v in pairs for w in (u, v)] + [z for z, _ in zvecs]
+    gram = linalg.mat_mul(linalg.mat_mul(basis, k), linalg.transpose(basis))
+    expected = linalg.zeros(len(basis), len(basis))
+    for t in range(len(pairs)):
+        expected[2 * t][2 * t + 1] = expected[2 * t + 1][2 * t] = F(1)
+    for t, (_, piv) in enumerate(zvecs):
+        expected[2 * len(pairs) + t][2 * len(pairs) + t] = piv
+    if gram != expected:
+        raise GradingError("Witt basis Gram certificate failed")
+    sig = sum(1 if piv > 0 else -1 for _, piv in zvecs)
+    if sig != inertia(k).signature:
+        raise GradingError("Witt signature disagrees with inertia")
+    return {"hyperbolic_pairs": pairs, "diagonal": zvecs, "signature": sig, "gram_ok": True}
+
+
+def _reference_induced_on_der(grading):
+    alg = grading.algebra
+    der_basis = derivations(alg)
+    m = len(der_basis)
+    supp = grading.support
+    group = grading.group
+    candidates = sorted({group.add(h2, group.neg(h1)) for h1 in supp for h2 in supp})
+    stacked, positions = [], []
+    for h in supp:
+        for r, v in enumerate(grading.components[h]):
+            stacked.append(v)
+            positions.append((h, r))
+    full_solver = linalg.SpanSolver(stacked)
+    slices = {}  # (h, vi) -> {target: {t: {r: coefficient}}}
+    for h in supp:
+        for vi, v in enumerate(grading.components[h]):
+            per_target = {}
+            for t, d in enumerate(der_basis):
+                coeffs = full_solver.coefficients(linalg.mat_vec(d, v))
+                for pos, co in enumerate(coeffs):
+                    if co:
+                        tgt, r = positions[pos]
+                        per_target.setdefault(tgt, {}).setdefault(t, {})[r] = co
+            slices[(h, vi)] = per_target
+    comps = {}
+    for g in candidates:
+        acc = linalg.IntKernelAccumulator(m)
+        for (h, vi), per_target in slices.items():
+            allowed = group.add(g, h)
+            for target, per_der in per_target.items():
+                if target != allowed:
+                    for r in {r for d in per_der.values() for r in d}:
+                        acc.add_constraint({t: d[r] for t, d in per_der.items() if r in d})
+        combos = acc.kernel_basis()
+        if combos:
+            comps[g] = combos
+    assert sum(len(v) for v in comps.values()) == m
+    return comps
+
+
+def _types(x):
+    """x with every scalar replaced by its type: equal values of other
+    types would pass ==."""
+    if isinstance(x, (list, tuple)):
+        return [_types(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _types(v) for k, v in x.items()}
+    return type(x)
+
+
+def _swapped_octonion_lines():
+    g = octonion_z23_grading()
+    d1, d2 = g.support[1], g.support[2]
+    comps = dict(g.components)
+    comps[d1], comps[d2] = comps[d2], comps[d1]
+    return GradedDecomposition(g.group, g.algebra, comps)
+
+
+def _rescaled_past_bound(alg):
+    p = [2**31 - 1 - 2 * i for i in range(alg.dim)]
+    sc = {
+        (i, j): {k: v * p[i] * p[j] / p[k] for k, v in row.items()}
+        for (i, j), row in alg.sc.items()
+    }
+    big = StructAlgebra(dim=alg.dim, basis_labels=list(alg.basis_labels), sc=sc)
+    assert big.int_tensor() == (None, None)
+    return big
+
+
+def _moved_gamma8():
+    g, carrier, _ = catalog.grading("gamma8")
+    moved = next(d for d in g.support if g.group.neg(d) != d)
+    comps = dict(g.components)
+    comps[(5, 0, 0, 0, 0)] = comps.pop(moved)
+    return GradedDecomposition(g.group, g.algebra, comps), carrier
+
+
+def _report(rep):
+    return rep.direct_sum_ok, rep.closure_ok, rep.violations
+
+
+@pytest.mark.parametrize("name", catalog.GRADING_NAMES)
+def test_graded_certificates_equal_the_reference_bodies(name):
+    g, carrier, _ = catalog.grading(name)
+    g = GradedDecomposition(g.group, g.algebra, g.components)  # a basis of its own
+    assert _report(verify(g)) == _reference_verify(g) == (True, True, [])
+    assert killing_orthogonality_violations(g, carrier) == _reference_orthogonality(g, carrier) == []
+    new, old = graded_witt_basis(g, carrier), _reference_witt(g, carrier)
+    for key in ("hyperbolic_pairs", "diagonal", "signature", "gram_ok"):
+        assert new[key] == old[key], key
+        assert _types(new[key]) == _types(old[key]), key
+
+
+def test_graded_certificates_equal_the_reference_bodies_on_mutants():
+    bad, carrier = _moved_gamma8()
+    rep = _report(verify(bad))
+    assert rep == _reference_verify(bad)
+    assert len(rep[2]) == 92
+    assert killing_orthogonality_violations(bad, carrier) == _reference_orthogonality(bad, carrier)
+    for witt in (graded_witt_basis, _reference_witt):
+        with pytest.raises(GradingError, match="no pairing partner"):
+            witt(bad, carrier)
+    # a component merged into its Killing partner's degree: K(L_g, L_g) != 0
+    g8, _, _ = catalog.grading("gamma8")
+    d = next(d for d in g8.support if g8.group.neg(d) != d)
+    comps = dict(g8.components)
+    comps[d] = comps[d] + comps.pop(g8.group.neg(d))
+    merged = GradedDecomposition(g8.group, g8.algebra, comps)
+    # the line L_e moved to a degree f with 2f != e: K(L_f, L_f) != 0
+    comps = dict(g8.components)
+    comps[(5, 0, 0, 0, 0)] = comps.pop(g8.group.identity())
+    lifted = GradedDecomposition(g8.group, g8.algebra, comps)
+    for bad, pair in ((merged, (d, d)), (lifted, ((5, 0, 0, 0, 0),) * 2)):
+        viols = killing_orthogonality_violations(bad, carrier)
+        assert pair in viols
+        assert viols == _reference_orthogonality(bad, carrier)
+        assert _report(verify(bad)) == _reference_verify(bad)
+    swapped = _swapped_octonion_lines()
+    big = _rescaled_past_bound(swapped.algebra)
+    for alg in (swapped.algebra, big):
+        for comps in (octonion_z23_grading().components, swapped.components):
+            g = GradedDecomposition(swapped.group, alg, comps)
+            assert _report(verify(g)) == _reference_verify(g)
+    assert not verify(swapped).closure_ok
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["O-z2^3", "M3R-z^2", "albert-split-z", "albert-split-z2^2+z2^3", "albert-split-z+z2^3"],
+)
+def test_induced_on_der_equals_the_kernel_per_degree(name):
+    if name == "O-z2^3":
+        g = octonion_z23_grading()
+    elif name == "M3R-z^2":
+        g = jordan_gradings(m3r())["z^2"]
+    else:
+        jg = jordan_gradings(h3("O", (1, -1, 1)))
+        parts = name.split("-")[-1].split("+")
+        g = jg[parts[0]] if len(parts) == 1 else common_refinement(jg[parts[0]], jg[parts[1]])
+    new = induced_on_der(g).components
+    old = _reference_induced_on_der(g)
+    assert list(new) == list(old)
+    assert new == old
+    assert _types(new) == _types(old)
+
+
+def test_induced_on_der_projection_rejects_a_non_grading():
+    # the octonion lines of two degrees swapped: still a direct sum, but not
+    # a grading, and some degree part of a derivation is not a derivation
+    bad = _swapped_octonion_lines()
+    assert verify(bad).direct_sum_ok and not verify(bad).closure_ok
+    with pytest.raises(GradingError, match="not a grading"):
+        induced_on_der(bad)
+
+
+def test_a_sum_that_is_not_direct():
+    g, _, _ = catalog.grading("gamma11")
+    comps = {d: [list(v) for v in vs] for d, vs in g.components.items()}
+    d1, d2 = g.support[0], g.support[1]
+    # 78 vectors of rank 77: a vector of d2 replaced by one of d1
+    comps[d2][0] = list(comps[d1][0])
+    dependent = GradedDecomposition(g.group, g.algebra, comps)
+    assert sum(len(v) for v in dependent.components.values()) == 78
+    assert linalg.rank([v for vs in dependent.components.values() for v in vs]) == 77
+    short = dict(g.components)
+    short.pop(d1)
+    o = octonion_z23_grading()
+    extra = dict(o.components)
+    extra[o.support[0]] = extra[o.support[0]] + [o.algebra.basis_vector(3)]
+    for bad in (dependent, GradedDecomposition(g.group, g.algebra, short),
+                GradedDecomposition(o.group, o.algebra, extra)):
+        rep = verify(bad)
+        assert (rep.direct_sum_ok, rep.closure_ok, rep.violations) == (False, False, [])
+        assert not rep.valid
+        with pytest.raises(GradingError, match="do not sum directly"):
+            bad.degree_of(bad.algebra.basis_vector(0))
+        with pytest.raises(GradingError, match="do not sum directly"):
+            induced_on_der(bad)
+
+
+def test_degree_of_zero_and_mixed_vectors():
+    g = octonion_z23_grading()
+    e0, e1 = g.algebra.basis_vector(0), g.algebra.basis_vector(1)
+    assert g.degree_of(e0) == (0, 0, 0)
+    assert g.degree_of([F(0)] * 8) is None
+    assert g.degree_of(linalg.vec_add(e0, e1)) is None
+
+
+def test_graded_checks_build_one_basis_one_kprime_one_inertia(monkeypatch):
+    from e6lab import algcore
+    from e6lab.algcore import LieAlgebra
+
+    built = {"solvers": 0, "grams": [], "inertia": 0}
+    solver_cls, gram, inertia_fn = linalg.SpanSolver, linalg.gram, algcore.inertia
+
+    class CountingSolver(solver_cls):
+        def __init__(self, *args, **kwargs):
+            built["solvers"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_gram(m, xs, ys):
+        built["grams"].append(xs)
+        return gram(m, xs, ys)
+
+    def counting_inertia(matrix):
+        built["inertia"] += 1
+        return inertia_fn(matrix)
+
+    monkeypatch.setattr(linalg, "SpanSolver", CountingSolver)
+    monkeypatch.setattr(linalg, "gram", counting_gram)
+    monkeypatch.setattr(algcore, "inertia", counting_inertia)
+    g0, carrier0, _ = catalog.grading("gamma11")
+    g = GradedDecomposition(g0.group, g0.algebra, g0.components)
+    carrier = LieAlgebra._of_lie_table(carrier0.alg)
+    for _ in range(2):
+        assert verify(g).valid
+        assert killing_orthogonality_violations(g, carrier) == []
+        assert signature_bound(g, carrier)["holds"]
+        assert graded_witt_basis(g, carrier)["gram_ok"]
+    assert built["solvers"] == 1
+    assert built["inertia"] == 1
+    # one K' on the rows of P, and one Witt certificate per Witt call
+    kprimes = [xs for xs in built["grams"] if xs is g.homogeneous_basis().rows]
+    assert len(kprimes) == 1
+    assert len(built["grams"]) == 3

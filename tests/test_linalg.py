@@ -490,6 +490,31 @@ def test_gram_equals_x_m_yt(data, zero_rows, zero_block):
     assert linalg.gram(m, xs, ys) == expected
 
 
+
+def test_gram_and_span_solver_take_dict_rows():
+    rng = random.Random(7)
+    n = 6
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0)
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    xs = [[entry() for _ in range(n)] for _ in range(4)]
+    ys = [[entry() for _ in range(n)] for _ in range(3)]
+    dense = linalg.gram(m, xs, ys)
+    assert dense == linalg.mat_mul(linalg.mat_mul(xs, m), linalg.transpose(ys))
+    sparse_rows = [linalg.sparse(r) for r in m]
+    got = linalg.gram(sparse_rows, [linalg.sparse(x) for x in xs], [linalg.sparse(y) for y in ys])
+    assert got == dense
+    assert all(type(x) is F for row in got for x in row)
+    basis = linalg.rref(xs)[0]
+    dict_solver = linalg.SpanSolver([linalg.sparse(b) for b in basis], n)
+    dense_solver = linalg.SpanSolver(basis)
+    for v in xs + ys:
+        assert dict_solver.coefficients(v) == dense_solver.coefficients(v)
+    with pytest.raises(TypeError):
+        linalg.SpanSolver([linalg.sparse(b) for b in basis])
+
 def _dense_rref(rows):
     """The dense Gauss-Jordan elimination `rref` replaced, kept as the
     reference: every pivot rewrites every column of every row."""
