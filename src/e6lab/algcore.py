@@ -54,6 +54,7 @@ class StructAlgebra:
     field: str = QQ
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
+    _der_int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -625,6 +626,21 @@ def derivations(alg: StructAlgebra):
     return alg._der_cache
 
 
+def derivation_int_matrices(alg: StructAlgebra) -> tuple:
+    """(D, mats): `derivations(alg)` as sparse int matrices {row: {col: int}}
+    on one scale, mats[t] = D * derivations(alg)[t] with D the common
+    denominator (`linalg.int_scaled`).
+
+    Built on the first call and kept beside the basis; it builds no Der(A)
+    table.  Callers read the matrices and never edit them.
+    """
+    if alg._der_int_cache is None:
+        alg._der_int_cache = linalg.int_scaled(
+            [linalg.dense_to_sparse(d) for d in derivations(alg)]
+        )
+    return alg._der_int_cache
+
+
 def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     """Der(A) under the commutator, on the basis `derivations(alg)` (labels
     d0, d1, ...).
@@ -635,7 +651,7 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     if alg._der_alg_cache is None:
         ders = derivations(alg)
         # the commutators run on the int matrices D*d and come out scaled by D^2
-        den, mats = linalg.int_scaled([linalg.dense_to_sparse(d) for d in ders])
+        den, mats = derivation_int_matrices(alg)
         n = alg.dim
         solver = linalg.SpanSolver([sum(d, []) for d in ders])
         sc = bracket_constants(

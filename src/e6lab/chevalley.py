@@ -13,8 +13,9 @@ together with the 64 order-2 torus elements it produces the Z2^7 grading and
 the classification of the real forms inheriting it.  omega is monomial and a
 torus element is diagonal, so neither is built as a dense matrix: `omega`
 returns its sparse {col: +-1} rows and `torus_element` its +-1 diagonal, the
-forms their automorphism checks take.  dim fix(omega t) is 78 minus the rank
-of the sparse rows of omega t - 1, two nonzeros each at most.
+forms their automorphism checks take.  omega t is then a signed permutation,
+and dim fix(omega t) is the number of its cycles whose sign product is +1;
+dim fix(t) is the number of +1 entries of the diagonal.
 """
 
 from __future__ import annotations
@@ -322,36 +323,49 @@ def torus_element(cb: ChevalleyBasis, signs):
 
 
 def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
-    """dim fix(t): Cartan plus both root vectors of every root with
-    s^alpha = 1 (an even number of odd coordinates carrying -1)."""
-    count = 6
-    for alpha in cb.roots.positive:
-        flips = sum(1 for c, s in zip(alpha, signs) if c % 2 and s == -1)
-        if flips % 2 == 0:
-            count += 2
-    return count
-
-
-def omega_t_minus_one(om, diag) -> list:
-    """Sparse rows of omega t - 1, for om the sparse rows of `omega` and diag
-    the diagonal of t: row i is {j: om[i][j] t_j} minus e_i."""
-    rows = []
-    for i, row in enumerate(om):
-        r = {j: x * diag[j] for j, x in row.items()}
-        x = r.get(i, 0) - 1
-        if x:
-            r[i] = x
-        else:
-            del r[i]
-        rows.append(r)
-    return rows
+    """dim fix(t): the number of +1 entries of the diagonal of t."""
+    return torus_element(cb, signs).count(1)
 
 
 def fix_dim_omega_t(cb: ChevalleyBasis, om, signs) -> int:
-    """dim fix(omega t) for om = omega(cb): 78 minus the rank of the sparse
-    rows of omega t - 1, computed exactly, not read off a formula."""
-    rows = omega_t_minus_one(om, torus_element(cb, signs))
-    return len(rows) - linalg.rank(rows)
+    """dim fix(omega t) for om = omega(cb), counted on the cycles of the
+    signed permutation omega t (`fix_dim_monomial`)."""
+    return fix_dim_monomial(om, torus_element(cb, signs))
+
+
+def fix_dim_monomial(rows, diag) -> int:
+    """dim fix(M t) for M given by its sparse rows, one nonzero each, and t
+    by its diagonal.
+
+    M t e_j = M[i][j] t_j e_i for the one row i holding column j, so M t
+    permutes the basis lines.  On a cycle j_0 -> j_1 -> .. -> j_0 with
+    entries c_0, c_1, .., a fixed vector has x_(m+1) = c_m x_m, which closes
+    up iff c_0 c_1 .. = 1, and then spans one line.  So the fixed dimension
+    is the number of cycles whose entry product is 1, exactly.  Raises
+    AlgebraError unless every row holds one entry and no column is held
+    twice."""
+    n = len(rows)
+    nxt, val = [None] * n, [None] * n
+    for i, row in enumerate(rows):
+        if len(row) != 1:
+            raise AlgebraError(f"row {i} holds {len(row)} entries, not one")
+        ((j, x),) = row.items()
+        if nxt[j] is not None:
+            raise AlgebraError(f"column {j} is held by two rows")
+        nxt[j], val[j] = i, x * diag[j]
+    fixed = 0
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        prod, j = 1, start
+        while not seen[j]:
+            seen[j] = True
+            prod *= val[j]
+            j = nxt[j]
+        if prod == 1:
+            fixed += 1
+    return fixed
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +411,10 @@ def inheriting_signatures(cb: ChevalleyBasis = None) -> dict:
     attained_fix_t = set()
     om = omega(cb)
     for signs in iproduct((1, -1), repeat=6):
-        dft = fix_dim_t(cb, signs)
-        dfot = fix_dim_omega_t(cb, om, signs)
+        # fix_dim_t and fix_dim_omega_t on one diagonal of t
+        diag = torus_element(cb, signs)
+        dft = diag.count(1)
+        dfot = fix_dim_monomial(om, diag)
         if dfot != 36:
             raise AlgebraError("dim fix(omega t) must be 36")
         sig_omega_t_form = signature_from_fix(78, dft)  # Phi([s0 w t]) = [t]

@@ -3,15 +3,20 @@
 S0 = sp(8) for the form C = [[0, I4], [-I4, 0]]; the odd part is the kernel
 of the contraction c: Lambda^4 -> Lambda^2.  Four monomial symplectic
 matrices A1..A4 act on everything, with fourth roots of unity as
-eigenvalues.  Their entries are 0, +-1 and +-i, and each A = P + iQ is held
-as the pair (P, Q) of rational matrices: products of frame matrices, the
-inverse (read off the real 16x16 form [[P, Q], [-Q, P]]) and the actions on
-sp8 and on Lambda^4 are all (real part, imaginary part) pairs over Q.  The
-joint eigenspaces are split over Q: a rational v has A.v = i^k v iff the
-real and imaginary parts of A.v are Re(i^k) v and Im(i^k) v, so each
-eigenspace is a common rational kernel, and the dimensions adding up
-certifies that every joint eigenspace has a rational basis.  These bases are
-the graded basis of the real form.
+eigenvalues.  Their entries are 0, +-1 and +-i, and the frame is written down
+as monomial maps, column c -> (row, k) for A e_c = i^k e_row (`_A_POWERS`).
+The words of the dot group <A1., .., A4.>, their orders modulo +-I and the
+commutators are composed on those maps: a product is a permutation lookup
+plus a sum of phases mod 4, and -m is m with every phase shifted by 2.
+
+For the linear algebra each A = P + iQ is also held as the pair (P, Q) of
+rational matrices: the frame check, the inverse (read off the real 16x16
+form [[P, Q], [-Q, P]]) and the actions on sp8 and on Lambda^4 are all
+(real part, imaginary part) pairs over Q.  The joint eigenspaces are split
+over Q: a rational v has A.v = i^k v iff the real and imaginary parts of A.v
+are Re(i^k) v and Im(i^k) v, so each eigenspace is a common rational kernel,
+and the dimensions adding up certifies that every joint eigenspace has a
+rational basis.  These bases are the graded basis of the real form.
 
 The odd x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
@@ -64,25 +69,29 @@ def c_matrix():
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
 
-# A1..A4 as displayed: {(row, column): k} for the nonzero entries i^k
+# A1..A4 as displayed, as monomial maps: per column c the pair (row, k) with
+# A e_c = i^k e_row
 _A_POWERS = (
-    {rc: 1 for rc in ((0, 4), (1, 5), (4, 0), (5, 1), (2, 7), (3, 6), (6, 3), (7, 2))},
-    {(i, i): 1 if i < 4 else 3 for i in range(8)},
-    {(2 * b + s, 2 * b + 1 - s): 0 for b in range(4) for s in (0, 1)},
-    {(i, i): k for i, k in enumerate((0, 2, 3, 1, 0, 2, 1, 3))},
+    tuple((r, 1) for r in (4, 5, 7, 6, 0, 1, 3, 2)),
+    tuple((c, 1 if c < 4 else 3) for c in range(8)),
+    tuple((c ^ 1, 0) for c in range(8)),
+    tuple(enumerate((0, 2, 3, 1, 0, 2, 1, 3))),
 )
+
+
+def _pair(m):
+    """The monomial map m = ((row, k) per column) as the pair (P, Q) of
+    rational matrices with P + iQ = m."""
+    p, q = linalg.zeros(8, 8), linalg.zeros(8, 8)
+    for c, (r, k) in enumerate(m):
+        p[r][c], q[r][c] = map(F, _I_POWERS[k])
+    return p, q
 
 
 def a_matrices():
     """A1..A4 exactly as displayed, each A = P + iQ as the pair (P, Q) of
-    rational 8x8 matrices; all four are monomial."""
-    out = []
-    for entries in _A_POWERS:
-        p, q = linalg.zeros(8, 8), linalg.zeros(8, 8)
-        for (r, c), k in entries.items():
-            p[r][c], q[r][c] = map(F, _I_POWERS[k])
-        out.append((p, q))
-    return out
+    rational 8x8 matrices, read off the monomial maps `_A_POWERS`."""
+    return [_pair(m) for m in _A_POWERS]
 
 
 def _real_form(a):
@@ -667,56 +676,69 @@ def gamma11_on_split_model() -> GradedDecomposition:
 # the abstract group generated by {A1., A2., A3., A4., theta}
 
 
-def _canonical_mod_sign(m):
-    """The one of +-m, m = P + iQ given as (P, Q), whose first nonzero entry
-    x (row-major) has Re x > 0, or Re x = 0 and Im x > 0, as nested tuples."""
-    p, q = m
-    entries = zip((x for row in p for x in row), (y for row in q for y in row))
-    first = next(((x, y) for x, y in entries if x or y), (0, 0))
-    if first < (0, 0):
-        p, q = _neg(p), _neg(q)
-    return tuple(map(tuple, p)), tuple(map(tuple, q))
+_IDENTITY = tuple((c, 0) for c in range(8))
 
 
-def _order_mod_sign(m) -> int:
+def _monomial_frame():
+    """`_A_POWERS`, each checked to be a monomial map: its rows are a
+    permutation of the eight basis vectors."""
+    for m in _A_POWERS:
+        if sorted(r for r, _ in m) != list(range(8)):
+            raise AlgebraError("a frame matrix is not monomial")
+    return _A_POWERS
+
+
+def _mono_mul(x, y):
+    """The product x y of monomial maps: y e_c = i^k e_r and x e_r = i^k' e_r'
+    give x y e_c = i^(k + k') e_r'."""
+    return tuple((x[r][0], (k + x[r][1]) % 4) for r, k in y)
+
+
+def _mono_mod_sign(m):
+    """The one of +-m whose row-0 entry is 1 or i: -m is m with every phase
+    shifted by 2."""
+    k0 = next(k for r, k in m if r == 0)
+    shift = 2 if k0 >= 2 else 0
+    return tuple((r, (k - shift) % 4) for r, k in m)
+
+
+def _mono_order_mod_sign(m) -> int:
     """Least k >= 1 with m^k = +-I (at most 8 for the dot group)."""
-    ident = _canonical_mod_sign(_real(linalg.identity(len(m[0]))))
     power = m
     for k in range(1, 9):
-        if _canonical_mod_sign(power) == ident:
+        if _mono_mod_sign(power) == _IDENTITY:
             return k
-        power = pair_mul(power, m)
+        power = _mono_mul(power, m)
     raise AlgebraError("order mod +-I exceeds 8")
 
 
 def dot_group_generator_orders() -> tuple:
-    """Orders of A1., .., A4. modulo +-I, read from the matrices."""
-    return tuple(_order_mod_sign(a) for a in frame().a)
+    """Orders of A1., .., A4. modulo +-I, read from their monomial maps."""
+    return tuple(_mono_order_mod_sign(a) for a in _monomial_frame())
 
 
 def dot_group_order_data() -> dict:
-    """Certify <A1., .., A4., theta> iso Z4 x Z2^4 by word enumeration."""
-    fr = frame()
+    """Certify <A1., .., A4., theta> iso Z4 x Z2^4 by word enumeration on the
+    monomial maps of the frame."""
+    maps = _monomial_frame()
     orders = dot_group_generator_orders()
     words = []
     for exps in product(*(range(o) for o in orders)):
-        m = _real(linalg.identity(8))
-        for a, e in zip(fr.a, exps):
+        m = _IDENTITY
+        for a, e in zip(maps, exps):
             for _ in range(e):
-                m = pair_mul(m, a)
-        words.append(_canonical_mod_sign(m))
+                m = _mono_mul(m, a)
+        words.append(_mono_mod_sign(m))
     distinct = len(set(words))
     # pairwise commutation mod +-I
-    commute = True
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ab = pair_mul(fr.a[i], fr.a[j])
-            ba = pair_mul(fr.a[j], fr.a[i])
-            if _canonical_mod_sign(ab) != _canonical_mod_sign(ba):
-                commute = False
+    commute = all(
+        _mono_mod_sign(_mono_mul(maps[i], maps[j])) == _mono_mod_sign(_mono_mul(maps[j], maps[i]))
+        for i in range(4)
+        for j in range(i + 1, 4)
+    )
     # words of order <= 2 mod +-I, read from their powers; theta is a
     # central involution outside the matrix group, so it doubles the count
-    order_le2 = sum(1 for m in words if _order_mod_sign(m) <= 2)
+    order_le2 = sum(1 for m in words if _mono_order_mod_sign(m) <= 2)
     return {
         "matrix_group_order": distinct,
         "with_theta_order": distinct * 2,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivations
+from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivation_int_matrices
 from .scalars import QONE, QZERO, fmt_rational, parse_rational
 
 
@@ -363,11 +363,10 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     basis = grading.homogeneous_basis()
     if basis.inverse is None:
         raise GradingError("the components do not sum directly to the algebra")
-    der_basis = derivations(alg)
     n = alg.dim
     group, supp, ids = grading.group, basis.support, basis.degree_ids
     # block coordinates on one int scale, so the solver's coefficients are exact
-    _, ders = linalg.int_scaled([linalg.dense_to_sparse(d) for d in der_basis])
+    _, ders = derivation_int_matrices(alg)
     shifts = {}  # (id of h, id of h') -> h' - h
     pieces = {}  # g -> {t: block coordinates of pi_g(d_t)}
     blocks = []

@@ -29,6 +29,7 @@ from .algcore import (
     LieAlgebra,
     StructAlgebra,
     derivation_algebra,
+    derivation_int_matrices,
     derivation_solver,
     derivations,
     inertia,
@@ -142,7 +143,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
                 )
     # Der(J) and J0 scaled once to int rows: an image comes out scaled by
     # the product of the two denominators
-    dj_den, der_j_int = linalg.int_scaled([linalg.dense_to_sparse(d) for d in der_j])
+    dj_den, der_j_int = derivation_int_matrices(j.alg)
     j0_den, j0_int = linalg.int_scaled([linalg.sparse(vec) for vec in j0])
     for p in range(ndj):
         dsp = der_j_int[p]
@@ -408,8 +409,8 @@ def sp31_decomposition() -> dict:
         raise AlgebraError("nu is not an automorphism of the Albert algebra")
     nu_j0 = [_lifted_sign(nu[k] for k in linalg.sparse(x)) for x in t.j0_vectors]
     nu_der = [
-        _lifted_sign(nu[p] * nu[q] for p, row in linalg.dense_to_sparse(d).items() for q in row)
-        for d in t.der_j_basis
+        _lifted_sign(nu[p] * nu[q] for p, row in d.items() for q in row)
+        for d in derivation_int_matrices(t.jordan.alg)[1]
     ]
     theta_nu = [0] * dim
     for i, s in zip(t.layout["tensor"], nu_j0):

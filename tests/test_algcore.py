@@ -336,6 +336,28 @@ def test_derivations_memoized_on_the_algebra():
     assert len(ders) == 14
 
 
+def test_derivation_int_matrices_kept_beside_the_basis(perfbench_child, fixture_documents):
+    # on the five algebras of the benchmark's `solve` round, each loaded
+    # fresh: the kept int matrices are the ones every caller used to build,
+    # and Der(A) is the same table built on them
+    for name in perfbench_child.SOLVE_ALGEBRAS:
+        alg = algcore.algebra_from_json(fixture_documents[f"solve-{name}"])
+        ders = derivations(alg)
+        kept = algcore.derivation_int_matrices(alg)
+        assert alg._der_alg_cache is None  # no Der(A) table is forced
+        assert algcore.derivation_int_matrices(alg) is kept
+        assert kept == linalg.int_scaled([linalg.dense_to_sparse(d) for d in ders])
+        den, mats = kept
+        n = alg.dim
+        reference = algcore.bracket_constants(
+            linalg.SpanSolver([sum(d, []) for d in ders]),
+            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
+            den * den,
+        )
+        assert algcore.derivation_algebra(alg).sc == reference
+        assert algcore.derivation_int_matrices(alg) is kept
+
+
 def test_derivation_algebra_built_once_and_only_on_request():
     alg = sl2()
     ders = derivations(alg)

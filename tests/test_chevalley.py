@@ -192,6 +192,29 @@ def _torus_reference(cb, signs):
     return diag
 
 
+def _fix_dim_t_reference(cb, signs):
+    """dim fix(t) by its root-coordinate formula: the Cartan plus both root
+    vectors of every root with s^alpha = 1 (an even number of odd
+    coordinates carrying -1)."""
+    count = 6
+    for alpha in cb.roots.positive:
+        flips = sum(1 for c, s in zip(alpha, signs) if c % 2 and s == -1)
+        if flips % 2 == 0:
+            count += 2
+    return count
+
+
+def test_fix_dim_t_matches_the_root_formula():
+    cb = chevalley.e6_chevalley()
+    values = set()
+    for signs in product((1, -1), repeat=6):
+        dim = chevalley.fix_dim_t(cb, signs)
+        assert dim == _fix_dim_t_reference(cb, signs)
+        if -1 in signs:
+            values.add(dim)
+    assert sorted(values) == chevalley.inheriting_signatures(cb)["fix_t_values"] == [38, 46]
+
+
 def test_torus_elements_are_products_of_certified_generators():
     cb = chevalley.e6_chevalley()
     fresh = chevalley.ChevalleyBasis(lie=cb.lie, roots=cb.roots, chains=cb.chains)
@@ -402,11 +425,26 @@ def test_omega_rows_and_torus_diagonals():
     assert all(type(x) is int and x in (1, -1) for x in diag)
 
 
+def omega_t_minus_one(om, diag) -> list:
+    """Sparse rows of omega t - 1, for om the sparse rows of `omega` and diag
+    the diagonal of t: row i is {j: om[i][j] t_j} minus e_i."""
+    rows = []
+    for i, row in enumerate(om):
+        r = {j: x * diag[j] for j, x in row.items()}
+        x = r.get(i, 0) - 1
+        if x:
+            r[i] = x
+        else:
+            del r[i]
+        rows.append(r)
+    return rows
+
+
 def _both_fix_omega_t_paths(cb, om, om_dense, diag):
     """(kernel basis, dim) of omega t - 1 on the sparse rows and on the dense
     reference; the sparse dim is 78 minus the rank.  The sparse rows must be
     the nonzeros of the dense omega t - 1."""
-    rows = chevalley.omega_t_minus_one(om, diag)
+    rows = omega_t_minus_one(om, diag)
     t = _dense_diagonal(diag)
     dense_rows = linalg.mat_sub(linalg.mat_mul(om_dense, t), linalg.identity(cb.dim))
     assert rows == [linalg.sparse(r) for r in dense_rows]
@@ -425,6 +463,8 @@ def test_fix_omega_t_matches_dense_reference():
         assert basis == ref_basis
         assert all(type(x) is F for v in basis for x in v)
         assert dim == ref_dim == len(basis) == 36
+        # the cycle count of omega t against 78 minus the rank
+        assert chevalley.fix_dim_monomial(om, diag) == dim
         assert chevalley.fix_dim_omega_t(cb, om, signs) == dim
 
 
@@ -441,6 +481,26 @@ def test_fix_omega_t_paths_agree_on_a_mutated_diagonal():
     (basis, dim), (ref_basis, ref_dim) = _both_fix_omega_t_paths(cb, om, om_dense, diag)
     assert basis == ref_basis
     assert dim == ref_dim == len(basis) == 35
+    assert chevalley.fix_dim_monomial(om, diag) == 35
+
+
+def test_fix_omega_t_rejects_rows_that_are_not_a_signed_permutation():
+    cb = chevalley.e6_chevalley()
+    om = chevalley.omega(cb)
+    signs = (1, -1, 1, 1, -1, 1)
+    two = [dict(row) for row in om]
+    two[0][1] = 1  # row 0 holds two entries
+    with pytest.raises(algcore.AlgebraError):
+        chevalley.fix_dim_omega_t(cb, two, signs)
+    # the rank reference reads 36 off those rows without noticing: rows h1
+    # and h2 of omega t - 1 become {h1: -2, h2: 1} and {h2: -2}, still
+    # independent, so only the cycle count refuses a map that is not monomial
+    rows = omega_t_minus_one(two, chevalley.torus_element(cb, signs))
+    assert cb.dim - linalg.rank(rows) == 36
+    shared = [dict(row) for row in om]
+    shared[0] = dict(om[1])  # rows 0 and 1 both hold the column of row 1
+    with pytest.raises(algcore.AlgebraError):
+        chevalley.fix_dim_omega_t(cb, shared, signs)
 
 
 def test_inheriting_signatures_is_kept_on_the_basis():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -8,6 +8,29 @@ from e6lab.algcore import AlgebraError, inertia, jacobi_defect
 from e6lab.gradings import type_vector, verify
 
 F = Fraction
+
+
+def _canonical_mod_sign(m):
+    """The one of +-m, m = P + iQ given as (P, Q), whose first nonzero entry
+    x (row-major) has Re x > 0, or Re x = 0 and Im x > 0, as nested tuples:
+    the pair-product reference for the monomial words."""
+    p, q = m
+    entries = zip((x for row in p for x in row), (y for row in q for y in row))
+    first = next(((x, y) for x, y in entries if x or y), (0, 0))
+    if first < (0, 0):
+        p, q = e6sp8._neg(p), e6sp8._neg(q)
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def _order_mod_sign(m) -> int:
+    """Least k >= 1 with m^k = +-I for a (P, Q) pair, by `pair_mul` powers."""
+    ident = _canonical_mod_sign(e6sp8._real(linalg.identity(len(m[0]))))
+    power = m
+    for k in range(1, 9):
+        if _canonical_mod_sign(power) == ident:
+            return k
+        power = e6sp8.pair_mul(power, m)
+    raise AlgebraError("order mod +-I exceeds 8")
 
 
 def test_frame_invariants():
@@ -41,7 +64,7 @@ def test_frame_matrix_pairs(idx):
     assert e6sp8.pair_mul(inv, a) == ident
     assert e6sp8.pair_mul(a, inv) == ident
     # order modulo +-I, read from the powers of the pair
-    assert e6sp8._order_mod_sign(a) == (2, 2, 2, 4)[idx]
+    assert _order_mod_sign(a) == (2, 2, 2, 4)[idx]
 
 
 def test_sp8_membership_and_count():
@@ -345,6 +368,85 @@ def test_dot_group_certificate():
     }
     # read from the matrices, not from the exponent ranges of the words
     assert e6sp8.dot_group_generator_orders() == (2, 2, 2, 4)
+
+
+def _pair_dot_group(pairs):
+    """(dot_group_order_data, generator orders) computed on (P, Q) pairs with
+    `pair_mul`, as before the words were monomial: the reference."""
+    orders = tuple(_order_mod_sign(a) for a in pairs)
+    words = []
+    for exps in product(*(range(o) for o in orders)):
+        m = e6sp8._real(linalg.identity(8))
+        for a, e in zip(pairs, exps):
+            for _ in range(e):
+                m = e6sp8.pair_mul(m, a)
+        words.append(m)
+    canon = [_canonical_mod_sign(m) for m in words]
+    commute = all(
+        _canonical_mod_sign(e6sp8.pair_mul(pairs[i], pairs[j]))
+        == _canonical_mod_sign(e6sp8.pair_mul(pairs[j], pairs[i]))
+        for i in range(4)
+        for j in range(i + 1, 4)
+    )
+    distinct = len(set(canon))
+    order_le2 = sum(1 for m in words if _order_mod_sign(m) <= 2)
+    data = {
+        "matrix_group_order": distinct,
+        "with_theta_order": distinct * 2,
+        "abelian": commute,
+        "order_le2_with_theta": order_le2 * 2,
+        "is_z4_x_z2_4": distinct == 32
+        and commute
+        and orders == (2, 2, 2, 4)
+        and order_le2 * 2 == 32,
+    }
+    return data, orders
+
+
+def test_monomial_words_equal_their_pair_products():
+    maps = e6sp8._A_POWERS
+    pairs = e6sp8.a_matrices()
+    assert pairs == e6sp8.frame().a
+    for exps in product(range(2), range(2), range(2), range(4)):
+        mono, pair = e6sp8._IDENTITY, e6sp8._real(linalg.identity(8))
+        for m, a, e in zip(maps, pairs, exps):
+            for _ in range(e):
+                mono, pair = e6sp8._mono_mul(mono, m), e6sp8.pair_mul(pair, a)
+        # the densified word is its pair product, also after fixing the sign
+        assert e6sp8._pair(mono) == pair
+        canon = e6sp8._pair(e6sp8._mono_mod_sign(mono))
+        assert (tuple(map(tuple, canon[0])), tuple(map(tuple, canon[1]))) == (
+            _canonical_mod_sign(pair)
+        )
+        assert e6sp8._mono_order_mod_sign(mono) == _order_mod_sign(pair)
+    assert _pair_dot_group(pairs) == (
+        e6sp8.dot_group_order_data(),
+        e6sp8.dot_group_generator_orders(),
+    )
+
+
+def test_dot_group_goes_red_on_a_mutated_a4_phase(monkeypatch):
+    # the A4 (2, 2) entry -i becomes 1: A4 no longer commutes with A1 mod
+    # +-I.  One phase of a diagonal A4 cannot move its own order (A4^4 = I
+    # stays, and A4^2 = +-I needs all phases of one parity), so the
+    # generator orders must agree on both paths and the certificate goes red
+    a4 = list(e6sp8._A_POWERS[3])
+    a4[2] = (2, 0)
+    monkeypatch.setattr(e6sp8, "_A_POWERS", e6sp8._A_POWERS[:3] + (tuple(a4),))
+    data, orders = _pair_dot_group(e6sp8.a_matrices())
+    assert e6sp8.dot_group_order_data() == data
+    assert e6sp8.dot_group_generator_orders() == orders == (2, 2, 2, 4)
+    assert not data["is_z4_x_z2_4"]
+    assert not data["abelian"]
+    assert data["order_le2_with_theta"] == 20
+
+
+def test_dot_group_rejects_a_frame_map_that_is_not_monomial(monkeypatch):
+    a1, a2, a3, a4 = e6sp8._A_POWERS
+    a3 = ((0, 0),) + a3[1:]  # columns 0 and 1 both onto row 0
+    monkeypatch.setattr(e6sp8, "_A_POWERS", (a1, a2, a3, a4))
+    with pytest.raises(AlgebraError):
+        e6sp8.dot_group_order_data()
 
 
 def test_wedge4_action_is_multiplicative_automorphism():

@@ -13,6 +13,7 @@ from e6lab.algcore import (
     StructAlgebra,
     bracket_constants,
     derivation_algebra,
+    derivation_int_matrices,
     derivation_solver,
     fixed_subspace,
     inertia,
@@ -281,21 +282,25 @@ def _first_of_other_sign(vectors, sign_of):
 @pytest.mark.parametrize("block", ["j0_vectors", "der_j_basis"])
 def test_sp31_rejects_a_lift_that_is_not_diagonal(monkeypatch, block):
     # replace basis vector 0 of J0 or Der(J) by its sum with one of the other
-    # nu-sign: nu then maps it to the difference, not to +- itself
+    # nu-sign: nu then maps it to the difference, not to +- itself.  Der(J)
+    # is read as the int matrices kept on J, so the mutant goes there
     t = derj_model("albert")
     nu = jordan.nu_diagonal()
-    vectors = getattr(t, block)
     if block == "j0_vectors":
+        vectors = t.j0_vectors
         q = _first_of_other_sign(vectors, lambda x: nu[next(k for k, v in enumerate(x) if v)])
-        mixed = linalg.vec_add(vectors[0], vectors[q])
+        mutant = replace(t, j0_vectors=[linalg.vec_add(vectors[0], vectors[q])] + vectors[1:])
+        monkeypatch.setattr(tits_module, "derj_model", lambda jname: mutant)
     else:
+        den, mats = derivation_int_matrices(t.jordan.alg)
         q = _first_of_other_sign(
-            vectors,
-            lambda d: next(nu[a] * nu[b] for a, row in enumerate(d) for b, v in enumerate(row) if v),
+            mats, lambda d: next(nu[a] * nu[b] for a, row in d.items() for b in row)
         )
-        mixed = [linalg.vec_add(r, s) for r, s in zip(vectors[0], vectors[q])]
-    mutant = replace(t, **{block: [mixed] + vectors[1:]})
-    monkeypatch.setattr(tits_module, "derj_model", lambda jname: mutant)
+        mixed = {r: dict(row) for r, row in mats[0].items()}
+        for r, row in mats[q].items():
+            linalg.sp_add_into(mixed.setdefault(r, {}), row, 1)
+        mutant = (den, [mixed] + mats[1:])
+        monkeypatch.setattr(tits_module, "derivation_int_matrices", lambda alg: mutant)
     with pytest.raises(AlgebraError, match="does not map a basis vector"):
         sp31_decomposition.__wrapped__()
 
