@@ -166,7 +166,7 @@ class StructAlgebra:
         int products cost more than the exact fallbacks they replace.
         """
         if self._int_cache is None:
-            object.__setattr__(self, "_int_cache", self._scaled_int_table())
+            self._int_cache = self._scaled_int_table()
         return self._int_cache
 
     def _scaled_int_table(self):
@@ -712,21 +712,6 @@ def _solve_derivations(alg: StructAlgebra):
                 acc.add_constraint(r)
     basis = acc.kernel_basis()
     return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in basis]
-
-
-def leibniz_defect(alg: StructAlgebra, d) -> bool:
-    """True iff the matrix d fails d(xy) = d(x)y + x d(y) on some basis pair."""
-    n = alg.dim
-    for i in range(n):
-        bi = alg.basis_vector(i)
-        dbi = linalg.mat_vec(d, bi)
-        for j in range(n):
-            bj = alg.basis_vector(j)
-            lhs = linalg.mat_vec(d, alg.multiply(bi, bj))
-            rhs = linalg.vec_add(alg.multiply(dbi, bj), alg.multiply(bi, linalg.mat_vec(d, bj)))
-            if lhs != rhs:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

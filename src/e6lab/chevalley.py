@@ -57,21 +57,6 @@ class RootSystem:
     positive: list  # integer coordinate tuples, sorted by (height, lex)
     index: dict  # root tuple -> position in positive
 
-    @property
-    def rank(self):
-        return 6
-
-    def pairing(self, alpha, beta) -> int:
-        """(alpha, beta) with all roots of squared length 2."""
-        return sum(
-            a * self.cartan[i][j] * b
-            for i, a in enumerate(alpha)
-            for j, b in enumerate(beta)
-        )
-
-    def height(self, alpha) -> int:
-        return sum(alpha)
-
 
 @lru_cache(maxsize=None)
 def e6_roots() -> RootSystem:
@@ -283,13 +268,11 @@ def e6_chevalley() -> ChevalleyBasis:
 # omega and the order-2 torus
 
 
-def omega(cb: ChevalleyBasis = None):
+def omega(cb: ChevalleyBasis):
     """The automorphism with e_j -> -f_j, f_j -> -e_j; inverts the Cartan.
 
     Propagating through the chains gives e_a -> (-1)^height f_a.  Returns
     its 78 sparse rows: row i is {j: m[i][j]}, one +-1 int each."""
-    if cb is None:
-        cb = e6_chevalley()
     n = cb.lie.dim
     perm = list(range(n))
     coef = [-1] * n
@@ -320,17 +303,6 @@ def torus_element(cb: ChevalleyBasis, signs):
         if s == -1:
             diag = [x * y for x, y in zip(diag, gen)]
     return diag
-
-
-def fix_dim_t(cb: ChevalleyBasis, signs) -> int:
-    """dim fix(t): the number of +1 entries of the diagonal of t."""
-    return torus_element(cb, signs).count(1)
-
-
-def fix_dim_omega_t(cb: ChevalleyBasis, om, signs) -> int:
-    """dim fix(omega t) for om = omega(cb), counted on the cycles of the
-    signed permutation omega t (`fix_dim_monomial`)."""
-    return fix_dim_monomial(om, torus_element(cb, signs))
 
 
 def fix_dim_monomial(rows, diag) -> int:
@@ -372,10 +344,8 @@ def fix_dim_monomial(rows, diag) -> int:
 # the Z2^7 grading
 
 
-def gamma13(cb: ChevalleyBasis = None) -> GradedDecomposition:
+def gamma13(cb: ChevalleyBasis) -> GradedDecomposition:
     """Simultaneous eigenspaces of omega and the six sign involutions."""
-    if cb is None:
-        cb = e6_chevalley()
     group = FinAbGroup(0, (2,) * 7)
     comps = {}
     hvecs = [cb.lie.alg.basis_vector(j) for j in range(6)]
@@ -397,21 +367,19 @@ def gamma13(cb: ChevalleyBasis = None) -> GradedDecomposition:
 # which real forms inherit gamma13
 
 
-def inheriting_signatures(cb: ChevalleyBasis = None) -> dict:
+def inheriting_signatures(cb: ChevalleyBasis) -> dict:
     """Signatures of the 128 real forms fixed by sigma0 q, q in {t, omega t}.
 
     q = omega t maps to the inner class of t (signature from dim fix(t));
     q = t maps to the outer class of omega t, whose fixed dimension is
     always 36, hence the split signature 6.
     """
-    if cb is None:
-        cb = e6_chevalley()
     sigs = []
     rows = []
     attained_fix_t = set()
     om = omega(cb)
     for signs in iproduct((1, -1), repeat=6):
-        # fix_dim_t and fix_dim_omega_t on one diagonal of t
+        # dim fix(t) and dim fix(omega t) on one diagonal of t
         diag = torus_element(cb, signs)
         dft = diag.count(1)
         dfot = fix_dim_monomial(om, diag)
@@ -441,7 +409,5 @@ def inheriting_signatures(cb: ChevalleyBasis = None) -> dict:
     }
 
 
-def split_signature(cb: ChevalleyBasis = None) -> int:
-    if cb is None:
-        cb = e6_chevalley()
+def split_signature(cb: ChevalleyBasis) -> int:
     return cb.lie.killing_inertia().signature

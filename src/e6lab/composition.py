@@ -39,9 +39,6 @@ class CompositionAlgebra:
     def labels(self):
         return self.alg.basis_labels
 
-    def norm(self, x):
-        return sum(d * v * v for d, v in zip(self.norm_diag, x))
-
     def norm_polar(self, x, y):
         """n(x,y) = (n(x+y) - n(x) - n(y)) / 2, here diagonal."""
         return sum(d * a * b for d, a, b in zip(self.norm_diag, x, y))
@@ -175,12 +172,6 @@ def hurwitz(name: str) -> CompositionAlgebra:
     if name == "Os":
         return _cayley_dickson(hurwitz("M2R"))
     raise ValueError(f"unknown Hurwitz algebra {name!r}")
-
-
-def rr_coords(a, b) -> list:
-    """(a, b) in R+R expressed in the {1, s} basis."""
-    a, b = F(a), F(b)
-    return [(a + b) / 2, (a - b) / 2]
 
 
 def d_ab(c: CompositionAlgebra, a, b):

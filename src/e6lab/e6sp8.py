@@ -14,9 +14,10 @@ rational matrices: the frame check, the inverse (read off the real 16x16
 form [[P, Q], [-Q, P]]) and the actions on sp8 and on Lambda^4 are all
 (real part, imaginary part) pairs over Q.  The joint eigenspaces are split
 over Q: a rational v has A.v = i^k v iff the real and imaginary parts of A.v
-are Re(i^k) v and Im(i^k) v, so each eigenspace is a common rational kernel,
-and the dimensions adding up certifies that every joint eigenspace has a
-rational basis.  These bases are the graded basis of the real form.
+are Re(i^k) v and Im(i^k) v, so each eigenspace is one rational kernel, of
+the two sets of rows stacked, and the dimensions adding up certifies that
+every joint eigenspace has a rational basis.  These bases are the graded
+basis of the real form.
 
 The odd x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
@@ -44,6 +45,7 @@ from .algcore import (
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
+from .scalars import QONE
 
 F = Fraction
 
@@ -51,8 +53,6 @@ MON4 = list(combinations(range(8), 4))
 MON2 = list(combinations(range(8), 2))
 IDX4 = {m: i for i, m in enumerate(MON4)}
 IDX2 = {m: i for i, m in enumerate(MON2)}
-
-ODD_BRACKET_SCALE = F(1)
 
 
 def _c_entry(i: int, j: int) -> int:
@@ -176,11 +176,6 @@ def contraction_matrix():
     return rows
 
 
-def contraction(u):
-    """Apply c to a four-form given as a 70-coordinate vector."""
-    return linalg.mat_vec(contraction_matrix(), u)
-
-
 @lru_cache(maxsize=None)
 def kernel_c_basis():
     """Rational basis of ker c (dim 42), primitive integer vectors."""
@@ -217,17 +212,16 @@ def sp8_rational_basis():
     return linalg.kernel(rows, 64)
 
 
-def _act_matrix_sparse(x, mons, idx):
-    """Derivation action of an 8x8 matrix on the wedge monomials ``mons``
-    (``idx`` maps a sorted monomial to its position), as a sparse matrix
-    with entries of the type of x's (ints stay ints)."""
+def act4_matrix_sparse(x):
+    """Derivation action of an 8x8 matrix on Lambda^4, as a sparse 70x70
+    matrix with entries of the type of x's (ints stay ints)."""
     cols = {}
     for c in range(8):
         col = {r: x[r][c] for r in range(8) if x[r][c]}
         if col:
             cols[c] = col
     out = {}
-    for src, mono in enumerate(mons):
+    for src, mono in enumerate(MON4):
         for t in range(len(mono)):
             col = cols.get(mono[t])
             if not col:
@@ -239,7 +233,7 @@ def _act_matrix_sparse(x, mons, idx):
                     continue
                 else:
                     order = list(mono[:t]) + [r] + list(mono[t + 1 :])
-                    dst = idx[tuple(sorted(order))]
+                    dst = IDX4[tuple(sorted(order))]
                     sign = _perm_sign(order)
                 row = out.setdefault(dst, {})
                 val = row.get(src, 0) + (coef if sign == 1 else -coef)
@@ -248,16 +242,6 @@ def _act_matrix_sparse(x, mons, idx):
                 else:
                     row.pop(src, None)
     return {r: row for r, row in out.items() if row}
-
-
-def act4_matrix_sparse(x):
-    """Derivation action of an 8x8 matrix on Lambda^4 (sparse, 70x70)."""
-    return _act_matrix_sparse(x, MON4, IDX4)
-
-
-def act2_matrix_sparse(x):
-    """Derivation action of an 8x8 matrix on Lambda^2 (sparse, 28x28)."""
-    return _act_matrix_sparse(x, MON2, IDX2)
 
 
 def wedge4_matrix_sparse(a):
@@ -339,22 +323,25 @@ def _split(subspaces, op, nev):
     tag gains e for the eigenvalue i^(4e/nev).
 
     A rational v has op(v) = i^k v iff Re op(v) = Re(i^k) v and
-    Im op(v) = Im(i^k) v, so each eigenspace is a common kernel of two
-    rational operators.  Their dimensions must add up to that of the
-    subspace, which certifies that every eigenspace has a rational basis.
+    Im op(v) = Im(i^k) v, so each eigenspace is the kernel of the stacked
+    rows of Re op - Re(i^k) and Im op - Im(i^k), in reduced echelon form.
+    Their dimensions must add up to that of the subspace, which certifies
+    that every eigenspace has a rational basis.
     """
     out = []
     for basis, tag in subspaces:
         k = len(basis)
         re_imgs, im_imgs = zip(*(op(v) for v in basis))
         m = _operator_on_subspace(re_imgs + im_imgs, basis)
-        re, im = [row[:k] for row in m], [row[k:] for row in m]
         found = 0
         for e in range(nev):
-            lam_re, lam_im = _I_POWERS[(4 // nev) * e]
-            combos = linalg.intersect_spans(
-                linalg.eigenspace(re, lam_re), linalg.eigenspace(im, lam_im)
-            )
+            rows = []
+            for start, x in zip((0, k), _I_POWERS[(4 // nev) * e]):
+                for i, row in enumerate(m):
+                    r = linalg.sparse(row[start : start + k])
+                    linalg.sp_add_into(r, {i: QONE}, -x)
+                    rows.append(r)
+            combos = linalg.kernel(rows, k)
             if combos:
                 out.append(([linalg.lin_comb(co, basis) for co in combos], tag + (e,)))
                 found += len(combos)
@@ -393,12 +380,6 @@ class Sp8Model:
         return (e4, e1, e2, e3, th)
 
 
-def sp8_basis():
-    """The 36 simultaneous eigenvectors with entries in {-1, 0, 1}."""
-    model = assemble_e6()
-    return model.even_matrices
-
-
 @lru_cache(maxsize=None)
 def _graded_bases():
     """(even, odd): the joint eigenspaces of A1., .., A4. on sp8 and on ker c
@@ -425,15 +406,13 @@ def wedge8_pairs():
 
 
 @lru_cache(maxsize=None)
-def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
+def assemble_e6() -> Sp8Model:
     """The 78-dimensional rational Lie algebra sp8 + ker c.
 
-    Any nonzero lam yields a Lie algebra (twist freedom); lam is recorded in
-    the provenance.  Jacobi is certified exhaustively.
+    Any nonzero scale of the odd x odd bracket yields a Lie algebra (the Z2
+    twist freedom); the scale is 1, recorded in the provenance.  Jacobi is
+    certified exhaustively.
     """
-    lam = F(lam)
-    if lam == 0:
-        raise AlgebraError("odd bracket scale must be nonzero")
     even_rat, odd_rat = _graded_bases()
     even_type = {tag: len(b) for b, tag in even_rat}
     even_mats = []
@@ -477,8 +456,8 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
             put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
             per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in img.items()})
         paired.append(per_u)
-    # odd x odd by trace duality: tr(X x) = lam * wedge8((x.u) ^ v), so
-    # [u, v] = lam * sum_x b_x G^-1[:, x] with b_x = wedge8((x.u) ^ v) and G
+    # odd x odd by trace duality: tr(X x) = wedge8((x.u) ^ v), so
+    # [u, v] = sum_x b_x G^-1[:, x] with b_x = wedge8((x.u) ^ v) and G
     # the trace Gram matrix of the even basis
     gram = [
         [F(linalg.sp_trace_product(even_sp[p], even_sp[q]) or 0) for q in range(ne)]
@@ -509,7 +488,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
                     for i, gx in ginv_cols[x].items():
                         acc[i] = acc.get(i, 0) + gx * bx
             put_antisymmetric(
-                sc, ne + u, ne + v, {i: lam * F(a, den) for i, a in acc.items() if a}
+                sc, ne + u, ne + v, {i: F(a, den) for i, a in acc.items() if a}
             )
 
     labels = [f"x{i}" for i in range(ne)] + [f"u{j}" for j in range(no)]
@@ -526,7 +505,7 @@ def assemble_e6(lam: Fraction = ODD_BRACKET_SCALE) -> Sp8Model:
         even_leaf_dims=even_type,
         provenance={
             "construction": "sp8+kerc",
-            "odd_bracket_scale": str(lam),
+            "odd_bracket_scale": "1",
         },
     )
 
@@ -544,36 +523,6 @@ def model_even_signature() -> int:
     k = model.lie.killing_matrix()
     idx = list(range(model.even_dim))
     return inertia([[k[i][j] for j in idx] for i in idx]).signature
-
-
-def odd_bracket(u, v, lam: Fraction = ODD_BRACKET_SCALE):
-    """Bracket of two ker-c vectors (70 coords), as an 8x8 sp8 matrix."""
-    model = assemble_e6()
-    ne = model.even_dim
-    ex = linalg.SpanSolver(model.odd_vectors)
-    cu = ex.coefficients(u)
-    cv = ex.coefficients(v)
-    if cu is None or cv is None:
-        raise AlgebraError("arguments must lie in ker c")
-    out = [[F(0)] * 8 for _ in range(8)]
-    scale = F(lam) / ODD_BRACKET_SCALE
-    for i, a in enumerate(cu):
-        if not a:
-            continue
-        for j, b in enumerate(cv):
-            if not b:
-                continue
-            row = model.lie.alg.sc.get((ne + i, ne + j))
-            if not row:
-                continue
-            for k, coef in row.items():
-                m = model.even_matrices[k]
-                c2 = a * b * coef * scale
-                for r in range(8):
-                    for s in range(8):
-                        if m[r][s]:
-                            out[r][s] += c2 * m[r][s]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +613,6 @@ def gamma11() -> GradedDecomposition:
     """The Z4 x Z2^4 grading on the signature -26 symplectic carrier."""
     carrier, data = minus26_carrier()
     return _gamma11_on(data["model"], carrier.alg)
-
-
-def gamma11_on_split_model() -> GradedDecomposition:
-    """Same degrees on the untwisted rational model (component-wise equal)."""
-    model = assemble_e6()
-    return _gamma11_on(model, model.lie.alg)
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,6 @@ def type_vector(grading: GradedDecomposition) -> tuple:
     return tuple(out)
 
 
-def type_vector_sum(grading: GradedDecomposition) -> int:
-    return sum((i + 1) * h for i, h in enumerate(type_vector(grading)))
-
-
 # ---------------------------------------------------------------------------
 # induced grading on Der(A)
 
@@ -503,15 +499,6 @@ def common_refinement(g1: GradedDecomposition, g2: GradedDecomposition) -> Grade
     if total != alg.dim:
         raise GradingError("gradings are not compatible (refinement not direct)")
     return GradedDecomposition(group=group, algebra=alg, components=comps)
-
-
-def coarsen(grading: GradedDecomposition, hom, target_group: FinAbGroup) -> GradedDecomposition:
-    """Push a grading through a group homomorphism given as element map."""
-    comps = {}
-    for g, vecs in grading.components.items():
-        t = target_group.reduce(hom(g))
-        comps.setdefault(t, []).extend(list(v) for v in vecs)
-    return GradedDecomposition(group=target_group, algebra=grading.algebra, components=comps)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ class JordanAlgebra:
     def mult(self, x, y):
         return self.alg.multiply(x, y)
 
-    def r_op(self, x):
-        """Dense matrix of the multiplication operator y -> y . x."""
-        return linalg.sparse_to_dense(
-            self.alg.right_mult_matrix(x), self.dim, self.dim
-        )
-
 
 # ---------------------------------------------------------------------------
 # H3(C, gamma)
@@ -198,7 +192,7 @@ def m3r() -> JordanAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# star product, multiplication operators, inner derivations
+# star product and inner derivations
 
 
 def star(j: JordanAlgebra, x, y):
@@ -234,27 +228,6 @@ def j0_basis(j: JordanAlgebra):
         if i not in e:
             out.append(j.alg.basis_vector(i))
     return out
-
-
-def check_jordan_identity(j: JordanAlgebra, extended: bool = True):
-    """(x^2 y) x == x^2 (y x) on basis pairs, plus two-term x samples."""
-    n = j.dim
-    xs = [j.alg.basis_vector(i) for i in range(n)]
-    if extended:
-        xs += [
-            linalg.vec_add(j.alg.basis_vector(a), j.alg.basis_vector(b))
-            for a in range(n)
-            for b in range(a + 1, n)
-        ]
-    for x in xs:
-        x2 = j.mult(x, x)
-        for yi in range(n):
-            y = j.alg.basis_vector(yi)
-            lhs = j.mult(j.mult(x2, y), x)
-            rhs = j.mult(x2, j.mult(y, x))
-            if lhs != rhs:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +342,4 @@ def nu_automorphism():
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = F(diag[i])
-    return m
-
-
-def h3rr_to_m3r_iso():
-    """Explicit isomorphism H3(R+R, I) -> Mat3(R)+ as a 9x9 matrix."""
-    src = h3("RR", (1, 1, 1))
-    dst = m3r()
-    cols = {}
-    for i in range(3):
-        cols[src.e_idx[i]] = dst.alg.basis_vector(4 * i)
-    # iota_t(a) at slot (r,s): first component of a goes to E_{rs},
-    # second to E_{sr}; in the {1, s} basis 1 -> E_rs + E_sr, s -> E_rs - E_sr
-    for t in range(3):
-        r, s = (t + 1) % 3, (t + 2) % 3
-        e_rs = dst.alg.basis_vector(3 * r + s)
-        e_sr = dst.alg.basis_vector(3 * s + r)
-        cols[src.iota_base[t]] = linalg.vec_add(e_rs, e_sr)
-        cols[src.iota_base[t] + 1] = linalg.vec_sub(e_rs, e_sr)
-    m = [[F(0)] * 9 for _ in range(9)]
-    for col, vec in cols.items():
-        for row in range(9):
-            m[row][col] = vec[row]
     return m

@@ -61,19 +61,6 @@ def identity(n):
     return m
 
 
-def mat_vec(m, v):
-    vs = sparse(v)
-    out = []
-    for row in m:
-        acc = QZERO
-        for j, x in vs.items():
-            a = row[j]
-            if a:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
 def mat_mul(a, b):
     nb = len(b[0])
     bsp = [sparse(row) for row in b]
@@ -373,9 +360,6 @@ class SpanSolver:
             if x:
                 out[j] = Fraction(x, den)
         return out
-
-    def contains(self, v) -> bool:
-        return self._in_span(int_scaled(sparse(v))[1])
 
 
 def _common_scale(rows, leads):
@@ -695,10 +679,6 @@ class IntKernelAccumulator:
             u: {u: 1} for u in range(nunknowns)
         }
         self.cols: dict[int, dict[int, int]] = {u: {u: 1} for u in range(nunknowns)}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
     def add_constraint(self, row: dict) -> bool:
         """Add one {unknown: Fraction|int} row; True if the dimension dropped.

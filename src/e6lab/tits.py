@@ -343,11 +343,10 @@ def _tensor_form(t: TitsAlgebra):
     return [[nv * tv for nv in nrow for tv in trow] for nrow in n_tab for trow in t_tab]
 
 
-def proportionality_constants(t: TitsAlgebra = None) -> dict:
+def proportionality_constants() -> dict:
     """The four exact constants tying the Killing form of T(O, M3R) and the
     quaternionic subalgebra to the natural forms of the ingredients."""
-    if t is None:
-        t = tits_model("O", "m3r")
+    t = tits_model("O", "m3r")
     k = t.lie.killing_matrix()
 
     def trace_gram(mats):

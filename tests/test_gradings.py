@@ -9,7 +9,6 @@ from e6lab.gradings import (
     FinAbGroup,
     GradedDecomposition,
     GradingError,
-    coarsen,
     combine,
     common_refinement,
     graded_witt_basis,
@@ -17,13 +16,18 @@ from e6lab.gradings import (
     killing_orthogonality_violations,
     signature_bound,
     type_vector,
-    type_vector_sum,
     verify,
 )
 from e6lab.jordan import h3, jordan_gradings, m3r
 from e6lab.tits import tits_model
+from oracles import coarsen, mat_vec
 
 F = Fraction
+
+
+def _type_vector_sum(grading):
+    """sum_i i h_i over the type vector: the dimension the components span."""
+    return sum((i + 1) * h for i, h in enumerate(type_vector(grading)))
 
 
 def test_group_arithmetic():
@@ -48,7 +52,7 @@ def test_group_rejects_bad_torsion():
 def test_type_vector_sums():
     for name in catalog.GRADING_NAMES:
         g, _, _ = catalog.grading(name)
-        assert type_vector_sum(g) == 78
+        assert _type_vector_sum(g) == 78
 
 
 def test_flagship_types_and_groups():
@@ -220,7 +224,7 @@ def test_induced_on_der_octonion_brute_force():
                     row = {u: val for u, val in row.items() if val}
                     if row:
                         acc.add_constraint(row)
-        dim = acc.dimension
+        dim = len(acc.basis)
         ind_dim = 2 if gdeg != (0, 0, 0) else 0
         assert dim == ind_dim, (gdeg, dim)
         total += dim
@@ -247,7 +251,7 @@ def test_induced_on_der_m3r_z2():
     g = jordan_gradings(m3r())["z^2"]
     ind = induced_on_der(g)
     assert ind.dimension_of((0, 0)) == 2  # diagonal traceless
-    assert type_vector_sum(ind) == 8
+    assert _type_vector_sum(ind) == 8
 
 
 def test_combine_coarsening_consistency():
@@ -292,7 +296,7 @@ def test_common_refinement_incompatible_raises():
         common_refinement(g1, g2)
     # and the refinement of compatible pairs is fine and spans everything
     ref = common_refinement(g1, g1)
-    assert type_vector_sum(ref) == 2
+    assert _type_vector_sum(ref) == 2
 
 
 def test_grading_json_roundtrip():
@@ -351,7 +355,7 @@ def _reference_verify(grading):
             for x in gv:
                 for y in hv:
                     p = alg.multiply(x, y)
-                    if any(p) and (tsolver is None or not tsolver.contains(p)):
+                    if any(p) and (tsolver is None or tsolver.coefficients(p) is None):
                         violations.append((g, h, target))
     return direct_sum_ok, not violations, violations
 
@@ -440,7 +444,7 @@ def _reference_induced_on_der(grading):
         for vi, v in enumerate(grading.components[h]):
             per_target = {}
             for t, d in enumerate(der_basis):
-                coeffs = full_solver.coefficients(linalg.mat_vec(d, v))
+                coeffs = full_solver.coefficients(mat_vec(d, v))
                 for pos, co in enumerate(coeffs):
                     if co:
                         tgt, r = positions[pos]

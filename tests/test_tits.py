@@ -34,6 +34,7 @@ from e6lab.tits import (
     tits_model,
     twist_signature_identity,
 )
+from oracles import mat_vec
 
 F = Fraction
 
@@ -200,7 +201,7 @@ def _dense_sp31_reference():
     j0_solver = linalg.SpanSolver(j0)
     nu_l = [[F(0)] * dim for _ in range(dim)]
     for ji, x in enumerate(j0):
-        img = j0_solver.coefficients(linalg.mat_vec(nu_j, x))
+        img = j0_solver.coefficients(mat_vec(nu_j, x))
         for r, v in enumerate(img):
             nu_l[t.layout["tensor"].start + r][t.layout["tensor"].start + ji] = v
     for p, d in enumerate(der):
