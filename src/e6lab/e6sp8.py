@@ -9,20 +9,30 @@ The words of the dot group <A1., .., A4.>, their orders modulo +-I and the
 commutators are composed on those maps: a product is a permutation lookup
 plus a sum of phases mod 4, and -m is m with every phase shifted by 2.
 
-For the linear algebra each A = P + iQ is also held as the pair (P, Q) of
-rational matrices: the frame check, the inverse (read off the real 16x16
-form [[P, Q], [-Q, P]]) and the actions on sp8 and on Lambda^4 are all
-(real part, imaginary part) pairs over Q.  The joint eigenspaces are split
-over Q: a rational v has A.v = i^k v iff the real and imaginary parts of A.v
-are Re(i^k) v and Im(i^k) v, so each eigenspace is one rational kernel, of
-the two sets of rows stacked, and the dimensions adding up certifies that
-every joint eigenspace has a rational basis.  These bases are the graded
-basis of the real form.
+The actions of the frame are signed permutations as well: A E_rc A^-1 =
+i^(k_r - k_c) E_{pi r, pi c} on the 64 matrix units, and Lambda^4(A) sends
+a four-form to i^(sum of its phases) times a four-form, times -1 when
+sorting the image is an odd permutation.  On an orbit of the four
+permutations a joint eigenvector is fixed by its value at one point, so the
+rational joint eigenvectors at a tag are one +-1 vector per orbit whose
+phase exponents, propagated from its least point, agree on every edge and
+are all even.  The leaf of sp8
+or ker c at that tag is the kernel of the defining equations (xC + Cx^t = 0,
+or c) restricted to those vectors, and the dimensions adding up to 36 and 42
+certify that every joint eigenspace has a rational basis.  These leaves are
+the graded basis of the real form.
 
-The odd x odd bracket is recovered by trace duality against the
+Tags add under the bracket, so each even x even and even x odd product is
+read by one span solver on the 1-4 rows of the leaf at the sum of the tags
+of its factors, and a product outside that leaf is an AlgebraError.  The odd
+x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
 Jacobi (the scaling freedom is the same as the Z2 twist), so the module
 fixes lambda = 1 and records it.
+
+For the frame check and `fix_ad_c_a123_dim` each A = P + iQ is also held as
+the pair (P, Q) of rational matrices: the product and the inverse are read
+off the real 16x16 form [[P, Q], [-Q, P]].
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from .algcore import (
     AlgebraError,
     LieAlgebra,
     StructAlgebra,
-    bracket_constants,
     fixed_subspace,
     inertia,
     killing_matrix,
@@ -45,7 +54,7 @@ from .algcore import (
     twist,
 )
 from .gradings import FinAbGroup, GradedDecomposition
-from .scalars import QONE
+from .scalars import QZERO
 
 F = Fraction
 
@@ -185,88 +194,40 @@ def kernel_c_basis():
     return _primitive_rows(linalg.kernel(mat, 70))
 
 
-def _primitive_rows(rows):
-    """Reduced echelon basis of the span of rational rows, each row scaled to
-    a primitive integer vector (entries kept as Fractions)."""
-    red, _ = linalg.rref(rows)
-    return [[F(x) for x in linalg.primitive(linalg.int_scaled(v)[1])] for v in red]
+def _primitive_rows(rows, ncols=None):
+    """Reduced echelon basis of the span of rational rows (dense, or {col: x}
+    of width ncols), each row scaled to a primitive integer vector (entries
+    kept as Fractions)."""
+    red, _ = linalg.rref(rows, ncols)
+    out = []
+    for v in red:
+        w = linalg.primitive(linalg.int_scaled(linalg.sparse(v))[1])
+        out.append([F(w[j]) if j in w else QZERO for j in range(len(v))])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # sp8 and actions
 
 
+def _sp8_equations():
+    """The equations of sp8 on x flattened row-major: the entries (i, j),
+    i < j, of the antisymmetric xC + Cx^t, as {col: int} rows."""
+    rows = []
+    for i, j in MON2:
+        row = {}
+        for k in range(8):
+            for col, x in ((8 * i + k, _c_entry(k, j)), (8 * j + k, _c_entry(i, k))):
+                if x:
+                    row[col] = row.get(col, 0) + x
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def sp8_rational_basis():
     """Reduced-echelon rational basis of {x : xC + Cx^t = 0} (dim 36)."""
-    c = c_matrix()
-    rows = []
-    for i in range(8):
-        for j in range(8):
-            row = [F(0)] * 64
-            for k in range(8):
-                row[i * 8 + k] += c[k][j]
-                row[j * 8 + k] += c[i][k]
-            if any(row):
-                rows.append(row)
-    return linalg.kernel(rows, 64)
-
-
-def act4_matrix_sparse(x):
-    """Derivation action of an 8x8 matrix on Lambda^4, as a sparse 70x70
-    matrix with entries of the type of x's (ints stay ints)."""
-    cols = {}
-    for c in range(8):
-        col = {r: x[r][c] for r in range(8) if x[r][c]}
-        if col:
-            cols[c] = col
-    out = {}
-    for src, mono in enumerate(MON4):
-        for t in range(len(mono)):
-            col = cols.get(mono[t])
-            if not col:
-                continue
-            for r, coef in col.items():
-                if r == mono[t]:
-                    dst, sign = src, 1
-                elif r in mono:
-                    continue
-                else:
-                    order = list(mono[:t]) + [r] + list(mono[t + 1 :])
-                    dst = IDX4[tuple(sorted(order))]
-                    sign = _perm_sign(order)
-                row = out.setdefault(dst, {})
-                val = row.get(src, 0) + (coef if sign == 1 else -coef)
-                if val:
-                    row[src] = val
-                else:
-                    row.pop(src, None)
-    return {r: row for r, row in out.items() if row}
-
-
-def wedge4_matrix_sparse(a):
-    """Multiplicative action e_{i1}^..^e_{i4} -> A e_{i1} ^ .. ^ A e_{i4} of
-    A = P + iQ given as (P, Q), as the pair (Re W, Im W) of rational sparse
-    matrices."""
-    p, q = a
-    cols = {c: [(r, (p[r][c], q[r][c])) for r in range(8) if p[r][c] or q[r][c]] for c in range(8)}
-    parts = ({}, {})
-    for src, mono in enumerate(MON4):
-        stack = [([], (1, 0))]
-        for i in mono:
-            stack = [
-                (chosen + [r], (x * u - y * w, x * w + y * u))
-                for chosen, (x, y) in stack
-                for r, (u, w) in cols[i]
-                if r not in chosen
-            ]
-        for chosen, coef in stack:
-            dst = IDX4[tuple(sorted(chosen))]
-            sign = _perm_sign(chosen)
-            for part, x in zip(parts, coef):
-                if x:
-                    linalg.sp_add_into(part.setdefault(dst, {}), {src: x}, sign)
-    return tuple({r: row for r, row in part.items() if row} for part in parts)
+    return linalg.kernel(_sp8_equations(), 64)
 
 
 def pair_inverse(a):
@@ -296,16 +257,6 @@ def _conjugation(a):
     return parts
 
 
-def _pair_op(m):
-    """v -> (Re M v, Im M v) for M given as the pair (Re M, Im M) of sparse
-    matrices."""
-    return lambda v: tuple(linalg.sp_matvec(part, linalg.sparse(v)) for part in m)
-
-
-# ---------------------------------------------------------------------------
-# joint eigenspace splitting over Q
-
-
 def _operator_on_subspace(images, basis):
     """Matrix whose column j holds the coordinates of images[j] in the
     rational basis."""
@@ -316,38 +267,106 @@ def _operator_on_subspace(images, basis):
     return [[co[i] for co in cols] for i in range(len(basis))]
 
 
-def _split(subspaces, op, nev):
-    """Split each rational (basis, tag) into the eigenspaces of a complex
-    linear op whose eigenvalues are nev-th roots of unity; op maps a rational
-    vector v to the pair (Re op(v), Im op(v)) of rational vectors, and the
-    tag gains e for the eigenvalue i^(4e/nev).
+# ---------------------------------------------------------------------------
+# joint eigenspaces from signed orbits
 
-    A rational v has op(v) = i^k v iff Re op(v) = Re(i^k) v and
-    Im op(v) = Im(i^k) v, so each eigenspace is the kernel of the stacked
-    rows of Re op - Re(i^k) and Im op - Im(i^k), in reduced echelon form.
-    Their dimensions must add up to that of the subspace, which certifies
-    that every eigenspace has a rational basis.
-    """
+# the number of eigenvalues of A1., .., A4.: a tag (e1, .., e4) stands for
+# the eigenvalues i^((4 // n) e) of the four maps
+_NEV = (2, 2, 2, 4)
+
+
+def _conjugation_perm(m):
+    """X -> A X A^-1 for the monomial map m of A on the 64 matrix units E_rc
+    (at 8r + c), as (image, k) per unit: A E_rc A^-1 = i^(k_r - k_c)
+    E_{pi r, pi c} for A e_c = i^(k_c) e_{pi c}."""
+    return [(8 * m[r][0] + m[c][0], (m[r][1] - m[c][1]) % 4) for r in range(8) for c in range(8)]
+
+
+def _wedge4_perm(m):
+    """Lambda^4(A) for the monomial map m of A on the 70 four-forms, as
+    (image, k) per form: e_mono goes to i^(sum of its phases) times the wedge
+    of the image vectors, and sorting that wedge adds 2 to k when the sort is
+    an odd permutation."""
     out = []
-    for basis, tag in subspaces:
-        k = len(basis)
-        re_imgs, im_imgs = zip(*(op(v) for v in basis))
-        m = _operator_on_subspace(re_imgs + im_imgs, basis)
-        found = 0
-        for e in range(nev):
-            rows = []
-            for start, x in zip((0, k), _I_POWERS[(4 // nev) * e]):
-                for i, row in enumerate(m):
-                    r = linalg.sparse(row[start : start + k])
-                    linalg.sp_add_into(r, {i: QONE}, -x)
-                    rows.append(r)
-            combos = linalg.kernel(rows, k)
-            if combos:
-                out.append(([linalg.lin_comb(co, basis) for co in combos], tag + (e,)))
-                found += len(combos)
-        if found != k:
-            raise AlgebraError("the rational eigenspaces do not span the subspace")
+    for mono in MON4:
+        image = [m[c][0] for c in mono]
+        k = sum(m[c][1] for c in mono) + (0 if _perm_sign(image) == 1 else 2)
+        out.append((IDX4[tuple(sorted(image))], k % 4))
     return out
+
+
+def _orbit_vectors(perms, tag):
+    """The rational joint eigenvectors at tag of the signed permutations
+    perms (perm[x] = (y, k): the edge x -> y of phase k), one +-1 vector
+    {point: sign} per orbit that carries one.
+
+    Let permutation j have the eigenvalue i^(l_j).  Along an edge x -> y of
+    phase k an eigenvector has v(y) = i^(k - l_j) v(x), so its exponents are
+    propagated over each orbit from 0 at the least point.  The orbit carries
+    a joint eigenvector iff every edge agrees, and a rational one iff every
+    exponent is then even, so that each entry is +1 or -1.
+    """
+    steps = [(4 // n) * e for n, e in zip(_NEV, tag)]
+    seen = set()
+    out = []
+    for start in range(len(perms[0])):
+        if start in seen:
+            continue
+        exps = {start: 0}
+        order = [start]
+        agree = True
+        for x in order:
+            for perm, step in zip(perms, steps):
+                y, k = perm[x]
+                p = (exps[x] + k - step) % 4
+                if y not in exps:
+                    exps[y] = p
+                    order.append(y)
+                elif exps[y] != p:
+                    agree = False
+        seen.update(order)
+        if agree and not any(p % 2 for p in exps.values()):
+            out.append({y: 1 - p for y, p in sorted(exps.items())})
+    return out
+
+
+def _orbit_split(perms, rows, ncols):
+    """The joint eigenspaces of the signed permutations perms on the solution
+    space of rows (dense or {col: x} equations of width ncols), as (primitive
+    reduced-echelon rational basis, tag) in tag order, empty ones left out.
+
+    The leaf at a tag is the kernel of the equations restricted to the +-1
+    orbit vectors there (`_orbit_vectors`).  The leaves of distinct tags are
+    independent, so their dimensions adding up to that of the solution space
+    certifies that every joint eigenspace has a rational basis.
+    """
+    by_col = {}  # column -> [(equation, coefficient)]
+    for e, row in enumerate(rows):
+        for c, x in linalg.sparse(row).items():
+            by_col.setdefault(c, []).append((e, x))
+    leaves = []
+    for tag in product(*map(range, _NEV)):
+        vecs = _orbit_vectors(perms, tag)
+        if not vecs:
+            continue
+        restricted = {}
+        for o, vec in enumerate(vecs):
+            for y, sign in vec.items():
+                for e, x in by_col.get(y, ()):
+                    row = restricted.setdefault(e, {})
+                    row[o] = row.get(o, 0) + sign * x
+        basis = []
+        for combo in linalg.kernel(list(restricted.values()), len(vecs)):
+            v = {}
+            for co, vec in zip(combo, vecs):
+                if co:
+                    v.update((y, co * sign) for y, sign in vec.items())
+            basis.append(v)
+        if basis:
+            leaves.append((_primitive_rows(basis, ncols), tag))
+    if sum(len(b) for b, _ in leaves) != ncols - linalg.rank(rows):
+        raise AlgebraError("the rational eigenspaces do not span the subspace")
+    return leaves
 
 
 @dataclass
@@ -383,16 +402,12 @@ class Sp8Model:
 @lru_cache(maxsize=None)
 def _graded_bases():
     """(even, odd): the joint eigenspaces of A1., .., A4. on sp8 and on ker c
-    as (primitive reduced-echelon rational basis, tag), sorted by tag."""
-    even = [(sp8_rational_basis(), ())]
-    odd = [(kernel_c_basis(), ())]
-    for i, a in enumerate(frame().a):
-        nev = 2 if i < 3 else 4
-        even = _split(even, _pair_op(_conjugation(a)), nev)
-        odd = _split(odd, _pair_op(wedge4_matrix_sparse(a)), nev)
-    return tuple(
-        [(_primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
-        for leaves in (even, odd)
+    as (primitive reduced-echelon rational basis, tag), in tag order, split
+    on the signed permutations of the monomial frame (`_orbit_split`)."""
+    maps = _monomial_frame()
+    return (
+        _orbit_split([_conjugation_perm(m) for m in maps], _sp8_equations(), 64),
+        _orbit_split([_wedge4_perm(m) for m in maps], contraction_matrix(), 70),
     )
 
 
@@ -403,6 +418,84 @@ def wedge8_pairs():
         comp = tuple(sorted(set(range(8)) - set(mono)))
         out[i] = (IDX4[comp], _perm_sign(list(mono) + list(comp)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _slot_table():
+    """Per four-form index and slot t: {r: (four-form index, sign)} for the
+    form with its t-th vector replaced by e_r, sorted; an r that is already
+    in the form at another slot gives 0 and is left out."""
+    table = []
+    for mono in MON4:
+        per_slot = []
+        for t, old in enumerate(mono):
+            out = {}
+            for r in range(8):
+                if r == old or r not in mono:
+                    order = mono[:t] + (r,) + mono[t + 1 :]
+                    out[r] = (IDX4[tuple(sorted(order))], _perm_sign(order))
+            per_slot.append(out)
+        table.append(per_slot)
+    return table
+
+
+def _act4_images(mats, vecs):
+    """[[x.u for x in mats] for u in vecs]: the derivation action of sparse
+    8x8 matrices on sparse four-forms.  Each nonzero x_rc u[mono] goes to
+    the form with e_c replaced by e_r (`_slot_table`), so x.u is summed over
+    the nonzeros of u, slot by slot, and the entries of the x's in that
+    slot's column."""
+    slots = _slot_table()
+    by_col = {}  # column c -> [(p, r, x_p[r][c])]
+    for p, m in enumerate(mats):
+        for r, row in m.items():
+            for c, x in row.items():
+                by_col.setdefault(c, []).append((p, r, x))
+    out = []
+    for u in vecs:
+        imgs = [{} for _ in mats]
+        for src, val in u.items():
+            for c, table in zip(MON4[src], slots[src]):
+                for p, r, x in by_col.get(c, ()):
+                    hit = table.get(r)
+                    if hit:
+                        img = imgs[p]
+                        dst, sign = hit
+                        img[dst] = img.get(dst, 0) + sign * x * val
+        out.append([{k: v for k, v in img.items() if v} for img in imgs])
+    return out
+
+
+def _leaf_solvers(leaves, first):
+    """tag -> (index of the leaf's first basis vector, SpanSolver on the
+    leaf), the basis indices counted from first."""
+    out = {}
+    for basis, tag in leaves:
+        out[tag] = (first, linalg.SpanSolver(basis))
+        first += len(basis)
+    return out
+
+
+def _tag_sum(g, h):
+    return tuple((a + b) % n for a, b, n in zip(g, h, _NEV))
+
+
+def _tag_neg(g):
+    return tuple(-a % n for a, n in zip(g, _NEV))
+
+
+def _in_leaf(leaves, tag, img, scale):
+    """img / scale as {basis index: coefficient} in the leaf at tag.  The
+    bracket of homogeneous elements is homogeneous of the sum of their tags,
+    so a product read anywhere else is an AlgebraError."""
+    if not img:
+        return {}
+    leaf = leaves.get(tag)
+    coeffs = None if leaf is None else leaf[1].coefficients(img, scale)
+    if coeffs is None:
+        raise AlgebraError(f"a product leaves its target leaf {tag}")
+    first = leaf[0]
+    return {first + i: x for i, x in enumerate(coeffs) if x}
 
 
 @lru_cache(maxsize=None)
@@ -429,40 +522,46 @@ def assemble_e6() -> Sp8Model:
     if (ne, no) != (36, 42):
         raise AlgebraError("unexpected graded dimensions")
 
-    odd_expand = linalg.SpanSolver(odd_vecs)
     # the even matrices (entries in {-1, 0, 1}) and the ker c rows (primitive
     # integer vectors) as int rows: every product below runs on ints
     e_den, even_int = linalg.int_scaled(even_mats)
     o_den, odd_sp = linalg.int_scaled([linalg.sparse(v) for v in odd_vecs])
     even_sp = [linalg.dense_to_sparse(m) for m in even_int]
-    act_sp = [act4_matrix_sparse(m) for m in even_int]
+    even_leaf, odd_leaf = _leaf_solvers(even_rat, 0), _leaf_solvers(odd_rat, ne)
 
-    # even x even: sp8 under the commutator
-    sc = bracket_constants(
-        linalg.SpanSolver([sum(m, []) for m in even_mats]),
-        lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
-        e_den * e_den,
-    )
-    # even x odd: derivation action on four-forms stays inside ker c
+    # even x even: sp8 under the commutator.  Tags add under the bracket, so
+    # each product is read in the one leaf at the sum of the tags
+    sc = {}
+    for p in range(ne):
+        for q in range(p + 1, ne):
+            img = linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8)
+            put_antisymmetric(
+                sc, p, q, _in_leaf(even_leaf, _tag_sum(even_tags[p], even_tags[q]), img, e_den * e_den)
+            )
+    # even x odd: the derivation action on four-forms, read in the ker c leaf
+    # at the sum of the tags
     w8 = wedge8_pairs()
-    paired = []  # paired[p][u] = (M_p u) reindexed for the odd x odd wedge8 pairing
+    images = _act4_images(even_sp, odd_sp)  # images[u][p] = x_p.u
+    paired = []  # paired[p][u] = (x_p.u) reindexed for the odd x odd wedge8 pairing
     for p in range(ne):
         per_u = []
         for u in range(no):
-            img = linalg.sp_matvec(act_sp[p], odd_sp[u])
-            coeffs = odd_expand.coefficients(img, e_den * o_den)
-            if coeffs is None:
-                raise AlgebraError("sp8 action leaves ker c")
-            put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
+            img = images[u][p]
+            put_antisymmetric(
+                sc, p, ne + u, _in_leaf(odd_leaf, _tag_sum(even_tags[p], odd_tags[u]), img, e_den * o_den)
+            )
             per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in img.items()})
         paired.append(per_u)
     # odd x odd by trace duality: tr(X x) = wedge8((x.u) ^ v), so
     # [u, v] = sum_x b_x G^-1[:, x] with b_x = wedge8((x.u) ^ v) and G
-    # the trace Gram matrix of the even basis
-    gram = [
-        [F(linalg.sp_trace_product(even_sp[p], even_sp[q]) or 0) for q in range(ne)]
-        for p in range(ne)
-    ]
+    # the trace Gram matrix of the even basis.  tr(x y) is invariant under
+    # the frame, so it vanishes unless the tags of x and y add up to 0: each
+    # row has its nonzeros in the leaf at minus its tag
+    leaf_range = {tag: range(first, first + solver.n) for tag, (first, solver) in even_leaf.items()}
+    gram = [[QZERO] * ne for _ in range(ne)]
+    for p in range(ne):
+        for q in leaf_range.get(_tag_neg(even_tags[p]), ()):
+            gram[p][q] = F(linalg.sp_trace_product(even_sp[p], even_sp[q]) or 0)
     g_den, ginv_cols = linalg.int_scaled(
         [linalg.sparse(col) for col in linalg.transpose(linalg.mat_inverse(gram))]
     )
@@ -547,13 +646,11 @@ def conjugated_form() -> dict:
     part, i.e. the chi-twist of the rational model by -1.
     """
     model = assemble_e6()
-    fr = frame()
-    m, m_im = pair_mul(fr.a[0], pair_mul(fr.a[1], fr.a[2]))
-    if any(x for row in m_im for x in row):
+    a1, a2, a3, _ = _monomial_frame()
+    m = _mono_mul(a1, _mono_mul(a2, a3))
+    if any(k % 2 for _, k in m):
         raise AlgebraError("A1 A2 A3 should be real")
-    m2 = linalg.mat_mul(m, m)
-    ident = linalg.identity(8)
-    if m2 != ident and m2 != _neg(ident):
+    if _mono_mod_sign(_mono_mul(m, m)) != _IDENTITY:
         raise AlgebraError("sigma' is not an involution")
     bits = _chi_bits(model)
     even_idx = {i for i, b in enumerate(bits) if b == 0}

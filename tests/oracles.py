@@ -6,15 +6,22 @@ product, the Leibniz rule on every basis pair, the Jordan identity, an
 explicit Jordan isomorphism, the odd x odd bracket of the symplectic model
 read back from its table, the derivation action on Lambda^2 and the push of
 a grading through a group map.  None of them is used by the package.
+
+The last section keeps the symplectic model as it was built before its
+monomial frame: the actions of A = P + iQ on sp8 and on Lambda^4 as
+(Re, Im) pairs of sparse matrices, the joint eigenspaces split one map at a
+time by stacked-kernel elimination, and every product expressed in the
+whole sp8 or ker c basis.  The tests hold the orbit split and the
+target-leaf reads of `e6sp8` to it.
 """
 
 from fractions import Fraction
 
 from e6lab import e6sp8, linalg
-from e6lab.algcore import AlgebraError
+from e6lab.algcore import AlgebraError, bracket_constants, put_antisymmetric
 from e6lab.gradings import GradedDecomposition
 from e6lab.jordan import h3, m3r
-from e6lab.scalars import QZERO
+from e6lab.scalars import QONE, QZERO
 
 F = Fraction
 
@@ -143,3 +150,222 @@ def coarsen(grading, hom, target_group) -> GradedDecomposition:
         t = target_group.reduce(hom(g))
         comps.setdefault(t, []).extend(list(v) for v in vecs)
     return GradedDecomposition(group=target_group, algebra=grading.algebra, components=comps)
+
+
+# ---------------------------------------------------------------------------
+# the symplectic model as it was built before its monomial frame: the joint
+# eigenspaces by stacked-kernel elimination on (Re, Im) actions, and every
+# product expressed in the whole 42-dim ker c basis
+
+
+def act4_matrix_sparse(x):
+    """Derivation action of an 8x8 matrix on Lambda^4, as a sparse 70x70
+    matrix with entries of the type of x's (ints stay ints)."""
+    cols = {}
+    for c in range(8):
+        col = {r: x[r][c] for r in range(8) if x[r][c]}
+        if col:
+            cols[c] = col
+    out = {}
+    for src, mono in enumerate(e6sp8.MON4):
+        for t in range(len(mono)):
+            col = cols.get(mono[t])
+            if not col:
+                continue
+            for r, coef in col.items():
+                if r == mono[t]:
+                    dst, sign = src, 1
+                elif r in mono:
+                    continue
+                else:
+                    order = list(mono[:t]) + [r] + list(mono[t + 1 :])
+                    dst = e6sp8.IDX4[tuple(sorted(order))]
+                    sign = e6sp8._perm_sign(order)
+                row = out.setdefault(dst, {})
+                val = row.get(src, 0) + (coef if sign == 1 else -coef)
+                if val:
+                    row[src] = val
+                else:
+                    row.pop(src, None)
+    return {r: row for r, row in out.items() if row}
+
+
+def wedge4_matrix_sparse(a):
+    """Multiplicative action e_{i1}^..^e_{i4} -> A e_{i1} ^ .. ^ A e_{i4} of
+    A = P + iQ given as (P, Q), as the pair (Re W, Im W) of rational sparse
+    matrices."""
+    p, q = a
+    cols = {c: [(r, (p[r][c], q[r][c])) for r in range(8) if p[r][c] or q[r][c]] for c in range(8)}
+    parts = ({}, {})
+    for src, mono in enumerate(e6sp8.MON4):
+        stack = [([], (1, 0))]
+        for i in mono:
+            stack = [
+                (chosen + [r], (x * u - y * w, x * w + y * u))
+                for chosen, (x, y) in stack
+                for r, (u, w) in cols[i]
+                if r not in chosen
+            ]
+        for chosen, coef in stack:
+            dst = e6sp8.IDX4[tuple(sorted(chosen))]
+            sign = e6sp8._perm_sign(chosen)
+            for part, x in zip(parts, coef):
+                if x:
+                    linalg.sp_add_into(part.setdefault(dst, {}), {src: x}, sign)
+    return tuple({r: row for r, row in part.items() if row} for part in parts)
+
+
+def pair_op(m):
+    """v -> (Re M v, Im M v) for M given as the pair (Re M, Im M) of sparse
+    matrices."""
+    return lambda v: tuple(linalg.sp_matvec(part, linalg.sparse(v)) for part in m)
+
+
+def split(subspaces, op, nev):
+    """Split each rational (basis, tag) into the eigenspaces of a complex
+    linear op whose eigenvalues are nev-th roots of unity; op maps a rational
+    vector v to the pair (Re op(v), Im op(v)) of rational vectors, and the
+    tag gains e for the eigenvalue i^(4e/nev).
+
+    A rational v has op(v) = i^k v iff Re op(v) = Re(i^k) v and
+    Im op(v) = Im(i^k) v, so each eigenspace is the kernel of the stacked
+    rows of Re op - Re(i^k) and Im op - Im(i^k), in reduced echelon form.
+    Their dimensions must add up to that of the subspace, which certifies
+    that every eigenspace has a rational basis.
+    """
+    out = []
+    for basis, tag in subspaces:
+        k = len(basis)
+        re_imgs, im_imgs = zip(*(op(v) for v in basis))
+        m = e6sp8._operator_on_subspace(re_imgs + im_imgs, basis)
+        found = 0
+        for e in range(nev):
+            rows = []
+            for start, x in zip((0, k), e6sp8._I_POWERS[(4 // nev) * e]):
+                for i, row in enumerate(m):
+                    r = linalg.sparse(row[start : start + k])
+                    linalg.sp_add_into(r, {i: QONE}, -x)
+                    rows.append(r)
+            combos = linalg.kernel(rows, k)
+            if combos:
+                out.append(([linalg.lin_comb(co, basis) for co in combos], tag + (e,)))
+                found += len(combos)
+        if found != k:
+            raise AlgebraError("the rational eigenspaces do not span the subspace")
+    return out
+
+
+def primitive_rows(rows):
+    """Reduced echelon basis of the span of rational rows, each row scaled to
+    a primitive integer vector (entries kept as Fractions)."""
+    red, _ = linalg.rref(rows)
+    return [[F(x) for x in linalg.primitive(linalg.int_scaled(v)[1])] for v in red]
+
+
+def graded_bases_walk(pairs):
+    """(even, odd): the joint eigenspaces of the maps A = P + iQ, given as
+    (P, Q) pairs, on sp8 and on ker c, split one map at a time by `split`,
+    as (primitive reduced-echelon rational basis, tag) sorted by tag."""
+    even = [(e6sp8.sp8_rational_basis(), ())]
+    odd = [(e6sp8.kernel_c_basis(), ())]
+    for i, a in enumerate(pairs):
+        nev = 2 if i < 3 else 4
+        even = split(even, pair_op(e6sp8._conjugation(a)), nev)
+        odd = split(odd, pair_op(wedge4_matrix_sparse(a)), nev)
+    return tuple(
+        [(primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
+        for leaves in (even, odd)
+    )
+
+
+def assemble_walk(even_rat, odd_rat):
+    """The tables of the symplectic model on the graded bases (even, odd),
+    with each product expressed in the whole sp8 or ker c basis: the
+    structure constants, the tags, the even matrices, the odd vectors and
+    the even leaf dimensions, as the keyword arguments of `e6sp8.Sp8Model`
+    they become."""
+    even_type = {tag: len(b) for b, tag in even_rat}
+    even_mats = []
+    even_tags = []
+    for b, tag in even_rat:
+        for v in b:
+            if any(x not in (-1, 0, 1) for x in v):
+                raise AlgebraError("even eigenvector entries outside {-1,0,1}")
+            even_mats.append([v[8 * r : 8 * r + 8] for r in range(8)])
+            even_tags.append(tag)
+    odd_vecs = [v for b, _ in odd_rat for v in b]
+    odd_tags = [tag for b, tag in odd_rat for _ in b]
+    ne, no = len(even_mats), len(odd_vecs)
+    if (ne, no) != (36, 42):
+        raise AlgebraError("unexpected graded dimensions")
+
+    odd_expand = linalg.SpanSolver(odd_vecs)
+    # the even matrices (entries in {-1, 0, 1}) and the ker c rows (primitive
+    # integer vectors) as int rows: every product below runs on ints
+    e_den, even_int = linalg.int_scaled(even_mats)
+    o_den, odd_sp = linalg.int_scaled([linalg.sparse(v) for v in odd_vecs])
+    even_sp = [linalg.dense_to_sparse(m) for m in even_int]
+    act_sp = [act4_matrix_sparse(m) for m in even_int]
+
+    # even x even: sp8 under the commutator
+    sc = bracket_constants(
+        linalg.SpanSolver([sum(m, []) for m in even_mats]),
+        lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
+        e_den * e_den,
+    )
+    # even x odd: derivation action on four-forms stays inside ker c
+    w8 = e6sp8.wedge8_pairs()
+    paired = []  # paired[p][u] = (M_p u) reindexed for the odd x odd wedge8 pairing
+    for p in range(ne):
+        per_u = []
+        for u in range(no):
+            img = linalg.sp_matvec(act_sp[p], odd_sp[u])
+            coeffs = odd_expand.coefficients(img, e_den * o_den)
+            if coeffs is None:
+                raise AlgebraError("sp8 action leaves ker c")
+            put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})
+            per_u.append({w8[c][0]: (v if w8[c][1] == 1 else -v) for c, v in img.items()})
+        paired.append(per_u)
+    # odd x odd by trace duality: tr(X x) = wedge8((x.u) ^ v), so
+    # [u, v] = sum_x b_x G^-1[:, x] with b_x = wedge8((x.u) ^ v) and G
+    # the trace Gram matrix of the even basis
+    gram = [
+        [F(linalg.sp_trace_product(even_sp[p], even_sp[q]) or 0) for q in range(ne)]
+        for p in range(ne)
+    ]
+    g_den, ginv_cols = linalg.int_scaled(
+        [linalg.sparse(col) for col in linalg.transpose(linalg.mat_inverse(gram))]
+    )
+    # one pass over each image x.u through the index {coordinate: [(v, value)]}
+    # of the ker c rows collects the nonzero b_x of every pair (u, v), v > u
+    by_coord = {}
+    for v, vec in enumerate(odd_sp):
+        for c, val in vec.items():
+            by_coord.setdefault(c, []).append((v, val))
+    den = g_den * e_den * o_den * o_den
+    for u in range(no):
+        b = {}  # v -> {x: b_x}
+        for x in range(ne):
+            for c, val in paired[x][u].items():
+                for v, w in by_coord.get(c, ()):
+                    if v > u:
+                        bv = b.setdefault(v, {})
+                        bv[x] = bv.get(x, 0) + val * w
+        for v in sorted(b):
+            acc = {}
+            for x, bx in b[v].items():
+                if bx:
+                    for i, gx in ginv_cols[x].items():
+                        acc[i] = acc.get(i, 0) + gx * bx
+            put_antisymmetric(
+                sc, ne + u, ne + v, {i: F(a, den) for i, a in acc.items() if a}
+            )
+
+    return {
+        "sc": sc,
+        "even_tags": even_tags,
+        "odd_tags": odd_tags,
+        "even_matrices": even_mats,
+        "odd_vectors": odd_vecs,
+        "even_leaf_dims": even_type,
+    }

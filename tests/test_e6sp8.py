@@ -6,7 +6,17 @@ import pytest
 from e6lab import e6sp8, linalg
 from e6lab.algcore import AlgebraError, inertia, jacobi_defect, twist
 from e6lab.gradings import type_vector, verify
-from oracles import act2_matrix_sparse, mat_vec, odd_bracket
+from oracles import (
+    act2_matrix_sparse,
+    act4_matrix_sparse,
+    assemble_walk,
+    graded_bases_walk,
+    mat_vec,
+    odd_bracket,
+    pair_op,
+    split,
+    wedge4_matrix_sparse,
+)
 
 F = Fraction
 
@@ -103,9 +113,9 @@ def test_split_over_q_diagonal_gaussian_operator():
     def op(v):
         return [F(0), F(0)], [v[0], -v[1]]
 
-    assert e6sp8._split([(basis, ())], op, 4) == [([[F(1), F(0)]], (1,)), ([[F(0), F(1)]], (3,))]
+    assert split([(basis, ())], op, 4) == [([[F(1), F(0)]], (1,)), ([[F(0), F(1)]], (3,))]
     # a tag already present is extended, not replaced
-    assert [tag for _, tag in e6sp8._split([(basis, (0,))], op, 4)] == [(0, 1), (0, 3)]
+    assert [tag for _, tag in split([(basis, (0,))], op, 4)] == [(0, 1), (0, 3)]
 
 
 @pytest.mark.parametrize(
@@ -118,7 +128,7 @@ def test_split_over_q_diagonal_gaussian_operator():
 @pytest.mark.parametrize("nev", [2, 4])
 def test_split_over_q_rejects_eigenspaces_short_of_the_subspace(op, nev):
     with pytest.raises(AlgebraError):
-        e6sp8._split([([[F(1), F(0)], [F(0), F(1)]], ())], op, nev)
+        split([([[F(1), F(0)], [F(0), F(1)]], ())], op, nev)
 
 
 def _split_by_intersection(subspaces, op, nev):
@@ -144,21 +154,21 @@ def _split_by_intersection(subspaces, op, nev):
 @pytest.mark.parametrize(
     "start,op_of",
     [
-        (e6sp8.sp8_rational_basis, lambda a: e6sp8._pair_op(e6sp8._conjugation(a))),
-        (e6sp8.kernel_c_basis, lambda a: e6sp8._pair_op(e6sp8.wedge4_matrix_sparse(a))),
+        (e6sp8.sp8_rational_basis, lambda a: pair_op(e6sp8._conjugation(a))),
+        (e6sp8.kernel_c_basis, lambda a: pair_op(wedge4_matrix_sparse(a))),
     ],
     ids=["sp8", "ker_c"],
 )
 def test_stacked_kernel_split_matches_intersected_eigenspaces(start, op_of):
-    # the walk of `_graded_bases`: every subspace it meets splits the same
-    # way on both paths, in values and in Fraction types
+    # the stacked-kernel walk of the oracle: every subspace it meets splits
+    # the same way on both paths, in values and in Fraction types
     leaves = [(start(), ())]
     for i, a in enumerate(e6sp8.frame().a):
         nev = 2 if i < 3 else 4
         op = op_of(a)
         for leaf in leaves:
-            assert e6sp8._split([leaf], op, nev) == _split_by_intersection([leaf], op, nev)
-        leaves = e6sp8._split(leaves, op, nev)
+            assert split([leaf], op, nev) == _split_by_intersection([leaf], op, nev)
+        leaves = split(leaves, op, nev)
         assert all(type(x) is F for basis, _ in leaves for v in basis for x in v)
     assert sum(len(basis) for basis, _ in leaves) == len(start())
 
@@ -208,7 +218,7 @@ def test_contraction_is_module_map():
     mats = e6sp8.assemble_e6().even_matrices
     cmat = e6sp8.contraction_matrix()
     for x in mats:
-        a4 = e6sp8.act4_matrix_sparse(x)
+        a4 = act4_matrix_sparse(x)
         a2 = act2_matrix_sparse(x)
         for col in range(70):
             u = [F(0)] * 70
@@ -310,7 +320,7 @@ def test_odd_bracket_trace_duality():
                 for s in range(8):
                     if x_mat[r][s] and m[s][r]:
                         tr += x_mat[r][s] * m[s][r]
-            act = e6sp8.act4_matrix_sparse(m)
+            act = act4_matrix_sparse(m)
             xu = linalg.sp_matvec(act, {c: w for c, w in enumerate(u) if w})
             pair = F(0)
             for c, w in xu.items():
@@ -342,7 +352,7 @@ def test_one_pass_wedge_pairing_matches_per_pair_dot_loop():
         pair_of[i] = (e6sp8.IDX4[rest], _wedge8_sign(mono, rest))
     paired = []
     for m in model.even_matrices:
-        act = e6sp8.act4_matrix_sparse(m)
+        act = act4_matrix_sparse(m)
         paired.append(
             [
                 {pair_of[c][0]: pair_of[c][1] * w for c, w in linalg.sp_matvec(act, u).items()}
@@ -502,7 +512,7 @@ def test_wedge4_action_is_multiplicative_automorphism():
     # A.(ker c) = ker c via the preserved pairing
     fr = e6sp8.frame()
     a = fr.a[0]
-    w_re, w_im = e6sp8.wedge4_matrix_sparse(a)
+    w_re, w_im = wedge4_matrix_sparse(a)
     cmat = e6sp8.contraction_matrix()
     for col in (0, 13, 37, 69):
         # c(A.u) must equal Lambda^2(A) c(u); verify kernel preservation on
@@ -511,3 +521,130 @@ def test_wedge4_action_is_multiplicative_automorphism():
             for w in (w_re, w_im):
                 img = linalg.sp_matvec(w, {col: F(1)})
                 assert all(x == 0 for x in mat_vec(cmat, img))
+
+
+# ---------------------------------------------------------------------------
+# the orbit split and the target-leaf reads against the oracle walk
+
+
+@pytest.fixture
+def uncached():
+    """For a mutant run on the uncached bodies (``__wrapped__``): every
+    lru_cache of e6sp8 that was filled while the mutant was in place is
+    emptied again, so no later test reads a mutated table."""
+    caches = [f for f in vars(e6sp8).values() if hasattr(f, "cache_clear")]
+    misses = {f: f.cache_info().misses for f in caches}
+    yield
+    for f in caches:
+        if f.cache_info().misses != misses[f]:
+            f.cache_clear()
+
+
+def test_orbit_split_equals_the_stacked_kernel_walk():
+    fast = e6sp8._graded_bases()
+    slow = graded_bases_walk(e6sp8.frame().a)
+    # the leaves, their tags and their order, then the Fraction types
+    assert fast == slow
+    assert all(type(x) is F for leaves in fast + slow for basis, _ in leaves for v in basis for x in v)
+
+
+def test_assembled_model_equals_the_oracle_walk():
+    model = e6sp8.assemble_e6()
+    want = assemble_walk(*graded_bases_walk(e6sp8.frame().a))
+    sc = model.lie.alg.sc
+    # the values, the order of the keys and of the entries in each row, and
+    # the types
+    assert list(sc) == list(want["sc"])
+    assert all(list(sc[k].items()) == list(row.items()) for k, row in want["sc"].items())
+    assert all(type(x) is F for row in sc.values() for x in row.values())
+    for field in ("even_tags", "odd_tags", "even_matrices", "odd_vectors", "even_leaf_dims"):
+        assert getattr(model, field) == want[field], field
+    assert list(model.even_leaf_dims) == list(want["even_leaf_dims"])
+    assert all(type(x) is F for m in model.even_matrices for row in m for x in row)
+    assert all(type(x) is F for v in model.odd_vectors for x in v)
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_signed_permutations_equal_the_pair_actions(idx):
+    # A E_rc A^-1 on the 64 matrix units and Lambda^4(A) on the 70 four-forms,
+    # read off the monomial map, entry by entry against the (Re, Im) sparse
+    # matrices of the pair form
+    m, a = e6sp8._A_POWERS[idx], e6sp8.frame().a[idx]
+    for perm, parts in (
+        (e6sp8._conjugation_perm(m), e6sp8._conjugation(a)),
+        (e6sp8._wedge4_perm(m), wedge4_matrix_sparse(a)),
+    ):
+        want = ({}, {})
+        for src, (dst, k) in enumerate(perm):
+            for part, x in zip(want, e6sp8._I_POWERS[k]):
+                if x:
+                    part.setdefault(dst, {})[src] = x
+        assert want == parts
+
+
+def test_orbit_vectors_are_rational_joint_eigenvectors_only():
+    # the first three maps fix both points; the fourth is a signed swap
+    fixed = [(0, 0), (1, 0)]
+    swap = [(1, 1), (0, 1)]  # A e0 = i e1, A e1 = i e0: eigenvalues i and -i
+    assert e6sp8._orbit_vectors([fixed] * 3 + [swap], (0, 0, 0, 1)) == [{0: 1, 1: 1}]
+    assert e6sp8._orbit_vectors([fixed] * 3 + [swap], (0, 0, 0, 3)) == [{0: 1, 1: -1}]
+    assert e6sp8._orbit_vectors([fixed] * 3 + [swap], (0, 0, 0, 0)) == []
+    # e0 -> e1 -> -e0, a rotation: its eigenvectors at +-i are not rational
+    rotation = [(1, 0), (0, 2)]
+    assert e6sp8._orbit_vectors([fixed] * 3 + [rotation], (0, 0, 0, 1)) == []
+    assert e6sp8._orbit_vectors([fixed] * 3 + [rotation], (0, 0, 0, 3)) == []
+
+
+def test_slot_table_action_equals_the_dense_derivation_action():
+    model = e6sp8.assemble_e6()
+    mats = [linalg.dense_to_sparse(m) for m in model.even_matrices]
+    acts = [act4_matrix_sparse(m) for m in model.even_matrices]
+    vecs = [{c: F(1)} for c in range(70)] + [linalg.sparse(v) for v in model.odd_vectors]
+    assert e6sp8._act4_images(mats, vecs) == [[linalg.sp_matvec(a, u) for a in acts] for u in vecs]
+
+
+def test_a_ker_c_vector_under_a_wrong_tag_fails_its_target_leaf_read(monkeypatch, uncached):
+    even, odd = e6sp8._graded_bases()
+    odd = [(list(basis), tag) for basis, tag in odd]
+    i = next(i for i, (basis, _) in enumerate(odd) if len(basis) > 1)
+    odd[i + 1][0].append(odd[i][0].pop())  # into the next leaf, under its tag
+    monkeypatch.setattr(e6sp8, "_graded_bases", lambda: (even, odd))
+    with pytest.raises(AlgebraError, match="target leaf"):
+        e6sp8.assemble_e6.__wrapped__()
+
+
+def test_a4_phase_mutant_splits_alike_on_both_paths(monkeypatch, uncached):
+    # the A4 (2, 2) entry -i becomes 1: A4 is no longer symplectic, so it
+    # does not preserve sp8, and neither split may return leaves
+    a4 = list(e6sp8._A_POWERS[3])
+    a4[2] = (2, 0)
+    monkeypatch.setattr(e6sp8, "_A_POWERS", e6sp8._A_POWERS[:3] + (tuple(a4),))
+
+    def outcome(build):
+        try:
+            return build()
+        except AlgebraError:
+            return AlgebraError
+
+    fast = outcome(e6sp8._graded_bases.__wrapped__)
+    assert fast == outcome(lambda: graded_bases_walk(e6sp8.a_matrices()))
+    assert fast is AlgebraError
+
+
+@pytest.mark.parametrize("row", range(28))
+def test_a_dropped_sp8_equation_fails_the_dimension_certificate(monkeypatch, uncached, row):
+    # without one entry of xC + Cx^t the solution space has dim 37, and
+    # only the 36 dims of sp8 split into joint eigenspaces
+    rows = e6sp8._sp8_equations()
+    monkeypatch.setattr(e6sp8, "_sp8_equations", lambda: rows[:row] + rows[row + 1 :])
+    with pytest.raises(AlgebraError, match="do not span"):
+        e6sp8._graded_bases.__wrapped__()
+
+
+def test_conjugated_form_rejects_a_complex_a1_a2_a3(monkeypatch, uncached):
+    e6sp8.assemble_e6()
+    a1, a2, a3, a4 = e6sp8._A_POWERS
+    a3 = ((a3[0][0], 1),) + a3[1:]  # one entry of A3 becomes i
+    monkeypatch.setattr(e6sp8, "_A_POWERS", (a1, a2, a3, a4))
+    with pytest.raises(AlgebraError, match="real"):
+        e6sp8.conjugated_form.__wrapped__()
