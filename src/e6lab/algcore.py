@@ -656,7 +656,7 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
         solver = linalg.SpanSolver([sum(d, []) for d in ders])
         sc = bracket_constants(
             solver,
-            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
+            lambda p, q: linalg.sp_bracket(mats[p], mats[q], n),
             den * den,
         )
         der_alg = StructAlgebra(

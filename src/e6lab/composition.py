@@ -174,19 +174,14 @@ def hurwitz(name: str) -> CompositionAlgebra:
     raise ValueError(f"unknown Hurwitz algebra {name!r}")
 
 
-def d_ab(c: CompositionAlgebra, a, b):
-    """The standard derivation [l_a,l_b] + [l_a,r_b] + [r_a,r_b] of C."""
-    la = linalg.sparse_to_dense(c.alg.left_mult_matrix(a), c.dim, c.dim)
-    lb = linalg.sparse_to_dense(c.alg.left_mult_matrix(b), c.dim, c.dim)
-    ra = linalg.sparse_to_dense(c.alg.right_mult_matrix(a), c.dim, c.dim)
-    rb = linalg.sparse_to_dense(c.alg.right_mult_matrix(b), c.dim, c.dim)
-
-    def comm(x, y):
-        return linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
-
-    out = comm(la, lb)
-    out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(la, rb))]
-    out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(ra, rb))]
+def d_ab(c: CompositionAlgebra, a, b) -> dict:
+    """The standard derivation [l_a,l_b] + [l_a,r_b] + [r_a,r_b] of C, as a
+    dim x dim matrix flattened row-major to {row * dim + col: x}."""
+    la, lb = c.alg.left_mult_matrix(a), c.alg.left_mult_matrix(b)
+    ra, rb = c.alg.right_mult_matrix(a), c.alg.right_mult_matrix(b)
+    out = {}
+    for x, y in ((la, lb), (la, rb), (ra, rb)):
+        linalg.sp_add_into(out, linalg.sp_bracket(x, y, c.dim), 1)
     return out
 
 

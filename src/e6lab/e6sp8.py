@@ -5,9 +5,11 @@ of the contraction c: Lambda^4 -> Lambda^2.  Four monomial symplectic
 matrices A1..A4 act on everything, with fourth roots of unity as
 eigenvalues.  Their entries are 0, +-1 and +-i, and the frame is written down
 as monomial maps, column c -> (row, k) for A e_c = i^k e_row (`_A_POWERS`).
-The words of the dot group <A1., .., A4.>, their orders modulo +-I and the
-commutators are composed on those maps: a product is a permutation lookup
-plus a sum of phases mod 4, and -m is m with every phase shifted by 2.
+C is one as well (`_C_MAP`).  The frame identities (A C A^t = C, A2^2 = -I,
+A4^4 = I), the words of the dot group <A1., .., A4.>, their orders modulo
++-I and the commutators are composed on those maps: a product is a
+permutation lookup plus a sum of phases mod 4, and -m is m with every phase
+shifted by 2.
 
 The actions of the frame are signed permutations as well: A E_rc A^-1 =
 i^(k_r - k_c) E_{pi r, pi c} on the 64 matrix units, and Lambda^4(A) sends
@@ -29,10 +31,6 @@ x odd bracket is recovered by trace duality against the
 Lambda^4 x Lambda^4 -> Lambda^8 pairing; any nonzero scaling satisfies
 Jacobi (the scaling freedom is the same as the Z2 twist), so the module
 fixes lambda = 1 and records it.
-
-For the frame check and `fix_ad_c_a123_dim` each A = P + iQ is also held as
-the pair (P, Q) of rational matrices: the product and the inverse are read
-off the real 16x16 form [[P, Q], [-Q, P]].
 """
 
 from __future__ import annotations
@@ -72,12 +70,6 @@ def _c_entry(i: int, j: int) -> int:
     return 0
 
 
-def c_matrix():
-    return [[F(_c_entry(i, j)) for j in range(8)] for i in range(8)]
-
-
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
-
 # A1..A4 as displayed, as monomial maps: per column c the pair (row, k) with
 # A e_c = i^k e_row
 _A_POWERS = (
@@ -87,73 +79,24 @@ _A_POWERS = (
     tuple(enumerate((0, 2, 3, 1, 0, 2, 1, 3))),
 )
 
-
-def _pair(m):
-    """The monomial map m = ((row, k) per column) as the pair (P, Q) of
-    rational matrices with P + iQ = m."""
-    p, q = linalg.zeros(8, 8), linalg.zeros(8, 8)
-    for c, (r, k) in enumerate(m):
-        p[r][c], q[r][c] = map(F, _I_POWERS[k])
-    return p, q
+# C as a monomial map: C e_c = -e_(c+4) for c < 4 and e_(c-4) otherwise
+_C_MAP = tuple((c + 4, 2) if c < 4 else (c - 4, 0) for c in range(8))
 
 
-def a_matrices():
-    """A1..A4 exactly as displayed, each A = P + iQ as the pair (P, Q) of
-    rational 8x8 matrices, read off the monomial maps `_A_POWERS`."""
-    return [_pair(m) for m in _A_POWERS]
-
-
-def _real_form(a):
-    """The real form [[P, Q], [-Q, P]] of A = P + iQ given as (P, Q): the row
-    pair [X | Y] times it is [Re | Im] of (X + iY) A, so the real form of a
-    product is the product of the real forms."""
-    p, q = a
-    return [[*rp, *rq] for rp, rq in zip(p, q)] + [[*nq, *rp] for nq, rp in zip(_neg(q), p)]
-
-
-def pair_mul(x, y):
-    """(P + iQ)(R + iS) = (PR - QS) + i(PS + QR) on (P, Q) and (R, S), read
-    off the one product [P | Q] [[R, S], [-S, R]] = [PR - QS | PS + QR]."""
-    p, q = x
-    n = len(p)
-    prod = linalg.mat_mul([[*rp, *rq] for rp, rq in zip(p, q)], _real_form(y))
-    return [row[:n] for row in prod], [row[n:] for row in prod]
-
-
-def _real(m):
-    """The pair (m, 0) of a rational matrix m."""
-    return m, linalg.zeros(len(m), len(m[0]))
-
-
-def _neg(m):
-    return [[-x for x in row] for row in m]
-
-
-@dataclass
-class SymplecticFrame:
-    c: list
-    a: list  # A1..A4 as (P, Q) pairs
-
-    def check(self):
-        """A_i C A_i^t = C for all i; order data of A2, A4."""
-        c = _real(self.c)
-        for p, q in self.a:
-            if pair_mul((p, q), pair_mul(c, (linalg.transpose(p), linalg.transpose(q)))) != c:
-                raise AlgebraError("A C A^t != C")
-        ident = linalg.identity(8)
-        if pair_mul(self.a[1], self.a[1]) != _real(_neg(ident)):
-            raise AlgebraError("A2^2 != -I")
-        a4sq = pair_mul(self.a[3], self.a[3])
-        if pair_mul(a4sq, a4sq) != _real(ident):
-            raise AlgebraError("A4^4 != I")
-        return True
-
-
-@lru_cache(maxsize=None)
-def frame() -> SymplecticFrame:
-    fr = SymplecticFrame(c=c_matrix(), a=a_matrices())
-    fr.check()
-    return fr
+def frame_check() -> bool:
+    """A C A^t = C for each A of the frame, A2^2 = -I and A4^4 = I, composed
+    on the monomial maps; A^t e_r = i^k e_c when A e_c = i^k e_r.  A frame
+    map that is not monomial gives False, never an exception."""
+    try:
+        maps = _monomial_frame()
+    except AlgebraError:
+        return False
+    a4sq = _mono_mul(maps[3], maps[3])
+    return (
+        all(_mono_mul(a, _mono_mul(_C_MAP, _mono_transpose(a))) == _C_MAP for a in maps)
+        and _mono_mul(maps[1], maps[1]) == tuple((c, 2) for c in range(8))
+        and _mono_mul(a4sq, a4sq) == _IDENTITY
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +171,6 @@ def _sp8_equations():
 def sp8_rational_basis():
     """Reduced-echelon rational basis of {x : xC + Cx^t = 0} (dim 36)."""
     return linalg.kernel(_sp8_equations(), 64)
-
-
-def pair_inverse(a):
-    """A^{-1} = R + iS of A = P + iQ, both as pairs: the inverse of the real
-    form [[P, Q], [-Q, P]] of A is the real form [[R, S], [-S, R]] of A^{-1}."""
-    n = len(a[0])
-    inv = linalg.mat_inverse(_real_form(a))
-    return [row[:n] for row in inv[:n]], [row[n:] for row in inv[:n]]
-
-
-def _conjugation(a):
-    """X -> A X A^{-1} for A = P + iQ given as (P, Q), on rational 8x8
-    matrices X flattened row-major to 64-vectors, as the pair (Re M, Im M)
-    of rational sparse 64x64 matrices: M[8r + c][8k + l] = A[r][k] A^{-1}[l][c]."""
-
-    def entries(m):
-        p, q = m
-        return [(r, c, p[r][c], q[r][c]) for r in range(8) for c in range(8) if p[r][c] or q[r][c]]
-
-    inv = entries(pair_inverse(a))
-    parts = ({}, {})
-    for r, k, x, y in entries(a):
-        for l, c, u, w in inv:
-            for part, z in zip(parts, (x * u - y * w, x * w + y * u)):
-                if z:
-                    part.setdefault(8 * r + c, {})[8 * k + l] = z
-    return parts
 
 
 def _operator_on_subspace(images, basis):
@@ -534,7 +450,7 @@ def assemble_e6() -> Sp8Model:
     sc = {}
     for p in range(ne):
         for q in range(p + 1, ne):
-            img = linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8)
+            img = linalg.sp_bracket(even_sp[p], even_sp[q], 8)
             put_antisymmetric(
                 sc, p, q, _in_leaf(even_leaf, _tag_sum(even_tags[p], even_tags[q]), img, e_den * e_den)
             )
@@ -674,17 +590,25 @@ def conjugated_form() -> dict:
 
 
 def fix_ad_c_a123_dim() -> int:
-    """dim of the Ad(C A1 A2 A3)-fixed subspace of sp8 (rational, dim 24)."""
-    fr = frame()
-    g = _real(fr.c)
-    for a in fr.a[:3]:
-        g = pair_mul(g, a)
-    if any(x for row in g[1] for x in row):
+    """dim of the Ad(C A1 A2 A3)-fixed subspace of sp8 (rational, dim 24).
+
+    g = C A1 A2 A3 is composed on the monomial maps and must be real, so its
+    matrix G is a signed permutation matrix and G^t = G^-1: Ad(g) X is
+    G X G^t, two dense products per basis matrix of sp8."""
+    a1, a2, a3, _ = _monomial_frame()
+    g = _mono_mul(_C_MAP, _mono_mul(a1, _mono_mul(a2, a3)))
+    if any(k % 2 for _, k in g):
         raise AlgebraError("C A1 A2 A3 should be real")
+    gm = linalg.zeros(8, 8)
+    for c, (r, k) in enumerate(g):
+        gm[r][c] = F(1 - k)
+    gt = linalg.transpose(gm)
     basis = sp8_rational_basis()
-    conj, _ = _conjugation(g)
-    mat = _operator_on_subspace([linalg.sp_matvec(conj, linalg.sparse(v)) for v in basis], basis)
-    _, dim = fixed_subspace(mat)
+    images = [
+        sum(linalg.mat_mul(linalg.mat_mul(gm, [v[8 * r : 8 * r + 8] for r in range(8)]), gt), [])
+        for v in basis
+    ]
+    _, dim = fixed_subspace(_operator_on_subspace(images, basis))
     return dim
 
 
@@ -726,6 +650,15 @@ def _monomial_frame():
         if sorted(r for r, _ in m) != list(range(8)):
             raise AlgebraError("a frame matrix is not monomial")
     return _A_POWERS
+
+
+def _mono_transpose(m):
+    """A^t for the monomial map m of A: A e_c = i^k e_r gives
+    A^t e_r = i^k e_c."""
+    out = [None] * len(m)
+    for c, (r, k) in enumerate(m):
+        out[r] = (c, k)
+    return tuple(out)
 
 
 def _mono_mul(x, y):

@@ -17,6 +17,7 @@ from . import linalg
 from .algcore import StructAlgebra, algebra_from_products
 from .composition import CompositionAlgebra, hurwitz
 from .gradings import FinAbGroup, GradedDecomposition, GradingError
+from .scalars import QZERO
 
 F = Fraction
 
@@ -204,11 +205,10 @@ def star(j: JordanAlgebra, x, y):
     return p
 
 
-def inner_der(j: JordanAlgebra, x, y):
-    """[R_x, R_y], always a derivation of J."""
-    rx = j.alg.right_mult_matrix(x)
-    ry = j.alg.right_mult_matrix(y)
-    return linalg.sparse_to_dense(linalg.sp_commutator(rx, ry), j.dim, j.dim)
+def inner_der(j: JordanAlgebra, x, y) -> dict:
+    """[R_x, R_y], always a derivation of J, as a dim x dim matrix flattened
+    row-major to {row * dim + col: x}."""
+    return linalg.sp_bracket(j.alg.right_mult_matrix(x), j.alg.right_mult_matrix(y), j.dim)
 
 
 def j0_basis(j: JordanAlgebra):
@@ -270,7 +270,8 @@ def _z22_on_h3(j: JordanAlgebra) -> GradedDecomposition:
 def z_grading_operator(j: JordanAlgebra):
     """4 [R_iota1(1), R_E2], the derivation whose integer eigenspaces grade J."""
     d = inner_der(j, j.iota(0, j.comp.unit()), j.e_vec(1))
-    return [[4 * v for v in row] for row in d]
+    n = j.dim
+    return [[4 * d.get(n * r + c, QZERO) for c in range(n)] for r in range(n)]
 
 
 def _z_on_h3(j: JordanAlgebra) -> GradedDecomposition:

@@ -29,7 +29,7 @@ nonzeros it meets; its results are Fractions, `QZERO` for a zero.
 
 Construction runs on Python ints: `int_scaled` turns a rational vector,
 rows, a matrix or a table into (common denominator d, entries times d as
-ints) once, the sparse helpers (`sp_matvec`, `sp_mul`, `sp_commutator`,
+ints) once, the sparse helpers (`sp_matvec`, `sp_bracket`,
 `sp_trace_product`) keep the type of their inputs, and a Fraction is built
 only for a nonzero coefficient that `SpanSolver.coefficients` returns.
 `IntKernelAccumulator` keeps its kernel as primitive int vectors and
@@ -52,13 +52,6 @@ from .scalars import QONE, QZERO
 
 def zeros(n, m):
     return [[QZERO] * m for _ in range(n)]
-
-
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = QONE
-    return m
 
 
 def mat_mul(a, b):
@@ -105,10 +98,6 @@ def gram(m, xs, ys):
                     orow[j] += v * b
         out.append(orow)
     return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def transpose(a):
@@ -399,16 +388,6 @@ def _times(x, d, depth):
     return [e.numerator * (d // e.denominator) for e in x]
 
 
-def sp_flatten(m: dict, ncols: int) -> dict:
-    """Sparse matrix {r: {c: v}} to sparse row-major vector {r*ncols+c: v}."""
-    out = {}
-    for r, row in m.items():
-        base = r * ncols
-        for c, v in row.items():
-            out[base + c] = v
-    return out
-
-
 def mat_inverse(a):
     """Inverse of a square matrix, read off the reduced echelon form
     [I | A^-1] of [A | I]."""
@@ -594,44 +573,22 @@ def sp_matvec(m: dict, v: dict) -> dict:
     return out
 
 
-def sp_mul(a: dict, b: dict) -> dict:
-    # (a @ b)[i][j] = sum_k a[i][k] b[k][j]
+def sp_bracket(a: dict, b: dict, ncols: int) -> dict:
+    """The commutator ab - ba of two sparse matrices {row: {col: x}},
+    flattened row-major to {row * ncols + col: x}.  Both products are summed
+    into that one dict, so the entries keep the type of the inputs' (ints
+    stay ints)."""
     out = {}
-    for i, arow in a.items():
-        orow = {}
-        for k, x in arow.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for j, y in brow.items():
-                val = orow.get(j)
-                val = x * y if val is None else val + x * y
-                if val:
-                    orow[j] = val
-                else:
-                    orow.pop(j, None)
-        if orow:
-            out[i] = orow
-    return out
-
-
-def sp_commutator(a: dict, b: dict) -> dict:
-    ab = sp_mul(a, b)
-    ba = sp_mul(b, a)
-    out = {}
-    rows = set(ab) | set(ba)
-    for r in rows:
-        row = dict(ab.get(r, ()))
-        for c, v in ba.get(r, {}).items():
-            val = row.get(c)
-            val = -v if val is None else val - v
-            if val:
-                row[c] = val
-            else:
-                row.pop(c, None)
-        if row:
-            out[r] = row
-    return out
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i, xrow in x.items():
+            base = i * ncols
+            for k, u in xrow.items():
+                yrow = y.get(k)
+                if yrow:
+                    su = sign * u
+                    for j, v in yrow.items():
+                        out[base + j] = out.get(base + j, 0) + su * v
+    return {key: v for key, v in out.items() if v}
 
 
 def sp_trace_product(a: dict, b: dict):
@@ -650,14 +607,6 @@ def sp_trace_product(a: dict, b: dict):
 
 def dense_to_sparse(m) -> dict:
     return {i: r for i, row in enumerate(m) if (r := sparse(row))}
-
-
-def sparse_to_dense(m: dict, nrows, ncols):
-    out = zeros(nrows, ncols)
-    for i, row in m.items():
-        for j, x in row.items():
-            out[i][j] = x
-    return out
 
 
 # ---------------------------------------------------------------------------

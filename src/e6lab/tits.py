@@ -90,17 +90,15 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     dc_expand = derivation_solver(c.alg)
     dj_expand = derivation_solver(j.alg)
     j0_expand = linalg.SpanSolver(j0)
-    ncdim = c.dim
-    njdim = j.dim
 
-    def expand_der_c(sp):
-        coeffs = dc_expand.coefficients(linalg.sp_flatten(sp, ncdim))
+    def expand_der_c(flat):
+        coeffs = dc_expand.coefficients(flat)
         if coeffs is None:
             raise AlgebraError("derivation of C outside Der(C) span")
         return {i: v for i, v in enumerate(coeffs) if v}
 
-    def expand_der_j(sp, scale):
-        coeffs = dj_expand.coefficients(linalg.sp_flatten(sp, njdim), scale)
+    def expand_der_j(flat, scale):
+        coeffs = dj_expand.coefficients(flat, scale)
         if coeffs is None:
             raise AlgebraError("derivation of J outside Der(J) span")
         return {rng_dj.start + i: v for i, v in enumerate(coeffs) if v}
@@ -172,9 +170,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
             prod = c.alg.multiply(cvecs[a], cvecs[b])
             trace_c0[(a, b)] = c.trace(prod)
             if a < b:
-                dab_tab[(a, b)] = expand_der_c(
-                    linalg.dense_to_sparse(d_ab(c, cvecs[a], cvecs[b]))
-                )
+                dab_tab[(a, b)] = expand_der_c(d_ab(c, cvecs[a], cvecs[b]))
                 rev = c.alg.multiply(cvecs[b], cvecs[a])
                 lie_c0[(a, b)] = expand_c0(linalg.vec_sub(prod, rev))
     star_tab = {}
@@ -190,7 +186,7 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
                 star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
             if x < y:
                 inner_tab[(x, y)] = expand_der_j(
-                    linalg.sp_commutator(rmats[x], rmats[y]), r_den * r_den
+                    linalg.sp_bracket(rmats[x], rmats[y], j.dim), r_den * r_den
                 )
 
     for a in range(nc):

@@ -213,7 +213,7 @@ def group_gradings_tits():
 
 def group_sp8():
     out = []
-    out.append(_check_bool("C11.frame", "A_i C A_i^t = C, A2^2 = -I, A4^4 = I", e6sp8.frame().check()))
+    out.append(_check_bool("C11.frame", "A_i C A_i^t = C, A2^2 = -I, A4^4 = I", e6sp8.frame_check()))
     out.append(_check("C11.eigen-type", "sp8 joint eigenspace type", (24, 6), e6sp8.eigenspace_type()))
     out.append(_check("C11.kerc-dim", "dim ker c", 42, len(e6sp8.kernel_c_basis())))
     out.append(

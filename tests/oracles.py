@@ -1,24 +1,29 @@
 """Independent oracles for the tests.
 
 Each one restates, directly and without the package's fast paths, something
-the package computes another way or takes as given: a dense matrix-vector
-product, the Leibniz rule on every basis pair, the Jordan identity, an
-explicit Jordan isomorphism, the odd x odd bracket of the symplectic model
-read back from its table, the derivation action on Lambda^2 and the push of
-a grading through a group map.  None of them is used by the package.
+the package computes another way or takes as given: dense matrix products
+and the sparse commutator as two products merged, the standard derivation
+d_{a,b} of a Hurwitz algebra from dense products, the Leibniz rule on every
+basis pair, the Jordan identity, an explicit Jordan isomorphism, the odd x
+odd bracket of the symplectic model read back from its table, the
+derivation action on Lambda^2 and the push of a grading through a group
+map.  None of them is used by the package.
 
-The last section keeps the symplectic model as it was built before its
-monomial frame: the actions of A = P + iQ on sp8 and on Lambda^4 as
-(Re, Im) pairs of sparse matrices, the joint eigenspaces split one map at a
-time by stacked-kernel elimination, and every product expressed in the
-whole sp8 or ker c basis.  The tests hold the orbit split and the
-target-leaf reads of `e6sp8` to it.
+The last two sections keep the symplectic frame as the pairs (P, Q) of
+rational matrices with A = P + iQ, multiplied through the real 16x16 form,
+and the symplectic model as it was built before its monomial frame: the
+actions of A on sp8 and on Lambda^4 as (Re, Im) pairs of sparse matrices,
+the joint eigenspaces split one map at a time by stacked-kernel
+elimination, and every product expressed in the whole sp8 or ker c basis.
+The tests hold the monomial frame check, Ad(C A1 A2 A3), the orbit split
+and the target-leaf reads of `e6sp8` to them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from e6lab import e6sp8, linalg
-from e6lab.algcore import AlgebraError, bracket_constants, put_antisymmetric
+from e6lab.algcore import AlgebraError, bracket_constants, fixed_subspace, put_antisymmetric
 from e6lab.gradings import GradedDecomposition
 from e6lab.jordan import h3, m3r
 from e6lab.scalars import QONE, QZERO
@@ -37,6 +42,100 @@ def mat_vec(m, v):
             if a:
                 acc = acc + a * x
         out.append(acc)
+    return out
+
+
+def identity(n):
+    m = linalg.zeros(n, n)
+    for i in range(n):
+        m[i][i] = QONE
+    return m
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def sparse_to_dense(m: dict, nrows, ncols):
+    out = linalg.zeros(nrows, ncols)
+    for i, row in m.items():
+        for j, x in row.items():
+            out[i][j] = x
+    return out
+
+
+def unflatten(flat: dict, n):
+    """The n x n dense matrix of a sparse matrix flattened row-major to
+    {row * n + col: x}, `QZERO` where it is zero."""
+    return [[flat.get(n * r + c, QZERO) for c in range(n)] for r in range(n)]
+
+
+def sp_mul(a: dict, b: dict) -> dict:
+    # (a @ b)[i][j] = sum_k a[i][k] b[k][j]
+    out = {}
+    for i, arow in a.items():
+        orow = {}
+        for k, x in arow.items():
+            brow = b.get(k)
+            if not brow:
+                continue
+            for j, y in brow.items():
+                val = orow.get(j)
+                val = x * y if val is None else val + x * y
+                if val:
+                    orow[j] = val
+                else:
+                    orow.pop(j, None)
+        if orow:
+            out[i] = orow
+    return out
+
+
+def sp_commutator(a: dict, b: dict) -> dict:
+    """ab - ba of sparse matrices, from the two products merged row by row."""
+    ab = sp_mul(a, b)
+    ba = sp_mul(b, a)
+    out = {}
+    rows = set(ab) | set(ba)
+    for r in rows:
+        row = dict(ab.get(r, ()))
+        for c, v in ba.get(r, {}).items():
+            val = row.get(c)
+            val = -v if val is None else val - v
+            if val:
+                row[c] = val
+            else:
+                row.pop(c, None)
+        if row:
+            out[r] = row
+    return out
+
+
+def sp_flatten(m: dict, ncols: int) -> dict:
+    """Sparse matrix {r: {c: v}} to sparse row-major vector {r*ncols+c: v}."""
+    out = {}
+    for r, row in m.items():
+        base = r * ncols
+        for c, v in row.items():
+            out[base + c] = v
+    return out
+
+
+def d_ab_dense(c, a, b):
+    """The standard derivation [l_a,l_b] + [l_a,r_b] + [r_a,r_b] of the
+    composition algebra c, from six dense products of its dense l and r
+    matrices."""
+    la = sparse_to_dense(c.alg.left_mult_matrix(a), c.dim, c.dim)
+    lb = sparse_to_dense(c.alg.left_mult_matrix(b), c.dim, c.dim)
+    ra = sparse_to_dense(c.alg.right_mult_matrix(a), c.dim, c.dim)
+    rb = sparse_to_dense(c.alg.right_mult_matrix(b), c.dim, c.dim)
+
+    def comm(x, y):
+        return mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
+
+    out = comm(la, lb)
+    out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(la, rb))]
+    out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(ra, rb))]
     return out
 
 
@@ -153,6 +252,135 @@ def coarsen(grading, hom, target_group) -> GradedDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# the symplectic frame as (P, Q) pairs: A = P + iQ, multiplied through the
+# real form [[P, Q], [-Q, P]]
+
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (real, imaginary)
+
+
+def pair(m):
+    """The monomial map m = ((row, k) per column) as the pair (P, Q) of
+    rational matrices with P + iQ = m."""
+    p, q = linalg.zeros(8, 8), linalg.zeros(8, 8)
+    for c, (r, k) in enumerate(m):
+        p[r][c], q[r][c] = map(F, I_POWERS[k])
+    return p, q
+
+
+def a_matrices():
+    """A1..A4, each A = P + iQ as the pair (P, Q) of rational 8x8 matrices,
+    read off the monomial maps `e6sp8._A_POWERS` as they are at the call."""
+    return [pair(m) for m in e6sp8._A_POWERS]
+
+
+def c_matrix():
+    return [[F(e6sp8._c_entry(i, j)) for j in range(8)] for i in range(8)]
+
+
+def neg(m):
+    return [[-x for x in row] for row in m]
+
+
+def real(m):
+    """The pair (m, 0) of a rational matrix m."""
+    return m, linalg.zeros(len(m), len(m[0]))
+
+
+def real_form(a):
+    """The real form [[P, Q], [-Q, P]] of A = P + iQ given as (P, Q): the row
+    pair [X | Y] times it is [Re | Im] of (X + iY) A, so the real form of a
+    product is the product of the real forms."""
+    p, q = a
+    return [[*rp, *rq] for rp, rq in zip(p, q)] + [[*nq, *rp] for nq, rp in zip(neg(q), p)]
+
+
+def pair_mul(x, y):
+    """(P + iQ)(R + iS) = (PR - QS) + i(PS + QR) on (P, Q) and (R, S), read
+    off the one product [P | Q] [[R, S], [-S, R]] = [PR - QS | PS + QR]."""
+    p, q = x
+    n = len(p)
+    prod = linalg.mat_mul([[*rp, *rq] for rp, rq in zip(p, q)], real_form(y))
+    return [row[:n] for row in prod], [row[n:] for row in prod]
+
+
+def pair_inverse(a):
+    """A^{-1} = R + iS of A = P + iQ, both as pairs: the inverse of the real
+    form [[P, Q], [-Q, P]] of A is the real form [[R, S], [-S, R]] of A^{-1}."""
+    n = len(a[0])
+    inv = linalg.mat_inverse(real_form(a))
+    return [row[:n] for row in inv[:n]], [row[n:] for row in inv[:n]]
+
+
+@dataclass
+class SymplecticFrame:
+    c: list
+    a: list  # A1..A4 as (P, Q) pairs
+
+    def check(self):
+        """A_i C A_i^t = C for all i; order data of A2, A4.  Raises
+        AlgebraError on the first identity that fails."""
+        c = real(self.c)
+        for p, q in self.a:
+            if pair_mul((p, q), pair_mul(c, (linalg.transpose(p), linalg.transpose(q)))) != c:
+                raise AlgebraError("A C A^t != C")
+        ident = identity(8)
+        if pair_mul(self.a[1], self.a[1]) != real(neg(ident)):
+            raise AlgebraError("A2^2 != -I")
+        a4sq = pair_mul(self.a[3], self.a[3])
+        if pair_mul(a4sq, a4sq) != real(ident):
+            raise AlgebraError("A4^4 != I")
+        return True
+
+
+def frame() -> SymplecticFrame:
+    """C and A1..A4 as pairs, from the monomial maps as they are at the call."""
+    return SymplecticFrame(c=c_matrix(), a=a_matrices())
+
+
+def frame_holds() -> bool:
+    """The pair-form frame check as a boolean."""
+    try:
+        return frame().check()
+    except AlgebraError:
+        return False
+
+
+def conjugation(a):
+    """X -> A X A^{-1} for A = P + iQ given as (P, Q), on rational 8x8
+    matrices X flattened row-major to 64-vectors, as the pair (Re M, Im M)
+    of rational sparse 64x64 matrices: M[8r + c][8k + l] = A[r][k] A^{-1}[l][c]."""
+
+    def entries(m):
+        p, q = m
+        return [(r, c, p[r][c], q[r][c]) for r in range(8) for c in range(8) if p[r][c] or q[r][c]]
+
+    inv = entries(pair_inverse(a))
+    parts = ({}, {})
+    for r, k, x, y in entries(a):
+        for l, c, u, w in inv:
+            for part, z in zip(parts, (x * u - y * w, x * w + y * u)):
+                if z:
+                    part.setdefault(8 * r + c, {})[8 * k + l] = z
+    return parts
+
+
+def fix_ad_c_a123_dim():
+    """dim of the Ad(C A1 A2 A3)-fixed subspace of sp8, with g = C A1 A2 A3
+    multiplied on pairs and Ad(g) X = g X g^-1 through `conjugation`."""
+    fr = frame()
+    g = real(fr.c)
+    for a in fr.a[:3]:
+        g = pair_mul(g, a)
+    if any(x for row in g[1] for x in row):
+        raise AlgebraError("C A1 A2 A3 should be real")
+    basis = e6sp8.sp8_rational_basis()
+    conj, _ = conjugation(g)
+    images = [linalg.sp_matvec(conj, linalg.sparse(v)) for v in basis]
+    _, dim = fixed_subspace(e6sp8._operator_on_subspace(images, basis))
+    return dim
+
+
+# ---------------------------------------------------------------------------
 # the symplectic model as it was built before its monomial frame: the joint
 # eigenspaces by stacked-kernel elimination on (Re, Im) actions, and every
 # product expressed in the whole 42-dim ker c basis
@@ -241,7 +469,7 @@ def split(subspaces, op, nev):
         found = 0
         for e in range(nev):
             rows = []
-            for start, x in zip((0, k), e6sp8._I_POWERS[(4 // nev) * e]):
+            for start, x in zip((0, k), I_POWERS[(4 // nev) * e]):
                 for i, row in enumerate(m):
                     r = linalg.sparse(row[start : start + k])
                     linalg.sp_add_into(r, {i: QONE}, -x)
@@ -270,7 +498,7 @@ def graded_bases_walk(pairs):
     odd = [(e6sp8.kernel_c_basis(), ())]
     for i, a in enumerate(pairs):
         nev = 2 if i < 3 else 4
-        even = split(even, pair_op(e6sp8._conjugation(a)), nev)
+        even = split(even, pair_op(conjugation(a)), nev)
         odd = split(odd, pair_op(wedge4_matrix_sparse(a)), nev)
     return tuple(
         [(primitive_rows(b), tag) for b, tag in sorted(leaves, key=lambda t: t[1])]
@@ -310,7 +538,7 @@ def assemble_walk(even_rat, odd_rat):
     # even x even: sp8 under the commutator
     sc = bracket_constants(
         linalg.SpanSolver([sum(m, []) for m in even_mats]),
-        lambda p, q: linalg.sp_flatten(linalg.sp_commutator(even_sp[p], even_sp[q]), 8),
+        lambda p, q: sp_flatten(sp_commutator(even_sp[p], even_sp[q]), 8),
         e_den * e_den,
     )
     # even x odd: derivation action on four-forms stays inside ker c

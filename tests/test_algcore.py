@@ -25,7 +25,7 @@ from e6lab.algcore import (
     signature_from_fix,
     twist,
 )
-from oracles import leibniz_defect, mat_vec
+from oracles import identity, leibniz_defect, mat_sub, mat_vec, sp_commutator, sp_flatten
 
 F = Fraction
 
@@ -231,7 +231,7 @@ def test_abelian_killing_zero():
 
 
 def test_inertia_basics():
-    r = inertia(linalg.identity(4))
+    r = inertia(identity(4))
     assert (r.n_plus, r.n_minus, r.n_zero) == (4, 0, 0)
     r = inertia([[F(1), F(0)], [F(0), F(-1)]])
     assert r.signature == 0
@@ -251,7 +251,7 @@ def test_signature_from_fix_table():
 
 
 def test_fixed_subspace():
-    basis, dim = fixed_subspace(linalg.identity(5))
+    basis, dim = fixed_subspace(identity(5))
     assert dim == 5
     m = [[F(0), F(1)], [F(1), F(0)]]
     basis, dim = fixed_subspace(m)
@@ -316,7 +316,7 @@ def test_derivations_sl2():
     sp = linalg.SpanSolver([sum(d, []) for d in ders])
     for a in ders:
         for b in ders:
-            comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+            comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             assert sp.coefficients(sum(comm, [])) is not None
 
 
@@ -352,7 +352,7 @@ def test_derivation_int_matrices_kept_beside_the_basis(perfbench_child, fixture_
         n = alg.dim
         reference = algcore.bracket_constants(
             linalg.SpanSolver([sum(d, []) for d in ders]),
-            lambda p, q: linalg.sp_flatten(linalg.sp_commutator(mats[p], mats[q]), n),
+            lambda p, q: sp_flatten(sp_commutator(mats[p], mats[q]), n),
             den * den,
         )
         assert algcore.derivation_algebra(alg).sc == reference
@@ -372,7 +372,7 @@ def test_derivation_algebra_built_once_and_only_on_request():
     for p in range(3):
         for q in range(3):
             a, b = ders[p], ders[q]
-            comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+            comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             coeffs = sp.coefficients(sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
     # the solver the table was built with is kept, not rebuilt
@@ -385,7 +385,7 @@ def test_derivation_algebra_built_once_and_only_on_request():
 
 def test_automorphism_checks():
     a = sl2()
-    ident = linalg.identity(3)
+    ident = identity(3)
     assert algcore.is_automorphism(a, ident)
     # h -> h, e -> 2e, f -> f/2 is an automorphism of sl2
     m = [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(1, 2)]]

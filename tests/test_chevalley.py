@@ -6,6 +6,7 @@ import pytest
 from e6lab import algcore, chevalley, linalg
 from e6lab.algcore import fixed_subspace, jacobi_defect
 from e6lab.gradings import type_vector, verify
+from oracles import identity, mat_sub
 
 F = Fraction
 
@@ -151,7 +152,7 @@ def test_omega():
     cb = chevalley.e6_chevalley()
     om = _dense_omega(cb)
     n = cb.lie.dim
-    assert linalg.mat_mul(om, om) == linalg.identity(n)
+    assert linalg.mat_mul(om, om) == identity(n)
     for j in range(6):
         col = [om[i][j] for i in range(n)]
         want = [F(0)] * n
@@ -173,7 +174,7 @@ def test_omega():
 def test_torus_elements():
     cb = chevalley.e6_chevalley()
     ident = _dense_torus(cb, (1,) * 6)
-    assert ident == linalg.identity(78)
+    assert ident == identity(78)
     t = _dense_torus(cb, (-1, 1, 1, 1, 1, 1))
     _, dim = fixed_subspace(t)
     assert dim == 46
@@ -450,7 +451,7 @@ def _both_fix_omega_t_paths(cb, om, om_dense, diag):
     the nonzeros of the dense omega t - 1."""
     rows = omega_t_minus_one(om, diag)
     t = _dense_diagonal(diag)
-    dense_rows = linalg.mat_sub(linalg.mat_mul(om_dense, t), linalg.identity(cb.dim))
+    dense_rows = mat_sub(linalg.mat_mul(om_dense, t), identity(cb.dim))
     assert rows == [linalg.sparse(r) for r in dense_rows]
     return (
         (linalg.kernel(rows, cb.dim), cb.dim - linalg.rank(rows)),

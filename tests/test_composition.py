@@ -12,7 +12,7 @@ from e6lab.composition import (
     octonion_z23_grading,
 )
 from e6lab.gradings import type_vector, verify
-from oracles import leibniz_defect
+from oracles import d_ab_dense, leibniz_defect, mat_sub, unflatten
 
 F = Fraction
 
@@ -134,10 +134,22 @@ def test_norm_signatures():
 def test_d_ab_trivial_cases():
     o = hurwitz("O")
     a = vec(o, "i")
-    zero = linalg.zeros(8, 8)
-    assert d_ab(o, a, a) == zero
+    assert d_ab(o, a, a) == {}
     rr = hurwitz("RR")
-    assert d_ab(rr, vec(rr, "1"), vec(rr, "s")) == linalg.zeros(2, 2)
+    assert d_ab(rr, vec(rr, "1"), vec(rr, "s")) == {}
+
+
+@pytest.mark.parametrize("name", HURWITZ_NAMES)
+def test_d_ab_equals_the_dense_products_on_every_basis_pair(name):
+    # the three sparse brackets against the six dense products, in values
+    # and in Fraction types
+    c = hurwitz(name)
+    for i in range(c.dim):
+        for j in range(c.dim):
+            a, b = c.alg.basis_vector(i), c.alg.basis_vector(j)
+            got = d_ab(c, a, b)
+            assert unflatten(got, c.dim) == d_ab_dense(c, a, b), (i, j)
+            assert all(type(x) is F and x for x in got.values())
 
 
 def test_d_ab_spans_der_o():
@@ -146,14 +158,14 @@ def test_d_ab_spans_der_o():
     for i in range(8):
         for j in range(i + 1, 8):
             d = d_ab(o, o.alg.basis_vector(i), o.alg.basis_vector(j))
-            assert not leibniz_defect(o.alg, d)
-            mats.append(sum(d, []))
+            assert not leibniz_defect(o.alg, unflatten(d, 8))
+            mats.append(d)
     assert linalg.rank(mats) == 14
     # commutator of two d_ab stays in the span
-    span = linalg.SpanSolver(linalg.rref(mats)[0])
-    a = d_ab(o, vec(o, "i"), vec(o, "j"))
-    b = d_ab(o, vec(o, "l"), vec(o, "kl"))
-    comm = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+    span = linalg.SpanSolver(linalg.rref(mats, 64)[0])
+    a = unflatten(d_ab(o, vec(o, "i"), vec(o, "j")), 8)
+    b = unflatten(d_ab(o, vec(o, "l"), vec(o, "kl")), 8)
+    comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
     assert span.coefficients(sum(comm, [])) is not None
 
 

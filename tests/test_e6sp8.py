@@ -4,19 +4,33 @@ from itertools import permutations, product
 import pytest
 
 from e6lab import e6sp8, linalg
+from e6lab import verify as battery
 from e6lab.algcore import AlgebraError, inertia, jacobi_defect, twist
 from e6lab.gradings import type_vector, verify
 from oracles import (
+    I_POWERS,
+    a_matrices,
     act2_matrix_sparse,
     act4_matrix_sparse,
     assemble_walk,
+    c_matrix,
+    conjugation,
+    frame,
+    frame_holds,
     graded_bases_walk,
+    identity,
     mat_vec,
+    neg,
     odd_bracket,
+    pair,
+    pair_inverse,
+    pair_mul,
     pair_op,
+    real,
     split,
     wedge4_matrix_sparse,
 )
+from oracles import fix_ad_c_a123_dim as fix_ad_c_a123_dim_on_pairs
 
 F = Fraction
 
@@ -29,24 +43,53 @@ def _canonical_mod_sign(m):
     entries = zip((x for row in p for x in row), (y for row in q for y in row))
     first = next(((x, y) for x, y in entries if x or y), (0, 0))
     if first < (0, 0):
-        p, q = e6sp8._neg(p), e6sp8._neg(q)
+        p, q = neg(p), neg(q)
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
 def _order_mod_sign(m) -> int:
     """Least k >= 1 with m^k = +-I for a (P, Q) pair, by `pair_mul` powers."""
-    ident = _canonical_mod_sign(e6sp8._real(linalg.identity(len(m[0]))))
+    ident = _canonical_mod_sign(real(identity(len(m[0]))))
     power = m
     for k in range(1, 9):
         if _canonical_mod_sign(power) == ident:
             return k
-        power = e6sp8.pair_mul(power, m)
+        power = pair_mul(power, m)
     raise AlgebraError("order mod +-I exceeds 8")
 
 
 def test_frame_invariants():
-    fr = e6sp8.frame()
-    assert fr.check()
+    assert e6sp8.frame_check() is True
+    assert frame().check()
+
+
+def test_c_map_is_the_matrix_c():
+    assert pair(e6sp8._C_MAP) == (c_matrix(), linalg.zeros(8, 8))
+
+
+def test_frame_check_equals_the_pair_form_on_every_one_phase_mutant(monkeypatch):
+    # every frame with one phase of one column of one A_i shifted by 1, 2 or
+    # 3 breaks A C A^t = C (the A1 (4, 0) entry i as -i sends e4 to -e0, not
+    # e0): the monomial check returns False, with no exception, on each of
+    # the 96, and the pair-form check fails on the same ones
+    maps = e6sp8._A_POWERS
+    outcomes = []
+    for i, m in enumerate(maps):
+        for c, (r, k) in enumerate(m):
+            for shift in (1, 2, 3):
+                a = list(m)
+                a[c] = (r, (k + shift) % 4)
+                monkeypatch.setattr(e6sp8, "_A_POWERS", maps[:i] + (tuple(a),) + maps[i + 1 :])
+                outcomes.append(e6sp8.frame_check())
+                assert outcomes[-1] == frame_holds(), (i, c, shift)
+    assert len(outcomes) == 96 and not any(outcomes)
+
+
+def test_frame_check_rejects_a_frame_map_that_is_not_monomial(monkeypatch):
+    a1, a2, a3, a4 = e6sp8._A_POWERS
+    a3 = ((0, 0),) + a3[1:]  # columns 0 and 1 both onto row 0
+    monkeypatch.setattr(e6sp8, "_A_POWERS", (a1, a2, a3, a4))
+    assert e6sp8.frame_check() is False
 
 
 # A1..A4 as displayed in the paper: the nonzero entries, all others are 0
@@ -63,23 +106,23 @@ DISPLAYED = (
 
 @pytest.mark.parametrize("idx", range(4))
 def test_frame_matrix_pairs(idx):
-    a = e6sp8.frame().a[idx]
+    a = a_matrices()[idx]
     p, q = a
     # the pair entries are the displayed powers of i
     for r in range(8):
         for c in range(8):
             assert (p[r][c], q[r][c]) == _UNIT.get(DISPLAYED[idx].get((r, c)), (0, 0))
     # the inverse read off the real 16x16 form is a two-sided inverse
-    ident = (linalg.identity(8), linalg.zeros(8, 8))
-    inv = e6sp8.pair_inverse(a)
-    assert e6sp8.pair_mul(inv, a) == ident
-    assert e6sp8.pair_mul(a, inv) == ident
+    ident = (identity(8), linalg.zeros(8, 8))
+    inv = pair_inverse(a)
+    assert pair_mul(inv, a) == ident
+    assert pair_mul(a, inv) == ident
     # order modulo +-I, read from the powers of the pair
     assert _order_mod_sign(a) == (2, 2, 2, 4)[idx]
 
 
 def test_sp8_membership_and_count():
-    c = e6sp8.c_matrix()
+    c = c_matrix()
     basis = e6sp8.sp8_rational_basis()
     assert len(basis) == 36
     for v in basis:
@@ -94,7 +137,7 @@ def test_sp8_membership_and_count():
 def test_b0_entries_and_membership():
     mats = e6sp8.assemble_e6().even_matrices
     assert len(mats) == 36
-    c = e6sp8.c_matrix()
+    c = c_matrix()
     for m in mats:
         assert all(v in (-1, 0, 1) for row in m for v in row)
         xc = linalg.mat_mul(m, c)
@@ -142,7 +185,7 @@ def _split_by_intersection(subspaces, op, nev):
         m = e6sp8._operator_on_subspace(re_imgs + im_imgs, basis)
         re, im = [row[:k] for row in m], [row[k:] for row in m]
         for e in range(nev):
-            lam_re, lam_im = e6sp8._I_POWERS[(4 // nev) * e]
+            lam_re, lam_im = I_POWERS[(4 // nev) * e]
             combos = linalg.intersect_spans(
                 linalg.eigenspace(re, lam_re), linalg.eigenspace(im, lam_im)
             )
@@ -154,7 +197,7 @@ def _split_by_intersection(subspaces, op, nev):
 @pytest.mark.parametrize(
     "start,op_of",
     [
-        (e6sp8.sp8_rational_basis, lambda a: pair_op(e6sp8._conjugation(a))),
+        (e6sp8.sp8_rational_basis, lambda a: pair_op(conjugation(a))),
         (e6sp8.kernel_c_basis, lambda a: pair_op(wedge4_matrix_sparse(a))),
     ],
     ids=["sp8", "ker_c"],
@@ -163,7 +206,7 @@ def test_stacked_kernel_split_matches_intersected_eigenspaces(start, op_of):
     # the stacked-kernel walk of the oracle: every subspace it meets splits
     # the same way on both paths, in values and in Fraction types
     leaves = [(start(), ())]
-    for i, a in enumerate(e6sp8.frame().a):
+    for i, a in enumerate(a_matrices()):
         nev = 2 if i < 3 else 4
         op = op_of(a)
         for leaf in leaves:
@@ -377,7 +420,18 @@ def test_one_pass_wedge_pairing_matches_per_pair_dot_loop():
 
 
 def test_fix_ad_ca123():
-    assert e6sp8.fix_ad_c_a123_dim() == 24
+    # G X G^t on the monomial frame against g X g^-1 on the pair form
+    assert e6sp8.fix_ad_c_a123_dim() == fix_ad_c_a123_dim_on_pairs() == 24
+
+
+def test_fix_ad_ca123_goes_red_without_c(monkeypatch):
+    # C as the identity map drops it from g: Ad(A1 A2 A3) fixes 16 dims of
+    # sp8, not 24.  Only C11.frame (A1 A1^t = -I) reads C as well, so the
+    # battery's sp8 group reports exactly those two red, with no exception
+    monkeypatch.setattr(e6sp8, "_C_MAP", e6sp8._IDENTITY)
+    assert e6sp8.fix_ad_c_a123_dim() == 16
+    red = {c.id for c in battery.group_sp8() if not c.passed}
+    assert red == {"C11.frame", "C11.fix-CA123"}
 
 
 def test_conjugated_form_signatures():
@@ -434,15 +488,15 @@ def _pair_dot_group(pairs):
     orders = tuple(_order_mod_sign(a) for a in pairs)
     words = []
     for exps in product(*(range(o) for o in orders)):
-        m = e6sp8._real(linalg.identity(8))
+        m = real(identity(8))
         for a, e in zip(pairs, exps):
             for _ in range(e):
-                m = e6sp8.pair_mul(m, a)
+                m = pair_mul(m, a)
         words.append(m)
     canon = [_canonical_mod_sign(m) for m in words]
     commute = all(
-        _canonical_mod_sign(e6sp8.pair_mul(pairs[i], pairs[j]))
-        == _canonical_mod_sign(e6sp8.pair_mul(pairs[j], pairs[i]))
+        _canonical_mod_sign(pair_mul(pairs[i], pairs[j]))
+        == _canonical_mod_sign(pair_mul(pairs[j], pairs[i]))
         for i in range(4)
         for j in range(i + 1, 4)
     )
@@ -463,20 +517,21 @@ def _pair_dot_group(pairs):
 
 def test_monomial_words_equal_their_pair_products():
     maps = e6sp8._A_POWERS
-    pairs = e6sp8.a_matrices()
-    assert pairs == e6sp8.frame().a
+    pairs = a_matrices()
     for exps in product(range(2), range(2), range(2), range(4)):
-        mono, pair = e6sp8._IDENTITY, e6sp8._real(linalg.identity(8))
+        mono, word = e6sp8._IDENTITY, real(identity(8))
         for m, a, e in zip(maps, pairs, exps):
             for _ in range(e):
-                mono, pair = e6sp8._mono_mul(mono, m), e6sp8.pair_mul(pair, a)
+                mono, word = e6sp8._mono_mul(mono, m), pair_mul(word, a)
         # the densified word is its pair product, also after fixing the sign
-        assert e6sp8._pair(mono) == pair
-        canon = e6sp8._pair(e6sp8._mono_mod_sign(mono))
+        assert pair(mono) == word
+        canon = pair(e6sp8._mono_mod_sign(mono))
         assert (tuple(map(tuple, canon[0])), tuple(map(tuple, canon[1]))) == (
-            _canonical_mod_sign(pair)
+            _canonical_mod_sign(word)
         )
-        assert e6sp8._mono_order_mod_sign(mono) == _order_mod_sign(pair)
+        assert e6sp8._mono_order_mod_sign(mono) == _order_mod_sign(word)
+        # the transpose of the word, against the transposed pair
+        assert pair(e6sp8._mono_transpose(mono)) == tuple(map(linalg.transpose, word))
     assert _pair_dot_group(pairs) == (
         e6sp8.dot_group_order_data(),
         e6sp8.dot_group_generator_orders(),
@@ -491,7 +546,7 @@ def test_dot_group_goes_red_on_a_mutated_a4_phase(monkeypatch):
     a4 = list(e6sp8._A_POWERS[3])
     a4[2] = (2, 0)
     monkeypatch.setattr(e6sp8, "_A_POWERS", e6sp8._A_POWERS[:3] + (tuple(a4),))
-    data, orders = _pair_dot_group(e6sp8.a_matrices())
+    data, orders = _pair_dot_group(a_matrices())
     assert e6sp8.dot_group_order_data() == data
     assert e6sp8.dot_group_generator_orders() == orders == (2, 2, 2, 4)
     assert not data["is_z4_x_z2_4"]
@@ -510,8 +565,7 @@ def test_dot_group_rejects_a_frame_map_that_is_not_monomial(monkeypatch):
 def test_wedge4_action_is_multiplicative_automorphism():
     # spot check: (A.)[u, v-ish wedge] equals wedge of images; and
     # A.(ker c) = ker c via the preserved pairing
-    fr = e6sp8.frame()
-    a = fr.a[0]
+    a = a_matrices()[0]
     w_re, w_im = wedge4_matrix_sparse(a)
     cmat = e6sp8.contraction_matrix()
     for col in (0, 13, 37, 69):
@@ -542,7 +596,7 @@ def uncached():
 
 def test_orbit_split_equals_the_stacked_kernel_walk():
     fast = e6sp8._graded_bases()
-    slow = graded_bases_walk(e6sp8.frame().a)
+    slow = graded_bases_walk(a_matrices())
     # the leaves, their tags and their order, then the Fraction types
     assert fast == slow
     assert all(type(x) is F for leaves in fast + slow for basis, _ in leaves for v in basis for x in v)
@@ -550,7 +604,7 @@ def test_orbit_split_equals_the_stacked_kernel_walk():
 
 def test_assembled_model_equals_the_oracle_walk():
     model = e6sp8.assemble_e6()
-    want = assemble_walk(*graded_bases_walk(e6sp8.frame().a))
+    want = assemble_walk(*graded_bases_walk(a_matrices()))
     sc = model.lie.alg.sc
     # the values, the order of the keys and of the entries in each row, and
     # the types
@@ -569,14 +623,14 @@ def test_signed_permutations_equal_the_pair_actions(idx):
     # A E_rc A^-1 on the 64 matrix units and Lambda^4(A) on the 70 four-forms,
     # read off the monomial map, entry by entry against the (Re, Im) sparse
     # matrices of the pair form
-    m, a = e6sp8._A_POWERS[idx], e6sp8.frame().a[idx]
+    m, a = e6sp8._A_POWERS[idx], a_matrices()[idx]
     for perm, parts in (
-        (e6sp8._conjugation_perm(m), e6sp8._conjugation(a)),
+        (e6sp8._conjugation_perm(m), conjugation(a)),
         (e6sp8._wedge4_perm(m), wedge4_matrix_sparse(a)),
     ):
         want = ({}, {})
         for src, (dst, k) in enumerate(perm):
-            for part, x in zip(want, e6sp8._I_POWERS[k]):
+            for part, x in zip(want, I_POWERS[k]):
                 if x:
                     part.setdefault(dst, {})[src] = x
         assert want == parts
@@ -627,7 +681,7 @@ def test_a4_phase_mutant_splits_alike_on_both_paths(monkeypatch, uncached):
             return AlgebraError
 
     fast = outcome(e6sp8._graded_bases.__wrapped__)
-    assert fast == outcome(lambda: graded_bases_walk(e6sp8.a_matrices()))
+    assert fast == outcome(lambda: graded_bases_walk(a_matrices()))
     assert fast is AlgebraError
 
 

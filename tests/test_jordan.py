@@ -16,7 +16,15 @@ from e6lab.jordan import (
     star,
     z_grading_operator,
 )
-from oracles import check_jordan_identity, h3rr_to_m3r_iso, leibniz_defect, mat_vec
+from oracles import (
+    check_jordan_identity,
+    h3rr_to_m3r_iso,
+    leibniz_defect,
+    mat_vec,
+    sp_commutator,
+    sparse_to_dense,
+    unflatten,
+)
 
 F = Fraction
 
@@ -174,7 +182,7 @@ def test_m3r_traceless_traceform_signature():
 def test_r_op_matches_multiplication():
     j = h3("O", GAMMA_SPLIT)
     x = j.iota(1, j.comp.alg.basis_vector(5))
-    r = linalg.sparse_to_dense(j.alg.right_mult_matrix(x), j.dim, j.dim)  # R_x: y -> y.x
+    r = sparse_to_dense(j.alg.right_mult_matrix(x), j.dim, j.dim)  # R_x: y -> y.x
     for i in (0, 3, 12, 26):
         y = j.alg.basis_vector(i)
         assert mat_vec(r, y) == j.mult(y, x)
@@ -184,7 +192,7 @@ def test_star_and_inner_trivials():
     j = h3("O")
     assert star(j, j.unit, j.unit) == [F(0)] * 27
     x = j.iota(0, j.comp.alg.basis_vector(3))
-    assert inner_der(j, x, x) == linalg.zeros(27, 27)
+    assert inner_der(j, x, x) == {}
     # star lands in J0 for traceless arguments
     jb = j0_basis(j)
     for a in jb[:5]:
@@ -198,11 +206,13 @@ def test_inner_der_span_is_52():
     mats = []
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
-            d = inner_der(j, basis[i], basis[k])
-            mats.append(sum(d, []))
+            mats.append(inner_der(j, basis[i], basis[k]))
     assert linalg.rank(mats) == 52
     d = inner_der(j, basis[0], basis[5])
-    assert not leibniz_defect(j.alg, d)
+    assert not leibniz_defect(j.alg, unflatten(d, j.dim))
+    # the one bracket against the two products merged, densified
+    rx, ry = j.alg.right_mult_matrix(basis[0]), j.alg.right_mult_matrix(basis[5])
+    assert unflatten(d, j.dim) == sparse_to_dense(sp_commutator(rx, ry), j.dim, j.dim)
 
 
 def test_derivations_of_albert_is_52():
@@ -269,6 +279,12 @@ def test_z_operator_is_derivation():
     op = z_grading_operator(j)
     quarter = [[v / 4 for v in row] for row in op]
     assert not leibniz_defect(j.alg, quarter)
+    # the same dense Fraction matrix as 4 times the two products merged
+    rx = j.alg.right_mult_matrix(j.iota(0, j.comp.unit()))
+    ry = j.alg.right_mult_matrix(j.e_vec(1))
+    merged = sparse_to_dense(sp_commutator(rx, ry), j.dim, j.dim)
+    assert op == [[4 * v for v in row] for row in merged]
+    assert all(type(v) is F for row in op for v in row)
 
 
 def test_z22_degrees():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import catalog, linalg
-from oracles import mat_vec
+from oracles import identity, mat_vec, sp_commutator, sp_flatten
 
 F = Fraction
 
@@ -47,7 +47,7 @@ def test_span_solver():
 def test_mat_inverse():
     a = [[F(2), F(1)], [F(1), F(1)]]
     inv = linalg.mat_inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(2)
+    assert linalg.mat_mul(a, inv) == identity(2)
 
 
 def test_intersect_spans():
@@ -173,7 +173,7 @@ def test_elimination_of_int_rows_stays_rational():
     # zeros are the Fraction 0, never the int 0, on int input too
     computed = [
         linalg.zeros(2, 3),
-        linalg.identity(3),
+        identity(3),
         [mat_vec([[2, 0], [0, 0]], [3, 0])],
         linalg.mat_mul([[2, 0], [0, 0]], [[1, 0], [0, 3]]),
         linalg.rref([[2, 1, 0], [4, 3, 0]])[0],
@@ -185,12 +185,13 @@ def test_elimination_of_int_rows_stays_rational():
         assert all(type(x) is F for row in rows for x in row), rows
     # the sparse helpers keep the type of the entries they copy or multiply,
     # so only their zeros are Fractions
-    copied = [
-        [linalg.lin_comb([2, 0], [[1, 0], [5, 7]])],
-        linalg.sparse_to_dense({0: {1: 3}}, 2, 2),
-    ]
+    copied = [[linalg.lin_comb([2, 0], [[1, 0], [5, 7]])]]
     for rows in copied:
         assert all(type(x) is F for row in rows for x in row if x == 0), rows
+    # and a bracket of int matrices stays int, one of Fraction matrices Fraction
+    assert linalg.sp_bracket({0: {1: 3}}, {1: {0: 1}}, 2) == {0: 3, 3: -3}
+    assert all(type(x) is int for x in linalg.sp_bracket({0: {1: 3}}, {1: {0: 1}}, 2).values())
+    assert all(type(x) is F for x in linalg.sp_bracket({0: {1: F(3)}}, {1: {0: F(1)}}, 2).values())
 
 
 def test_rref_returns_fractions_whatever_the_scale_of_int_rows():
@@ -268,8 +269,8 @@ def test_mat_inverse_qq(a, singular):
             linalg.mat_inverse(a)
         return
     inv = linalg.mat_inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(n)
-    assert linalg.mat_mul(inv, a) == linalg.identity(n)
+    assert linalg.mat_mul(a, inv) == identity(n)
+    assert linalg.mat_mul(inv, a) == identity(n)
 
 
 class _FractionSpanSolver:
@@ -677,3 +678,32 @@ def test_mat_mul_and_mat_vec_match_naive_loops(data, width):
     assert linalg.mat_mul(a, b) == _naive_mat_mul(a, b)
     v = [row[0] for row in b]
     assert mat_vec(a, v) == [row[0] for row in _naive_mat_mul(a, [[x] for x in v])]
+
+
+sparse_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+@st.composite
+def square_sparse_pairs(draw):
+    """(a, b, n): two sparse n x n matrices {row: {col: x}} with int or
+    Fraction entries (one type per draw), empty rows and zero entries
+    included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = draw(st.sampled_from((st.integers(min_value=-3, max_value=3), sparse_entries.map(F))))
+    rows = st.dictionaries(st.integers(0, n - 1), entries, max_size=n)
+    matrix = st.dictionaries(st.integers(0, n - 1), rows, max_size=n)
+    return draw(matrix), draw(matrix), n
+
+
+@given(square_sparse_pairs())
+@settings(max_examples=200, deadline=None)
+def test_sp_bracket_equals_the_merged_products(data):
+    a, b, n = data
+    got = linalg.sp_bracket(a, b, n)
+    assert got == sp_flatten(sp_commutator(a, b), n)
+    types = {type(x) for m in (a, b) for row in m.values() for x in row.values()}
+    assert all(type(x) in types for x in got.values())
+    assert all(got.values())
