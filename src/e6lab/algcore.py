@@ -12,14 +12,17 @@ from one helper, `bracket_constants`.
 The Jacobi and Killing certificates are sparse loops over the nonzero
 structure constants.  Jacobi walks only the basis triples through a set of
 basis vectors whose ad maps generate the algebra, which certifies every
-triple.  Both read the Python-int table D*c of `int_tensor` when its
-entries are small.  On that table Jacobi packs each row (m, c) into one
-Python int, one slot of w bits per coordinate, with w wide enough that every
-coordinate of a triple's cyclic sum is a signed digit of its slot: the packed
-sum is 0 iff the triple satisfies Jacobi (see `jacobi_defect`).  Past the
-bound Jacobi scales each output coordinate and each left row to ints on its
-own, so its sums stay exact ints with no common denominator and no gcd, and
-Killing reads the scalars of ``sc``; every table gives the same results.
+triple.  Both read one Python-int table T (`StructAlgebra._kernel_table`):
+the table D*c of `int_tensor` when its entries are small, and past that
+bound the table of the same algebra on the basis b_i / f_i, f_k the lcm of
+the denominators in column k, scaled to ints.  That diagonal change of
+basis keeps the defect triples, the ad generators and, up to the factors
+f_i f_j, the Killing form; on a small table rescaled by primes p_i (c_ijk
+p_i p_j / p_k, the benchmark's wide models) it brings T's entries back to
+small ints.  On T Jacobi packs each row (m, c) into one Python int, one
+slot of w bits per coordinate, with w wide enough that every coordinate of
+a triple's cyclic sum is a signed digit of its slot: the packed sum is 0
+iff the triple satisfies Jacobi (see `jacobi_defect`).
 Derivations are solved on the integer table D*c as well, and the bracket of
 Der(A) runs on the derivations scaled to one integer denominator.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .scalars import QONE, QQ, QZERO, Fraction as Rational, fmt_rational, parse_rational
@@ -53,6 +56,7 @@ class StructAlgebra:
     # only the benchmark's rescaled models pass it (`field=alg.field`).
     field: str = QQ
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _diag_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
     _der_int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
@@ -163,7 +167,7 @@ class StructAlgebra:
         denominator; (None, None) when dim * max|T|^2 >= 2^62.
 
         The bound picks the faster table, not an overflow guard: past it the
-        int products cost more than the exact fallbacks they replace.
+        certificates read the diagonal table of `_kernel_table` instead.
         """
         if self._int_cache is None:
             self._int_cache = self._scaled_int_table()
@@ -181,6 +185,43 @@ class StructAlgebra:
                 if not -top <= x <= top:
                     return (None, None)
         return (d, t)
+
+    def _kernel_table(self):
+        """(f, D, T): the int table the Jacobi, generator and Killing kernels
+        read, T = D*c' for the structure constants c' on the basis b_i / f_i.
+
+        Under the bound of `int_tensor` every f_i is 1, and (D, T) is its
+        table.  Past it f_k is the lcm of the denominators in column k of
+        ``sc``, and c'[i][j][k] = c[i][j][k] f_k / (f_i f_j): c f_k is an int
+        by the choice of f_k, so each entry costs one gcd, and D is the lcm
+        of the reduced denominators.  No bound is needed for exactness: the
+        kernels take their sizes from T.  Built on the first call past the
+        bound and kept beside the int table; callers never edit it.
+        """
+        d, t = self.int_tensor()
+        if t is not None:
+            return [1] * self.dim, d, t
+        if self._diag_cache is None:
+            cols = [set() for _ in range(self.dim)]
+            for row in self.sc.values():
+                for k, v in row.items():
+                    cols[k].add(v.denominator)
+            f = [lcm(*dens) for dens in cols]
+            reduced = {}  # (i, j) -> {k: (numerator, denominator) of c'}
+            for (i, j), row in self.sc.items():
+                fij = f[i] * f[j]
+                out = reduced[(i, j)] = {}
+                for k, v in row.items():
+                    u = v.numerator * (f[k] // v.denominator)
+                    g = gcd(u, fij)
+                    out[k] = (u // g, fij // g)
+            d = lcm(*{y for row in reduced.values() for _, y in row.values()})
+            t = {
+                key: {k: x * (d // y) for k, (x, y) in row.items()}
+                for key, row in reduced.items()
+            }
+            self._diag_cache = (f, d, t)
+        return self._diag_cache
 
 
 def algebra_from_products(labels, product) -> StructAlgebra:
@@ -265,24 +306,22 @@ def jacobi_defect(alg: StructAlgebra):
     as the full walk's on every input.
 
     Each triple sums the three cyclic terms [[b_i, b_j], b_k] over the
-    nonzero structure constants.  On the int table T = D*c each row (m, c)
-    is packed into one Python int, sum_q T[m, c][q] 2^(w q), and a triple's
-    sum is a few integer multiply-adds of packed rows.  Every coordinate of
-    that sum adds at most 3n products T[a, b][m] T[m, c][q], each at most
-    M^2 in absolute value (M = max |T|), and w = bitlen(3 n M^2) + 2 makes
-    every such coordinate a signed digit smaller than 2^(w-1) in absolute
-    value.  Then the packed sum is 0 iff every coordinate is: a nonzero top
-    digit outweighs all the digits below it.  Past the int table's bound
-    the sums run on the constants scaled to ints by rows and by columns
-    (`_jacobi_defect_scaled`).
+    nonzero entries of the int table T = D*c' of `_kernel_table`, the
+    constants c' of the basis b'_i = b_i / f_i (f_i = 1 under the bound of
+    `int_tensor`).  A diagonal change of basis is an isomorphism, and the
+    Jacobi sum of (b'_i, b'_j, b'_k) is J(b_i, b_j, b_k) / (f_i f_j f_k),
+    so the defect triples are the same on either basis.  Each row (m, c) of
+    T is packed into one Python int, sum_q T[m, c][q] 2^(w q), and a
+    triple's sum is a few integer multiply-adds of packed rows.  Every
+    coordinate of that sum adds at most 3n products T[a, b][m] T[m, c][q],
+    each at most M^2 in absolute value (M = max |T|), and w = bitlen(3 n
+    M^2) + 2 makes every such coordinate a signed digit smaller than
+    2^(w-1) in absolute value.  Then the packed sum is 0 iff every
+    coordinate is: a nonzero top digit outweighs all the digits below it.
     """
     if not alg.is_anticommutative():
         raise AlgebraError("jacobi_defect requires an anticommutative algebra")
-    t = alg.int_tensor()[1]
-    if t is None:
-        walk = partial(_jacobi_defect_scaled, alg)
-    else:
-        walk = partial(_jacobi_defect_packed, t, alg.dim)
+    walk = partial(_jacobi_defect_packed, alg._kernel_table()[2], alg.dim)
     if not walk(_ad_generators(alg), stop=True):
         return []
     return walk()
@@ -323,70 +362,6 @@ def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
     return bad
 
 
-def _jacobi_defect_scaled(alg: StructAlgebra, firsts=None, stop=False):
-    """`jacobi_defect`'s walk on the constants scaled to ints by rows and
-    columns: the triples (s, j, k), s < j < k, for s in firsts (every index,
-    the full reference walk i<j<k, when None) that fail Jacobi; with stop,
-    only the first one found.
-
-    Output coordinate q is scaled by f_q, the lcm of the denominators in
-    column q of the table: U[m, c][q] = f_q c[m, c][q].  Each left row (a, b)
-    is scaled by its own lcm e_ab: X[a, b][m] = e_ab c[a, b][m].  The term
-    sum_m X[a, b][m] U[m, c][q] is then e_ab f_q [[b_a, b_b], b_c]_q, and
-    with e1, e2, e3 the factors of the rows (i, j), (j, k), (k, i)
-    e2 e3 (term ijk) + e1 e3 (term jki) + e1 e2 (term kij) = e1 e2 e3 f_q J_q:
-    an exact int sum, with no bound and no gcd, that is 0 iff J_q is.
-    """
-    n = alg.dim
-    cols = [set() for _ in range(n)]
-    for row in alg.sc.values():
-        for q, v in row.items():
-            cols[q].add(v.denominator)
-    f = [lcm(*dens) for dens in cols]
-    u = [{} for _ in range(n)]  # u[m][c]: U[m, c] as {q: int}
-    for (m, c), row in alg.sc.items():
-        u[m][c] = {q: v.numerator * (f[q] // v.denominator) for q, v in row.items()}
-    # terms[a][b]: (e_ab, [(X[a, b][m], u[m]) for the nonzero entries m])
-    terms = [[(1, ())] * n for _ in range(n)]
-    for (a, b), row in alg.sc.items():
-        e = lcm(*(v.denominator for v in row.values()))
-        terms[a][b] = (e, [(v.numerator * (e // v.denominator), u[m]) for m, v in row.items()])
-    bad = []
-    for s in range(n) if firsts is None else firsts:
-        t_s = terms[s]
-        col_s = [terms[k][s] for k in range(n)]
-        for j in range(s + 1, n):
-            e1, t_sj = t_s[j]
-            t_j = terms[j]
-            for k in range(j + 1, n):
-                e2, t_jk = t_j[k]
-                e3, t_ks = col_s[k]
-                acc = {}
-                for x, um in t_sj:
-                    row = um.get(k)
-                    if row:
-                        x *= e2 * e3
-                        for q, y in row.items():
-                            acc[q] = acc.get(q, 0) + x * y
-                for x, um in t_jk:
-                    row = um.get(s)
-                    if row:
-                        x *= e1 * e3
-                        for q, y in row.items():
-                            acc[q] = acc.get(q, 0) + x * y
-                for x, um in t_ks:
-                    row = um.get(j)
-                    if row:
-                        x *= e1 * e2
-                        for q, y in row.items():
-                            acc[q] = acc.get(q, 0) + x * y
-                if any(acc.values()):
-                    bad.append((s, j, k))
-                    if stop:
-                        return bad
-    return bad
-
-
 def _ad_generators(alg: StructAlgebra) -> list:
     """Basis indices S, in index order, such that the smallest subspace U
     that holds every b_s (s in S) and is closed under every ad b_s is the
@@ -395,14 +370,15 @@ def _ad_generators(alg: StructAlgebra) -> list:
     The basis is walked in index order: index b joins S when the basis
     vector b_b is not in U yet, and U is then closed again under ad_S.  U is
     held as primitive int echelon rows; each bracket [b_s, u] is a sparse
-    row on the int table of `int_tensor` (``sc`` past its bound), and
-    `linalg.echelon_insert` clears it of denominators, makes it primitive
-    and adds it to U when it does not reduce to 0.  Every basis vector ends
-    in U, as a generator or not, so U is the whole algebra when the walk
-    ends.
+    int row on the table of `_kernel_table`, and `linalg.echelon_insert`
+    makes it primitive and adds it to U when it does not reduce to 0.  Every
+    basis vector ends in U, as a generator or not, so U is the whole algebra
+    when the walk ends.  Past the bound of `int_tensor` that table is on the
+    basis b_i / f_i: it spans what the b_i span, and ad (b_s / f_s) is
+    ad b_s / f_s, so every closure, and S, is the same as on ``sc``.
     """
     n = alg.dim
-    table = alg.int_tensor()[1] or alg.sc
+    table = alg._kernel_table()[2]
     ad = [{} for _ in range(n)]  # ad[s][m]: the row [b_s, b_m]
     for (s, m), row in table.items():
         ad[s][m] = row
@@ -496,20 +472,20 @@ class LieAlgebra:
 def killing_matrix(lie: LieAlgebra):
     """K[i][j] = tr(ad b_i ad b_j), exact and symmetric.
 
-    Sums c[i][m][q] c[j][q][m] over the nonzeros indexed by (m, q); the int
-    table's sums are divided by D^2 at the end.
+    Sums T[i, m][q] T[j, q][m] over the nonzeros indexed by (m, q), on the
+    int table T = D*c' of `_kernel_table` for the basis b'_i = b_i / f_i.
+    Since ad b'_i = ad b_i / f_i, the Killing form there is K[i][j] / (f_i
+    f_j), so K[i][j] = f_i f_j S[i][j] / D^2 with S the int sums: one
+    Fraction per nonzero entry.
     """
     alg = lie.alg
     n = alg.dim
-    d, t = alg.int_tensor()
-    if t is None:
-        t = alg.sc
-    z = QZERO if d is None else 0
+    f, d, t = alg._kernel_table()
     by_mq = {}
     for (i, m), row in t.items():
         for q, v in row.items():
             by_mq.setdefault((m, q), []).append((i, v))
-    kmat = [[z] * n for _ in range(n)]
+    kmat = [[0] * n for _ in range(n)]
     for (m, q), left in by_mq.items():
         right = by_mq.get((q, m))
         if not right:
@@ -518,14 +494,15 @@ def killing_matrix(lie: LieAlgebra):
             for j, vj in right:
                 if j < i:
                     continue
-                kmat[i][j] = kmat[i][j] + vi * vj
+                kmat[i][j] += vi * vj
     for i in range(n):
         for j in range(i):
             kmat[i][j] = kmat[j][i]
-    if d is not None:
-        dd = d * d
-        kmat = [[Fraction(v, dd) if v else QZERO for v in row] for row in kmat]
-    return kmat
+    dd = d * d
+    return [
+        [Fraction(v * fi * fj, dd) if v else QZERO for v, fj in zip(row, f)]
+        for row, fi in zip(kmat, f)
+    ]
 
 
 # ---------------------------------------------------------------------------

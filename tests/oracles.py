@@ -4,7 +4,8 @@ Each one restates, directly and without the package's fast paths, something
 the package computes another way or takes as given: dense matrix products
 and the sparse commutator as two products merged, the standard derivation
 d_{a,b} of a Hurwitz algebra from dense products, the Leibniz rule on every
-basis pair, the Jordan identity, an explicit Jordan isomorphism, the odd x
+basis pair, the Jacobi walk on the constants scaled to ints by rows and by
+columns, the Jordan identity, an explicit Jordan isomorphism, the odd x
 odd bracket of the symplectic model read back from its table, the
 derivation action on Lambda^2 and the push of a grading through a group
 map.  None of them is used by the package.
@@ -21,6 +22,7 @@ and the target-leaf reads of `e6sp8` to them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from e6lab import e6sp8, linalg
 from e6lab.algcore import AlgebraError, bracket_constants, fixed_subspace, put_antisymmetric
@@ -152,6 +154,67 @@ def leibniz_defect(alg, d) -> bool:
             if lhs != rhs:
                 return True
     return False
+
+
+def jacobi_defect_scaled(alg, firsts=None):
+    """The reference Jacobi walk on the constants scaled to ints by rows and
+    columns: the triples (s, j, k), s < j < k, for s in firsts (every index,
+    the full walk i<j<k, when None) that fail Jacobi.
+
+    Output coordinate q is scaled by f_q, the lcm of the denominators in
+    column q of the table: U[m, c][q] = f_q c[m, c][q].  Each left row (a, b)
+    is scaled by its own lcm e_ab: X[a, b][m] = e_ab c[a, b][m].  The term
+    sum_m X[a, b][m] U[m, c][q] is then e_ab f_q [[b_a, b_b], b_c]_q, and
+    with e1, e2, e3 the factors of the rows (i, j), (j, k), (k, i)
+    e2 e3 (term ijk) + e1 e3 (term jki) + e1 e2 (term kij) = e1 e2 e3 f_q J_q:
+    an exact int sum, with no bound and no gcd, that is 0 iff J_q is.
+    """
+    n = alg.dim
+    cols = [set() for _ in range(n)]
+    for row in alg.sc.values():
+        for q, v in row.items():
+            cols[q].add(v.denominator)
+    f = [lcm(*dens) for dens in cols]
+    u = [{} for _ in range(n)]  # u[m][c]: U[m, c] as {q: int}
+    for (m, c), row in alg.sc.items():
+        u[m][c] = {q: v.numerator * (f[q] // v.denominator) for q, v in row.items()}
+    # terms[a][b]: (e_ab, [(X[a, b][m], u[m]) for the nonzero entries m])
+    terms = [[(1, ())] * n for _ in range(n)]
+    for (a, b), row in alg.sc.items():
+        e = lcm(*(v.denominator for v in row.values()))
+        terms[a][b] = (e, [(v.numerator * (e // v.denominator), u[m]) for m, v in row.items()])
+    bad = []
+    for s in range(n) if firsts is None else firsts:
+        t_s = terms[s]
+        col_s = [terms[k][s] for k in range(n)]
+        for j in range(s + 1, n):
+            e1, t_sj = t_s[j]
+            t_j = terms[j]
+            for k in range(j + 1, n):
+                e2, t_jk = t_j[k]
+                e3, t_ks = col_s[k]
+                acc = {}
+                for x, um in t_sj:
+                    row = um.get(k)
+                    if row:
+                        x *= e2 * e3
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                for x, um in t_jk:
+                    row = um.get(s)
+                    if row:
+                        x *= e1 * e3
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                for x, um in t_ks:
+                    row = um.get(j)
+                    if row:
+                        x *= e1 * e2
+                        for q, y in row.items():
+                            acc[q] = acc.get(q, 0) + x * y
+                if any(acc.values()):
+                    bad.append((s, j, k))
+    return bad
 
 
 def check_jordan_identity(j, extended: bool = True):

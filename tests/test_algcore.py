@@ -25,7 +25,15 @@ from e6lab.algcore import (
     signature_from_fix,
     twist,
 )
-from oracles import identity, leibniz_defect, mat_sub, mat_vec, sp_commutator, sp_flatten
+from oracles import (
+    identity,
+    jacobi_defect_scaled,
+    leibniz_defect,
+    mat_sub,
+    mat_vec,
+    sp_commutator,
+    sp_flatten,
+)
 
 F = Fraction
 
@@ -86,7 +94,7 @@ def test_jacobi_exact_path_agrees():
 def test_packed_jacobi_matches_the_scaled_loop_on_catalog_models(name):
     alg = catalog.model(name)[0].alg
     assert alg.int_tensor()[1] is not None
-    assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg) == []
+    assert jacobi_defect(alg) == jacobi_defect_scaled(alg) == []
 
 
 def _mutated_tits_o_m3r():
@@ -104,7 +112,7 @@ def test_packed_jacobi_matches_the_scaled_loop_on_a_mutated_model():
     mutant = _mutated_tits_o_m3r()
     defect = jacobi_defect(mutant)
     assert defect
-    assert defect == algcore._jacobi_defect_scaled(mutant)
+    assert defect == jacobi_defect_scaled(mutant)
 
 
 def _primes_below(top, count):
@@ -155,6 +163,28 @@ def test_scaled_jacobi_past_the_bound_finds_the_mutants_triples():
     assert jacobi_defect(wide) == defect
 
 
+@pytest.mark.parametrize("name", ["tits-o-m3r", "tits-c-albert", "sp8-e6", "chevalley-e6"])
+def test_certificates_past_the_bound_read_a_small_diagonal_table(name):
+    # the benchmark's wide models: b_i -> p_i b_i with distinct 31-bit primes
+    # pushes int_tensor past its bound, and the kernels then read the table
+    # on b_i / f_i, whose entries are back within it
+    lie = catalog.model(name)[0]
+    n = lie.dim
+    primes = _primes_below(2**31 - 1, n)
+    wide = LieAlgebra(_rescaled(lie.alg, primes), check_jacobi=False)
+    assert wide.alg.int_tensor() == (None, None)
+    t = wide.alg._kernel_table()[2]
+    top = max(abs(y) for row in t.values() for y in row.values())
+    assert n * top * top < algcore._INT_TABLE_BOUND
+    k, k_wide = lie.killing_matrix(), killing_matrix(wide)
+    assert all(
+        k_wide[i][j] == k[i][j] * primes[i] * primes[j] for i in range(n) for j in range(n)
+    )
+    assert inertia(k_wide) == lie.killing_inertia()
+    assert algcore._ad_generators(wide.alg) == algcore._ad_generators(lie.alg)
+    assert jacobi_defect(wide.alg) == []
+
+
 @st.composite
 def integer_tables(draw):
     """An anticommutative table of dim 3-6 with integer entries of absolute
@@ -177,7 +207,7 @@ def integer_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_packed_jacobi_matches_the_scaled_loop_on_integer_tables(alg):
     assert alg.int_tensor()[1] is not None
-    assert jacobi_defect(alg) == algcore._jacobi_defect_scaled(alg)
+    assert jacobi_defect(alg) == jacobi_defect_scaled(alg)
 
 
 def test_int_tensor_bound_is_on_the_entries():
@@ -218,7 +248,7 @@ def test_killing_sl2():
 def test_killing_exact_fallback_agrees():
     lie = LieAlgebra(sl2())
     fast = killing_matrix(lie)
-    # force the exact path by faking a huge entry bound
+    # force the diagonal table by faking a huge entry bound
     lie.alg._int_cache = (None, None)
     slow = killing_matrix(lie)
     assert fast == slow
@@ -492,6 +522,33 @@ def test_kernels_match_brute_force_on_both_tables(case):
     assert killing_matrix(lie) == kmat
 
 
+def test_kernels_match_brute_force_on_a_diagonal_table_past_the_bound():
+    # c[1, 2][0] = 2^-61 makes f_0 = 7 * 2^61, so the integer bracket [b_0,
+    # b_1] = b_3 - 2 b_2 gets the constants 1 / (7 * 2^62) and -2 / (7 * 2^62)
+    # on b_i / f_i: the diagonal table's denominator is past the bound too
+    alg = _from_brackets(
+        5,
+        {
+            (1, 2): {0: F(1, 2**61), 4: F(1, 3)},
+            (0, 1): {3: F(1), 2: F(-2)},
+            (0, 3): {1: F(1, 2)},
+            (2, 3): {4: F(3)},
+            (3, 4): {2: F(1)},
+            (0, 4): {0: F(5, 7)},
+        },
+    )
+    assert alg.int_tensor() == (None, None)
+    f, d, t = alg._kernel_table()
+    top = max(abs(y) for row in t.values() for y in row.values())
+    assert f[0] == 7 * 2**61 and d % 2**62 == 0
+    assert alg.dim * top * top >= algcore._INT_TABLE_BOUND
+    defect = _jacobi_reference(alg)
+    kmat = _killing_reference(alg)
+    assert defect and any(any(row) for row in kmat)
+    assert jacobi_defect(alg) == defect
+    assert killing_matrix(LieAlgebra(alg, check_jacobi=False)) == kmat
+
+
 # Three-dimensional Lie algebras by their brackets [b_i, b_j], i < j.  Scaling
 # one bracket of so3 or of the Heisenberg algebra gives a Lie algebra again,
 # and so does scaling [e, f] of sl2; scaling [h, e] or [h, f] by s breaks
@@ -575,7 +632,7 @@ def test_scaled_loop_on_prime_rescaled_lie_algebras(case):
     defect = _jacobi_reference(alg)
     assert bool(defect) == breaks
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the row/column-scaled loop, whatever the entry sizes
+    alg._int_cache = (None, None)  # the diagonal table, whatever the entry sizes
     assert jacobi_defect(alg) == defect
 
 
@@ -655,7 +712,7 @@ def test_generator_walk_matches_the_reference_on_both_tables(alg):
         before = _ad_closure(alg, [s for s in gens if s < b])
         assert (b in gens) == (linalg.rank(before + [{b: 1}]) > len(before))
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the row/column-scaled walk
+    alg._int_cache = (None, None)  # the diagonal table
     assert algcore._ad_generators(alg) == gens
     assert jacobi_defect(alg) == defect
 
@@ -689,12 +746,12 @@ def test_jacobi_walk_is_s_j_k_through_the_firsts():
     # every index first: the reference walk i<j<k, in order
     full = list(combinations(range(n), 3))
     assert algcore._jacobi_defect_packed(t, n) == full
-    assert algcore._jacobi_defect_scaled(alg) == full
+    assert jacobi_defect_scaled(alg) == full
     # a subset: exactly the triples (s, j, k) with s < j < k, s first
     firsts = [1, 2, 4]
     through = [(s, j, k) for s in firsts for j, k in combinations(range(s + 1, n), 2)]
     assert algcore._jacobi_defect_packed(t, n, firsts) == through
-    assert algcore._jacobi_defect_scaled(alg, firsts) == through
+    assert jacobi_defect_scaled(alg, firsts) == through
 
 
 def test_jacobi_finds_a_defect_through_the_last_generator_only():
@@ -706,7 +763,7 @@ def test_jacobi_finds_a_defect_through_the_last_generator_only():
     alg = StructAlgebra(dim=4, basis_labels=["b0", "b1", "b2", "b3"], sc=sc)
     assert algcore._ad_generators(alg) == [0, 1]
     assert jacobi_defect(alg) == _jacobi_reference(alg) == [(1, 2, 3)]
-    alg._int_cache = (None, None)  # the row/column-scaled walk
+    alg._int_cache = (None, None)  # the diagonal table
     assert jacobi_defect(alg) == [(1, 2, 3)]
 
 
