@@ -10,19 +10,25 @@ built from a basis (Der(A), sp8, the Chevalley chain basis, subalgebras) comes
 from one helper, `bracket_constants`.
 
 The Jacobi and Killing certificates are sparse loops over the nonzero
-structure constants.  Jacobi walks only the basis triples through a set of
-basis vectors whose ad maps generate the algebra, which certifies every
-triple.  Both read one Python-int table T (`StructAlgebra._kernel_table`):
-the table D*c of `int_tensor` when its entries are small, and past that
-bound the table of the same algebra on the basis b_i / f_i, f_k the lcm of
-the denominators in column k, scaled to ints.  That diagonal change of
-basis keeps the defect triples, the ad generators and, up to the factors
-f_i f_j, the Killing form; on a small table rescaled by primes p_i (c_ijk
-p_i p_j / p_k, the benchmark's wide models) it brings T's entries back to
-small ints.  On T Jacobi packs each row (m, c) into one Python int, one
-slot of w bits per coordinate, with w wide enough that every coordinate of
-a triple's cyclic sum is a signed digit of its slot: the packed sum is 0
-iff the triple satisfies Jacobi (see `jacobi_defect`).
+structure constants.  Jacobi walks only the basis triples through a set S
+of basis vectors whose ad maps generate the algebra, each generator only
+with the pairs placed after it: the basis is placed in an order where every
+vector the closure of the earlier generators holds comes before the next
+generator, which certifies every triple.  Both read one Python-int table T
+(`StructAlgebra._kernel_table`): the table D*c of `int_tensor` when its
+entries are small, and past that bound the table of the same algebra on
+the basis b_i / f_i, f_k the lcm of the denominators in column k, scaled
+to ints.  That diagonal change of basis keeps the defect triples, the
+placement and, up to the factors f_i f_j, the Killing form; on a small
+table rescaled by primes p_i (c_ijk p_i p_j / p_k, the benchmark's wide
+models) it brings T's entries back to small ints.  On T Jacobi packs
+each row (m, c) into one Python int, one slot of w bits per coordinate,
+with w wide enough that every coordinate of a triple's cyclic sum is a
+signed digit of its slot: the packed sum is 0 iff the triple satisfies
+Jacobi, and packed rows are equal iff the rows are, so anticommutativity
+is read off them too (see `jacobi_defect`).  The algebra keeps the defect
+triples it found (`jacobi_certificate`), which `LieAlgebra`, the C02
+checks and `e6lab build` read.
 Derivations are solved on the integer table D*c as well, and the bracket of
 Der(A) runs on the derivations scaled to one integer denominator.
 """
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt, lcm
 
 from . import linalg
@@ -60,6 +65,7 @@ class StructAlgebra:
     _der_cache: list = dc_field(default=None, repr=False, compare=False)
     _der_int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _jacobi_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.field != QQ:
@@ -272,9 +278,13 @@ def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dic
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
-    Jacobi is checked, for each generator s of L under its own ad maps
-    (`_ad_generators`, in index order), on the triples (s, j, k) with
-    s < j < k, which certifies every triple:
+    Raises AlgebraError when the table is not anticommutative.  Each call
+    computes the certificate; `jacobi_certificate` keeps it on the algebra.
+
+    Jacobi is checked on the triples through a set S of basis vectors whose
+    ad maps generate L, each generator s only with the pairs placed after
+    it in the placement order of `_ad_generators`, which certifies every
+    triple:
 
     Lemma.  Let L be anticommutative, V = {x : ad x is a derivation}, and S
     basis indices such that the smallest subspace U that holds every b_s,
@@ -293,13 +303,14 @@ def jacobi_defect(alg: StructAlgebra):
     b_sk]] of elements of S, so U is in V, and V = L: every ad is a
     derivation, and J vanishes on every triple.
 
-    Walking only j, k > s meets the hypothesis, by induction over S in index
-    order.  Let s be in S and assume every earlier generator is in V.  Every
-    index j < s lies in the closure U_s of the generators before s: b_j is
-    such a generator, or `_ad_generators` found it inside that closure when
-    it reached j.  V is a subalgebra, so U_s lies in V, and J vanishes on
-    every triple through such a j.  The triples through s left are those
-    with j, k > s; once they pass, b_s is in V too.
+    Walking, for each s in S, only the pairs j, k placed after s meets the
+    hypothesis, by induction over S in placement order.  Let s be in S and
+    assume every earlier generator is in V.  Every index placed before s is
+    an earlier generator, or it lay in the closure U_s of the earlier
+    generators when it was placed.  V is a subalgebra, so U_s lies in V,
+    and J vanishes on every triple through such an index.  The triples
+    through s left are those whose two other indices are placed after s;
+    once they pass, b_s is in V too.
 
     The walk over S stops at its first defect; if there is one, the full
     walk over every triple i<j<k gives the list, so the result is the same
@@ -310,44 +321,87 @@ def jacobi_defect(alg: StructAlgebra):
     constants c' of the basis b'_i = b_i / f_i (f_i = 1 under the bound of
     `int_tensor`).  A diagonal change of basis is an isomorphism, and the
     Jacobi sum of (b'_i, b'_j, b'_k) is J(b_i, b_j, b_k) / (f_i f_j f_k),
-    so the defect triples are the same on either basis.  Each row (m, c) of
-    T is packed into one Python int, sum_q T[m, c][q] 2^(w q), and a
-    triple's sum is a few integer multiply-adds of packed rows.  Every
+    so the defect triples are the same on either basis.  One pass packs
+    each row (m, c) of T into one Python int, sum_q T[m, c][q] 2^(w q), and
+    a triple's sum is a few integer multiply-adds of packed rows.  Every
     coordinate of that sum adds at most 3n products T[a, b][m] T[m, c][q],
     each at most M^2 in absolute value (M = max |T|), and w = bitlen(3 n
     M^2) + 2 makes every such coordinate a signed digit smaller than
     2^(w-1) in absolute value.  Then the packed sum is 0 iff every
     coordinate is: a nonzero top digit outweighs all the digits below it.
+    Each entry of T is such a digit too, so packing is injective, and the
+    table is anticommutative in the sense of `is_anticommutative` iff no
+    row (m, m) holds an entry and every row (c, m) holds the keys of row
+    (m, c) and packs to minus it (`_anticommutative`): T stores the keys of
+    ``sc``, and the diagonal change of basis multiplies rows (m, c) and
+    (c, m) by the same factors, so T is anticommutative iff c is.
     """
-    if not alg.is_anticommutative():
-        raise AlgebraError("jacobi_defect requires an anticommutative algebra")
-    walk = partial(_jacobi_defect_packed, alg._kernel_table()[2], alg.dim)
-    if not walk(_ad_generators(alg), stop=True):
-        return []
-    return walk()
-
-
-def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
-    """The triples (s, j, k), s < j < k, for s in firsts (every index, the
-    walk i<j<k, when None) whose Jacobi sum on the packed int table t of
-    dimension n is not 0; with stop, only the first one found."""
-    top = max((abs(y) for row in t.values() for y in row.values()), default=0)
-    w = (3 * n * top * top).bit_length() + 2
+    n = alg.dim
+    t = alg._kernel_table()[2]
+    values = [y for row in t.values() for y in row.values()]
+    top = max(max(values, default=0), -min(values, default=0))
+    shift = [((3 * n * top * top).bit_length() + 2) * q for q in range(n)]
     packed = [{} for _ in range(n)]  # packed[m][c]: row (m, c) as one int
-    for (m, c), row in t.items():
-        packed[m][c] = sum(y << (w * q) for q, y in row.items())
     # terms[a][b]: (T[a, b][m], packed[m]) for the nonzero entries m
     terms = [{} for _ in range(n)]
     for (a, b), row in t.items():
-        terms[a][b] = [(x, packed[m]) for m, x in row.items()]
+        acc = 0
+        term = terms[a][b] = []
+        for m, x in row.items():
+            acc += x << shift[m]
+            term.append((x, packed[m]))
+        packed[a][b] = acc
+    if not _anticommutative(t, packed, 0 in values):
+        raise AlgebraError("jacobi_defect requires an anticommutative algebra")
+    order, gens = _ad_generators(alg)
+    if not _jacobi_walk(terms, order, gens, stop=True):
+        return []
+    index_order = list(range(n))
+    return _jacobi_walk(terms, index_order, index_order)
+
+
+def _anticommutative(t: dict, packed: list, zero_stored: bool) -> bool:
+    """Whether the int table t, whose rows `jacobi_defect` packed, is
+    anticommutative in the sense of `is_anticommutative`: each packed row
+    (c, m) is minus packed row (m, c), and, when t stores a zero entry,
+    each row (c, m) holds the keys of row (m, c) and no row (m, m) holds
+    any.  Packed rows are negatives iff the rows are, entry by entry, so
+    their key sets can differ only where a zero is stored."""
+    for a, row in enumerate(packed):
+        for b, x in row.items():
+            if packed[b].get(a, 0) != -x:
+                return False
+    return not zero_stored or all(
+        not (a == b and row) and t.get((b, a), {}).keys() == row.keys() for (a, b), row in t.items()
+    )
+
+
+def jacobi_certificate(alg: StructAlgebra) -> tuple:
+    """The defect triples of `jacobi_defect` on this algebra object, as a
+    tuple, computed on the first call and kept on the algebra.  Tables are
+    never edited in place once a certificate has read them, so the memo
+    stays that of the table."""
+    if alg._jacobi_cache is None:
+        alg._jacobi_cache = tuple(jacobi_defect(alg))
+    return alg._jacobi_cache
+
+
+def _jacobi_walk(terms, order, firsts, stop=False):
+    """The triples (s, j, k) for s in firsts and j before k both placed
+    after s in order, whose Jacobi sum on the packed rows of `terms` is not
+    0; with stop, only the first one found.  firsts and order both the
+    indices 0..n-1 in index order walk every triple i<j<k."""
+    n = len(order)
+    at = {b: p for p, b in enumerate(order)}
     bad = []
-    for s in range(n) if firsts is None else firsts:
+    for s in firsts:
+        later = order[at[s] + 1 :]
         t_s = terms[s]
         col_s = [terms[k].get(s, ()) for k in range(n)]
-        for j in range(s + 1, n):
+        for a, j in enumerate(later, start=1):
             t_sj = t_s.get(j, ())
             t_j = terms[j]
-            for k in range(j + 1, n):
+            for k in later[a:]:
                 acc = 0
                 for x, pm in t_sj:
                     acc += x * pm.get(k, 0)
@@ -362,39 +416,65 @@ def _jacobi_defect_packed(t: dict, n: int, firsts=None, stop=False):
     return bad
 
 
-def _ad_generators(alg: StructAlgebra) -> list:
-    """Basis indices S, in index order, such that the smallest subspace U
-    that holds every b_s (s in S) and is closed under every ad b_s is the
-    whole algebra: the generators `jacobi_defect` checks.
+def _ad_generators(alg: StructAlgebra) -> tuple:
+    """(order, S): a placement order of the basis indices, and the basis
+    indices S, in that order, such that the smallest subspace U that holds
+    every b_s (s in S) and is closed under every ad b_s is the whole
+    algebra: the generators `jacobi_defect` checks.
 
-    The basis is walked in index order: index b joins S when the basis
-    vector b_b is not in U yet, and U is then closed again under ad_S.  U is
-    held as primitive int echelon rows; each bracket [b_s, u] is a sparse
-    int row on the table of `_kernel_table`, and `linalg.echelon_insert`
-    makes it primitive and adds it to U when it does not reduce to 0.  Every
-    basis vector ends in U, as a generator or not, so U is the whole algebra
-    when the walk ends.  Past the bound of `int_tensor` that table is on the
-    basis b_i / f_i: it spans what the b_i span, and ad (b_s / f_s) is
-    ad b_s / f_s, so every closure, and S, is the same as on ``sc``.
+    Basis vectors are placed one at a time.  A vector that U already holds
+    is placed before any new generator, lowest index first.  Otherwise the
+    next generator is the unplaced vector with the most nonzero brackets
+    against the placed ones, ties going to the lowest index; it is placed,
+    joins S, and U is closed again under ad_S.  So every vector placed
+    before a generator s is an earlier generator, or lay in the closure of
+    the earlier generators when it was placed, and a generator placed late
+    has few pairs left to walk.
+
+    U is held as primitive int echelon rows; each bracket [b_s, u] is a
+    sparse int row on the table of `_kernel_table`, and
+    `linalg.echelon_reduce` reduces it, so it joins U when it does not
+    reduce to 0; b lies in U iff {b: 1} reduces to 0.  Past the bound of
+    `int_tensor` that table is on the basis b_i / f_i: it spans what the
+    b_i span, has the same nonzero brackets, and ad (b_s / f_s) is
+    ad b_s / f_s, so every closure, and the placement, is the same as on
+    ``sc``.
     """
     n = alg.dim
-    table = alg._kernel_table()[2]
     ad = [{} for _ in range(n)]  # ad[s][m]: the row [b_s, b_m]
-    for (s, m), row in table.items():
+    for (s, m), row in alg._kernel_table()[2].items():
         ad[s][m] = row
-    gens = []
+    order, gens = [], []
+    unplaced = set(range(n))
+    hits = [0] * n  # hits[b]: placed indices p with [b_b, b_p] != 0
     echelon = {}
     rows = []  # U's echelon rows, in the order they joined
     applied = []  # applied[i]: gens[:applied[i]] have been applied to rows[i]
-    for b in range(n):
-        if len(echelon) == n:
-            break
-        r = linalg.echelon_insert(echelon, {b: 1})
-        if r is None:
-            continue
-        gens.append(b)
-        rows.append(r)
-        applied.append(0)
+
+    def place(b):
+        order.append(b)
+        unplaced.discard(b)
+        for m in ad[b]:
+            hits[m] += 1
+
+    def join(r):
+        """Add the int row r, with no zero entry, to U unless U holds it."""
+        v = linalg.echelon_insert(echelon, r)
+        if v is not None:
+            rows.append(v)
+            applied.append(0)
+
+    while True:
+        full = len(echelon) == n
+        for b in sorted(unplaced):
+            if full or (b in echelon and not linalg.echelon_reduce(echelon, {b: 1})):
+                place(b)
+        if not unplaced:
+            return order, gens
+        g = min(unplaced, key=lambda b: (-hits[b], b))
+        place(g)
+        gens.append(g)
+        join({g: 1})
         i = 0
         while i < len(rows) and len(echelon) < n:
             u = rows[i]
@@ -406,13 +486,9 @@ def _ad_generators(alg: StructAlgebra) -> list:
                     if row:
                         for q, y in row.items():
                             acc[q] = acc.get(q, 0) + x * y
-                v = linalg.echelon_insert(echelon, acc)
-                if v is not None:
-                    rows.append(v)
-                    applied.append(0)
+                join({q: x for q, x in acc.items() if x})
             applied[i] = len(gens)
             i += 1
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +500,7 @@ class LieAlgebra:
 
     def __init__(self, alg: StructAlgebra, check_jacobi: bool = True):
         if check_jacobi:
-            defect = jacobi_defect(alg)  # rejects a table that is not anticommutative
+            defect = jacobi_certificate(alg)  # rejects a table that is not anticommutative
             if defect:
                 raise AlgebraError(
                     f"Jacobi fails on {len(defect)} basis triples, first {defect[0]}"

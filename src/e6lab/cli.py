@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import catalog, chevalley, verify
-from .algcore import algebra_to_json, jacobi_defect
+from .algcore import algebra_to_json, jacobi_certificate
 from .gradings import grading_to_json, type_vector, verify as verify_grading
 from .tits import proportionality_constants
 
@@ -39,7 +39,7 @@ def cmd_build(args) -> int:
         print(f"unknown model {args.model!r}; choose from {', '.join(catalog.MODEL_NAMES)}", file=sys.stderr)
         return 2
     lie, provenance = catalog.model(args.model)
-    defect = jacobi_defect(lie.alg)
+    defect = jacobi_certificate(lie.alg)
     sig = catalog.model_signature(args.model)
     doc = algebra_to_json(lie.alg, provenance=provenance)
     if args.out and not _write(args.out, verify.render_json(doc)):

@@ -195,25 +195,36 @@ def _echelon(rows) -> dict:
     """
     echelon = {}  # pivot column -> primitive int row with nothing to its left
     for r in rows:
-        echelon_insert(echelon, r)
+        echelon_insert(echelon, int_scaled(sparse(r))[1])
     return echelon
 
 
-def echelon_insert(echelon: dict, row):
-    """Clear the dense or {col: x} row of denominators, make it primitive
-    and reduce it against the echelon rows {pivot column: row} of
-    `_echelon`; insert what is left at its leading column and return it, or
-    None when the row reduces to 0, that is when it lies in the span of the
-    echelon rows.  row itself is left as it is."""
-    r = primitive(int_scaled(sparse(row))[1])
+def echelon_insert(echelon: dict, r: dict):
+    """Reduce the {col: int} row r, with no zero entry, against the echelon
+    rows {pivot column: row} of `_echelon` (`echelon_reduce`); insert what
+    is left at its leading column and return it, or None when r reduces to
+    0, that is when it lies in the span of the echelon rows.  r may be
+    overwritten."""
+    r = echelon_reduce(echelon, r)
+    if not r:
+        return None
+    echelon[min(r)] = r
+    return r
+
+
+def echelon_reduce(echelon: dict, r: dict) -> dict:
+    """The {col: int} row r, with no zero entry, made primitive and reduced
+    against the echelon rows: {} when r lies in their span, and otherwise a
+    primitive row whose leading column holds no echelon row.  r may be
+    overwritten."""
+    r = primitive(r)
     while r:
         c = min(r)
         p = echelon.get(c)
         if p is None:
-            echelon[c] = r
             return r
         r = _eliminate(r, r[c], p, p[c])
-    return None
+    return r
 
 
 def _eliminate(r: dict, x, p: dict, y) -> dict:

@@ -426,13 +426,13 @@ def sp31_decomposition() -> dict:
             if not row.keys() <= pos.keys():
                 raise AlgebraError("the even part is not closed under the bracket")
             sub_sc[(pos[a], pos[b])] = {pos[k]: v for k, v in row.items()}
-    sub = LieAlgebra(
+    # a subalgebra of a Lie algebra, closed as checked above
+    sub = LieAlgebra._of_lie_table(
         StructAlgebra(
             dim=even_dim,
             basis_labels=[f"s{i}" for i in range(even_dim)],
             sc=sub_sc,
-        ),
-        check_jacobi=False,
+        )
     )
     k0 = killing_matrix(sub)
     delta = _ratio_constant(gram, list(range(even_dim)), k0)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import catalog, chevalley, e6sp8
-from .algcore import derivations, fixed_subspace, jacobi_defect
+from .algcore import derivations, fixed_subspace, jacobi_certificate
 from .composition import hurwitz
 from .gradings import (
     killing_orthogonality_violations,
@@ -100,7 +100,7 @@ def group_jacobi():
     for name in catalog.MODEL_NAMES:
         lie, _ = catalog.model(name)
         out.append(
-            _check(f"C02.jacobi-{name}", f"Jacobi defect of {name}", 0, len(jacobi_defect(lie.alg)))
+            _check(f"C02.jacobi-{name}", f"Jacobi defect of {name}", 0, len(jacobi_certificate(lie.alg)))
         )
     return out
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import e6lab
-from e6lab import algcore, catalog, linalg
+from e6lab import algcore, catalog, linalg, verify
 from e6lab.algcore import (
     AlgebraError,
     LieAlgebra,
@@ -181,7 +181,6 @@ def test_certificates_past_the_bound_read_a_small_diagonal_table(name):
         k_wide[i][j] == k[i][j] * primes[i] * primes[j] for i in range(n) for j in range(n)
     )
     assert inertia(k_wide) == lie.killing_inertia()
-    assert algcore._ad_generators(wide.alg) == algcore._ad_generators(lie.alg)
     assert jacobi_defect(wide.alg) == []
 
 
@@ -700,34 +699,57 @@ def _ad_closure(alg, gens):
         dim = grown
 
 
+def _basis_vectors_in(closure):
+    """The indices b with b_b in the span of the reduced echelon rows
+    closure: b_b has 0 at every pivot but b, so it is in the span iff the
+    row of pivot b is b_b itself."""
+    return {b for row in closure for b in row if row == {b: 1}}
+
+
+def _check_placement(alg, order, gens):
+    """The induction of `jacobi_defect`, on the oracle `_ad_closure`: S
+    generates, and the vectors placed before each generator are exactly the
+    basis vectors that the closure of the earlier generators holds, so each
+    of them lies in it, it holds no generator, and no vector it holds is
+    placed after a generator."""
+    assert sorted(order) == list(range(alg.dim))
+    assert list(gens) == [b for b in order if b in gens]
+    assert len(_ad_closure(alg, gens)) == alg.dim
+    for a, s in enumerate(gens):
+        inside = _basis_vectors_in(_ad_closure(alg, gens[:a]))
+        assert set(order[: order.index(s)]) == inside, s
+
+
 @given(transported_lie_algebras())
 @settings(max_examples=120, deadline=None)
 def test_generator_walk_matches_the_reference_on_both_tables(alg):
     defect = _jacobi_reference(alg)
-    gens = algcore._ad_generators(alg)
-    assert len(_ad_closure(alg, gens)) == alg.dim
-    # index order: b is a generator iff it is not in the closure of the
-    # generators before it
-    for b in range(alg.dim):
-        before = _ad_closure(alg, [s for s in gens if s < b])
-        assert (b in gens) == (linalg.rank(before + [{b: 1}]) > len(before))
+    order, gens = algcore._ad_generators(alg)
+    _check_placement(alg, order, gens)
     assert jacobi_defect(alg) == defect
     alg._int_cache = (None, None)  # the diagonal table
-    assert algcore._ad_generators(alg) == gens
+    assert algcore._ad_generators(alg) == (order, gens)
     assert jacobi_defect(alg) == defect
 
 
-# |S| in index order: the Tits models over R+R and C share a basis layout
-GENERATOR_COUNTS = {"tits-o-m3r": 8, "sp8-e6": 6, "chevalley-e6": 18}
+# |S| in placement order: the Tits models over R+R and C share a basis layout
+GENERATOR_COUNTS = {"tits-o-m3r": 8, "sp8-e6": 5, "chevalley-e6": 15}
 
 
 @pytest.mark.parametrize("name", catalog.MODEL_NAMES)
 def test_ad_generators_generate_each_catalog_model(name):
     alg = catalog.model(name)[0].alg
-    gens = algcore._ad_generators(alg)
-    assert gens == sorted(set(gens)) and len(gens) == GENERATOR_COUNTS.get(name, 11)
+    order, gens = algcore._ad_generators(alg)
+    assert len(gens) == GENERATOR_COUNTS.get(name, 6)
     assert len(_ad_closure(alg, gens)) == 78
     assert linalg.rank(_ad_closure(alg, gens[:-1])) < 78
+    # the same placement on the diagonal table, and on the diagonal table
+    # of the model rescaled by 31-bit primes
+    diag = StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc)
+    diag._int_cache = (None, None)
+    wide = _rescaled(alg, _primes_below(2**31 - 1, alg.dim))
+    assert wide.int_tensor() == (None, None)
+    assert algcore._ad_generators(diag) == algcore._ad_generators(wide) == (order, gens)
 
 
 def _every_triple_fails(n):
@@ -740,18 +762,40 @@ def _every_triple_fails(n):
     return t, StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
 
 
+def _packed_terms(t, n):
+    """The terms `_jacobi_walk` reads, packed as `jacobi_defect` packs them:
+    w = bitlen(3 n M^2) + 2 bits a coordinate."""
+    top = max(abs(y) for row in t.values() for y in row.values())
+    w = (3 * n * top * top).bit_length() + 2
+    packed = [{} for _ in range(n)]
+    for (m, c), row in t.items():
+        packed[m][c] = sum(y << (w * q) for q, y in row.items())
+    terms = [{} for _ in range(n)]
+    for (a, b), row in t.items():
+        terms[a][b] = [(x, packed[m]) for m, x in row.items()]
+    return terms
+
+
 def test_jacobi_walk_is_s_j_k_through_the_firsts():
     n = 7
     t, alg = _every_triple_fails(n)
-    # every index first: the reference walk i<j<k, in order
+    terms = _packed_terms(t, n)
+    # every index first, in index order: the reference walk i<j<k, in order
     full = list(combinations(range(n), 3))
-    assert algcore._jacobi_defect_packed(t, n) == full
+    assert algcore._jacobi_walk(terms, list(range(n)), range(n)) == full
     assert jacobi_defect_scaled(alg) == full
-    # a subset: exactly the triples (s, j, k) with s < j < k, s first
+    # index order and a subset: exactly the triples (s, j, k), s < j < k
     firsts = [1, 2, 4]
     through = [(s, j, k) for s in firsts for j, k in combinations(range(s + 1, n), 2)]
-    assert algcore._jacobi_defect_packed(t, n, firsts) == through
+    assert algcore._jacobi_walk(terms, list(range(n)), firsts) == through
     assert jacobi_defect_scaled(alg, firsts) == through
+    # a placement order: each s with the pairs placed after it, in that order
+    order = [3, 0, 6, 1, 5, 2, 4]
+    firsts = [0, 5]
+    placed = [(s, j, k) for s in firsts for j, k in combinations(order[order.index(s) + 1 :], 2)]
+    assert placed[0] == (0, 6, 1) and len(placed) == 10 + 1
+    assert algcore._jacobi_walk(terms, order, firsts) == placed
+    assert algcore._jacobi_walk(terms, order, firsts, stop=True) == placed[:1]
 
 
 def test_jacobi_finds_a_defect_through_the_last_generator_only():
@@ -761,28 +805,28 @@ def test_jacobi_finds_a_defect_through_the_last_generator_only():
     for (i, j), k in {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 3): 0}.items():
         algcore.put_antisymmetric(sc, i, j, {k: F(1)})
     alg = StructAlgebra(dim=4, basis_labels=["b0", "b1", "b2", "b3"], sc=sc)
-    assert algcore._ad_generators(alg) == [0, 1]
+    assert algcore._ad_generators(alg) == ([0, 1, 2, 3], [0, 1])
     assert jacobi_defect(alg) == _jacobi_reference(alg) == [(1, 2, 3)]
+    assert algcore.jacobi_certificate(alg) == ((1, 2, 3),)
     alg._int_cache = (None, None)  # the diagonal table
     assert jacobi_defect(alg) == [(1, 2, 3)]
 
 
-# triples (s, j, k), s < j < k, walked through S on the certified table
-WALKED_TRIPLES = {"tits-o-m3r": 17411, "sp8-e6": 13686, "chevalley-e6": 33396}
+# triples (s, j, k) walked through S on the certified table: each s with
+# the pairs placed after it
+WALKED_TRIPLES = {"tits-o-m3r": 13090, "sp8-e6": 11034, "chevalley-e6": 26059}
 
 
 @pytest.mark.parametrize("name", catalog.MODEL_NAMES)
 def test_indices_below_a_generator_lie_in_the_earlier_closure(name):
-    # the induction step of `jacobi_defect`: every index j < s that is not a
-    # generator lies in the closure of the generators before s
+    # the induction step of `jacobi_defect`, with "below" in placement
+    # order: every index placed before a generator s that is not a generator
+    # lies in the closure of the generators before s, and s does not
     alg = catalog.model(name)[0].alg
-    gens = algcore._ad_generators(alg)
-    for a, s in enumerate(gens[1:], start=1):
-        before = _ad_closure(alg, gens[:a])
-        below = [{j: 1} for j in range(s) if j not in gens]
-        assert linalg.rank(before + below) == len(before), (s, below)
-    walked = sum((alg.dim - 1 - s) * (alg.dim - 2 - s) // 2 for s in gens)
-    assert walked == WALKED_TRIPLES.get(name, 28171)
+    order, gens = algcore._ad_generators(alg)
+    _check_placement(alg, order, gens)
+    walked = sum(comb(alg.dim - 1 - order.index(s), 2) for s in gens)
+    assert walked == WALKED_TRIPLES.get(name, 13631)
 
 
 def _mirrors_reference(sc, sign):
@@ -811,12 +855,129 @@ def _mirrors_reference(sc, sign):
         ({(0, 0): {1: F(1)}}, False, True),  # a nonzero diagonal row
         ({(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}, (2, 2): {0: 5}}, False, False),
         ({}, True, True),
+        # stored zeros: a zero entry whose mirror is not stored, and one that
+        # is; mirrors as long as the row, with the zero at another key; a
+        # zero on a diagonal row
+        ({(0, 1): {2: F(0)}}, False, False),
+        ({(0, 1): {2: F(0), 0: F(1)}, (1, 0): {2: F(0), 0: F(-1)}}, True, False),
+        ({(0, 1): {2: F(0), 0: F(1)}, (1, 0): {1: F(0), 0: F(-1)}}, False, False),
+        ({(0, 0): {1: F(0)}}, False, True),
     ],
 )
 def test_mirror_checks_compare_numerators_and_denominators(sc, anti, comm):
     alg = StructAlgebra(dim=3, basis_labels=["a", "b", "c"], sc=sc)
     assert alg.is_anticommutative() is anti == _mirrors_reference(sc, -1)
     assert alg.is_commutative() is comm == _mirrors_reference(sc, 1)
+    # jacobi_defect checks anticommutativity on its packed rows instead
+    assert _jacobi_rejects_on_both_tables(alg) == (not anti, not anti)
+
+
+def _jacobi_rejects_on_both_tables(alg):
+    """Whether `jacobi_defect` raises AlgebraError on the table of
+    `int_tensor`, and on the diagonal table."""
+    out = []
+    for _ in range(2):
+        try:
+            jacobi_defect(alg)
+        except AlgebraError:
+            out.append(True)
+        else:
+            out.append(False)
+        alg._int_cache = (None, None)
+    return tuple(out)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """An anticommutative table of `integer_tables` with one entry of one
+    row (i, j), the diagonal rows included, set to a nonzero rational or
+    removed; the mirror row (j, i) is left as it is, or in half the draws
+    made minus the new row, which keeps an off-diagonal change
+    anticommutative."""
+    alg = draw(integer_tables())
+    n = alg.dim
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    row = dict(alg.sc.get((i, j), {}))
+    value = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    if k in row and draw(st.booleans()):
+        del row[k]
+    else:
+        row[k] = draw(st.sampled_from([-row[k]]) | value if k in row else value)
+    sc = {key: r for key, r in alg.sc.items() if key != (i, j)}
+    if row:
+        sc[(i, j)] = row
+    if i != j and draw(st.booleans()):
+        sc.pop((j, i), None)
+        if row:
+            sc[(j, i)] = {q: -v for q, v in row.items()}
+    return StructAlgebra(dim=n, basis_labels=alg.basis_labels, sc=sc)
+
+
+@given(perturbed_tables())
+@settings(max_examples=150, deadline=None)
+def test_jacobi_rejects_exactly_the_tables_that_are_not_anticommutative(alg):
+    rejects = not alg.is_anticommutative()
+    assert _jacobi_rejects_on_both_tables(alg) == (rejects, rejects)
+
+
+@st.composite
+def planted_int_tables(draw):
+    """A Lie algebra of dimension 4-9 with integer constants: sl2, so3 and
+    Heisenberg summands and an abelian rest at random basis slots, on a
+    unitriangular integer change of basis (whose inverse is integral too);
+    then up to three defects planted, each an int added to one entry of a
+    bracket and of its mirror, which keeps the table anticommutative."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    slot = draw(st.permutations(range(n)))
+    brackets, used = {}, 0
+    for name in draw(st.lists(st.sampled_from(sorted(LIE_BRACKETS)), max_size=3)):
+        if used + 3 > n:
+            break
+        for (i, j), row in LIE_BRACKETS[name].items():
+            brackets[(slot[used + i], slot[used + j])] = {slot[used + k]: F(v) for k, v in row.items()}
+        used += 3
+    entries = st.integers(min_value=-2, max_value=2)
+    shear = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    sc = dict(_sheared(_from_brackets(n, brackets), shear).sc)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        k = draw(st.integers(0, n - 1))
+        row = dict(sc.pop((i, j), {}))
+        sc.pop((j, i), None)
+        row[k] = row.get(k, 0) + draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        algcore.put_antisymmetric(sc, i, j, row)
+    return StructAlgebra(dim=n, basis_labels=[f"b{i}" for i in range(n)], sc=sc)
+
+
+@given(planted_int_tables())
+@settings(max_examples=120, deadline=None)
+def test_jacobi_matches_the_scaled_loop_on_planted_int_tables(alg):
+    assert all(v.denominator == 1 for row in alg.sc.values() for v in row.values())
+    assert alg.int_tensor()[1] is not None
+    defect = jacobi_defect_scaled(alg)
+    assert jacobi_defect(alg) == defect
+    alg._int_cache = (None, None)  # the diagonal table
+    assert jacobi_defect(alg) == defect
+
+
+def test_lie_algebra_and_c02_read_one_jacobi_certificate(monkeypatch):
+    alg = sl2()
+    LieAlgebra(alg)
+    assert alg._jacobi_cache == ()
+    for name in catalog.MODEL_NAMES:
+        catalog.model(name)
+    calls = []
+    real = algcore.jacobi_defect
+    monkeypatch.setattr(algcore, "jacobi_defect", lambda a: calls.append(a) or real(a))
+    assert algcore.jacobi_certificate(alg) == ()
+    LieAlgebra(alg)
+    results = verify.group_jacobi()
+    assert all(r.passed for r in results) and len(results) == len(catalog.MODEL_NAMES)
+    assert calls == []
+    # a table never certified is certified once, on its first read
+    fresh = sl2()
+    assert algcore.jacobi_certificate(fresh) == algcore.jacobi_certificate(fresh) == ()
+    assert calls == [fresh]
 
 
 @st.composite

@@ -152,14 +152,20 @@ def test_primitive_of_cleared_rows():
 def test_echelon_insert_reduces_and_inserts_what_is_left():
     echelon = {}
     assert linalg.echelon_insert(echelon, {0: 2, 2: 1}) == {0: 2, 2: 1}
-    assert linalg.echelon_insert(echelon, {0: F(4, 3), 2: F(2, 3)}) is None  # a multiple
-    row = {0: 1, 1: 3, 2: 0}
-    assert linalg.echelon_insert(echelon, row) == {1: 6, 2: -1}
-    assert row == {0: 1, 1: 3, 2: 0}  # left as it is
-    assert linalg.echelon_insert(echelon, [0, 12, -2]) is None
+    assert linalg.echelon_insert(echelon, {0: 4, 2: 2}) is None  # a multiple
+    assert linalg.echelon_insert(echelon, {0: 1, 1: 3}) == {1: 6, 2: -1}
+    assert linalg.echelon_insert(echelon, {1: 12, 2: -2}) is None
     assert linalg.echelon_insert(echelon, {}) is None
     assert echelon == {0: {0: 2, 2: 1}, 1: {1: 6, 2: -1}}
-    assert linalg._echelon([[2, 0, 1], [1, 3, 0]]) == echelon
+    # dense and Fraction rows are cleared of denominators before they go in
+    rows = [[2, 0, 1], {0: F(4, 3), 2: F(2, 3)}, {0: 1, 1: 3, 2: 0}, [0, 12, -2]]
+    assert linalg._echelon(rows) == echelon
+    assert rows[2] == {0: 1, 1: 3, 2: 0}  # left as it is
+    # the int reduction alone: what is left, and the echelon rows untouched
+    assert linalg.echelon_reduce(echelon, {0: 4, 2: 2}) == {}
+    assert linalg.echelon_reduce(echelon, {0: 2, 2: 3}) == {2: 1}
+    assert linalg.echelon_reduce(echelon, {1: 12, 2: -2}) == {}
+    assert echelon == {0: {0: 2, 2: 1}, 1: {1: 6, 2: -1}}
 
 
 def test_elimination_of_int_rows_stays_rational():
@@ -648,7 +654,8 @@ def test_span_solver_int_rows_equal_the_rref_derived_ones(data):
     basis, dependent = [], []
     echelon = {}
     for r in rows:
-        (dependent if linalg.echelon_insert(echelon, r) is None else basis).append(r)
+        v = linalg.echelon_insert(echelon, linalg.int_scaled(linalg.sparse(r))[1])
+        (dependent if v is None else basis).append(r)
     assume(basis)
     solver = linalg.SpanSolver(basis)
     got = (solver.lcm_red, solver.red, solver.lcm_transform, solver.transform)
