@@ -12,7 +12,7 @@ and the split octonions by the same double applied to Mat2(R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +30,7 @@ class CompositionAlgebra:
     alg: StructAlgebra
     norm_diag: list
     unit_idx: int = 0
+    _layer: object = dc_field(default=None, repr=False, compare=False)  # tits.ingredient_layer
 
     @property
     def dim(self):

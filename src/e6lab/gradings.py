@@ -409,38 +409,24 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     if grading_c.algebra.sc != c.alg.sc or grading_j.algebra.sc != j.alg.sc:
         # the induced pieces are read in the model's Der(C), Der(J) bases
         raise GradingError("gradings do not live on the model's C and J")
+    from .tits import ingredient_layer  # tits builds on this module
+
     gc, gj = grading_c.group, grading_j.group
     lie = t.lie
     nj0 = len(t.j0_vectors)
     indc = induced_on_der(grading_c) if t.der_c_basis else None
     indj = induced_on_der(grading_j)
     # traceless parts of the graded components, in C0 / J0 coordinates
-    j0_expand = linalg.SpanSolver(t.j0_vectors)
-    c0g = {}
-    for g, vecs in grading_c.components.items():
-        tv = [c.trace(v) for v in vecs]
-        combos = linalg.kernel([tv], len(vecs))
-        out = []
-        for combo in combos:
-            v = linalg.lin_comb(combo, vecs)
-            if v[c.unit_idx] != 0:
-                raise GradingError("traceless C component touches the unit")
-            out.append([v[b] for b in t.c0_idx])
-        if out:
-            c0g[g] = out
-    j0h = {}
-    for h, vecs in grading_j.components.items():
-        tv = [j.t_j(v) for v in vecs]
-        combos = linalg.kernel([tv], len(vecs))
-        out = []
-        for combo in combos:
-            v = linalg.lin_comb(combo, vecs)
-            coeffs = j0_expand.coefficients(v)
-            if coeffs is None:
-                raise GradingError("traceless J component outside J0")
-            out.append(coeffs)
-        if out:
-            j0h[h] = out
+    c0g, j0h = {}, {}
+    for grading, x, out in ((grading_c, c, c0g), (grading_j, j, j0h)):
+        lay = ingredient_layer(x)
+        for g, vecs in grading.components.items():
+            combos = linalg.kernel([[lay.trace(v) for v in vecs]], len(vecs))
+            for combo in combos:
+                coeffs = lay.solver.coefficients(linalg.lin_comb(combo, vecs))
+                if coeffs is None:
+                    raise GradingError(f"traceless {lay.name} component outside {lay.name}0")
+                out.setdefault(g, []).append(coeffs)
     ec, ej = gc.identity(), gj.identity()
     dc_off = t.layout["der_c"].start
     dj_off = t.layout["der_j"].start

@@ -9,7 +9,7 @@ t_J(I) = 1, and J = F I + J0 with J0 = ker t_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +33,7 @@ class JordanAlgebra:
     comp_name: str = None
     e_idx: tuple = ()
     iota_base: tuple = ()  # iota_base[t] = first index of the iota_t block
+    _layer: object = dc_field(default=None, repr=False, compare=False)  # tits.ingredient_layer
 
     @property
     def dim(self):

@@ -4,11 +4,17 @@ The mixed bracket is
 
     [a x, b y] = t_J(x.y) d_{a,b}  +  [a,b] (x*y)  +  2 t_C(ab) [R_x, R_y],
 
-with Der parts acting componentwise and annihilating each other.  The
-Der(C) and Der(J) blocks are copies of `derivation_algebra(C)` and
+with Der parts acting componentwise and annihilating each other.  C and J
+enter as two ingredients of one shape, each read through its `Layer`: X0 (C0
+or J0) with its span solver, the Der(X) action on X0, the Der(X)-valued
+pairing (d_{a,b} for C, [R_x, R_y] for J), and the pair tables t(ab) and the
+X0-valued product ([a,b] for C, x*y for J).  A layer is built on the first
+call of `ingredient_layer` and kept on the C or J object, so the seven
+catalog models build seven layers from three C's and four J's.  The Der(C)
+and Der(J) blocks are copies of `derivation_algebra(C)` and
 `derivation_algebra(J)`, tables built once per algebra.  A sign or
-convention error anywhere surfaces as a Jacobi failure, so construction always
-certifies Jacobi before returning.
+convention error anywhere surfaces as a Jacobi failure, so construction
+always certifies Jacobi before returning.
 
 Also here: the Der(J) + J0 model, a view of T(R+R, J) with its odd x odd
 bracket rescaled; the signature table over the 2-dimensional composition
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations, combinations_with_replacement
 
 from . import linalg
 from .algcore import (
@@ -38,7 +45,7 @@ from .algcore import (
     put_antisymmetric,
     twist,
 )
-from .composition import CompositionAlgebra, hurwitz
+from .composition import CompositionAlgebra, d_ab, hurwitz
 from .jordan import (
     JordanAlgebra,
     h3,
@@ -49,6 +56,97 @@ from .jordan import (
 )
 
 F = Fraction
+
+
+def _coords(solver: linalg.SpanSolver, vec, scale: int, span: str) -> dict:
+    """The nonzero coordinates {i: x} of vec / scale in the basis of solver;
+    AlgebraError if vec leaves that span, named span."""
+    coeffs = solver.coefficients(vec, scale)
+    if coeffs is None:
+        raise AlgebraError(f"a vector leaves {span}")
+    return {i: v for i, v in enumerate(coeffs) if v}
+
+
+@dataclass
+class Layer:
+    """What the bracket of T(C, J) reads of one ingredient X, X = C or J.
+
+    `vectors` is the X0 basis and `solver` its span solver.  `action[p][i]`
+    is the p-th `derivations(X)` basis element applied to X0 basis vector i,
+    in X0 coordinates; `pairing[(a, b)]`, a < b, is the Der(X)-valued
+    pairing of X0 basis vectors a and b (d_{a,b} for C, [R_x, R_y] for J) in
+    Der(X) coordinates.  `trace`, `mult` and `product` are t, the product of
+    X and the X0-valued product ([u, v] for C, u*v for J), read by
+    `pair_tables`.
+    """
+
+    name: str
+    vectors: list
+    solver: linalg.SpanSolver
+    action: list
+    pairing: dict
+    trace: object
+    mult: object
+    product: object
+    _pairs: tuple = None
+
+    def pair_tables(self) -> tuple:
+        """(form, product) on the X0 basis pairs a <= b: form[(a, b)] =
+        t(v_a v_b) and product[(a, b)] the X0 coordinates of the X0-valued
+        product of v_a and v_b.  Built on the first call and kept."""
+        if self._pairs is None:
+            vs, span = self.vectors, f"{self.name}0"
+            form, product = {}, {}
+            for a, b in combinations_with_replacement(range(len(vs)), 2):
+                u, v = vs[a], vs[b]
+                form[(a, b)] = self.trace(self.mult(u, v))
+                product[(a, b)] = _coords(self.solver, self.product(u, v), 1, span)
+            self._pairs = (form, product)
+        return self._pairs
+
+
+def ingredient_layer(x: CompositionAlgebra | JordanAlgebra) -> Layer:
+    """The layer of C (X0 = C0) or of J (X0 = J0), built on the first call
+    and kept on x."""
+    if x._layer is not None:
+        return x._layer
+    mult = x.alg.multiply
+    if isinstance(x, CompositionAlgebra):
+        name, trace = "C", x.trace
+        vs = [x.alg.basis_vector(b) for b in x.traceless_indices()]
+
+        def product(u, v):
+            return linalg.vec_sub(mult(u, v), mult(v, u))
+
+        def pairing(a, b):
+            return d_ab(x, vs[a], vs[b]), 1
+
+    else:
+        name, trace, vs = "J", x.t_j, j0_basis(x)
+        # R_x for x in J0, scaled once to int matrices; [R_x, R_y] comes out
+        # scaled by r_den^2
+        r_den, rmats = linalg.int_scaled([x.alg.right_mult_matrix(v) for v in vs])
+        product = partial(star, x)
+
+        def pairing(a, b):
+            return linalg.sp_bracket(rmats[a], rmats[b], x.dim), r_den * r_den
+
+    solver = linalg.SpanSolver(vs)
+    # Der(X) and X0 scaled once to int rows: an image comes out scaled by the
+    # product of the two denominators
+    der_den, ders = derivation_int_matrices(x.alg)
+    x0_den, x0 = linalg.int_scaled([linalg.sparse(v) for v in vs])
+    action = [
+        [_coords(solver, linalg.sp_matvec(d, v), der_den * x0_den, f"{name}0") for v in x0]
+        for d in ders
+    ]
+    der_solver = derivation_solver(x.alg)
+    pairs = {
+        (a, b): _coords(der_solver, *pairing(a, b), f"Der({name})")
+        for a, b in combinations(range(len(vs)), 2)
+    }
+    x._layer = Layer(name, vs, solver, action, pairs, trace, mult, product)
+    return x._layer
 
 
 @dataclass
@@ -73,46 +171,16 @@ class TitsAlgebra:
 
 
 def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra:
-    """Assemble T(C, J) with certified Jacobi; comp_name names C in the
-    provenance."""
-    der_c = derivations(c.alg)
-    der_j = derivations(j.alg)
-    c0 = c.traceless_indices()
-    j0 = j0_basis(j)
-    nc, nj = len(c0), len(j0)
-    ndc, ndj = len(der_c), len(der_j)
+    """Assemble T(C, J) from the layers of C and J with certified Jacobi;
+    comp_name names C in the provenance."""
+    lc, lj = ingredient_layer(c), ingredient_layer(j)
+    nc, nj = len(lc.vectors), len(lj.vectors)
+    ndc, ndj = len(lc.action), len(lj.action)
     dim = ndc + nc * nj + ndj
 
     rng_dc = range(0, ndc)
     rng_t = range(ndc, ndc + nc * nj)
     rng_dj = range(ndc + nc * nj, dim)
-
-    dc_expand = derivation_solver(c.alg)
-    dj_expand = derivation_solver(j.alg)
-    j0_expand = linalg.SpanSolver(j0)
-
-    def expand_der_c(flat):
-        coeffs = dc_expand.coefficients(flat)
-        if coeffs is None:
-            raise AlgebraError("derivation of C outside Der(C) span")
-        return {i: v for i, v in enumerate(coeffs) if v}
-
-    def expand_der_j(flat, scale):
-        coeffs = dj_expand.coefficients(flat, scale)
-        if coeffs is None:
-            raise AlgebraError("derivation of J outside Der(J) span")
-        return {rng_dj.start + i: v for i, v in enumerate(coeffs) if v}
-
-    def expand_c0(vec):
-        if vec[c.unit_idx] != 0:
-            raise AlgebraError("C0 element has a unit component")
-        return {ci: vec[b] for ci, b in enumerate(c0) if vec[b]}
-
-    def expand_j0(vec):
-        coeffs = j0_expand.coefficients(vec)
-        if coeffs is None:
-            raise AlgebraError("element outside J0")
-        return {i: v for i, v in enumerate(coeffs) if v}
 
     def tensor_entry(ci, ji):
         return rng_t.start + ci * nj + ji
@@ -120,104 +188,48 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
     sc = {}
 
     # Der(C) x Der(C), Der(J) x Der(J): the shared tables, at their offsets
-    for off, der_alg in (
-        (rng_dc.start, derivation_algebra(c.alg)),
-        (rng_dj.start, derivation_algebra(j.alg)),
-    ):
-        for (p, q), row in der_alg.sc.items():
+    for off, x in ((rng_dc.start, c), (rng_dj.start, j)):
+        for (p, q), row in derivation_algebra(x.alg).sc.items():
             sc[(off + p, off + q)] = {off + k: v for k, v in row.items()}
 
-    # Der parts act componentwise on the tensor summand
-    for p in range(ndc):
-        dmat = der_c[p]
-        for ci, b in enumerate(c0):
-            img = expand_c0([row[b] for row in dmat])
-            for ji in range(nj):
-                put_antisymmetric(
-                    sc,
-                    p,
-                    tensor_entry(ci, ji),
-                    {tensor_entry(ci2, ji): v for ci2, v in img.items()},
-                )
-    # Der(J) and J0 scaled once to int rows: an image comes out scaled by
-    # the product of the two denominators
-    dj_den, der_j_int = derivation_int_matrices(j.alg)
-    j0_den, j0_int = linalg.int_scaled([linalg.sparse(vec) for vec in j0])
-    for p in range(ndj):
-        dsp = der_j_int[p]
-        for ji in range(nj):
-            imgvec = linalg.sp_matvec(dsp, j0_int[ji])
-            coeffs = j0_expand.coefficients(imgvec, dj_den * j0_den)
-            if coeffs is None:
-                raise AlgebraError("derivation image outside J0")
-            for ci in range(nc):
-                put_antisymmetric(
-                    sc,
-                    rng_dj.start + p,
-                    tensor_entry(ci, ji),
-                    {tensor_entry(ci, ji2): v for ji2, v in enumerate(coeffs) if v},
-                )
+    # Der parts act componentwise on the tensor summand: (i, o) places the
+    # X0 index i and the index o of the other ingredient in (ci, ji)
+    for off, lay, other, place in (
+        (rng_dc.start, lc, nj, lambda i, o: (i, o)),
+        (rng_dj.start, lj, nc, lambda i, o: (o, i)),
+    ):
+        for p, images in enumerate(lay.action):
+            for i, img in enumerate(images):
+                for o in range(other):
+                    put_antisymmetric(
+                        sc,
+                        off + p,
+                        tensor_entry(*place(i, o)),
+                        {tensor_entry(*place(i2, o)): v for i2, v in img.items()},
+                    )
 
-    # tensor x tensor per the three-term bracket
-    from .composition import d_ab
+    # tensor x tensor per the three-term bracket; only the pairs a != b read
+    # t_J and the star product, so the J pair tables are built for dim C0 > 1
+    trace_c0, lie_c0 = lc.pair_tables()
+    tj_tab, star_tab = lj.pair_tables() if nc > 1 else (None, None)
+    # the pairs i1 < i2 in order; the three terms land in disjoint index
+    # ranges, and put_antisymmetric drops their zero entries
+    for i1, i2 in combinations(rng_t, 2):
+        (a, x), (b, y) = divmod(i1 - rng_t.start, nj), divmod(i2 - rng_t.start, nj)
+        xs, ys = (x, y) if x <= y else (y, x)
+        row = {}
+        if a != b:
+            tj, st = tj_tab[(xs, ys)], star_tab[(xs, ys)]
+            row.update({k: tj * v for k, v in lc.pairing[(a, b)].items()})
+            for ci2, cv in lie_c0[(a, b)].items():
+                row.update({tensor_entry(ci2, ji2): cv * jv for ji2, jv in st.items()})
+        tc = trace_c0[(a, b)]
+        if tc and x != y:
+            tc2 = 2 * tc if x < y else -2 * tc
+            row.update({rng_dj.start + k: tc2 * v for k, v in lj.pairing[(xs, ys)].items()})
+        put_antisymmetric(sc, i1, i2, row)
 
-    cvecs = [c.alg.basis_vector(b) for b in c0]
-    dab_tab = {}
-    lie_c0 = {}
-    trace_c0 = {}
-    for a in range(nc):
-        for b in range(nc):
-            prod = c.alg.multiply(cvecs[a], cvecs[b])
-            trace_c0[(a, b)] = c.trace(prod)
-            if a < b:
-                dab_tab[(a, b)] = expand_der_c(d_ab(c, cvecs[a], cvecs[b]))
-                rev = c.alg.multiply(cvecs[b], cvecs[a])
-                lie_c0[(a, b)] = expand_c0(linalg.vec_sub(prod, rev))
-    star_tab = {}
-    tj_tab = {}
-    inner_tab = {}
-    # R_x for x in J0, scaled once to int matrices; [R_x, R_y] comes out
-    # scaled by r_den^2
-    r_den, rmats = linalg.int_scaled([j.alg.right_mult_matrix(v) for v in j0])
-    for x in range(nj):
-        for y in range(x, nj):
-            if nc > 1:  # only the pairs a != b read t_J and the star product
-                tj_tab[(x, y)] = j.t_j(j.mult(j0[x], j0[y]))
-                star_tab[(x, y)] = expand_j0(star(j, j0[x], j0[y]))
-            if x < y:
-                inner_tab[(x, y)] = expand_der_j(
-                    linalg.sp_bracket(rmats[x], rmats[y], j.dim), r_den * r_den
-                )
-
-    for a in range(nc):
-        for x in range(nj):
-            i1 = tensor_entry(a, x)
-            for b in range(a, nc):
-                for y in range(nj):
-                    i2 = tensor_entry(b, y)
-                    if i2 <= i1:
-                        continue
-                    row = {}
-                    xs, ys = (x, y) if x <= y else (y, x)
-                    if a != b:
-                        tj = tj_tab[(xs, ys)]
-                        if tj:
-                            for k, v in dab_tab[(a, b)].items():
-                                row[k] = row.get(k, F(0)) + tj * v
-                        lie_ab = lie_c0[(a, b)]
-                        st = star_tab[(xs, ys)]
-                        for ci2, cv in lie_ab.items():
-                            for ji2, jv in st.items():
-                                k = tensor_entry(ci2, ji2)
-                                row[k] = row.get(k, F(0)) + cv * jv
-                    tc = trace_c0[(a, b)]
-                    if tc and x != y:
-                        xx, yy = (x, y) if x < y else (y, x)
-                        sgn = 1 if x < y else -1
-                        for k, v in inner_tab[(xx, yy)].items():
-                            row[k] = row.get(k, F(0)) + 2 * sgn * tc * v
-                    put_antisymmetric(sc, i1, i2, row)
-
+    c0 = c.traceless_indices()
     labels = (
         [f"dC{p}" for p in range(ndc)]
         + [f"t[{c.labels[c0[a]]};{x}]" for a in range(nc) for x in range(nj)]
@@ -235,10 +247,10 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
         },
         comp=c,
         jordan=j,
-        der_c_basis=der_c,
-        der_j_basis=der_j,
+        der_c_basis=derivations(c.alg),
+        der_j_basis=derivations(j.alg),
         c0_idx=c0,
-        j0_vectors=j0,
+        j0_vectors=lj.vectors,
     )
 
 

@@ -27,7 +27,6 @@ from e6lab.jordan import h3, nu_automorphism
 from e6lab.tits import (
     derj_model,
     jacobson_table,
-    jordan_ingredient,
     proportionality_constants,
     sp31_decomposition,
     tits,
@@ -160,7 +159,9 @@ def test_tensor_form_is_the_entrywise_form():
 
 
 def test_tits_builds_each_right_multiplication_once(monkeypatch):
-    j = jordan_ingredient("albert")
+    # once per J object: the first T(C, J) builds the J layer, which keeps
+    # the brackets [R_x, R_y], and a second C reads it
+    j = jordan._h3_cached.__wrapped__("O", (1, 1, 1))
     calls = []
     original = StructAlgebra.right_mult_matrix
 
@@ -172,6 +173,86 @@ def test_tits_builds_each_right_multiplication_once(monkeypatch):
     monkeypatch.setattr(StructAlgebra, "right_mult_matrix", counted)
     t = tits(hurwitz("RR"), j, comp_name="RR")
     assert len(calls) == len(t.j0_vectors) == 26
+    tits(hurwitz("C"), j, comp_name="C")
+    assert len(calls) == 26
+
+
+def _fresh_j(jname):
+    if jname == "m3r":
+        return jordan.m3r.__wrapped__()
+    return jordan._h3_cached.__wrapped__(*tits_module.JORDAN_INGREDIENTS[jname])
+
+
+CATALOG_PAIRS = [("O", "m3r")] + [
+    (c, j) for j in ("albert", "albert-split", "splitalbert") for c in ("C", "RR")
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_catalog_builds():
+    """The seven catalog T(C, J) on fresh ingredient objects, one per name,
+    with the layers and pair tables built on the way; T(C, J) comes before
+    T(R+R, J), so the latter reads a J layer already built."""
+    comps = {c: hurwitz.__wrapped__(c) for c in ("O", "C", "RR")}
+    js = {jn: _fresh_j(jn) for jn in ("m3r", "albert", "albert-split", "splitalbert")}
+    layers, pair_tables = [], []
+    layer_class = tits_module.Layer
+    original_pairs = layer_class.pair_tables
+
+    def counted_layer(*args):
+        layers.append(args[0])
+        return layer_class(*args)
+
+    def counted_pairs(self):
+        if self._pairs is None:
+            pair_tables.append(self.name)
+        return original_pairs(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tits_module, "Layer", counted_layer)
+        mp.setattr(layer_class, "pair_tables", counted_pairs)
+        models = {(c, jn): tits(comps[c], js[jn], comp_name=c) for c, jn in CATALOG_PAIRS}
+    return models, layers, pair_tables
+
+
+def test_seven_catalog_models_build_seven_layers(fresh_catalog_builds):
+    models, layers, pair_tables = fresh_catalog_builds
+    assert sorted(layers) == ["C"] * 3 + ["J"] * 4
+    # the J pair tables are read only when dim C0 > 1: for T(O, M3R)
+    assert sorted(pair_tables) == ["C", "C", "C", "J"]
+    assert tits_module.ingredient_layer(models[("O", "m3r")].jordan)._pairs is not None
+    for (c, jn), t in models.items():
+        assert t.lie.alg.sc == tits_model(c, jn).lie.alg.sc
+
+
+def _entries(sc):
+    return [(key, list(row.items()), [type(v) for v in row.values()]) for key, row in sc.items()]
+
+
+def test_a_kept_j_layer_builds_the_same_table(fresh_catalog_builds):
+    models, _, _ = fresh_catalog_builds
+    reused = models[("RR", "albert")]
+    assert reused.jordan is models[("C", "albert")].jordan
+    fresh = tits(hurwitz.__wrapped__("RR"), _fresh_j("albert"), comp_name="RR")
+    assert list(reused.lie.alg.sc.items()) == list(fresh.lie.alg.sc.items())
+    assert _entries(reused.lie.alg.sc) == _entries(fresh.lie.alg.sc)
+
+
+@pytest.mark.parametrize("ingredient", ["C", "J"])
+def test_a_layer_over_a_broken_x0_raises(monkeypatch, ingredient):
+    # X0 with one basis vector dropped: Der(X) maps the rest out of its span
+    if ingredient == "C":
+        c, j = hurwitz.__wrapped__("O"), jordan.m3r()
+        indices = c.traceless_indices()
+        monkeypatch.setattr(c, "traceless_indices", lambda: indices[1:])
+        broken = c
+    else:
+        c, j = hurwitz("RR"), _fresh_j("albert")
+        monkeypatch.setattr(tits_module, "j0_basis", lambda x: jordan.j0_basis(x)[1:])
+        broken = j
+    with pytest.raises(AlgebraError, match=f"a vector leaves {ingredient}0"):
+        tits(c, j, comp_name="X")
+    assert broken._layer is None
 
 
 def test_sp31_decomposition():
