@@ -168,6 +168,7 @@ class StructAlgebra:
 
     # -- integer-scaled sparse table (rational algebras only) --
 
+    @linalg.acyclic
     def int_tensor(self):
         """(D, T) with T[(i, j)][k] = D * c[i][j][k] as Python ints, D the common
         denominator; (None, None) when dim * max|T|^2 >= 2^62.
@@ -192,6 +193,7 @@ class StructAlgebra:
                     return (None, None)
         return (d, t)
 
+    @linalg.acyclic
     def _kernel_table(self):
         """(f, D, T): the int table the Jacobi, generator and Killing kernels
         read, T = D*c' for the structure constants c' on the basis b_i / f_i.
@@ -275,6 +277,7 @@ def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dic
 # Jacobi
 
 
+@linalg.acyclic
 def jacobi_defect(alg: StructAlgebra):
     """All basis triples i<j<k violating Jacobi; empty list certifies it.
 
@@ -545,6 +548,7 @@ class LieAlgebra:
         return self._inertia
 
 
+@linalg.acyclic
 def killing_matrix(lie: LieAlgebra):
     """K[i][j] = tr(ad b_i ad b_j), exact and symmetric.
 
@@ -600,6 +604,7 @@ class InertiaResult:
         return self.n_plus + self.n_minus + self.n_zero
 
 
+@linalg.acyclic
 def inertia(matrix) -> InertiaResult:
     """Exact Sylvester inertia of a symmetric rational matrix."""
     np_, nm, nz = linalg.congruence_inertia(matrix)
@@ -631,6 +636,7 @@ def fixed_subspace(matrix, field=QQ):
 # Z2 twist
 
 
+@linalg.acyclic
 def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
     """Scale odd x odd brackets by t; the index split must be a Z2-grading.
 
@@ -694,6 +700,7 @@ def derivation_int_matrices(alg: StructAlgebra) -> tuple:
     return alg._der_int_cache
 
 
+@linalg.acyclic
 def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     """Der(A) under the commutator, on the basis `derivations(alg)` (labels
     d0, d1, ...).
@@ -729,6 +736,7 @@ def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
     return alg._der_alg_cache[1]
 
 
+@linalg.acyclic
 def _solve_derivations(alg: StructAlgebra):
     n = alg.dim
     acc = linalg.IntKernelAccumulator(n * n)

@@ -19,7 +19,7 @@ from .tits import proportionality_constants
 
 
 def _elapsed_note(t0: float):
-    print(f"elapsed: {time.time() - t0:.1f}s", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
 
 def _write(path, text) -> bool:
@@ -34,7 +34,7 @@ def _write(path, text) -> bool:
 
 
 def cmd_build(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.model not in catalog.MODEL_NAMES:
         print(f"unknown model {args.model!r}; choose from {', '.join(catalog.MODEL_NAMES)}", file=sys.stderr)
         return 2
@@ -63,7 +63,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_grading(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.name not in catalog.GRADING_NAMES:
         print(f"unknown grading {args.name!r}; choose from {', '.join(catalog.GRADING_NAMES)}", file=sys.stderr)
         return 2
@@ -108,7 +108,7 @@ def cmd_grading(args) -> int:
 
 
 def cmd_killing(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.model not in catalog.MODEL_NAMES:
         print(f"unknown model {args.model!r}", file=sys.stderr)
         return 2
@@ -132,7 +132,7 @@ def cmd_killing(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     pc = proportionality_constants()
     doc = {k: str(v) for k, v in pc.items()}
     if args.json:
@@ -145,7 +145,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_chevalley(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cb = chevalley.e6_chevalley()
     inh = cb.inheriting_signatures()
     doc = {
@@ -179,7 +179,7 @@ def cmd_chevalley(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = verify.run_all()
     doc = verify.report_document(results)
     core_bytes = verify.render_json(doc)

@@ -415,6 +415,7 @@ def _in_leaf(leaves, tag, img, scale):
 
 
 @lru_cache(maxsize=None)
+@linalg.acyclic
 def assemble_e6() -> Sp8Model:
     """The 78-dimensional rational Lie algebra sp8 + ker c.
 

@@ -248,6 +248,7 @@ def _sum_test(group: FinAbGroup, support):
     return codes, sums
 
 
+@linalg.acyclic
 def verify(grading: GradedDecomposition) -> GradingReport:
     """Exhaustive check of direct sum and closure A_g A_h <= A_{g+h}.
 
@@ -491,6 +492,7 @@ def common_refinement(g1: GradedDecomposition, g2: GradedDecomposition) -> Grade
 # Killing-form tools on graded real Lie algebras
 
 
+@linalg.acyclic
 def killing_orthogonality_violations(grading: GradedDecomposition, lie: LieAlgebra):
     """Pairs (g,h) with g+h != e but K(L_g, L_h) != 0 (must be empty), in
     support order, g before or at h: read off the nonzeros of the Gram
@@ -509,6 +511,7 @@ def killing_orthogonality_violations(grading: GradedDecomposition, lie: LieAlgeb
     return [(supp[gi], supp[hi]) for gi, hi in sorted(bad)]
 
 
+@linalg.acyclic
 def signature_bound(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     """|sign L - dim L_e| <= sum of dims over order-2 nonidentity degrees."""
     sig = lie.killing_inertia().signature
@@ -526,6 +529,7 @@ def signature_bound(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     }
 
 
+@linalg.acyclic
 def graded_witt_basis(grading: GradedDecomposition, lie: LieAlgebra) -> dict:
     """Homogeneous basis splitting K into hyperbolic pairs and diagonal pivots.
 

@@ -36,14 +36,54 @@ only for a nonzero coefficient that `SpanSolver.coefficients` returns.
 reduces them with the same `_eliminate`: a constraint row is dotted as it
 is, and only the dot products of a rational row are cleared of
 denominators.
+
+The exact kernels allocate Fractions, dicts and lists by the hundred
+thousand, each an object CPython's cyclic garbage collector tracks, so with
+the collector on a kernel triggers collections that walk every table the process keeps
+and find nothing to free: nothing a kernel drops is held in a reference
+cycle, so reference counting frees it at once.  `acyclic` is the one place
+the package touches the `gc` module: it pauses the collector for the length
+of one construction or certificate call and restores it on every exit.
 """
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 
 from .scalars import QONE, QZERO
+
+
+# ---------------------------------------------------------------------------
+# the collector pause
+
+
+def acyclic(fn):
+    """fn, with the cyclic garbage collector paused for the length of each
+    call and turned back on when the call returns or raises.
+
+    For a function that drops nothing held in a reference cycle, so that
+    reference counting frees everything it drops at once: only cycle
+    detection waits.  Re-entrant: when the collector is already off, whether paused
+    by an outer decorated call or turned off by the caller, it is left as
+    it is, so it is turned back on only at the outermost exit, and never
+    for a caller that turned it off.  Under ``lru_cache``, place it below
+    the cache, so that a cache hit does not touch the collector.
+    """
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,7 @@ class TitsAlgebra:
         return list(self.layout["der_c"]) + list(self.layout["der_j"])
 
 
+@linalg.acyclic
 def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra:
     """Assemble T(C, J) from the layers of C and J with certified Jacobi;
     comp_name names C in the provenance."""

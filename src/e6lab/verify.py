@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import catalog, chevalley, e6sp8
+from . import catalog, chevalley, e6sp8, linalg
 from .algcore import derivations, fixed_subspace, jacobi_certificate
 from .composition import hurwitz
 from .gradings import (
@@ -311,6 +311,7 @@ GROUPS = {
 }
 
 
+@linalg.acyclic
 def run_all():
     """All checks, sorted by id."""
     results = []

@@ -1,4 +1,7 @@
+import itertools
 import json
+import re
+import time
 from pathlib import Path
 
 import jsonschema
@@ -185,3 +188,25 @@ def test_foreign_field_and_complex_entries_are_rejected():
         else:
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(grading, grading_schema)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "tits-o-m3r"],
+        ["grading", "gamma11"],
+        ["killing", "tits-o-m3r"],
+        ["constants"],
+        ["chevalley"],
+        ["verify-all", "--no-self-check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_elapsed_time_is_not_negative_when_the_wall_clock_steps_back(monkeypatch, capsys, argv):
+    # the wall clock steps an hour back at every read; elapsed time is read
+    # from a monotonic clock
+    steps = itertools.count()
+    monkeypatch.setattr(time, "time", lambda: 2e9 - 3600.0 * next(steps))
+    main(argv)
+    (elapsed,) = re.findall(r"^elapsed: (\S+)s$", capsys.readouterr().err, re.M)
+    assert float(elapsed) >= 0
