@@ -125,27 +125,20 @@ class StructAlgebra:
         return {k: r for k, r in out.items() if r}
 
     def is_anticommutative(self) -> bool:
-        """Whether c[j][i] = -c[i][j] for all i, j and every c[i][i] is 0."""
-        return self._mirrors(-1)
-
-    def is_commutative(self) -> bool:
-        """Whether c[j][i] = c[i][j] for all i, j."""
-        return self._mirrors(1)
-
-    def _mirrors(self, sign: int) -> bool:
-        """Whether row (j, i) is sign times row (i, j) for every row, and
-        with sign -1 no row (i, i) is stored.
+        """Whether c[j][i] = -c[i][j] for all i, j and every c[i][i] is 0:
+        row (j, i) is minus row (i, j) for every row, and no row (i, i) is
+        stored.
 
         Entries are Fractions or ints, both in lowest terms with a positive
-        denominator, so an entry equals sign times another iff the
-        numerators do and the denominators are equal: no Fraction is
-        built.  The mirror row holds the same keys iff it holds each key of
-        the row and is as long.
+        denominator, so an entry is minus another iff the numerators are
+        opposite and the denominators are equal: no Fraction is built.  The
+        mirror row holds the same keys iff it holds each key of the row and
+        is as long.
         """
         sc = self.sc
         for (i, j), row in sc.items():
             if i == j:
-                if sign == -1 and row:
+                if row:
                     return False
                 continue
             other = sc.get((j, i), {})
@@ -153,11 +146,7 @@ class StructAlgebra:
                 return False
             for k, v in row.items():
                 w = other.get(k)
-                if (
-                    w is None
-                    or w.numerator != sign * v.numerator
-                    or w.denominator != v.denominator
-                ):
+                if w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
                     return False
         return True
 
@@ -257,19 +246,24 @@ def bracket_constants(solver: linalg.SpanSolver, bracket, scale: int = 1) -> dic
     """Structure constants of an anticommutative bracket on the linearly
     independent basis held by solver.
 
-    bracket(i, j) returns scale * [b_i, b_j] as a dense or sparse vector in
-    the coordinates of the basis vectors, so that an int scale lets it run on
-    integer-scaled basis vectors.  It is called for i < j only; the solver
-    expresses it in the basis, and (j, i) gets the negative.  Raises
-    AlgebraError when a bracket leaves the span.
+    bracket(i, j) returns scale * [b_i, b_j] in the coordinates of the basis
+    vectors, so that an int scale lets it run on integer-scaled basis
+    vectors.  An int {col: x} vector is read as it is by
+    `SpanSolver.int_coordinates`; a dense or rational one is scaled to ints
+    first (`linalg.int_scaled`).  It is called for i < j only; (j, i) gets
+    the negative.  Raises AlgebraError when a bracket leaves the span.
     """
     sc = {}
     for i in range(solver.n):
         for j in range(i + 1, solver.n):
-            coeffs = solver.coefficients(bracket(i, j), scale)
-            if coeffs is None:
+            vec, den = bracket(i, j), scale
+            if not (isinstance(vec, dict) and all(type(x) is int for x in vec.values())):
+                d, vec = linalg.int_scaled(linalg.sparse(vec))
+                den *= d
+            coords = solver.int_coordinates(vec, den)
+            if coords is None:
                 raise AlgebraError(f"bracket of basis vectors {i}, {j} leaves the span")
-            put_antisymmetric(sc, i, j, dict(enumerate(coeffs)))
+            put_antisymmetric(sc, i, j, coords)
     return sc
 
 
@@ -709,19 +703,20 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     Der(A) in a process reads one table; `derivations` alone builds none.
     """
     if alg._der_alg_cache is None:
-        ders = derivations(alg)
-        # the commutators run on the int matrices D*d and come out scaled by D^2
+        # the solver reads the int matrices D*d flattened row-major, and the
+        # commutators run on them and come out scaled by D^2
         den, mats = derivation_int_matrices(alg)
         n = alg.dim
-        solver = linalg.SpanSolver([sum(d, []) for d in ders])
+        flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
+        solver = linalg.SpanSolver(flat, n * n, den)
         sc = bracket_constants(
             solver,
             lambda p, q: linalg.sp_bracket(mats[p], mats[q], n),
             den * den,
         )
         der_alg = StructAlgebra(
-            dim=len(ders),
-            basis_labels=[f"d{i}" for i in range(len(ders))],
+            dim=len(mats),
+            basis_labels=[f"d{i}" for i in range(len(mats))],
             sc=sc,
         )
         alg._der_alg_cache = (der_alg, solver)
@@ -736,15 +731,39 @@ def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
     return alg._der_alg_cache[1]
 
 
+def _symmetry(table: dict) -> tuple:
+    """(commutative, anticommutative) for a table of int rows: whether row
+    (j, i) equals row (i, j) for every row, and whether it is its negative
+    for every row with no row (i, i) stored.  One pass, which stops once
+    both fail."""
+    comm = anti = True
+    for (i, j), row in table.items():
+        if i == j:
+            anti = anti and not row
+        else:
+            other = table.get((j, i), {})
+            if len(other) != len(row):
+                return False, False
+            for k, v in row.items():
+                w = other.get(k)
+                comm = comm and w == v
+                anti = anti and w == -v
+        if not (comm or anti):
+            return False, False
+    return comm, anti
+
+
 @linalg.acyclic
 def _solve_derivations(alg: StructAlgebra):
     n = alg.dim
     acc = linalg.IntKernelAccumulator(n * n)
-    commutative = alg.is_commutative()
-    anticomm = alg.is_anticommutative()
     # the Leibniz system is homogeneous and linear in c, so the integer table
-    # D*c, D the common denominator, has the same kernel
-    _, sc = linalg.int_scaled(alg.sc)
+    # D*c, D the common denominator, has the same kernel: the memoised one of
+    # `int_tensor`, or past its bound the same table scaled here
+    sc = alg.int_tensor()[1]
+    if sc is None:
+        _, sc = linalg.int_scaled(alg.sc)
+    commutative, anticomm = _symmetry(sc)
     by_left = [[] for _ in range(n)]  # by_left[i]: (q, c[i][q]) for the nonzero rows
     by_right = [[] for _ in range(n)]  # by_right[j]: (p, c[p][j])
     for (a, b), row in sc.items():

@@ -401,17 +401,18 @@ def _tag_neg(g):
 
 
 def _in_leaf(leaves, tag, img, scale):
-    """img / scale as {basis index: coefficient} in the leaf at tag.  The
-    bracket of homogeneous elements is homogeneous of the sum of their tags,
-    so a product read anywhere else is an AlgebraError."""
+    """img / scale as {basis index: coefficient} in the leaf at tag, img an
+    int {col: x} vector read by `SpanSolver.int_coordinates`.  The bracket
+    of homogeneous elements is homogeneous of the sum of their tags, so a
+    product read anywhere else is an AlgebraError."""
     if not img:
         return {}
     leaf = leaves.get(tag)
-    coeffs = None if leaf is None else leaf[1].coefficients(img, scale)
-    if coeffs is None:
+    coords = None if leaf is None else leaf[1].int_coordinates(img, scale)
+    if coords is None:
         raise AlgebraError(f"a product leaves its target leaf {tag}")
     first = leaf[0]
-    return {first + i: x for i, x in enumerate(coeffs) if x}
+    return {first + i: x for i, x in coords.items()}
 
 
 @lru_cache(maxsize=None)

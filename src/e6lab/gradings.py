@@ -347,7 +347,8 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     is written in block coordinates, the coordinates in P of d_t(P_i) for
     the rows P_i of the homogeneous basis; pi_g(d_t) keeps the blocks from
     degree h to h+g.  One `linalg.SpanSolver` on the d_t gives the
-    coordinates of each nonzero pi_g(d_t), and each component is the
+    coordinates of each nonzero pi_g(d_t), read off its int blocks by
+    `SpanSolver.int_coordinates`, and each component is the
     reduced echelon basis of its span.  The returned components are
     coefficient vectors with respect to that basis, attached to
     `derivation_algebra(A)`.
@@ -384,13 +385,13 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     for g in sorted(pieces):
         coeffs = []
         for piece in pieces[g].values():
-            co = solver.coefficients(piece)
+            co = solver.int_coordinates(piece, 1)
             if co is None:
                 raise GradingError(
                     f"the degree {g} part of a derivation is not a derivation: not a grading"
                 )
             coeffs.append(co)
-        comps[g] = linalg.rref(coeffs)[0]
+        comps[g] = linalg.rref(coeffs, solver.n)[0]
     return GradedDecomposition(
         group=grading.group, algebra=derivation_algebra(alg), components=comps
     )
@@ -422,7 +423,7 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     for grading, x, out in ((grading_c, c, c0g), (grading_j, j, j0h)):
         lay = ingredient_layer(x)
         for g, vecs in grading.components.items():
-            combos = linalg.kernel([[lay.trace(v) for v in vecs]], len(vecs))
+            combos = linalg.kernel([[lay.trace(x, v) for v in vecs]], len(vecs))
             for combo in combos:
                 coeffs = lay.solver.coefficients(linalg.lin_comb(combo, vecs))
                 if coeffs is None:

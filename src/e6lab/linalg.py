@@ -31,7 +31,9 @@ Construction runs on Python ints: `int_scaled` turns a rational vector,
 rows, a matrix or a table into (common denominator d, entries times d as
 ints) once, the sparse helpers (`sp_matvec`, `sp_bracket`,
 `sp_trace_product`) keep the type of their inputs, and a Fraction is built
-only for a nonzero coefficient that `SpanSolver.coefficients` returns.
+only for a nonzero coefficient that `SpanSolver.int_coordinates` returns:
+a construction that holds an int vector with a known scale reads its
+sparse coordinates there, with no copy and no dense list.
 `IntKernelAccumulator` keeps its kernel as primitive int vectors and
 reduces them with the same `_eliminate`: a constraint row is dotted as it
 is, and only the dot products of a rational row are cleared of
@@ -328,21 +330,27 @@ def kernel(rows, ncols):
 
 class SpanSolver:
     """Expresses rational vectors in a fixed, linearly independent basis,
-    given by dense rows or by {col: x} rows of width ncols.
+    given by dense rows or by {col: x} rows of width ncols, each row scale
+    times its basis vector (scale a positive int, so that int rows on one
+    common denominator can be passed as they are).
 
     The basis, augmented by the identity, is reduced once to the int rows of
-    `_reduced_echelon`, and no Fraction is built.  Reduced row p (1 at its
-    own pivot, 0 at the other pivots) is kept as the int row R_p = L * red_p
-    off the pivot columns, and the transform row taking it back to the basis
-    as T_p = M * transform_p, with L and M the common denominators of the
-    two sets (`_common_scale`).  A query v is scaled once to the int vector
-    V = d * v, d the lcm of its denominators: v is in the span iff
-    L V - sum_p V[p] R_p is 0, and then its coefficients are
-    sum_p V[p] T_p / (d M).  A query costs time in the nonzeros of v and of
-    the rows it meets, in Python ints.
+    `_reduced_echelon`, and no Fraction is built: a row given as scale * b_i
+    is augmented by scale * e_i, scale times the row [b_i | e_i], so the
+    reduced form, and the solver, are those of the basis b_i.  Reduced row
+    p (1 at its own pivot, 0 at the other pivots) is kept as the int row
+    R_p = L * red_p off the pivot columns, and the transform row taking it
+    back to the basis as T_p = M * transform_p, with L and M the common
+    denominators of the two sets (`_common_scale`).
+
+    `int_coordinates` is the one read: an int query V with a known scale s
+    is in the span iff L V - sum_p V[p] R_p is 0, and then the coordinates
+    of V / s are sum_p V[p] T_p / (s M), in one pass over the nonzeros of V
+    and of the rows it meets, in Python ints.  `coefficients` scales a
+    rational query to ints first.
     """
 
-    def __init__(self, basis, ncols=None):
+    def __init__(self, basis, ncols=None, scale: int = 1):
         n = len(basis)
         if ncols is None:
             if basis and isinstance(basis[0], dict):
@@ -351,7 +359,7 @@ class SpanSolver:
         aug = []
         for i, b in enumerate(basis):
             row = sparse(b)
-            row[ncols + i] = QONE
+            row[ncols + i] = scale
             aug.append(row)
         reduced = _reduced_echelon(aug)
         if len(reduced) != n or (reduced and max(reduced) >= ncols):
@@ -366,12 +374,14 @@ class SpanSolver:
         self.lcm_transform, self.transform = _common_scale(transform, leads)
         self._rows = {p: (r, t) for p, r, t in zip(reduced, self.red, self.transform)}
 
-    def _in_span(self, vs: dict) -> bool:
-        """Whether the int vector vs lies in the span: L vs - sum_p vs[p] R_p
-        vanishes (at a pivot column the two terms cancel by construction)."""
+    def int_coordinates(self, vs: dict, scale: int):
+        """The nonzero coordinates {j: Fraction} of vs / scale wrt the basis,
+        in ascending j, or None if vs is outside its span; vs is an int
+        {col: x} vector and scale a positive int.  vs is only read."""
         lcm_red = self.lcm_red
         rows = self._rows
-        resid = {}
+        resid = {}  # L vs - sum_p vs[p] R_p, off the pivot columns
+        acc = {}  # sum_p vs[p] T_p
         for c, x in vs.items():
             pr = rows.get(c)
             if pr is None:
@@ -379,26 +389,24 @@ class SpanSolver:
             else:
                 for k, r in pr[0].items():
                     resid[k] = resid.get(k, 0) - x * r
-        return not any(resid.values())
+                for j, t in pr[1].items():
+                    acc[j] = acc.get(j, 0) + x * t
+        if any(resid.values()):
+            return None
+        den = self.lcm_transform * scale
+        return {j: Fraction(acc[j], den) for j in sorted(acc) if acc[j]}
 
     def coefficients(self, v, scale: int = 1):
         """Coefficients of v / scale (v a dense list or a sparse dict) wrt the
-        basis, or None if v is outside its span; scale is a positive int."""
+        basis as a dense list, or None if v is outside its span; scale is a
+        positive int.  v is scaled to ints and read by `int_coordinates`."""
         d, vs = int_scaled(sparse(v))
-        if not self._in_span(vs):
+        coords = self.int_coordinates(vs, d * scale)
+        if coords is None:
             return None
-        rows = self._rows
-        acc = {}
-        for c, x in vs.items():
-            pr = rows.get(c)
-            if pr is not None:
-                for j, t in pr[1].items():
-                    acc[j] = acc.get(j, 0) + x * t
-        den = d * self.lcm_transform * scale
         out = [QZERO] * self.n
-        for j, x in acc.items():
-            if x:
-                out[j] = Fraction(x, den)
+        for j, x in coords.items():
+            out[j] = x
         return out
 
 

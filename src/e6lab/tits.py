@@ -10,7 +10,9 @@ or J0) with its span solver, the Der(X) action on X0, the Der(X)-valued
 pairing (d_{a,b} for C, [R_x, R_y] for J), and the pair tables t(ab) and the
 X0-valued product ([a,b] for C, x*y for J).  A layer is built on the first
 call of `ingredient_layer` and kept on the C or J object, so the seven
-catalog models build seven layers from three C's and four J's.  The Der(C)
+catalog models build seven layers from three C's and four J's; every
+coordinate in a layer is read off an int vector by
+`SpanSolver.int_coordinates`.  The Der(C)
 and Der(J) blocks are copies of `derivation_algebra(C)` and
 `derivation_algebra(J)`, tables built once per algebra.  A sign or
 convention error anywhere surfaces as a Jacobi failure, so construction
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from . import linalg
@@ -58,13 +60,19 @@ from .jordan import (
 F = Fraction
 
 
-def _coords(solver: linalg.SpanSolver, vec, scale: int, span: str) -> dict:
-    """The nonzero coordinates {i: x} of vec / scale in the basis of solver;
-    AlgebraError if vec leaves that span, named span."""
-    coeffs = solver.coefficients(vec, scale)
-    if coeffs is None:
+def _coords(solver: linalg.SpanSolver, vec: dict, scale: int, span: str) -> dict:
+    """The nonzero coordinates {i: x} of vec / scale in the basis of solver,
+    vec an int {col: x} vector (`SpanSolver.int_coordinates`); AlgebraError
+    if vec leaves that span, named span."""
+    coords = solver.int_coordinates(vec, scale)
+    if coords is None:
         raise AlgebraError(f"a vector leaves {span}")
-    return {i: v for i, v in enumerate(coeffs) if v}
+    return coords
+
+
+def _c0_product(c: CompositionAlgebra, u, v):
+    """[u, v] = uv - vu, the C0-valued product of C."""
+    return linalg.vec_sub(c.alg.multiply(u, v), c.alg.multiply(v, u))
 
 
 @dataclass
@@ -75,9 +83,11 @@ class Layer:
     is the p-th `derivations(X)` basis element applied to X0 basis vector i,
     in X0 coordinates; `pairing[(a, b)]`, a < b, is the Der(X)-valued
     pairing of X0 basis vectors a and b (d_{a,b} for C, [R_x, R_y] for J) in
-    Der(X) coordinates.  `trace`, `mult` and `product` are t, the product of
-    X and the X0-valued product ([u, v] for C, u*v for J), read by
-    `pair_tables`.
+    Der(X) coordinates.  `trace` is t as a function of (X, u), and
+    `product` the X0-valued product ([u, v] for C, u*v for J) as a function
+    of (X, u, v), read by `pair_tables`.  X keeps its layer, and the layer
+    holds no reference back to X, which is passed in instead: the two make
+    no reference cycle, so X is freed by reference counting.
     """
 
     name: str
@@ -86,21 +96,22 @@ class Layer:
     action: list
     pairing: dict
     trace: object
-    mult: object
     product: object
     _pairs: tuple = None
 
-    def pair_tables(self) -> tuple:
-        """(form, product) on the X0 basis pairs a <= b: form[(a, b)] =
-        t(v_a v_b) and product[(a, b)] the X0 coordinates of the X0-valued
-        product of v_a and v_b.  Built on the first call and kept."""
+    def pair_tables(self, x) -> tuple:
+        """(form, product) on the X0 basis pairs a <= b of x, the ingredient
+        the layer was built on: form[(a, b)] = t(v_a v_b) and product[(a, b)]
+        the X0 coordinates of the X0-valued product of v_a and v_b.  Built on
+        the first call and kept."""
         if self._pairs is None:
             vs, span = self.vectors, f"{self.name}0"
             form, product = {}, {}
             for a, b in combinations_with_replacement(range(len(vs)), 2):
                 u, v = vs[a], vs[b]
-                form[(a, b)] = self.trace(self.mult(u, v))
-                product[(a, b)] = _coords(self.solver, self.product(u, v), 1, span)
+                form[(a, b)] = self.trace(x, x.alg.multiply(u, v))
+                d, p = linalg.int_scaled(linalg.sparse(self.product(x, u, v)))
+                product[(a, b)] = _coords(self.solver, p, d, span)
             self._pairs = (form, product)
         return self._pairs
 
@@ -110,23 +121,19 @@ def ingredient_layer(x: CompositionAlgebra | JordanAlgebra) -> Layer:
     and kept on x."""
     if x._layer is not None:
         return x._layer
-    mult = x.alg.multiply
     if isinstance(x, CompositionAlgebra):
-        name, trace = "C", x.trace
+        name, trace, product = "C", CompositionAlgebra.trace, _c0_product
         vs = [x.alg.basis_vector(b) for b in x.traceless_indices()]
 
-        def product(u, v):
-            return linalg.vec_sub(mult(u, v), mult(v, u))
-
         def pairing(a, b):
-            return d_ab(x, vs[a], vs[b]), 1
+            d, m = linalg.int_scaled(d_ab(x, vs[a], vs[b]))
+            return m, d
 
     else:
-        name, trace, vs = "J", x.t_j, j0_basis(x)
+        name, trace, product, vs = "J", JordanAlgebra.t_j, star, j0_basis(x)
         # R_x for x in J0, scaled once to int matrices; [R_x, R_y] comes out
         # scaled by r_den^2
         r_den, rmats = linalg.int_scaled([x.alg.right_mult_matrix(v) for v in vs])
-        product = partial(star, x)
 
         def pairing(a, b):
             return linalg.sp_bracket(rmats[a], rmats[b], x.dim), r_den * r_den
@@ -145,7 +152,7 @@ def ingredient_layer(x: CompositionAlgebra | JordanAlgebra) -> Layer:
         (a, b): _coords(der_solver, *pairing(a, b), f"Der({name})")
         for a, b in combinations(range(len(vs)), 2)
     }
-    x._layer = Layer(name, vs, solver, action, pairs, trace, mult, product)
+    x._layer = Layer(name, vs, solver, action, pairs, trace, product)
     return x._layer
 
 
@@ -211,8 +218,8 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
 
     # tensor x tensor per the three-term bracket; only the pairs a != b read
     # t_J and the star product, so the J pair tables are built for dim C0 > 1
-    trace_c0, lie_c0 = lc.pair_tables()
-    tj_tab, star_tab = lj.pair_tables() if nc > 1 else (None, None)
+    trace_c0, lie_c0 = lc.pair_tables(c)
+    tj_tab, star_tab = lj.pair_tables(j) if nc > 1 else (None, None)
     # the pairs i1 < i2 in order; the three terms land in disjoint index
     # ranges, and put_antisymmetric drops their zero entries
     for i1, i2 in combinations(rng_t, 2):

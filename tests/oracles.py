@@ -1,7 +1,8 @@
 """Independent oracles for the tests.
 
 Each one restates, directly and without the package's fast paths, something
-the package computes another way or takes as given: dense matrix products
+the package computes another way or takes as given: the two-pass span
+coefficients on a dense list, dense matrix products
 and the sparse commutator as two products merged, the standard derivation
 d_{a,b} of a Hurwitz algebra from dense products, the Leibniz rule on every
 basis pair, the Jacobi walk on the constants scaled to ints by rows and by
@@ -31,6 +32,39 @@ from e6lab.jordan import h3, m3r
 from e6lab.scalars import QONE, QZERO
 
 F = Fraction
+
+
+def span_coefficients(solver, v, scale=1):
+    """The coefficients of v / scale in the basis of the `linalg.SpanSolver`
+    solver as a dense list, or None outside its span, by the two passes
+    `SpanSolver.coefficients` made before its one int read: v is copied and
+    scaled to ints through `int_scaled`, the residual L V - sum_p V[p] R_p
+    is checked on its own pass, and the transform rows are summed on a
+    second one into a dense list of Fractions (`QZERO` for a zero)."""
+    d, vs = linalg.int_scaled(linalg.sparse(v))
+    rows = solver._rows
+    resid = {}
+    for c, x in vs.items():
+        pr = rows.get(c)
+        if pr is None:
+            resid[c] = resid.get(c, 0) + solver.lcm_red * x
+        else:
+            for k, r in pr[0].items():
+                resid[k] = resid.get(k, 0) - x * r
+    if any(resid.values()):
+        return None
+    acc = {}
+    for c, x in vs.items():
+        pr = rows.get(c)
+        if pr is not None:
+            for j, t in pr[1].items():
+                acc[j] = acc.get(j, 0) + x * t
+    den = d * solver.lcm_transform * scale
+    out = [QZERO] * solver.n
+    for j, x in acc.items():
+        if x:
+            out[j] = Fraction(x, den)
+    return out
 
 
 def mat_vec(m, v):

@@ -210,6 +210,20 @@ def _graded(check):
     return _left_by(lambda: check(g, lie))
 
 
+def test_a_dropped_tits_build_on_fresh_ingredients_leaves_no_reference_cycle():
+    # the layers kept on C and J hold no reference back to them, so dropping
+    # the build frees its ingredients and their layers by reference counting
+    gc.disable()
+    try:
+        gc.collect()
+        t = tits_module.tits(hurwitz.__wrapped__("C"), _fresh_j("albert"), "C")
+        assert t.comp._layer is not None and t.jordan._layer is not None
+        del t
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # Every entry point `linalg.acyclic` decorates, on fresh inputs: no
 # lru_cache and no memo on an object is hit.  The builders behind an
 # lru_cache run in a fresh interpreter.

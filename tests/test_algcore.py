@@ -830,7 +830,8 @@ def test_indices_below_a_generator_lie_in_the_earlier_closure(name):
 
 
 def _mirrors_reference(sc, sign):
-    """The Fraction-comparing check `_mirrors` replaced."""
+    """The Fraction-comparing mirror check that `is_anticommutative` and
+    `_symmetry` replaced."""
     for (i, j), row in sc.items():
         if sign == -1 and i == j and row:
             return False
@@ -867,7 +868,9 @@ def _mirrors_reference(sc, sign):
 def test_mirror_checks_compare_numerators_and_denominators(sc, anti, comm):
     alg = StructAlgebra(dim=3, basis_labels=["a", "b", "c"], sc=sc)
     assert alg.is_anticommutative() is anti == _mirrors_reference(sc, -1)
-    assert alg.is_commutative() is comm == _mirrors_reference(sc, 1)
+    assert comm == _mirrors_reference(sc, 1)
+    # _solve_derivations reads both off the int table in one pass
+    assert algcore._symmetry(linalg.int_scaled(sc)[1]) == (comm, anti)
     # jacobi_defect checks anticommutativity on its packed rows instead
     assert _jacobi_rejects_on_both_tables(alg) == (not anti, not anti)
 
@@ -1027,6 +1030,59 @@ def test_bracket_constants_match_all_pairs_expansion(case, sparse_bracket):
 
     solver = linalg.SpanSolver(basis)
     assert algcore.bracket_constants(solver, bracket) == _all_pairs_constants(alg, basis)
+
+
+@given(lie_bases())
+@settings(max_examples=60, deadline=None)
+def test_bracket_constants_identical_on_int_and_fraction_brackets(case):
+    # the brackets scaled to ints on one denominator D, read as they are,
+    # and the same ints as Fractions and as dense lists, which are scaled
+    # to ints first: the tables are equal down to key order and entry types
+    _, alg, basis = case
+    pairs = list(combinations(range(3), 2))
+    products = [linalg.sparse(alg.multiply(basis[i], basis[j])) for i, j in pairs]
+    den, ints = linalg.int_scaled(products)
+    by_pair = dict(zip(pairs, ints))
+    solver = linalg.SpanSolver(basis)
+    tables = [
+        algcore.bracket_constants(solver, lambda i, j: by_pair[(i, j)], den),
+        algcore.bracket_constants(
+            solver, lambda i, j: {k: F(x) for k, x in by_pair[(i, j)].items()}, den
+        ),
+        algcore.bracket_constants(
+            solver, lambda i, j: [F(by_pair[(i, j)].get(k, 0)) for k in range(3)], den
+        ),
+    ]
+    assert tables[0] == _all_pairs_constants(alg, basis)
+    assert len({repr(list(sc.items())) for sc in tables}) == 1
+
+
+@pytest.mark.parametrize("name", ["O", "M3R", "albert"])
+def test_der_tables_identical_on_int_and_fraction_brackets(name):
+    from e6lab.composition import hurwitz
+    from e6lab.jordan import h3, m3r
+
+    alg = {"O": lambda: hurwitz("O"), "M3R": m3r, "albert": lambda: h3("O", (1, 1, 1))}[name]().alg
+    den, mats = algcore.derivation_int_matrices(alg)
+    n = alg.dim
+    solver = algcore.derivation_solver(alg)
+    # the solver built on the int matrices is the one on the dense
+    # flattened Fraction matrices
+    dense = linalg.SpanSolver([sum(d, []) for d in derivations(alg)])
+    assert (solver.n, solver.lcm_red, solver.red, solver.lcm_transform, solver.transform) == (
+        dense.n,
+        dense.lcm_red,
+        dense.red,
+        dense.lcm_transform,
+        dense.transform,
+    )
+    table = algcore.derivation_algebra(alg).sc
+    as_fractions = algcore.bracket_constants(
+        solver,
+        lambda p, q: {k: F(x) for k, x in linalg.sp_bracket(mats[p], mats[q], n).items()},
+        den * den,
+    )
+    assert repr(list(as_fractions.items())) == repr(list(table.items()))
 
 
 @given(lie_bases(), st.sampled_from([(0, 1), (0, 2), (1, 2)]))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import catalog, linalg
-from oracles import identity, mat_vec, sp_commutator, sp_flatten
+from oracles import identity, mat_vec, sp_commutator, sp_flatten, span_coefficients
 
 F = Fraction
 
@@ -358,6 +358,78 @@ def test_int_span_solver_matches_fraction_reference(data, scale, sparse_query):
         if want is not None:
             assert all(type(c) is F for c in want)
     assert solver.coefficients(inside) == coeffs
+
+
+int_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-9, max_value=9))
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=1, max_value=n),
+            st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(int_entries, min_size=n, max_size=n),
+            st.lists(int_entries, min_size=n, max_size=n),
+        )
+    ),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_int_coordinates_match_the_two_pass_oracle(data, scale):
+    k, raw, combo, outside = data
+    basis = [[F(x) for x in row] for row in raw[:k]]
+    assume(linalg.rank(basis) == k)
+    solver = linalg.SpanSolver(basis)
+    # an int vector inside the span (an int combination of the basis scaled
+    # to ints) and a random int vector, inside or outside
+    _, ints = linalg.int_scaled([linalg.sparse(b) for b in basis])
+    inside = {}
+    for c, row in zip(combo, ints):
+        linalg.sp_add_into(inside, row, c)
+    for vs in (inside, linalg.sparse(outside), dict(enumerate(outside))):
+        query = dict(vs)
+        want = span_coefficients(solver, vs, scale)
+        got = solver.int_coordinates(query, scale)
+        assert query == vs and list(query) == list(vs)  # only read
+        dense = solver.coefficients(vs, scale)
+        if want is None:
+            assert got is None and dense is None
+            continue
+        assert got == {j: x for j, x in enumerate(want) if x}
+        assert list(got) == sorted(got)
+        assert all(type(x) is F for x in got.values())
+        assert dense == want
+        assert [type(x) for x in dense] == [type(x) for x in want] == [F] * k
+    assert solver.int_coordinates(inside, scale) is not None
+    rational = [F(x, scale) for x in outside]
+    assert solver.coefficients(rational) == span_coefficients(solver, rational)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=1, max_value=n),
+            st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_span_solver_on_int_rows_and_their_scale_is_the_rational_one(data):
+    k, raw = data
+    basis = [[F(x) for x in row] for row in raw[:k]]
+    assume(linalg.rank(basis) == k)
+    d, ints = linalg.int_scaled([linalg.sparse(b) for b in basis])
+    want = linalg.SpanSolver(basis)
+    for scale in (d, 3 * d):
+        rows = [{c: x * (scale // d) for c, x in r.items()} for r in ints]
+        got = linalg.SpanSolver(rows, len(raw), scale)
+        assert (got.n, got.lcm_red, got.red, got.lcm_transform, got.transform) == (
+            want.n,
+            want.lcm_red,
+            want.red,
+            want.lcm_transform,
+            want.transform,
+        )
 
 
 def _dense_congruence_diagonalize(m):

@@ -203,10 +203,10 @@ def fresh_catalog_builds():
         layers.append(args[0])
         return layer_class(*args)
 
-    def counted_pairs(self):
+    def counted_pairs(self, x):
         if self._pairs is None:
             pair_tables.append(self.name)
-        return original_pairs(self)
+        return original_pairs(self, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tits_module, "Layer", counted_layer)
