@@ -29,8 +29,10 @@ Jacobi, and packed rows are equal iff the rows are, so anticommutativity
 is read off them too (see `jacobi_defect`).  The algebra keeps the defect
 triples it found (`jacobi_certificate`), which `LieAlgebra`, the C02
 checks and `e6lab build` read.
-Derivations are solved on the integer table D*c as well, and the bracket of
-Der(A) runs on the derivations scaled to one integer denominator.
+Derivations are solved on the integer table D*c as well, and Der(A) is
+kept once per algebra, as sparse int matrices on one scale
+(`derivation_int_matrices`): its span solver and its bracket run on them,
+and `derivations` is a dense Fraction view built on each call.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ class StructAlgebra:
     field: str = QQ
     _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _diag_cache: tuple = dc_field(default=None, repr=False, compare=False)
-    _der_cache: list = dc_field(default=None, repr=False, compare=False)
-    _der_int_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _der_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _jacobi_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
@@ -667,40 +668,43 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
 # derivations
 
 
-def derivations(alg: StructAlgebra):
-    """Basis of Der(A): all d with d(xy) = d(x)y + x d(y).
+def derivation_int_matrices(alg: StructAlgebra) -> tuple:
+    """(D, mats): the basis of Der(A), all d with d(xy) = d(x)y + x d(y), as
+    sparse int matrices {row: {col: int}} (column action) on one scale:
+    mats[t] is D times the t-th basis derivation, D the least common
+    denominator.
 
-    Returns dim x dim matrices (column action), as the reduced-echelon basis
-    of the Leibniz kernel in row-major unknowns d[p][q]; deterministic.
-    Solved once per algebra object: later calls return the same list.
+    The basis is the reduced-echelon basis of the Leibniz kernel in
+    row-major unknowns d[p][q]; deterministic.  Solved once per algebra
+    object and kept on it; it builds no Der(A) table.  Callers read the
+    matrices and never edit them.
     """
     if alg._der_cache is None:
         alg._der_cache = _solve_derivations(alg)
     return alg._der_cache
 
 
-def derivation_int_matrices(alg: StructAlgebra) -> tuple:
-    """(D, mats): `derivations(alg)` as sparse int matrices {row: {col: int}}
-    on one scale, mats[t] = D * derivations(alg)[t] with D the common
-    denominator (`linalg.int_scaled`).
-
-    Built on the first call and kept beside the basis; it builds no Der(A)
-    table.  Callers read the matrices and never edit them.
-    """
-    if alg._der_int_cache is None:
-        alg._der_int_cache = linalg.int_scaled(
-            [linalg.dense_to_sparse(d) for d in derivations(alg)]
-        )
-    return alg._der_int_cache
+def derivations(alg: StructAlgebra):
+    """The basis of `derivation_int_matrices(alg)` as dense dim x dim
+    Fraction matrices (`QZERO` for a zero), built anew on each call from the
+    kept int matrices."""
+    den, mats = derivation_int_matrices(alg)
+    out = [[[QZERO] * alg.dim for _ in range(alg.dim)] for _ in mats]
+    for d, m in zip(out, mats):
+        for p, row in m.items():
+            for q, x in row.items():
+                d[p][q] = Fraction(x, den)
+    return out
 
 
 @linalg.acyclic
 def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
-    """Der(A) under the commutator, on the basis `derivations(alg)` (labels
-    d0, d1, ...).
+    """Der(A) under the commutator, on the basis `derivation_int_matrices(alg)`
+    (labels d0, d1, ...).
 
     Built on the first call and kept on the algebra object, so every user of
-    Der(A) in a process reads one table; `derivations` alone builds none.
+    Der(A) in a process reads one table; `derivation_int_matrices` alone
+    builds none.
     """
     if alg._der_alg_cache is None:
         # the solver reads the int matrices D*d flattened row-major, and the
@@ -724,7 +728,7 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
 
 
 def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
-    """The SpanSolver on the flattened `derivations(alg)` that
+    """The SpanSolver on the flattened `derivation_int_matrices(alg)` that
     `derivation_algebra(alg)` is built with: it expresses a dim x dim matrix,
     flattened row-major, in the Der(A) basis."""
     derivation_algebra(alg)
@@ -790,8 +794,12 @@ def _solve_derivations(alg: StructAlgebra):
                             r[u] = r.get(u, 0) - v
             for r in rows.values():
                 acc.add_constraint(r)
-    basis = acc.kernel_basis()
-    return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in basis]
+    den, vecs = acc.kernel_basis()
+    mats = [{} for _ in vecs]
+    for m, vec in zip(mats, vecs):
+        for u in sorted(vec):
+            m.setdefault(u // n, {})[u % n] = vec[u]
+    return den, mats
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ def _elapsed_note(t0: float):
     print(f"elapsed: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
 
+def _unknown(kind, name, choices) -> int:
+    """Print the usage error for an unknown name with its choices; return 2."""
+    print(f"unknown {kind} {name!r}; choose from {', '.join(choices)}", file=sys.stderr)
+    return 2
+
+
 def _write(path, text) -> bool:
     """Write text to path; on failure print one line on stderr, return False."""
     try:
@@ -36,8 +42,7 @@ def _write(path, text) -> bool:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     if args.model not in catalog.MODEL_NAMES:
-        print(f"unknown model {args.model!r}; choose from {', '.join(catalog.MODEL_NAMES)}", file=sys.stderr)
-        return 2
+        return _unknown("model", args.model, catalog.MODEL_NAMES)
     lie, provenance = catalog.model(args.model)
     defect = jacobi_certificate(lie.alg)
     sig = catalog.model_signature(args.model)
@@ -65,8 +70,7 @@ def cmd_build(args) -> int:
 def cmd_grading(args) -> int:
     t0 = time.perf_counter()
     if args.name not in catalog.GRADING_NAMES:
-        print(f"unknown grading {args.name!r}; choose from {', '.join(catalog.GRADING_NAMES)}", file=sys.stderr)
-        return 2
+        return _unknown("grading", args.name, catalog.GRADING_NAMES)
     g, carrier, desc = catalog.grading(args.name)
     tvec = type_vector(g)
     meta = catalog.TABLE2[args.name]
@@ -110,8 +114,7 @@ def cmd_grading(args) -> int:
 def cmd_killing(args) -> int:
     t0 = time.perf_counter()
     if args.model not in catalog.MODEL_NAMES:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
+        return _unknown("model", args.model, catalog.MODEL_NAMES)
     lie, _ = catalog.model(args.model)
     r = lie.killing_inertia()
     doc = {
@@ -180,17 +183,22 @@ def cmd_chevalley(args) -> int:
 
 def cmd_verify_all(args) -> int:
     t0 = time.perf_counter()
-    results = verify.run_all()
-    doc = verify.report_document(results)
-    core_bytes = verify.render_json(doc)
+    child = None
     if not args.no_self_check:
-        # determinism: a fresh process must reproduce the core report byte for byte
-        proc = subprocess.run(
-            [sys.executable, "-m", "e6lab.cli", "verify-all", "--json", "--no-self-check"],
-            capture_output=True,
-            text=True,
-        )
-        identical = proc.returncode in (0, 1) and proc.stdout == core_bytes
+        # determinism: a fresh process, started before the battery and read
+        # after it, must reproduce the core report byte for byte
+        cmd = [sys.executable, "-m", "e6lab.cli", "verify-all", "--json", "--no-self-check"]
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        results = verify.run_all()
+        out = child.communicate()[0] if child else None
+    finally:
+        if child and child.poll() is None:  # the battery raised
+            child.kill()
+            child.communicate()
+    doc = verify.report_document(results)
+    if child:
+        identical = child.returncode in (0, 1) and out == verify.render_json(doc)
         results = results + [
             verify.CheckResult(
                 id="C14.determinism",

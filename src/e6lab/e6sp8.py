@@ -174,13 +174,18 @@ def sp8_rational_basis():
 
 
 def _operator_on_subspace(images, basis):
-    """Matrix whose column j holds the coordinates of images[j] in the
-    rational basis."""
+    """The matrix, as {col: x} rows, whose column j holds the coordinates of
+    images[j] in the rational basis."""
     solver = linalg.SpanSolver(basis)
-    cols = [solver.coefficients(img) for img in images]
-    if None in cols:
-        raise AlgebraError("operator does not preserve the subspace")
-    return [[co[i] for co in cols] for i in range(len(basis))]
+    rows = [{} for _ in basis]
+    for j, img in enumerate(images):
+        d, vs = linalg.int_scaled(linalg.sparse(img))
+        co = solver.int_coordinates(vs, d)
+        if co is None:
+            raise AlgebraError("operator does not preserve the subspace")
+        for i, x in co.items():
+            rows[i][j] = x
+    return rows
 
 
 # ---------------------------------------------------------------------------

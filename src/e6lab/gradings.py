@@ -342,7 +342,8 @@ def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
     derivation d, the part pi_g(d) that maps each A_h into A_{h+g} is again
     a derivation (take the degree h+k+g part of d(xy) = d(x)y + xd(y) for x
     in A_h, y in A_k), so Der(A)_g is spanned by the pi_g(d_t) over the
-    basis d_t of `derivations(A)`, and the pieces sum to Der(A), directly,
+    basis d_t of Der(A), read as the int matrices D*d_t of
+    `derivation_int_matrices(A)`, and the pieces sum to Der(A), directly,
     because the pi_g sum to the identity and keep disjoint blocks.  Each d_t
     is written in block coordinates, the coordinates in P of d_t(P_i) for
     the rows P_i of the homogeneous basis; pi_g(d_t) keeps the blocks from
@@ -416,22 +417,21 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
     gc, gj = grading_c.group, grading_j.group
     lie = t.lie
     nj0 = len(t.j0_vectors)
-    indc = induced_on_der(grading_c) if t.der_c_basis else None
+    indc = induced_on_der(grading_c) if t.layout["der_c"] else None
     indj = induced_on_der(grading_j)
-    # traceless parts of the graded components, in C0 / J0 coordinates
+    # traceless parts of the graded components, as sparse C0 / J0 coordinates
     c0g, j0h = {}, {}
     for grading, x, out in ((grading_c, c, c0g), (grading_j, j, j0h)):
         lay = ingredient_layer(x)
         for g, vecs in grading.components.items():
             combos = linalg.kernel([[lay.trace(x, v) for v in vecs]], len(vecs))
             for combo in combos:
-                coeffs = lay.solver.coefficients(linalg.lin_comb(combo, vecs))
+                d, vs = linalg.int_scaled(linalg.sparse(linalg.lin_comb(combo, vecs)))
+                coeffs = lay.solver.int_coordinates(vs, d)
                 if coeffs is None:
                     raise GradingError(f"traceless {lay.name} component outside {lay.name}0")
                 out.setdefault(g, []).append(coeffs)
     ec, ej = gc.identity(), gj.identity()
-    dc_off = t.layout["der_c"].start
-    dj_off = t.layout["der_j"].start
     tn_off = t.layout["tensor"].start
     comps = {}
 
@@ -439,32 +439,24 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
         key = gc.combine_elements(gj, g, h)
         return comps.setdefault(key, [])
 
-    if indc is not None:
-        for g, vecs in indc.components.items():
-            dst = bucket(g, ej)
+    # the induced Der(C)_g at degree (g, e) and Der(J)_h at (e, h), copied
+    # into their slots of the model's basis
+    for ind, span, degree in ((indc, "der_c", lambda g: (g, ej)), (indj, "der_j", lambda h: (ec, h))):
+        for g, vecs in ind.components.items() if ind else ():
+            dst = bucket(*degree(g))
             for coeffs in vecs:
                 v = [QZERO] * lie.dim
-                for i2, co in enumerate(coeffs):
-                    v[dc_off + i2] = co
+                v[t.layout[span].start : t.layout[span].stop] = coeffs
                 dst.append(v)
-    for h, vecs in indj.components.items():
-        dst = bucket(ec, h)
-        for coeffs in vecs:
-            v = [QZERO] * lie.dim
-            for i2, co in enumerate(coeffs):
-                v[dj_off + i2] = co
-            dst.append(v)
     for g, avecs in c0g.items():
         for h, xvecs in j0h.items():
             dst = bucket(g, h)
             for a in avecs:
                 for x in xvecs:
                     v = [QZERO] * lie.dim
-                    for ci2, av in enumerate(a):
-                        if av:
-                            for ji2, xv in enumerate(x):
-                                if xv:
-                                    v[tn_off + ci2 * nj0 + ji2] = av * xv
+                    for ci2, av in a.items():
+                        for ji2, xv in x.items():
+                            v[tn_off + ci2 * nj0 + ji2] = av * xv
                     dst.append(v)
     group = gc.product(gj)
     return GradedDecomposition(group=group, algebra=lie.alg, components=comps)

@@ -12,8 +12,9 @@ fraction-free: each row is cleared of denominators once and made primitive
 (`primitive`), and a row is reduced by an echelon row p as a r - b p with
 a, b coprime ints, then divided by its content (`_eliminate`).  Only the
 result is rational: every entry `rref` returns is a Fraction, one built per
-nonzero, for int rows too.  `kernel` and `SpanSolver` read the int rows
-of the reduced form (`_reduced_echelon`) before any Fraction is built.  The
+nonzero, for int rows too.  `kernel`, `SpanSolver` and
+`IntKernelAccumulator.kernel_basis` read the int rows of the reduced form
+(`_reduced_echelon`) before any Fraction is built.  The
 reduced row echelon form of a matrix is unique, so every basis it returns
 (and `kernel`, `eigenspace`, `mat_inverse`, `SpanSolver` and
 `IntKernelAccumulator` on top of it) is deterministic whatever the row
@@ -37,7 +38,7 @@ sparse coordinates there, with no copy and no dense list.
 `IntKernelAccumulator` keeps its kernel as primitive int vectors and
 reduces them with the same `_eliminate`: a constraint row is dotted as it
 is, and only the dot products of a rational row are cleared of
-denominators.
+denominators; its kernel basis comes out as int rows on one scale.
 
 The exact kernels allocate Fractions, dicts and lists by the hundred
 thousand, each an object CPython's cyclic garbage collector tracks, so with
@@ -346,8 +347,8 @@ class SpanSolver:
     `int_coordinates` is the one read: an int query V with a known scale s
     is in the span iff L V - sum_p V[p] R_p is 0, and then the coordinates
     of V / s are sum_p V[p] T_p / (s M), in one pass over the nonzeros of V
-    and of the rows it meets, in Python ints.  `coefficients` scales a
-    rational query to ints first.
+    and of the rows it meets, in Python ints.  A rational query is scaled
+    to ints by `int_scaled` first.
     """
 
     def __init__(self, basis, ncols=None, scale: int = 1):
@@ -395,19 +396,6 @@ class SpanSolver:
             return None
         den = self.lcm_transform * scale
         return {j: Fraction(acc[j], den) for j in sorted(acc) if acc[j]}
-
-    def coefficients(self, v, scale: int = 1):
-        """Coefficients of v / scale (v a dense list or a sparse dict) wrt the
-        basis as a dense list, or None if v is outside its span; scale is a
-        positive int.  v is scaled to ints and read by `int_coordinates`."""
-        d, vs = int_scaled(sparse(v))
-        coords = self.int_coordinates(vs, d * scale)
-        if coords is None:
-            return None
-        out = [QZERO] * self.n
-        for j, x in coords.items():
-            out[j] = x
-        return out
 
 
 def _common_scale(rows, leads):
@@ -727,6 +715,9 @@ class IntKernelAccumulator:
         return True
 
     def kernel_basis(self):
-        """Deterministic rational basis (reduced echelon) of the kernel: the
-        int basis rows go to `rref` as they are."""
-        return rref(list(self.basis.values()), self.n)[0]
+        """(L, rows): the kernel's basis in reduced echelon form (deterministic)
+        as {col: int} rows on one scale, row t = L * (basis vector t) with L
+        the least common denominator (`_common_scale`).  The int basis rows
+        are reduced by `_reduced_echelon` as they are; no Fraction is built."""
+        reduced = _reduced_echelon(list(self.basis.values()))
+        return _common_scale(list(reduced.values()), [r[pc] for pc, r in reduced.items()])

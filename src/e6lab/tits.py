@@ -40,7 +40,6 @@ from .algcore import (
     derivation_algebra,
     derivation_int_matrices,
     derivation_solver,
-    derivations,
     inertia,
     is_diagonal_automorphism,
     killing_matrix,
@@ -80,10 +79,10 @@ class Layer:
     """What the bracket of T(C, J) reads of one ingredient X, X = C or J.
 
     `vectors` is the X0 basis and `solver` its span solver.  `action[p][i]`
-    is the p-th `derivations(X)` basis element applied to X0 basis vector i,
-    in X0 coordinates; `pairing[(a, b)]`, a < b, is the Der(X)-valued
-    pairing of X0 basis vectors a and b (d_{a,b} for C, [R_x, R_y] for J) in
-    Der(X) coordinates.  `trace` is t as a function of (X, u), and
+    is the p-th Der(X) basis element (`derivation_int_matrices`) applied to
+    X0 basis vector i, in X0 coordinates; `pairing[(a, b)]`, a < b, is the
+    Der(X)-valued pairing of X0 basis vectors a and b (d_{a,b} for C,
+    [R_x, R_y] for J) in Der(X) coordinates.  `trace` is t as a function of (X, u), and
     `product` the X0-valued product ([u, v] for C, u*v for J) as a function
     of (X, u, v), read by `pair_tables`.  X keeps its layer, and the layer
     holds no reference back to X, which is passed in instead: the two make
@@ -163,8 +162,6 @@ class TitsAlgebra:
     provenance: dict
     comp: CompositionAlgebra
     jordan: JordanAlgebra
-    der_c_basis: list
-    der_j_basis: list
     c0_idx: list  # C basis indices spanning C0
     j0_vectors: list
 
@@ -255,8 +252,6 @@ def tits(c: CompositionAlgebra, j: JordanAlgebra, comp_name: str) -> TitsAlgebra
         },
         comp=c,
         jordan=j,
-        der_c_basis=derivations(c.alg),
-        der_j_basis=derivations(j.alg),
         c0_idx=c0,
         j0_vectors=lj.vectors,
     )
@@ -365,14 +360,15 @@ def proportionality_constants() -> dict:
     t = tits_model("O", "m3r")
     k = t.lie.killing_matrix()
 
-    def trace_gram(mats):
-        sp = [linalg.dense_to_sparse(a) for a in mats]
-        return [[linalg.sp_trace_product(a, b) or F(0) for b in sp] for a in sp]
+    def trace_gram(x):
+        # tr(d d') on Der(X), read off the int matrices D*d, D*d'
+        den, mats = derivation_int_matrices(x.alg)
+        return [[F(linalg.sp_trace_product(a, b) or 0, den * den) for b in mats] for a in mats]
 
     # Der(O): k(d, d') = 12 tr(d d')
-    c_der_c = _ratio_constant(k, list(t.layout["der_c"]), trace_gram(t.der_c_basis))
+    c_der_c = _ratio_constant(k, list(t.layout["der_c"]), trace_gram(t.comp))
     # Der(M): k(D, D') = 8 tr(D D')
-    c_der_j = _ratio_constant(k, list(t.layout["der_j"]), trace_gram(t.der_j_basis))
+    c_der_j = _ratio_constant(k, list(t.layout["der_j"]), trace_gram(t.jordan))
     # tensor part: k(a x, b y) = alpha n(a,b) t_M(x.y)
     alpha = _ratio_constant(k, list(t.layout["tensor"]), _tensor_form(t))
     # delta: K restricted to the 36-dim even part of the Albert nu-twist

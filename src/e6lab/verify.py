@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import catalog, chevalley, e6sp8, linalg
-from .algcore import derivations, fixed_subspace, jacobi_certificate
+from .algcore import derivation_int_matrices, fixed_subspace, jacobi_certificate
 from .composition import hurwitz
 from .gradings import (
     killing_orthogonality_violations,
@@ -62,24 +62,14 @@ def _check_bool(cid, desc, ok) -> CheckResult:
 
 def group_dimensions():
     out = []
-    out.append(_check("C01.der-O", "dim Der(O)", 14, len(derivations(hurwitz("O").alg))))
-    out.append(
-        _check(
-            "C01.der-albert",
-            "dim Der(H3(O,I))",
-            52,
-            len(derivations(h3("O", (1, 1, 1)).alg)),
-        )
-    )
-    out.append(
-        _check(
-            "C01.der-albert-split",
-            "dim Der(H3(O,diag(1,-1,1)))",
-            52,
-            len(derivations(h3("O", (1, -1, 1)).alg)),
-        )
-    )
-    out.append(_check("C01.der-m3r", "dim Der(M3R+)", 8, len(derivations(m3r().alg))))
+    # dim Der(A) is the number of kept int matrices
+    for cid, desc, want, alg in (
+        ("C01.der-O", "dim Der(O)", 14, hurwitz("O").alg),
+        ("C01.der-albert", "dim Der(H3(O,I))", 52, h3("O", (1, 1, 1)).alg),
+        ("C01.der-albert-split", "dim Der(H3(O,diag(1,-1,1)))", 52, h3("O", (1, -1, 1)).alg),
+        ("C01.der-m3r", "dim Der(M3R+)", 8, m3r().alg),
+    ):
+        out.append(_check(cid, desc, want, len(derivation_int_matrices(alg)[1])))
     out.append(_check("C01.dim-tits-o-m3r", "dim T(O, M3R)", 78, catalog.model("tits-o-m3r")[0].dim))
     out.append(
         _check("C01.dim-tits-rr-albert", "dim T(R+R, H3(O,I))", 78, catalog.model("tits-rr-albert")[0].dim)

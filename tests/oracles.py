@@ -36,8 +36,8 @@ F = Fraction
 
 def span_coefficients(solver, v, scale=1):
     """The coefficients of v / scale in the basis of the `linalg.SpanSolver`
-    solver as a dense list, or None outside its span, by the two passes
-    `SpanSolver.coefficients` made before its one int read: v is copied and
+    solver as a dense list, or None outside its span, by the two passes the
+    solver's rational read made before `int_coordinates`: v is copied and
     scaled to ints through `int_scaled`, the residual L V - sum_p V[p] R_p
     is checked on its own pass, and the transform rows are summed on a
     second one into a dense list of Fractions (`QZERO` for a zero)."""
@@ -65,6 +65,13 @@ def span_coefficients(solver, v, scale=1):
         if x:
             out[j] = Fraction(x, den)
     return out
+
+
+def scaled_rows_dense(scaled, ncols):
+    """The (L, {col: int} rows) of `IntKernelAccumulator.kernel_basis` as
+    dense lists of Fractions row / L (`QZERO` for a zero)."""
+    den, rows = scaled
+    return [[Fraction(r[c], den) if c in r else QZERO for c in range(ncols)] for r in rows]
 
 
 def mat_vec(m, v):
@@ -300,8 +307,8 @@ def odd_bracket(u, v):
     model = e6sp8.assemble_e6()
     ne = model.even_dim
     ex = linalg.SpanSolver(model.odd_vectors)
-    cu = ex.coefficients(u)
-    cv = ex.coefficients(v)
+    cu = span_coefficients(ex, u)
+    cv = span_coefficients(ex, v)
     if cu is None or cv is None:
         raise AlgebraError("arguments must lie in ker c")
     out = [[F(0)] * 8 for _ in range(8)]
@@ -568,7 +575,7 @@ def split(subspaces, op, nev):
             rows = []
             for start, x in zip((0, k), I_POWERS[(4 // nev) * e]):
                 for i, row in enumerate(m):
-                    r = linalg.sparse(row[start : start + k])
+                    r = {c - start: v for c, v in row.items() if start <= c < start + k}
                     linalg.sp_add_into(r, {i: QONE}, -x)
                     rows.append(r)
             combos = linalg.kernel(rows, k)
@@ -645,7 +652,7 @@ def assemble_walk(even_rat, odd_rat):
         per_u = []
         for u in range(no):
             img = linalg.sp_matvec(act_sp[p], odd_sp[u])
-            coeffs = odd_expand.coefficients(img, e_den * o_den)
+            coeffs = span_coefficients(odd_expand, img, e_den * o_den)
             if coeffs is None:
                 raise AlgebraError("sp8 action leaves ker c")
             put_antisymmetric(sc, p, ne + u, {ne + i: v for i, v in enumerate(coeffs) if v})

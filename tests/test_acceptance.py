@@ -4,6 +4,7 @@ One test per criterion; each prints a PASS/FAIL line.  All arithmetic in the
 package is exact, so every comparison here is equality, never approximate.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import pytest
 
 from e6lab import catalog, verify
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -23,10 +26,19 @@ def results():
 
 def test_report_validates_against_schema(results):
     doc = verify.report_document(results)
-    schema = json.loads(
-        (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
-    )
+    schema = json.loads((ROOT / "docs" / "report.schema.json").read_text())
     jsonschema.validate(doc, schema)
+
+
+def test_battery_matches_the_benchmark_golden_digest(results):
+    # the whole report byte for byte, as the benchmark's build step checks
+    # it, not criterion by criterion
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["build"]
+    doc = verify.report_document(results)
+    report = verify.render_json(doc).encode()
+    assert hashlib.sha256(report).hexdigest() == golden["battery_sha256"]
+    assert doc["total"] == golden["battery_total"]
+    assert doc["failed"] == ["C05.tensor-alpha"]
 
 
 def test_structure_constants_are_fractions(results):

@@ -33,6 +33,7 @@ from oracles import (
     mat_vec,
     sp_commutator,
     sp_flatten,
+    span_coefficients,
 )
 
 F = Fraction
@@ -346,7 +347,7 @@ def test_derivations_sl2():
     for a in ders:
         for b in ders:
             comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-            assert sp.coefficients(sum(comm, [])) is not None
+            assert span_coefficients(sp, sum(comm, [])) is not None
 
 
 def test_derivations_abelian():
@@ -357,9 +358,13 @@ def test_derivations_abelian():
 def test_derivations_memoized_on_the_algebra():
     from e6lab.composition import hurwitz
 
+    # the int matrices are the memo; `derivations` is a dense view of them
     alg = hurwitz("O").alg
+    kept = algcore.derivation_int_matrices(alg)
+    assert alg._der_cache is kept
     ders = derivations(alg)
-    assert derivations(alg) is ders
+    assert derivations(alg) == ders
+    assert algcore.derivation_int_matrices(alg) is kept
     fresh = algcore.algebra_from_json(algcore.algebra_to_json(alg))
     assert fresh._der_cache is None
     assert derivations(fresh) == ders
@@ -402,14 +407,14 @@ def test_derivation_algebra_built_once_and_only_on_request():
         for q in range(3):
             a, b = ders[p], ders[q]
             comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-            coeffs = sp.coefficients(sum(comm, []))
+            coeffs = span_coefficients(sp, sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
     # the solver the table was built with is kept, not rebuilt
     solver = algcore.derivation_solver(alg)
     assert algcore.derivation_solver(alg) is solver
     assert algcore.derivation_algebra(alg) is der
     for p, d in enumerate(ders):
-        assert solver.coefficients(sum(d, [])) == [F(int(q == p)) for q in range(3)]
+        assert span_coefficients(solver, sum(d, [])) == [F(int(q == p)) for q in range(3)]
 
 
 def test_automorphism_checks():
@@ -1090,7 +1095,8 @@ def test_der_tables_identical_on_int_and_fraction_brackets(name):
 def test_bracket_constants_reject_a_span_not_closed(case, pair):
     name, alg, basis = case
     sub = [basis[k] for k in pair]
-    closed = linalg.SpanSolver(sub).coefficients(alg.multiply(sub[0], sub[1])) is not None
+    product = alg.multiply(sub[0], sub[1])
+    closed = span_coefficients(linalg.SpanSolver(sub), product) is not None
     if name == "so3":
         assert not closed  # so3 has no 2-dimensional subalgebra over Q
     solver = linalg.SpanSolver(sub)

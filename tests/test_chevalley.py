@@ -6,7 +6,7 @@ import pytest
 from e6lab import algcore, chevalley, linalg
 from e6lab.algcore import fixed_subspace, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from oracles import identity, mat_sub
+from oracles import identity, mat_sub, span_coefficients
 
 F = Fraction
 
@@ -278,7 +278,7 @@ def test_fix_omega_t_structure():
             vec = linalg.vec_add(e, linalg.vec_scale(f, sgn))
         else:
             vec = linalg.vec_sub(e, linalg.vec_scale(f, sgn))
-        assert sp.coefficients(vec) is not None
+        assert span_coefficients(sp, vec) is not None
 
 
 def test_gamma13():

@@ -1,12 +1,14 @@
 import itertools
 import json
 import re
+import subprocess
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from e6lab import catalog, verify
 from e6lab.cli import main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -32,6 +34,42 @@ def test_build_writes_valid_algebra_json(tmp_path, capsys):
 
 def test_build_unknown_model_usage_error(capsys):
     assert main(["build", "nope", "--json"]) == 2
+
+
+def test_killing_unknown_model_names_the_choices(capsys):
+    assert main(["killing", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"unknown model 'nope'; choose from {', '.join(catalog.MODEL_NAMES)}\n"
+
+
+def test_default_verify_all_adds_a_passed_self_check(capsys):
+    assert main(["verify-all", "--json"]) == 1
+    full = json.loads(capsys.readouterr().out)
+    assert main(["verify-all", "--json", "--no-self-check"]) == 1
+    core = capsys.readouterr().out
+    (c14,) = [c for c in full["checks"] if c["id"] == "C14.determinism"]
+    assert c14["passed"]
+    rest = [c for c in full["checks"] if c is not c14]
+    assert verify.render_json({**full, "checks": rest, "total": full["total"] - 1}) == core
+
+
+def test_self_check_process_is_ended_when_the_battery_raises(monkeypatch):
+    children = []
+    popen = subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        children.append(popen(*args, **kwargs))
+        return children[-1]
+
+    def battery():
+        raise RuntimeError("the battery raised")
+
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    monkeypatch.setattr(verify, "run_all", battery)
+    with pytest.raises(RuntimeError, match="the battery raised"):
+        main(["verify-all", "--json"])
+    (child,) = children
+    assert child.poll() is not None
 
 
 def test_exported_model_reloads_identically(tmp_path, capsys):

@@ -183,7 +183,8 @@ def _split_by_intersection(subspaces, op, nev):
         k = len(basis)
         re_imgs, im_imgs = zip(*(op(v) for v in basis))
         m = e6sp8._operator_on_subspace(re_imgs + im_imgs, basis)
-        re, im = [row[:k] for row in m], [row[k:] for row in m]
+        re = [{c: x for c, x in row.items() if c < k} for row in m]
+        im = [{c - k: x for c, x in row.items() if c >= k} for row in m]
         for e in range(nev):
             lam_re, lam_im = I_POWERS[(4 // nev) * e]
             combos = linalg.intersect_spans(

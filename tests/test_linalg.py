@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6lab import catalog, linalg
-from oracles import identity, mat_vec, sp_commutator, sp_flatten, span_coefficients
+from oracles import (
+    identity,
+    mat_vec,
+    scaled_rows_dense,
+    sp_commutator,
+    sp_flatten,
+    span_coefficients,
+)
 
 F = Fraction
 
@@ -37,9 +44,9 @@ def test_span_solver():
     basis = [[F(1), F(1), F(0)], [F(0), F(2), F(2)]]
     s = linalg.SpanSolver(basis)
     v = [F(2), F(4), F(2)]
-    coeffs = s.coefficients(v)
+    coeffs = span_coefficients(s, v)
     assert coeffs == [F(2), F(1)]
-    assert s.coefficients([F(1), F(0), F(0)]) is None
+    assert span_coefficients(s, [F(1), F(0), F(0)]) is None
     with pytest.raises(ValueError):
         linalg.SpanSolver([[F(1), F(0)], [F(2), F(0)]])
 
@@ -57,8 +64,8 @@ def test_intersect_spans():
     assert len(inter) == 1
     v = inter[0]
     # must lie in both spans
-    assert linalg.SpanSolver(a).coefficients(v) is not None
-    assert linalg.SpanSolver(b).coefficients(v) is not None
+    assert span_coefficients(linalg.SpanSolver(a), v) is not None
+    assert span_coefficients(linalg.SpanSolver(b), v) is not None
 
 
 def test_inertia_identity_and_diag():
@@ -115,7 +122,13 @@ def test_incremental_kernel_matches_dense(raw):
     for r in rows:
         acc.add_constraint({i: v for i, v in enumerate(r) if v})
     dense = linalg.kernel(rows, 5)
-    assert acc.kernel_basis() == dense
+    scaled = acc.kernel_basis()
+    assert scaled_rows_dense(scaled, 5) == dense
+    # one common scale, the least: every entry is an int and the scale is
+    # the least common denominator of the rational basis
+    den, ints = scaled
+    assert all(type(x) is int for r in ints for x in r.values())
+    assert den == linalg.int_scaled(dense)[0]
 
 
 @given(
@@ -133,7 +146,8 @@ def test_incremental_kernel_same_on_int_and_fraction_rows(raw):
         accs[0].add_constraint({i: 3 * v for i, v in enumerate(r) if v})
         accs[1].add_constraint({i: F(v, 2) for i, v in enumerate(r) if v})
     assert accs[0].basis == accs[1].basis
-    assert accs[0].kernel_basis() == accs[1].kernel_basis() == linalg.kernel(raw, 5)
+    assert accs[0].kernel_basis() == accs[1].kernel_basis()
+    assert scaled_rows_dense(accs[0].kernel_basis(), 5) == linalg.kernel(raw, 5)
 
 
 def test_eigenspace():
@@ -185,7 +199,7 @@ def test_elimination_of_int_rows_stays_rational():
         linalg.rref([[2, 1, 0], [4, 3, 0]])[0],
         linalg.kernel([[2, 4, 0]], 3),
         linalg.mat_inverse([[2, 0], [0, 3]]),
-        [linalg.SpanSolver([[2, 0, 2], [0, 3, 3]]).coefficients([0, 3, 3])],
+        [span_coefficients(linalg.SpanSolver([[2, 0, 2], [0, 3, 3]]), [0, 3, 3])],
     ]
     for rows in computed:
         assert all(type(x) is F for row in rows for x in row), rows
@@ -234,13 +248,13 @@ def _check_span_solver(basis, coeffs, outside):
     assume(linalg.rank(basis) == len(basis))
     s = linalg.SpanSolver(basis)
     v = _combine(coeffs, basis)
-    dense = s.coefficients(v)
-    assert dense == s.coefficients({j: x for j, x in enumerate(v) if x})
+    dense = span_coefficients(s, v)
+    assert dense == span_coefficients(s, {j: x for j, x in enumerate(v) if x})
     assert dense == coeffs
     assert _combine(dense, basis) == v
     if linalg.rank(basis + [outside]) > len(basis):
-        assert s.coefficients(outside) is None
-        assert s.coefficients({j: x for j, x in enumerate(outside) if x}) is None
+        assert span_coefficients(s, outside) is None
+        assert span_coefficients(s, {j: x for j, x in enumerate(outside) if x}) is None
 
 
 span_rows = st.lists(
@@ -348,16 +362,16 @@ def test_int_span_solver_matches_fraction_reference(data, scale, sparse_query):
     for v in (inside, [F(x) for x in raw[k + 1]]):
         query = linalg.sparse(v) if sparse_query else v
         want = ref.coefficients(v)
-        assert solver.coefficients(query) == want
-        assert (solver.coefficients(query) is not None) == (want is not None)
+        assert span_coefficients(solver, query) == want
+        assert (span_coefficients(solver, query) is not None) == (want is not None)
         scaled_want = None if want is None else [c / scale for c in want]
-        assert solver.coefficients(query, scale) == scaled_want
+        assert span_coefficients(solver, query, scale) == scaled_want
         # an int query scaled by a known denominator
         d, ints = linalg.int_scaled(linalg.sparse(v))
-        assert solver.coefficients(ints, d * scale) == scaled_want
+        assert span_coefficients(solver, ints, d * scale) == scaled_want
         if want is not None:
             assert all(type(c) is F for c in want)
-    assert solver.coefficients(inside) == coeffs
+    assert span_coefficients(solver, inside) == coeffs
 
 
 int_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-9, max_value=9))
@@ -391,18 +405,23 @@ def test_int_coordinates_match_the_two_pass_oracle(data, scale):
         want = span_coefficients(solver, vs, scale)
         got = solver.int_coordinates(query, scale)
         assert query == vs and list(query) == list(vs)  # only read
-        dense = solver.coefficients(vs, scale)
+        # the route of a rational query: scaled to ints first, then read
+        d, scaled = linalg.int_scaled(linalg.sparse(vs))
+        rescaled = solver.int_coordinates(scaled, d * scale)
         if want is None:
-            assert got is None and dense is None
+            assert got is None and rescaled is None
             continue
         assert got == {j: x for j, x in enumerate(want) if x}
         assert list(got) == sorted(got)
         assert all(type(x) is F for x in got.values())
-        assert dense == want
-        assert [type(x) for x in dense] == [type(x) for x in want] == [F] * k
+        assert rescaled == got
+        assert [type(x) for x in want] == [F] * k
     assert solver.int_coordinates(inside, scale) is not None
     rational = [F(x, scale) for x in outside]
-    assert solver.coefficients(rational) == span_coefficients(solver, rational)
+    d, scaled = linalg.int_scaled(linalg.sparse(rational))
+    want = span_coefficients(solver, rational)
+    coords = solver.int_coordinates(scaled, d)
+    assert coords == (None if want is None else {j: x for j, x in enumerate(want) if x})
 
 
 @given(
@@ -591,7 +610,7 @@ def test_gram_and_span_solver_take_dict_rows():
     dict_solver = linalg.SpanSolver([linalg.sparse(b) for b in basis], n)
     dense_solver = linalg.SpanSolver(basis)
     for v in xs + ys:
-        assert dict_solver.coefficients(v) == dense_solver.coefficients(v)
+        assert span_coefficients(dict_solver, v) == span_coefficients(dense_solver, v)
     with pytest.raises(TypeError):
         linalg.SpanSolver([linalg.sparse(b) for b in basis])
 

@@ -1,4 +1,5 @@
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from e6lab.algcore import (
     derivation_algebra,
     derivation_int_matrices,
     derivation_solver,
+    derivations,
     fixed_subspace,
     inertia,
     is_automorphism,
@@ -33,7 +35,7 @@ from e6lab.tits import (
     tits_model,
     twist_signature_identity,
 )
-from oracles import mat_vec
+from oracles import mat_vec, span_coefficients
 
 F = Fraction
 
@@ -229,6 +231,32 @@ def _entries(sc):
     return [(key, list(row.items()), [type(v) for v in row.values()]) for key, row in sc.items()]
 
 
+def test_model_and_constants_never_build_the_dense_der_basis(monkeypatch):
+    # Der(C) and Der(J) are read as the kept int matrices: T(O, M3R) and the
+    # four constants, on fresh ingredients, never call the dense view
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return derivations(alg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("e6lab") and hasattr(module, "derivations"):
+            monkeypatch.setattr(module, "derivations", counted)
+
+    def fresh_model(cname, jname):
+        return tits(hurwitz.__wrapped__(cname), _fresh_j(jname), comp_name=cname)
+
+    monkeypatch.setattr(tits_module, "tits_model", fresh_model)
+    monkeypatch.setattr(tits_module, "derj_model", tits_module.derj_j0_model)
+    monkeypatch.setattr(tits_module, "sp31_decomposition", sp31_decomposition.__wrapped__)
+    t = tits_module.tits_model("O", "m3r")
+    pc = tits_module.proportionality_constants()
+    assert calls == []
+    assert t.lie.alg.sc == tits_model("O", "m3r").lie.alg.sc
+    assert pc == {"c_der_C": 12, "c_der_J": 8, "alpha": -144, "delta": F(12, 5)}
+
+
 def test_a_kept_j_layer_builds_the_same_table(fresh_catalog_builds):
     models, _, _ = fresh_catalog_builds
     reused = models[("RR", "albert")]
@@ -276,18 +304,18 @@ def _dense_sp31_reference():
     nu_j = nu_automorphism()
     if not is_automorphism(j.alg, nu_j):
         raise AlgebraError("nu is not an automorphism of the Albert algebra")
-    der = t.der_j_basis
+    der = derivations(t.jordan.alg)
     dj_solver = derivation_solver(t.jordan.alg)
     j0 = t.j0_vectors
     j0_solver = linalg.SpanSolver(j0)
     nu_l = [[F(0)] * dim for _ in range(dim)]
     for ji, x in enumerate(j0):
-        img = j0_solver.coefficients(mat_vec(nu_j, x))
+        img = span_coefficients(j0_solver, mat_vec(nu_j, x))
         for r, v in enumerate(img):
             nu_l[t.layout["tensor"].start + r][t.layout["tensor"].start + ji] = v
     for p, d in enumerate(der):
         conj = linalg.mat_mul(nu_j, linalg.mat_mul(d, nu_j))
-        img = dj_solver.coefficients(sum(conj, []))
+        img = span_coefficients(dj_solver, sum(conj, []))
         if img is None:
             raise AlgebraError("nu conjugation leaves Der(J)")
         for r, v in enumerate(img):
