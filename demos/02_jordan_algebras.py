@@ -3,12 +3,9 @@
 Run:  python demos/02_jordan_algebras.py
 """
 
-from fractions import Fraction
-
-from e6lab import linalg
-from e6lab.algcore import derivations, fixed_subspace, inertia
+from e6lab.algcore import derivations, inertia
 from e6lab.gradings import type_vector, verify
-from e6lab.jordan import h3, inner_der, j0_basis, jordan_gradings, m3r, nu_automorphism
+from e6lab.jordan import h3, j0_basis, jordan_gradings, m3r, nu_diagonal
 
 j = h3("O", (1, 1, 1))
 print(f"The Albert algebra H3(O, I): dim {j.dim}, t_J(E1) = {j.t_j(j.e_vec(0))}")
@@ -30,7 +27,6 @@ zg = jordan_gradings(js)["z"]
 print("  the Z grading has component dimensions",
       [zg.dimension_of((k,)) for k in range(-2, 3)])
 
-nu = nu_automorphism()
-_, fix = fixed_subspace(nu)
+fix = nu_diagonal().count(1)
 print(f"\nThe quaternionic involution nu of the Albert algebra: dim fix = {fix}"
       f" (15 = H3(H, I)); the other eigenspace has dimension {27 - fix}")

@@ -664,6 +664,26 @@ def twist(lie: LieAlgebra, even_idx, t: Rational) -> LieAlgebra:
     return LieAlgebra._of_lie_table(twisted)
 
 
+def killing_block(lie: LieAlgebra, idx) -> list:
+    """The Killing form of lie on the basis vectors idx: K on idx x idx."""
+    k = lie.killing_matrix()
+    return [[k[i][j] for j in idx] for i in idx]
+
+
+def twist_signatures(lie: LieAlgebra, even_idx) -> tuple:
+    """(sign L, sign L^-1, sign K|even, L^-1) for L = lie and L^-1 its
+    `twist` by -1 on the Z2-split with even part even_idx: the three Killing
+    signatures of the identity sign L + sign L^-1 = 2 sign K|even, and the
+    twisted algebra."""
+    tw = twist(lie, set(even_idx), Fraction(-1))
+    return (
+        lie.killing_inertia().signature,
+        inertia(killing_matrix(tw)).signature,
+        inertia(killing_block(lie, even_idx)).signature,
+        tw,
+    )
+
+
 # ---------------------------------------------------------------------------
 # derivations
 

@@ -47,9 +47,10 @@ from .algcore import (
     StructAlgebra,
     fixed_subspace,
     inertia,
-    killing_matrix,
+    killing_block,
     put_antisymmetric,
     twist,
+    twist_signatures,
 )
 from .gradings import FinAbGroup, GradedDecomposition
 from .scalars import QZERO
@@ -542,9 +543,7 @@ def eigenspace_type() -> tuple:
 def model_even_signature() -> int:
     """Killing signature of the even (sp8) part of the assembled model."""
     model = assemble_e6()
-    k = model.lie.killing_matrix()
-    idx = list(range(model.even_dim))
-    return inertia([[k[i][j] for j in idx] for i in idx]).signature
+    return inertia(killing_block(model.lie, range(model.even_dim))).signature
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +577,7 @@ def conjugated_form() -> dict:
     bits = _chi_bits(model)
     even_idx = {i for i, b in enumerate(bits) if b == 0}
     lprime = twist(model.lie, even_idx, F(-1))
-    k = lprime.killing_matrix()
-    theta_even = list(range(model.even_dim))
-    sub = [[k[i][j] for j in theta_even] for i in theta_even]
-    even_sig = inertia(sub).signature
-    full_sig = lprime.killing_inertia().signature
-    twisted = twist(lprime, set(theta_even), F(-1))
-    twisted_sig = inertia(killing_matrix(twisted)).signature
+    full_sig, twisted_sig, even_sig, twisted = twist_signatures(lprime, range(model.even_dim))
     return {
         "lie": lprime,
         "twisted": twisted,

@@ -11,12 +11,16 @@ reads it:
   closure A_g A_h <= A_{g+h} is a support test of c' = P^-1 c(P., P.) over
   every nonzero product of rows of P, on Python ints;
 - `degree_of` reads the degrees of the coordinates in P;
-- `induced_on_der` projects each derivation onto its degree parts, in the
-  coordinates of P;
 - Killing orthogonality and the graded Witt basis read one Gram table
   K' = P K P^T per carrier, built from the nonzeros of K, and the signature
   bound and the Witt certificate read the carrier's one Killing inertia
   (`LieAlgebra.killing_inertia`).
+
+A grading of T(C, J) is combined from a grading of C and one of J
+(`combine`).  Each ingredient's grading passes to C0 or J0 and to Der(C) or
+Der(J) through the layer that T(C, J) is built from (`graded_parts`):
+Der(X)_g is spanned by the Der(X)-valued pairing of the layer on X0 parts
+whose degrees add to g.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algcore import LieAlgebra, StructAlgebra, derivation_algebra, derivation_int_matrices
+from .algcore import LieAlgebra, StructAlgebra
 from .scalars import QONE, QZERO, fmt_rational, parse_rational
 
 
@@ -332,105 +336,76 @@ def type_vector(grading: GradedDecomposition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# induced grading on Der(A)
-
-
-def induced_on_der(grading: GradedDecomposition) -> GradedDecomposition:
-    """Grading on Der(A) induced by a grading on A (over Q).
-
-    Der(A)_g = {d : d(A_h) <= A_{g+h} for all h}, read by projection: for a
-    derivation d, the part pi_g(d) that maps each A_h into A_{h+g} is again
-    a derivation (take the degree h+k+g part of d(xy) = d(x)y + xd(y) for x
-    in A_h, y in A_k), so Der(A)_g is spanned by the pi_g(d_t) over the
-    basis d_t of Der(A), read as the int matrices D*d_t of
-    `derivation_int_matrices(A)`, and the pieces sum to Der(A), directly,
-    because the pi_g sum to the identity and keep disjoint blocks.  Each d_t
-    is written in block coordinates, the coordinates in P of d_t(P_i) for
-    the rows P_i of the homogeneous basis; pi_g(d_t) keeps the blocks from
-    degree h to h+g.  One `linalg.SpanSolver` on the d_t gives the
-    coordinates of each nonzero pi_g(d_t), read off its int blocks by
-    `SpanSolver.int_coordinates`, and each component is the
-    reduced echelon basis of its span.  The returned components are
-    coefficient vectors with respect to that basis, attached to
-    `derivation_algebra(A)`.
-
-    Raises GradingError if the components do not sum directly to A, or if
-    some pi_g(d_t) is not a derivation, which happens only when the
-    decomposition is not a grading.
-    """
-    alg = grading.algebra
-    basis = grading.homogeneous_basis()
-    if basis.inverse is None:
-        raise GradingError("the components do not sum directly to the algebra")
-    n = alg.dim
-    group, supp, ids = grading.group, basis.support, basis.degree_ids
-    # block coordinates on one int scale, so the solver's coefficients are exact
-    _, ders = derivation_int_matrices(alg)
-    shifts = {}  # (id of h, id of h') -> h' - h
-    pieces = {}  # g -> {t: block coordinates of pi_g(d_t)}
-    blocks = []
-    for t, d in enumerate(ders):
-        block = {}
-        for i, row in enumerate(basis.int_rows):
-            hi = ids[i]
-            for r, v in basis.coordinates(linalg.sp_matvec(d, row)).items():
-                if v:
-                    block[i * n + r] = v
-                    g = shifts.get((hi, ids[r]))
-                    if g is None:
-                        g = shifts[(hi, ids[r])] = group.add(supp[ids[r]], group.neg(supp[hi]))
-                    pieces.setdefault(g, {}).setdefault(t, {})[i * n + r] = v
-        blocks.append(block)
-    solver = linalg.SpanSolver(blocks, n * n)
-    comps = {}
-    for g in sorted(pieces):
-        coeffs = []
-        for piece in pieces[g].values():
-            co = solver.int_coordinates(piece, 1)
-            if co is None:
-                raise GradingError(
-                    f"the degree {g} part of a derivation is not a derivation: not a grading"
-                )
-            coeffs.append(co)
-        comps[g] = linalg.rref(coeffs, solver.n)[0]
-    return GradedDecomposition(
-        group=grading.group, algebra=derivation_algebra(alg), components=comps
-    )
-
-
-# ---------------------------------------------------------------------------
 # combinations
+
+
+def graded_parts(grading: GradedDecomposition, x) -> tuple:
+    """(X0 parts, Der(X) parts) of a grading of X = C or J, x the
+    composition or Jordan algebra it grades, read through the layer of x
+    (`tits.ingredient_layer`).
+
+    The X0 part of degree g is a basis of the traceless vectors of X_g, in
+    X0 coordinates.  Der(X)_g is spanned by the pairing of the layer
+    (d_{a,b} for C, [R_a, R_b] for J) on X0 parts u, v of degrees g1, g2
+    with g1 + g2 = g: the pairing is built from products, so it adds
+    degrees, and it spans Der(X), since the d_{a,b} span the derivations of
+    a Hurwitz algebra and every derivation of a semisimple Jordan algebra is
+    inner.  Each Der(X)_g is the reduced echelon basis of its span, in
+    Der(X) coordinates, and the degrees come in sorted order.
+
+    Raises GradingError if a traceless vector leaves X0, or if the X0 parts
+    or the Der(X) parts do not sum directly to X0 or Der(X), which happens
+    only when the decomposition is not a grading.
+    """
+    from .tits import ingredient_layer  # tits builds on this module
+
+    lay = ingredient_layer(x)
+    x0 = {}
+    for g, vecs in grading.components.items():
+        for combo in linalg.kernel([[lay.trace(x, v) for v in vecs]], len(vecs)):
+            d, vs = linalg.int_scaled(linalg.sparse(linalg.lin_comb(combo, vecs)))
+            coeffs = lay.solver.int_coordinates(vs, d)
+            if coeffs is None:
+                raise GradingError(f"traceless {lay.name} component outside {lay.name}0")
+            x0.setdefault(g, []).append(coeffs)
+    homogeneous = [(g, u) for g, vecs in x0.items() for u in vecs]
+    n0 = len(lay.vectors)
+    if len(homogeneous) != n0 or linalg.rank([u for _, u in homogeneous]) != n0:
+        raise GradingError(f"the traceless parts do not sum directly to {lay.name}0")
+    spans = {}  # g -> pairings of the X0 parts whose degrees add to g
+    for i, (g1, u) in enumerate(homogeneous):
+        for g2, v in homogeneous[i + 1 :]:
+            w = {}
+            for a, ua in u.items():
+                for b, vb in v.items():
+                    if a < b:
+                        linalg.sp_add_into(w, lay.pairing[(a, b)], ua * vb)
+                    elif a > b:
+                        linalg.sp_add_into(w, lay.pairing[(b, a)], -ua * vb)
+            if w:
+                spans.setdefault(grading.group.add(g1, g2), []).append(w)
+    nder = len(lay.action)
+    der = {g: linalg.rref(spans[g], nder)[0] for g in sorted(spans)}
+    stacked = [row for rows in der.values() for row in rows]
+    if len(stacked) != nder or linalg.rank(stacked) != nder:
+        raise GradingError(f"the Der({lay.name}) parts do not sum directly to Der({lay.name})")
+    return x0, der
 
 
 def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -> GradedDecomposition:
     """Mix a C-grading and a J-grading into a grading of T(C, J).
 
     Uniform rule: L_(g,h) = Der(C)_g [h=e]  +  Der(J)_h [g=e]  +
-    (C0)_g x (J0)_h, with the induced gradings on the derivation summands.
+    (C0)_g x (J0)_h, with the parts of each ingredient from `graded_parts`.
     """
     c, j = t.comp, t.jordan
     if grading_c.algebra.sc != c.alg.sc or grading_j.algebra.sc != j.alg.sc:
-        # the induced pieces are read in the model's Der(C), Der(J) bases
+        # the parts are read in the model's C0, J0, Der(C) and Der(J) bases
         raise GradingError("gradings do not live on the model's C and J")
-    from .tits import ingredient_layer  # tits builds on this module
-
     gc, gj = grading_c.group, grading_j.group
-    lie = t.lie
-    nj0 = len(t.j0_vectors)
-    indc = induced_on_der(grading_c) if t.layout["der_c"] else None
-    indj = induced_on_der(grading_j)
-    # traceless parts of the graded components, as sparse C0 / J0 coordinates
-    c0g, j0h = {}, {}
-    for grading, x, out in ((grading_c, c, c0g), (grading_j, j, j0h)):
-        lay = ingredient_layer(x)
-        for g, vecs in grading.components.items():
-            combos = linalg.kernel([[lay.trace(x, v) for v in vecs]], len(vecs))
-            for combo in combos:
-                d, vs = linalg.int_scaled(linalg.sparse(linalg.lin_comb(combo, vecs)))
-                coeffs = lay.solver.int_coordinates(vs, d)
-                if coeffs is None:
-                    raise GradingError(f"traceless {lay.name} component outside {lay.name}0")
-                out.setdefault(g, []).append(coeffs)
+    c0g, derc = graded_parts(grading_c, c)
+    j0h, derj = graded_parts(grading_j, j)
+    dim, nj0 = t.lie.dim, len(t.j0_vectors)
     ec, ej = gc.identity(), gj.identity()
     tn_off = t.layout["tensor"].start
     comps = {}
@@ -439,13 +414,13 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
         key = gc.combine_elements(gj, g, h)
         return comps.setdefault(key, [])
 
-    # the induced Der(C)_g at degree (g, e) and Der(J)_h at (e, h), copied
-    # into their slots of the model's basis
-    for ind, span, degree in ((indc, "der_c", lambda g: (g, ej)), (indj, "der_j", lambda h: (ec, h))):
-        for g, vecs in ind.components.items() if ind else ():
+    # Der(C)_g at degree (g, e) and Der(J)_h at (e, h), copied into their
+    # slots of the model's basis
+    for der, span, degree in ((derc, "der_c", lambda g: (g, ej)), (derj, "der_j", lambda h: (ec, h))):
+        for g, vecs in der.items():
             dst = bucket(*degree(g))
             for coeffs in vecs:
-                v = [QZERO] * lie.dim
+                v = [QZERO] * dim
                 v[t.layout[span].start : t.layout[span].stop] = coeffs
                 dst.append(v)
     for g, avecs in c0g.items():
@@ -453,13 +428,12 @@ def combine(grading_c: GradedDecomposition, grading_j: GradedDecomposition, t) -
             dst = bucket(g, h)
             for a in avecs:
                 for x in xvecs:
-                    v = [QZERO] * lie.dim
+                    v = [QZERO] * dim
                     for ci2, av in a.items():
                         for ji2, xv in x.items():
                             v[tn_off + ci2 * nj0 + ji2] = av * xv
                     dst.append(v)
-    group = gc.product(gj)
-    return GradedDecomposition(group=group, algebra=lie.alg, components=comps)
+    return GradedDecomposition(group=gc.product(gj), algebra=t.lie.alg, components=comps)
 
 
 def common_refinement(g1: GradedDecomposition, g2: GradedDecomposition) -> GradedDecomposition:

@@ -306,10 +306,12 @@ def jordan_gradings(j: JordanAlgebra) -> dict:
 
     h3 over O: 'z2^3' (octonion degrees), 'z2^2' (off-diagonal slots), 'z'
     (eigenspaces of the grading operator).  m3r: 'z^2' (E_pq at g_q - g_p).
+    Any other H3, over the split octonions too, raises ValueError: the
+    octonion degrees are given on the labels of O.
     """
     if j.kind == "m3r":
         return {"z^2": _z2_on_m3r(j)}
-    if j.comp_name not in ("O", "Os"):
+    if j.comp_name != "O":
         raise ValueError("gradings implemented for octonion H3 and m3r")
     return {
         "z2^3": _z23_on_h3(j),
@@ -335,13 +337,3 @@ def nu_diagonal():
             inner = lbl[lbl.index("(") + 1 : -1]
             diag.append(1 if inner in quat else -1)
     return diag
-
-
-def nu_automorphism():
-    """Matrix on H3(O, I): identity on the H3(H, I) part, -1 on the H l part."""
-    diag = nu_diagonal()
-    n = len(diag)
-    m = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = F(diag[i])
-    return m

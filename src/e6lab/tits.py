@@ -12,11 +12,12 @@ X0-valued product ([a,b] for C, x*y for J).  A layer is built on the first
 call of `ingredient_layer` and kept on the C or J object, so the seven
 catalog models build seven layers from three C's and four J's; every
 coordinate in a layer is read off an int vector by
-`SpanSolver.int_coordinates`.  The Der(C)
-and Der(J) blocks are copies of `derivation_algebra(C)` and
-`derivation_algebra(J)`, tables built once per algebra.  A sign or
-convention error anywhere surfaces as a Jacobi failure, so construction
-always certifies Jacobi before returning.
+`SpanSolver.int_coordinates`.  The Der(C) and Der(J) blocks are copies of
+`derivation_algebra(C)` and `derivation_algebra(J)`, tables built once per
+algebra.  The pairing spans Der(X) and adds degrees, so `gradings.combine`
+grades Der(C) and Der(J) by it too.  A sign or convention error anywhere
+surfaces as a Jacobi failure, so construction always certifies Jacobi
+before returning.
 
 Also here: the Der(J) + J0 model, a view of T(R+R, J) with its odd x odd
 bracket rescaled; the signature table over the 2-dimensional composition
@@ -42,9 +43,11 @@ from .algcore import (
     derivation_solver,
     inertia,
     is_diagonal_automorphism,
+    killing_block,
     killing_matrix,
     put_antisymmetric,
     twist,
+    twist_signatures,
 )
 from .composition import CompositionAlgebra, d_ab, hurwitz
 from .jordan import (
@@ -320,10 +323,6 @@ def jacobson_table() -> dict:
 # Killing proportionality constants on T(O, M3R)
 
 
-def _submatrix(k, idx):
-    return [[k[i][j] for j in idx] for i in idx]
-
-
 def _ratio_constant(kmat, idx, other):
     """k[idx x idx] = const * other, verified entrywise; returns const."""
     const = None
@@ -433,7 +432,7 @@ def sp31_decomposition() -> dict:
     even = [i for i in range(dim) if theta_nu[i] == 1]
     even_dim = len(even)
     pos = {i: a for a, i in enumerate(even)}
-    gram = _submatrix(lie.killing_matrix(), even)
+    gram = killing_block(lie, even)
     even_sig = inertia(gram).signature
     # the even part as its own Lie algebra, for delta
     sub_sc = {}
@@ -466,13 +465,7 @@ def sp31_decomposition() -> dict:
 def twist_signature_identity() -> dict:
     """sign(L) + sign(L^{-1}) = 2 sign(K|even) on Der(J) + J0, J Albert."""
     t = derj_model("albert")
-    lie = t.lie
-    k = lie.killing_matrix()
-    sig = lie.killing_inertia().signature
-    tw = twist(lie, set(t.even_indices()), F(-1))
-    sig_tw = inertia(killing_matrix(tw)).signature
-    even_idx = t.even_indices()
-    even_sig = inertia(_submatrix(k, even_idx)).signature
+    sig, sig_tw, even_sig, _ = twist_signatures(t.lie, t.even_indices())
     return {
         "sign": sig,
         "sign_twisted": sig_tw,

@@ -6,7 +6,8 @@ coefficients on a dense list, dense matrix products
 and the sparse commutator as two products merged, the standard derivation
 d_{a,b} of a Hurwitz algebra from dense products, the Leibniz rule on every
 basis pair, the Jacobi walk on the constants scaled to ints by rows and by
-columns, the Jordan identity, an explicit Jordan isomorphism, the odd x
+columns, the Jordan identity, an explicit Jordan isomorphism, the
+involution nu of the Albert algebra as a dense matrix, the odd x
 odd bracket of the symplectic model read back from its table, the
 derivation action on Lambda^2 and the push of a grading through a group
 map.  None of them is used by the package.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from e6lab import e6sp8, linalg
+from e6lab import e6sp8, jordan, linalg
 from e6lab.algcore import AlgebraError, bracket_constants, fixed_subspace, put_antisymmetric
 from e6lab.gradings import GradedDecomposition
 from e6lab.jordan import h3, m3r
@@ -298,6 +299,19 @@ def h3rr_to_m3r_iso():
     for col, vec in cols.items():
         for row in range(9):
             m[row][col] = vec[row]
+    return m
+
+
+def nu_automorphism():
+    """The order-2 automorphism nu of H3(O, I) as a dense 27 x 27 matrix:
+    the diagonal matrix of `jordan.nu_diagonal` (read through the module, so
+    a test that replaces it reaches this matrix too), identity on the
+    H3(H, I) part and -1 on the H l part."""
+    diag = jordan.nu_diagonal()
+    n = len(diag)
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = F(diag[i])
     return m
 
 

@@ -1119,16 +1119,17 @@ import e6lab
 for mod in pkgutil.iter_modules(e6lab.__path__):
     importlib.import_module("e6lab." + mod.name)
 
-from e6lab.algcore import LieAlgebra, StructAlgebra, inertia, jacobi_defect, killing_matrix
-from e6lab.composition import octonion_z23_grading
-from e6lab.gradings import induced_on_der
+from e6lab.algcore import (
+    LieAlgebra, StructAlgebra, derivation_algebra, inertia, jacobi_defect, killing_matrix,
+)
+from e6lab.composition import hurwitz
 
 sc = {(0, 1): {1: F(2)}, (1, 0): {1: F(-2)}, (0, 2): {2: F(-2)}, (2, 0): {2: F(2)},
       (1, 2): {0: F(1)}, (2, 1): {0: F(-1)}}
 sl2 = StructAlgebra(dim=3, basis_labels=["h", "e", "f"], sc=sc)
 assert jacobi_defect(sl2) == []
 assert killing_matrix(LieAlgebra(sl2)) == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
-der = induced_on_der(octonion_z23_grading()).algebra
+der = derivation_algebra(hurwitz("O").alg)
 assert jacobi_defect(der) == []
 r = inertia(killing_matrix(LieAlgebra(der)))
 assert (r.n_plus, r.n_minus, r.n_zero) == (0, 14, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from e6lab import catalog, linalg
-from e6lab.algcore import StructAlgebra, derivations, inertia
+from e6lab.algcore import StructAlgebra, derivation_algebra, derivations, inertia
 from e6lab.composition import hurwitz, octonion_z23_grading
 from e6lab.gradings import (
     FinAbGroup,
@@ -11,8 +11,8 @@ from e6lab.gradings import (
     GradingError,
     combine,
     common_refinement,
+    graded_parts,
     graded_witt_basis,
-    induced_on_der,
     killing_orthogonality_violations,
     signature_bound,
     type_vector,
@@ -178,9 +178,15 @@ def test_verify_past_the_int_table_bound():
     assert verify(GradedDecomposition(g.group, big, comps)).violations == want
 
 
+def _der_grading(grading, x):
+    """The grading of Der(X) that `graded_parts` reads off a grading of the
+    composition or Jordan algebra x, on `derivation_algebra(x.alg)`."""
+    return GradedDecomposition(grading.group, derivation_algebra(x.alg), graded_parts(grading, x)[1])
+
+
 def test_induced_on_der_octonion():
     g = octonion_z23_grading()
-    ind = induced_on_der(g)
+    ind = _der_grading(g, hurwitz("O"))
     assert verify(ind).valid
     assert type_vector(ind) == (0, 7)  # 7 components of dim 2, e-component 0
     assert ind.dimension_of((0, 0, 0)) == 0
@@ -237,7 +243,7 @@ def test_induced_on_der_z_grading_contains_operator():
 
     ders = derivations(j.alg)
     g = jordan_gradings(j)["z"]
-    ind = induced_on_der(g)
+    ind = _der_grading(g, j)
     op = z_grading_operator(j)
     expander = linalg.SpanSolver([sum(d, []) for d in ders])
     coeffs = span_coefficients(expander, {i: v for i, v in enumerate(sum(op, [])) if v})
@@ -247,7 +253,7 @@ def test_induced_on_der_z_grading_contains_operator():
 
 def test_induced_on_der_m3r_z2():
     g = jordan_gradings(m3r())["z^2"]
-    ind = induced_on_der(g)
+    ind = _der_grading(g, m3r())
     assert ind.dimension_of((0, 0)) == 2  # diagonal traceless
     assert _type_vector_sum(ind) == 8
 
@@ -336,8 +342,8 @@ def test_grading_vectors_of_the_wrong_length_are_rejected():
 #
 # `verify` was a per-degree `SpanSolver.contains` query about every product,
 # Killing orthogonality and the Witt blocks read a dense K' = P K P^T built
-# by `gram` on the dense K, and `induced_on_der` solved one kernel per
-# candidate degree.  Those bodies are kept here as references.
+# by `gram` on the dense K, and the grading induced on Der(A) was solved as
+# one kernel per candidate degree.  Those bodies are kept here as references.
 
 
 def _reference_verify(grading):
@@ -556,14 +562,16 @@ def test_graded_certificates_equal_the_reference_bodies_on_mutants():
 )
 def test_induced_on_der_equals_the_kernel_per_degree(name):
     if name == "O-z2^3":
-        g = octonion_z23_grading()
+        g, x = octonion_z23_grading(), hurwitz("O")
     elif name == "M3R-z^2":
-        g = jordan_gradings(m3r())["z^2"]
+        x = m3r()
+        g = jordan_gradings(x)["z^2"]
     else:
-        jg = jordan_gradings(h3("O", (1, -1, 1)))
+        x = h3("O", (1, -1, 1))
+        jg = jordan_gradings(x)
         parts = name.split("-")[-1].split("+")
         g = jg[parts[0]] if len(parts) == 1 else common_refinement(jg[parts[0]], jg[parts[1]])
-    new = induced_on_der(g).components
+    new = _der_grading(g, x).components
     old = _reference_induced_on_der(g)
     assert list(new) == list(old)
     assert new == old
@@ -572,11 +580,35 @@ def test_induced_on_der_equals_the_kernel_per_degree(name):
 
 def test_induced_on_der_projection_rejects_a_non_grading():
     # the octonion lines of two degrees swapped: still a direct sum, but not
-    # a grading, and some degree part of a derivation is not a derivation
+    # a grading, and the pairings no longer add degrees: their spans overlap
     bad = _swapped_octonion_lines()
     assert verify(bad).direct_sum_ok and not verify(bad).closure_ok
-    with pytest.raises(GradingError, match="not a grading"):
-        induced_on_der(bad)
+    with pytest.raises(GradingError, match=r"Der\(C\) parts do not sum directly"):
+        graded_parts(bad, hurwitz("O"))
+
+
+def test_combine_rejects_the_swapped_octonion_lines():
+    t = tits_model("O", "m3r")
+    try:
+        g = combine(_swapped_octonion_lines(), jordan_gradings(m3r())["z^2"], t)
+    except GradingError:
+        return
+    assert not verify(g).valid
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_combine_rejects_a_j_grading_with_a_vector_dropped(which):
+    # the first vector of the identity component or of the last degree of
+    # the grading behind gamma7 left out: the pairings of the rest still
+    # span Der(J), but the traceless parts miss a direction of J0
+    jg = jordan_gradings(h3("O", (1, -1, 1)))
+    fine = common_refinement(jg["z2^2"], jg["z2^3"])
+    comps = dict(fine.components)
+    d = fine.support[which]
+    comps[d] = comps[d][1:]
+    short = GradedDecomposition(fine.group, fine.algebra, comps)
+    with pytest.raises(GradingError, match="do not sum directly to J0"):
+        combine(catalog.rr_z2_grading(), short, tits_model("RR", "albert-split"))
 
 
 def test_a_sum_that_is_not_direct():
@@ -593,15 +625,16 @@ def test_a_sum_that_is_not_direct():
     o = octonion_z23_grading()
     extra = dict(o.components)
     extra[o.support[0]] = extra[o.support[0]] + [o.algebra.basis_vector(3)]
-    for bad in (dependent, GradedDecomposition(g.group, g.algebra, short),
-                GradedDecomposition(o.group, o.algebra, extra)):
+    extra = GradedDecomposition(o.group, o.algebra, extra)
+    for bad in (dependent, GradedDecomposition(g.group, g.algebra, short), extra):
         rep = verify(bad)
         assert (rep.direct_sum_ok, rep.closure_ok, rep.violations) == (False, False, [])
         assert not rep.valid
         with pytest.raises(GradingError, match="do not sum directly"):
             bad.degree_of(bad.algebra.basis_vector(0))
-        with pytest.raises(GradingError, match="do not sum directly"):
-            induced_on_der(bad)
+    # e3 in two degrees: the traceless parts of O are dependent
+    with pytest.raises(GradingError, match="do not sum directly to C0"):
+        graded_parts(extra, hurwitz("O"))
 
 
 def test_degree_of_zero_and_mixed_vectors():

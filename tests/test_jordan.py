@@ -12,7 +12,6 @@ from e6lab.jordan import (
     j0_basis,
     jordan_gradings,
     m3r,
-    nu_automorphism,
     star,
     z_grading_operator,
 )
@@ -21,6 +20,7 @@ from oracles import (
     h3rr_to_m3r_iso,
     leibniz_defect,
     mat_vec,
+    nu_automorphism,
     sp_commutator,
     sparse_to_dense,
     unflatten,
@@ -243,6 +243,14 @@ def test_jordan_gradings_verify():
     assert type_vector(gr["z2^3"]) == (0, 0, 7, 0, 0, 1)
     assert type_vector(gr["z2^2"]) == (0, 0, 1, 0, 0, 0, 0, 3)
     assert type_vector(gr["z"]) == (2, 0, 0, 0, 0, 0, 0, 2, 1)
+
+
+def test_jordan_gradings_reject_h3_over_other_algebras():
+    # the octonion degrees are given on the labels of O, so the split
+    # octonions are refused like any other H3
+    for name in ("Os", "H"):
+        with pytest.raises(ValueError, match="octonion H3 and m3r"):
+            jordan_gradings(h3(name, (1, 1, 1)))
 
 
 def test_z_grading_dims_and_spans():

@@ -1,5 +1,5 @@
 """Every public name in `src/e6lab` is used by the package, a demo or the
-benchmark.
+benchmark, and every name a module of `src/e6lab` imports is read there.
 
 A function, class or method that only tests call is test code kept in the
 package: it belongs beside its tests (for an independent oracle) or nowhere.
@@ -82,3 +82,38 @@ def unreferenced():
 def test_every_public_name_has_a_caller_outside_tests():
     missing = unreferenced()
     assert not missing, "no caller outside tests: " + ", ".join(missing)
+
+
+def unread_imports(tree):
+    """(name, line) for each name an import statement binds in the module
+    that no expression of the module reads (`from __future__` aside)."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_every_import_in_the_package_is_read():
+    unread = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in unread_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def test_unread_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from . import linalg as la\n"
+        "from .algcore import derivation_algebra, twist\n"
+        "def f():\n"
+        "    from .tits import ingredient_layer\n"
+        "    return la.rank, twist\n"
+    )
+    assert unread_imports(tree) == [("os", 2), ("derivation_algebra", 4), ("ingredient_layer", 6)]

@@ -25,7 +25,7 @@ from e6lab.algcore import (
     twist,
 )
 from e6lab.composition import hurwitz
-from e6lab.jordan import h3, nu_automorphism
+from e6lab.jordan import h3
 from e6lab.tits import (
     derj_model,
     jacobson_table,
@@ -35,7 +35,7 @@ from e6lab.tits import (
     tits_model,
     twist_signature_identity,
 )
-from oracles import mat_vec, span_coefficients
+from oracles import mat_vec, nu_automorphism, span_coefficients
 
 F = Fraction
 
