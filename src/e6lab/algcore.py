@@ -31,8 +31,8 @@ triples it found (`jacobi_certificate`), which `LieAlgebra`, the C02
 checks and `e6lab build` read.
 Derivations are solved on the integer table D*c as well, and Der(A) is
 kept once per algebra, as sparse int matrices on one scale
-(`derivation_int_matrices`): its span solver and its bracket run on them,
-and `derivations` is a dense Fraction view built on each call.
+(`derivation_int_matrices`), its table is read on a few basis vectors
+(`derivation_algebra`), and `derivations` is a dense Fraction view.
 """
 
 from __future__ import annotations
@@ -720,38 +720,71 @@ def derivations(alg: StructAlgebra):
 @linalg.acyclic
 def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     """Der(A) under the commutator, on the basis `derivation_int_matrices(alg)`
-    (labels d0, d1, ...).
+    (labels d0, d1, ...), built on the first call and kept on the algebra
+    object; `derivation_int_matrices` alone builds none.
 
-    Built on the first call and kept on the algebra object, so every user of
-    Der(A) in a process reads one table; `derivation_int_matrices` alone
-    builds none.
+    Each derivation D is read as its restriction (D b_g)_{g < k}, k from
+    `_full_rank_prefix`.  The restriction is injective on Der(A) exactly
+    when the restricted basis has rank dim Der(A), which its span solver
+    checks (AlgebraError otherwise).  [D_p, D_q] is a derivation, so the
+    coordinates of its restriction D_p(D_q b_g) - D_q(D_p b_g) are unique,
+    and they are those of the full commutator.
     """
-    if alg._der_alg_cache is None:
-        # the solver reads the int matrices D*d flattened row-major, and the
-        # commutators run on them and come out scaled by D^2
-        den, mats = derivation_int_matrices(alg)
-        n = alg.dim
-        flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
-        solver = linalg.SpanSolver(flat, n * n, den)
-        sc = bracket_constants(
-            solver,
-            lambda p, q: linalg.sp_bracket(mats[p], mats[q], n),
-            den * den,
-        )
-        der_alg = StructAlgebra(
-            dim=len(mats),
-            basis_labels=[f"d{i}" for i in range(len(mats))],
-            sc=sc,
-        )
-        alg._der_alg_cache = (der_alg, solver)
-    return alg._der_alg_cache[0]
+    table, solver = alg._der_alg_cache or (None, None)
+    if table is None:
+        n, (den, mats) = alg.dim, derivation_int_matrices(alg)
+        cols = [{} for _ in mats]  # cols[t][g] = {r: x}: column g of mats[t]
+        for c, m in zip(cols, mats):
+            for r, row in m.items():
+                for g, x in row.items():
+                    c.setdefault(g, {})[r] = x
+        k = _full_rank_prefix(n, cols)
+        flat = [{r * k + g: x for g in range(k) for r, x in c.get(g, {}).items()} for c in cols]
+        try:
+            restricted = linalg.SpanSolver(flat, n * k, den)
+        except ValueError:
+            raise AlgebraError(f"Der(A) is not fixed by its values on {k} basis vectors") from None
+
+        def bracket(p, q):  # D_p(D_q b_g) - D_q(D_p b_g), times den^2
+            out = {}
+            for a, b, sign in ((cols[p], cols[q], 1), (cols[q], cols[p], -1)):
+                for g in range(k):
+                    for m, x in b.get(g, {}).items():
+                        for r, y in a.get(m, {}).items():
+                            out[r * k + g] = out.get(r * k + g, 0) + sign * x * y
+            return {key: v for key, v in out.items() if v}
+
+        sc = bracket_constants(restricted, bracket, den * den)
+        table = StructAlgebra(len(mats), [f"d{i}" for i in range(len(mats))], sc)
+        alg._der_alg_cache = (table, solver)
+    return table
+
+
+def _full_rank_prefix(n: int, cols) -> int:
+    """The least k for which the matrices with columns cols are independent
+    on the first k basis vectors: the rows {t: entry (r, g) of matrix t}
+    join one echelon, column g by column g, until it has one per matrix."""
+    echelon, k = {}, 0
+    while k < n and len(echelon) < len(cols):
+        rows = {}
+        for t, c in enumerate(cols):
+            for r, x in c.get(k, {}).items():
+                rows.setdefault(r, {})[t] = x
+        for row in rows.values():
+            linalg.echelon_insert(echelon, row)
+        k += 1
+    return k
 
 
 def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
-    """The SpanSolver on the flattened `derivation_int_matrices(alg)` that
-    `derivation_algebra(alg)` is built with: it expresses a dim x dim matrix,
-    flattened row-major, in the Der(A) basis."""
-    derivation_algebra(alg)
+    """The SpanSolver on `derivation_int_matrices(alg)` flattened row-major,
+    which reads a flattened dim x dim matrix in the Der(A) basis or finds it
+    outside Der(A); built on request and kept beside the Der(A) table."""
+    table, solver = alg._der_alg_cache or (None, None)
+    if solver is None:
+        n, (den, mats) = alg.dim, derivation_int_matrices(alg)
+        flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
+        alg._der_alg_cache = (table, linalg.SpanSolver(flat, n * n, den))
     return alg._der_alg_cache[1]
 
 

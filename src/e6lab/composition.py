@@ -178,11 +178,16 @@ def hurwitz(name: str) -> CompositionAlgebra:
 def d_ab(c: CompositionAlgebra, a, b) -> dict:
     """The standard derivation [l_a,l_b] + [l_a,r_b] + [r_a,r_b] of C, as a
     dim x dim matrix flattened row-major to {row * dim + col: x}."""
-    la, lb = c.alg.left_mult_matrix(a), c.alg.left_mult_matrix(b)
-    ra, rb = c.alg.right_mult_matrix(a), c.alg.right_mult_matrix(b)
+    mult = (c.alg.left_mult_matrix, c.alg.right_mult_matrix)
+    return d_of_mult(*(m(v) for v in (a, b) for m in mult), c.dim)
+
+
+def d_of_mult(la, ra, lb, rb, n: int) -> dict:
+    """d_{a,b} = [la,lb] + [la,rb] + [ra,rb] from the multiplication matrices
+    of a and b, sparse n x n, flattened row-major; entries keep their type."""
     out = {}
     for x, y in ((la, lb), (la, rb), (ra, rb)):
-        linalg.sp_add_into(out, linalg.sp_bracket(x, y, c.dim), 1)
+        linalg.sp_add_into(out, linalg.sp_bracket(x, y, n), 1)
     return out
 
 

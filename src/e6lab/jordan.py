@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import linalg
 from .algcore import StructAlgebra, algebra_from_products
 from .composition import CompositionAlgebra, hurwitz
-from .gradings import FinAbGroup, GradedDecomposition, GradingError
+from .gradings import FinAbGroup, GradedDecomposition
 from .scalars import QZERO
 
 F = Fraction
@@ -275,19 +275,18 @@ def z_grading_operator(j: JordanAlgebra):
     return [[4 * d.get(n * r + c, QZERO) for c in range(n)] for r in range(n)]
 
 
-def _z_on_h3(j: JordanAlgebra) -> GradedDecomposition:
-    group = FinAbGroup(1, ())
-    op = z_grading_operator(j)
+def _z_on_h3(j: JordanAlgebra) -> GradedDecomposition | None:
+    """The Z-grading by the eigenspaces of the grading operator, or None
+    when they do not span J, that is when its spectrum is not integer."""
     comps = {}
-    total = 0
+    op = z_grading_operator(j)
     for lam in range(-2, 3):
         basis = linalg.eigenspace(op, F(lam))
         if basis:
             comps[(lam,)] = basis
-            total += len(basis)
-    if total != j.dim:
-        raise GradingError("grading operator does not have integer spectrum -2..2")
-    return GradedDecomposition(group=group, algebra=j.alg, components=comps)
+    if sum(map(len, comps.values())) != j.dim:
+        return None
+    return GradedDecomposition(group=FinAbGroup(1, ()), algebra=j.alg, components=comps)
 
 
 def _z2_on_m3r(j: JordanAlgebra) -> GradedDecomposition:
@@ -305,7 +304,9 @@ def jordan_gradings(j: JordanAlgebra) -> dict:
     """The named gradings used downstream.
 
     h3 over O: 'z2^3' (octonion degrees), 'z2^2' (off-diagonal slots), 'z'
-    (eigenspaces of the grading operator).  m3r: 'z^2' (E_pq at g_q - g_p).
+    (eigenspaces of the grading operator).  'z' is left out where the
+    grading operator has no integer spectrum, as on the compact H3(O, I),
+    which has no Z-grading over Q.  m3r: 'z^2' (E_pq at g_q - g_p).
     Any other H3, over the split octonions too, raises ValueError: the
     octonion degrees are given on the labels of O.
     """
@@ -313,11 +314,8 @@ def jordan_gradings(j: JordanAlgebra) -> dict:
         return {"z^2": _z2_on_m3r(j)}
     if j.comp_name != "O":
         raise ValueError("gradings implemented for octonion H3 and m3r")
-    return {
-        "z2^3": _z23_on_h3(j),
-        "z2^2": _z22_on_h3(j),
-        "z": _z_on_h3(j),
-    }
+    out = {"z2^3": _z23_on_h3(j), "z2^2": _z22_on_h3(j), "z": _z_on_h3(j)}
+    return {name: g for name, g in out.items() if g is not None}
 
 
 # ---------------------------------------------------------------------------

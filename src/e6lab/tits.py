@@ -12,12 +12,14 @@ X0-valued product ([a,b] for C, x*y for J).  A layer is built on the first
 call of `ingredient_layer` and kept on the C or J object, so the seven
 catalog models build seven layers from three C's and four J's; every
 coordinate in a layer is read off an int vector by
-`SpanSolver.int_coordinates`.  The Der(C) and Der(J) blocks are copies of
+`SpanSolver.int_coordinates`.  The pairing is formed on int matrices
+scaled once (L_v, R_v of C0 through `d_of_mult`; R_x of J0) and read by
+`derivation_solver`.  The Der(C) and Der(J) blocks are copies of
 `derivation_algebra(C)` and `derivation_algebra(J)`, tables built once per
-algebra.  The pairing spans Der(X) and adds degrees, so `gradings.combine`
-grades Der(C) and Der(J) by it too.  A sign or convention error anywhere
-surfaces as a Jacobi failure, so construction always certifies Jacobi
-before returning.
+algebra on a few basis vectors.  The pairing spans Der(X) and adds
+degrees, so `gradings.combine` grades Der(C) and Der(J) by it too.  A sign
+or convention error anywhere surfaces as a Jacobi failure, so construction
+always certifies Jacobi before returning.
 
 Also here: the Der(J) + J0 model, a view of T(R+R, J) with its odd x odd
 bracket rescaled; the signature table over the 2-dimensional composition
@@ -49,7 +51,7 @@ from .algcore import (
     twist,
     twist_signatures,
 )
-from .composition import CompositionAlgebra, d_ab, hurwitz
+from .composition import CompositionAlgebra, d_of_mult, hurwitz
 from .jordan import (
     JordanAlgebra,
     h3,
@@ -126,10 +128,12 @@ def ingredient_layer(x: CompositionAlgebra | JordanAlgebra) -> Layer:
     if isinstance(x, CompositionAlgebra):
         name, trace, product = "C", CompositionAlgebra.trace, _c0_product
         vs = [x.alg.basis_vector(b) for b in x.traceless_indices()]
+        # L_v, R_v for v in C0 scaled once to ints: d_{a,b} comes out times lr_den^2
+        mult = (x.alg.left_mult_matrix, x.alg.right_mult_matrix)
+        lr_den, lr = linalg.int_scaled([[m(v) for m in mult] for v in vs])
 
         def pairing(a, b):
-            d, m = linalg.int_scaled(d_ab(x, vs[a], vs[b]))
-            return m, d
+            return d_of_mult(*lr[a], *lr[b], x.dim), lr_den * lr_den
 
     else:
         name, trace, product, vs = "J", JordanAlgebra.t_j, star, j0_basis(x)

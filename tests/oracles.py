@@ -4,7 +4,8 @@ Each one restates, directly and without the package's fast paths, something
 the package computes another way or takes as given: the two-pass span
 coefficients on a dense list, dense matrix products
 and the sparse commutator as two products merged, the standard derivation
-d_{a,b} of a Hurwitz algebra from dense products, the Leibniz rule on every
+d_{a,b} of a Hurwitz algebra from dense products, the Der(A) table from
+whole commutators on a full-width solver, the Leibniz rule on every
 basis pair, the Jacobi walk on the constants scaled to ints by rows and by
 columns, the Jordan identity, an explicit Jordan isomorphism, the
 involution nu of the Albert algebra as a dense matrix, the odd x
@@ -27,7 +28,13 @@ from fractions import Fraction
 from math import lcm
 
 from e6lab import e6sp8, jordan, linalg
-from e6lab.algcore import AlgebraError, bracket_constants, fixed_subspace, put_antisymmetric
+from e6lab.algcore import (
+    AlgebraError,
+    bracket_constants,
+    derivation_int_matrices,
+    fixed_subspace,
+    put_antisymmetric,
+)
 from e6lab.gradings import GradedDecomposition
 from e6lab.jordan import h3, m3r
 from e6lab.scalars import QONE, QZERO
@@ -181,6 +188,19 @@ def d_ab_dense(c, a, b):
     out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(la, rb))]
     out = [linalg.vec_add(r1, r2) for r1, r2 in zip(out, comm(ra, rb))]
     return out
+
+
+def derivation_table_full_width(alg) -> dict:
+    """The structure constants of Der(A) on the basis of
+    `derivation_int_matrices(alg)`, as the package built them before it
+    read Der(A) on a few basis vectors: each commutator as a whole n x n
+    int matrix (`linalg.sp_bracket`), read on a `SpanSolver` of width n^2
+    holding the flattened basis."""
+    den, mats = derivation_int_matrices(alg)
+    n = alg.dim
+    flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
+    solver = linalg.SpanSolver(flat, n * n, den)
+    return bracket_constants(solver, lambda p, q: linalg.sp_bracket(mats[p], mats[q], n), den * den)
 
 
 def leibniz_defect(alg, d) -> bool:

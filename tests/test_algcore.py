@@ -26,6 +26,7 @@ from e6lab.algcore import (
     twist,
 )
 from oracles import (
+    derivation_table_full_width,
     identity,
     jacobi_defect_scaled,
     leibniz_defect,
@@ -409,12 +410,65 @@ def test_derivation_algebra_built_once_and_only_on_request():
             comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             coeffs = span_coefficients(sp, sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
-    # the solver the table was built with is kept, not rebuilt
+    # the full-width solver is built on its own request and kept beside the
+    # table, which is read on a few basis vectors and stays as it was
     solver = algcore.derivation_solver(alg)
     assert algcore.derivation_solver(alg) is solver
     assert algcore.derivation_algebra(alg) is der
     for p, d in enumerate(ders):
         assert span_coefficients(solver, sum(d, [])) == [F(int(q == p)) for q in range(3)]
+
+
+def _der_test_algebra(name):
+    from e6lab.composition import hurwitz
+    from e6lab.jordan import h3, m3r
+    from e6lab.tits import jordan_ingredient
+
+    if name in ("O", "C", "H", "RR"):
+        return hurwitz(name).alg
+    return (m3r() if name == "M3R" else jordan_ingredient(name)).alg
+
+
+# k for each algebra: its Der(A) table is read on the first k basis vectors
+DER_PREFIX = {"O": 5, "M3R": 3, "C": 0, "H": 3, "RR": 0}
+DER_PREFIX.update(dict.fromkeys(["albert", "albert-split", "splitalbert"], 10))
+
+
+def _spy_prefix(monkeypatch, shift=0):
+    """Route `_full_rank_prefix` through a wrapper that adds shift to k and
+    records the k it returns."""
+    rule, seen = algcore._full_rank_prefix, []
+
+    def shifted(n, cols):
+        seen.append(rule(n, cols) + shift)
+        return seen[-1]
+
+    monkeypatch.setattr(algcore, "_full_rank_prefix", shifted)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DER_PREFIX))
+def test_der_table_on_a_few_basis_vectors_is_the_full_width_table(name, monkeypatch):
+    # values, key order and entry types of the table read on the first k
+    # basis vectors equal those of the whole commutators on the full width
+    kept = _der_test_algebra(name)
+    alg = StructAlgebra(kept.dim, list(kept.basis_labels), kept.sc)
+    seen = _spy_prefix(monkeypatch)
+    table = algcore.derivation_algebra(alg).sc
+    assert seen == [DER_PREFIX[name]]
+    assert repr(list(table.items())) == repr(list(derivation_table_full_width(alg).items()))
+    if DER_PREFIX[name] == 0:  # Der(A) = 0: nothing is restricted, the table is empty
+        assert algcore.derivation_int_matrices(alg)[1] == [] and table == {}
+
+
+@pytest.mark.parametrize("name", ["O", "M3R", "H", "albert"])
+def test_der_table_on_one_basis_vector_too_few_raises(name, monkeypatch):
+    kept = _der_test_algebra(name)
+    alg = StructAlgebra(kept.dim, list(kept.basis_labels), kept.sc)
+    _spy_prefix(monkeypatch, shift=-1)
+    with pytest.raises(AlgebraError, match=f"on {DER_PREFIX[name] - 1} basis vectors"):
+        algcore.derivation_algebra(alg)
+    assert alg._der_alg_cache is None
 
 
 def test_automorphism_checks():

@@ -245,6 +245,19 @@ def test_jordan_gradings_verify():
     assert type_vector(gr["z"]) == (2, 0, 0, 0, 0, 0, 0, 2, 1)
 
 
+def test_jordan_gradings_of_the_compact_albert_algebra():
+    # the grading operator of H3(O, I) has no integer spectrum (the compact
+    # Albert algebra has no Z-grading over Q), so 'z' is left out and the
+    # two finite gradings are still given
+    gr = jordan_gradings(h3("O", (1, 1, 1)))
+    assert list(gr) == ["z2^3", "z2^2"]
+    for name, g in gr.items():
+        assert verify(g).valid, name
+    assert type_vector(gr["z2^3"]) == (0, 0, 7, 0, 0, 1)
+    assert type_vector(gr["z2^2"]) == (0, 0, 1, 0, 0, 0, 0, 3)
+    assert list(jordan_gradings(h3("O", GAMMA_SPLIT))) == ["z2^3", "z2^2", "z"]
+
+
 def test_jordan_gradings_reject_h3_over_other_algebras():
     # the octonion degrees are given on the labels of O, so the split
     # octonions are refused like any other H3

@@ -1,6 +1,7 @@
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,7 @@ from e6lab.algcore import (
     killing_matrix,
     twist,
 )
-from e6lab.composition import hurwitz
+from e6lab.composition import HURWITZ_NAMES, d_ab, hurwitz
 from e6lab.jordan import h3
 from e6lab.tits import (
     derj_model,
@@ -281,6 +282,20 @@ def test_a_layer_over_a_broken_x0_raises(monkeypatch, ingredient):
     with pytest.raises(AlgebraError, match=f"a vector leaves {ingredient}0"):
         tits(c, j, comp_name="X")
     assert broken._layer is None
+
+
+@pytest.mark.parametrize("name", [n for n in HURWITZ_NAMES if hurwitz(n).dim > 2])
+def test_c_pairing_is_d_ab_read_in_der_c(name):
+    # the layer forms d_{a,b} on the int-scaled L_v and R_v of C0; read as
+    # d_ab of the composition algebra in the Der(C) solver it is the same
+    c = hurwitz(name)
+    layer = tits_module.ingredient_layer(c)
+    vs, solver = layer.vectors, derivation_solver(c.alg)
+    expected = {}
+    for a, b in combinations(range(len(vs)), 2):
+        d, m = linalg.int_scaled(d_ab(c, vs[a], vs[b]))
+        expected[(a, b)] = solver.int_coordinates(m, d)
+    assert repr(list(layer.pairing.items())) == repr(list(expected.items()))
 
 
 def test_sp31_decomposition():
