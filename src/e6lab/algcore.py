@@ -14,23 +14,26 @@ structure constants.  Jacobi walks only the basis triples through a set S
 of basis vectors whose ad maps generate the algebra, each generator only
 with the pairs placed after it: the basis is placed in an order where every
 vector the closure of the earlier generators holds comes before the next
-generator, which certifies every triple.  Both read one Python-int table T
-(`StructAlgebra._kernel_table`): the table D*c of `int_tensor` when its
-entries are small, and past that bound the table of the same algebra on
-the basis b_i / f_i, f_k the lcm of the denominators in column k, scaled
-to ints.  That diagonal change of basis keeps the defect triples, the
-placement and, up to the factors f_i f_j, the Killing form; on a small
-table rescaled by primes p_i (c_ijk p_i p_j / p_k, the benchmark's wide
-models) it brings T's entries back to small ints.  On T Jacobi packs
-each row (m, c) into one Python int, one slot of w bits per coordinate,
-with w wide enough that every coordinate of a triple's cyclic sum is a
-signed digit of its slot: the packed sum is 0 iff the triple satisfies
-Jacobi, and packed rows are equal iff the rows are, so anticommutativity
-is read off them too (see `jacobi_defect`).  The algebra keeps the defect
-triples it found (`jacobi_certificate`), which `LieAlgebra`, the C02
-checks and `e6lab build` read.
-Derivations are solved on the integer table D*c as well, and Der(A) is
-kept once per algebra, as sparse int matrices on one scale
+generator, which certifies every triple.  They, `gradings.verify`, the
+monomial check and the Leibniz system read the algebra's one Python-int
+table T (`StructAlgebra._kernel_table`, kept on the algebra): the table
+D*c of `int_tensor` when its entries are small, and past that bound the
+table on the basis b_i / f_i, f_k the lcm of the denominators in column
+k, scaled to ints.  That diagonal change
+of basis keeps the defect triples, the placement and, up to the factors
+f_i f_j, the Killing form; on a small table rescaled by primes p_i
+(c_ijk p_i p_j / p_k, the benchmark's wide models) it brings T's entries
+back to small ints.  On T Jacobi packs each row (m, c) into one Python
+int, one slot of w bits per coordinate, with w wide enough that every
+coordinate of a triple's cyclic sum is a signed digit of its slot: the
+packed sum is 0 iff the triple satisfies Jacobi, and packed rows are equal
+iff the rows are, so anticommutativity is read off them too (see
+`jacobi_defect`).  The algebra keeps the defect triples it found
+(`jacobi_certificate`), which `LieAlgebra`, the C02 checks and `e6lab
+build` read.
+Derivations are solved on T too when every f_i is 1 (on ``sc`` scaled to
+ints otherwise, as Der(A) is wanted on the b_i), and Der(A) is kept once
+per algebra, as sparse int matrices on one scale
 (`derivation_int_matrices`), its table is read on a few basis vectors
 (`derivation_algebra`), and `derivations` is a dense Fraction view.
 """
@@ -62,10 +65,9 @@ class StructAlgebra:
     # Q's document tag; any other is rejected.  Besides `algebra_from_json`,
     # only the benchmark's rescaled models pass it (`field=alg.field`).
     field: str = QQ
-    _int_cache: tuple = dc_field(default=None, repr=False, compare=False)
-    _diag_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _table_cache: tuple = dc_field(default=None, repr=False, compare=False)
     _der_cache: tuple = dc_field(default=None, repr=False, compare=False)
-    _der_alg_cache: tuple = dc_field(default=None, repr=False, compare=False)
+    _der_alg_cache: StructAlgebra = dc_field(default=None, repr=False, compare=False)
     _jacobi_cache: tuple = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,14 +165,10 @@ class StructAlgebra:
         """(D, T) with T[(i, j)][k] = D * c[i][j][k] as Python ints, D the common
         denominator; (None, None) when dim * max|T|^2 >= 2^62.
 
-        The bound picks the faster table, not an overflow guard: past it the
-        certificates read the diagonal table of `_kernel_table` instead.
+        A scan that keeps nothing: `_kernel_table` calls it on its first
+        build and keeps the table.  The bound picks the faster table, not an
+        overflow guard: past it `_kernel_table` builds the diagonal one.
         """
-        if self._int_cache is None:
-            self._int_cache = self._scaled_int_table()
-        return self._int_cache
-
-    def _scaled_int_table(self):
         # dim * x^2 < 2^62 iff |x| <= top
         top = isqrt((_INT_TABLE_BOUND - 1) // max(self.dim, 1))
         d = lcm(*{v.denominator for row in self.sc.values() for v in row.values()})
@@ -185,41 +183,41 @@ class StructAlgebra:
 
     @linalg.acyclic
     def _kernel_table(self):
-        """(f, D, T): the int table the Jacobi, generator and Killing kernels
-        read, T = D*c' for the structure constants c' on the basis b_i / f_i.
+        """(f, D, T): the algebra's one int table, T = D*c' for the structure
+        constants c' on the basis b_i / f_i, built on the first call and
+        kept; every int reader reads it (module docstring), none edits it.
 
         Under the bound of `int_tensor` every f_i is 1, and (D, T) is its
         table.  Past it f_k is the lcm of the denominators in column k of
         ``sc``, and c'[i][j][k] = c[i][j][k] f_k / (f_i f_j): c f_k is an int
         by the choice of f_k, so each entry costs one gcd, and D is the lcm
         of the reduced denominators.  No bound is needed for exactness: the
-        kernels take their sizes from T.  Built on the first call past the
-        bound and kept beside the int table; callers never edit it.
+        kernels take their sizes from T.
         """
-        d, t = self.int_tensor()
-        if t is not None:
-            return [1] * self.dim, d, t
-        if self._diag_cache is None:
-            cols = [set() for _ in range(self.dim)]
-            for row in self.sc.values():
-                for k, v in row.items():
-                    cols[k].add(v.denominator)
-            f = [lcm(*dens) for dens in cols]
-            reduced = {}  # (i, j) -> {k: (numerator, denominator) of c'}
-            for (i, j), row in self.sc.items():
-                fij = f[i] * f[j]
-                out = reduced[(i, j)] = {}
-                for k, v in row.items():
-                    u = v.numerator * (f[k] // v.denominator)
-                    g = gcd(u, fij)
-                    out[k] = (u // g, fij // g)
-            d = lcm(*{y for row in reduced.values() for _, y in row.values()})
-            t = {
-                key: {k: x * (d // y) for k, (x, y) in row.items()}
-                for key, row in reduced.items()
-            }
-            self._diag_cache = (f, d, t)
-        return self._diag_cache
+        if self._table_cache is None:
+            d, t = self.int_tensor()
+            f = [1] * self.dim
+            if t is None:
+                cols = [set() for _ in range(self.dim)]
+                for row in self.sc.values():
+                    for k, v in row.items():
+                        cols[k].add(v.denominator)
+                f = [lcm(*dens) for dens in cols]
+                reduced = {}  # (i, j) -> {k: (numerator, denominator) of c'}
+                for (i, j), row in self.sc.items():
+                    fij = f[i] * f[j]
+                    out = reduced[(i, j)] = {}
+                    for k, v in row.items():
+                        u = v.numerator * (f[k] // v.denominator)
+                        g = gcd(u, fij)
+                        out[k] = (u // g, fij // g)
+                d = lcm(*{y for row in reduced.values() for _, y in row.values()})
+                t = {
+                    key: {k: x * (d // y) for k, (x, y) in row.items()}
+                    for key, row in reduced.items()
+                }
+            self._table_cache = (f, d, t)
+        return self._table_cache
 
 
 def algebra_from_products(labels, product) -> StructAlgebra:
@@ -730,8 +728,7 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
     coordinates of its restriction D_p(D_q b_g) - D_q(D_p b_g) are unique,
     and they are those of the full commutator.
     """
-    table, solver = alg._der_alg_cache or (None, None)
-    if table is None:
+    if alg._der_alg_cache is None:
         n, (den, mats) = alg.dim, derivation_int_matrices(alg)
         cols = [{} for _ in mats]  # cols[t][g] = {r: x}: column g of mats[t]
         for c, m in zip(cols, mats):
@@ -755,9 +752,8 @@ def derivation_algebra(alg: StructAlgebra) -> StructAlgebra:
             return {key: v for key, v in out.items() if v}
 
         sc = bracket_constants(restricted, bracket, den * den)
-        table = StructAlgebra(len(mats), [f"d{i}" for i in range(len(mats))], sc)
-        alg._der_alg_cache = (table, solver)
-    return table
+        alg._der_alg_cache = StructAlgebra(len(mats), [f"d{i}" for i in range(len(mats))], sc)
+    return alg._der_alg_cache
 
 
 def _full_rank_prefix(n: int, cols) -> int:
@@ -774,18 +770,6 @@ def _full_rank_prefix(n: int, cols) -> int:
             linalg.echelon_insert(echelon, row)
         k += 1
     return k
-
-
-def derivation_solver(alg: StructAlgebra) -> linalg.SpanSolver:
-    """The SpanSolver on `derivation_int_matrices(alg)` flattened row-major,
-    which reads a flattened dim x dim matrix in the Der(A) basis or finds it
-    outside Der(A); built on request and kept beside the Der(A) table."""
-    table, solver = alg._der_alg_cache or (None, None)
-    if solver is None:
-        n, (den, mats) = alg.dim, derivation_int_matrices(alg)
-        flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
-        alg._der_alg_cache = (table, linalg.SpanSolver(flat, n * n, den))
-    return alg._der_alg_cache[1]
 
 
 def _symmetry(table: dict) -> tuple:
@@ -815,10 +799,11 @@ def _solve_derivations(alg: StructAlgebra):
     n = alg.dim
     acc = linalg.IntKernelAccumulator(n * n)
     # the Leibniz system is homogeneous and linear in c, so the integer table
-    # D*c, D the common denominator, has the same kernel: the memoised one of
-    # `int_tensor`, or past its bound the same table scaled here
-    sc = alg.int_tensor()[1]
-    if sc is None:
+    # D*c, D the common denominator, has the same kernel: the table of
+    # `_kernel_table` when every f_i is 1, and otherwise ``sc`` scaled here,
+    # since Der(A) is wanted on the basis b_i
+    f, _, sc = alg._kernel_table()
+    if any(x != 1 for x in f):
         _, sc = linalg.int_scaled(alg.sc)
     commutative, anticomm = _symmetry(sc)
     by_left = [[] for _ in range(n)]  # by_left[i]: (q, c[i][q]) for the nonzero rows
@@ -896,16 +881,18 @@ def is_monomial_automorphism(alg: StructAlgebra, perm, coef) -> bool:
     The map is invertible iff perm is a permutation of the basis indices and
     no coef is 0.  It then preserves products iff
     coef[k] c[i][j][k] = coef[i] coef[j] c[perm i][perm j][perm k] for all
-    i, j, k, which is checked in one pass over the rows (i, j) of the table:
-    the int table D*c of `int_tensor` (the equation is homogeneous in c), or
-    ``sc`` past its bound.  Row (perm i, perm j) must hold perm k for every
-    k of row (i, j) and be as long, so each nonzero row maps onto a nonzero
-    row, and hence each zero row onto a zero row.
+    i, j, k, which is checked in one pass over the rows (i, j) of the int
+    table T = D*c' of `_kernel_table` (the equation is homogeneous in c),
+    on whose basis b_i / f_i the map has the coefficients coef[i]
+    f_(perm i) / f_i.  Row (perm i, perm j) must hold perm k for every k of
+    row (i, j) and be as long, so each nonzero row maps onto a nonzero row,
+    and hence each zero row onto a zero row.
     """
     n = alg.dim
     if len(coef) != n or sorted(perm) != list(range(n)) or not all(coef):
         return False
-    table = alg.int_tensor()[1] or alg.sc
+    f, _, table = alg._kernel_table()
+    coef = [c if fi == f[p] else Fraction(c * f[p], fi) for c, p, fi in zip(coef, perm, f)]
     for (i, j), row in table.items():
         image = table.get((perm[i], perm[j]))
         if image is None or len(image) != len(row):

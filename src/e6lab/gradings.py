@@ -26,6 +26,7 @@ whose degrees add to g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd, lcm
 
 from . import linalg
 from .algcore import LieAlgebra, StructAlgebra
@@ -263,9 +264,12 @@ def verify(grading: GradedDecomposition) -> GradingReport:
     than g+h (`_sum_test`).  Each table row c(a, b) is taken through P^-1
     once, and c'(x, y) is summed as x_a y_b P^-1 c(a, b) over the pairs
     (a, b) that meet x and y, so every product is covered but only the
-    nonzero ones are formed.  All of it runs on ints: the int table D*c
-    (`int_tensor`, or `int_scaled` past its bound), the int rows of P and
-    P^-1 times an int, positive scales that leave a support as it is.
+    nonzero ones are formed.  All of it runs on ints: the table T = D*c' of
+    `StructAlgebra._kernel_table` on the basis b_a / f_a, where row x of P
+    is sum_a x_a f_a (b_a / f_a) and b_k / f_k is P^-1 e_k / f_k, so the
+    int rows of P are taken times f_a at a and those of P^-1 times lcm(f) /
+    f_k, then each row of P, and P^-1 as a whole, divided by the gcd of its
+    entries: positive scales, which leave every support as it is.
     Violations (g, h, g+h), one per failing pair x, y, come in the order g,
     then h in components order, then x, then y.
 
@@ -273,13 +277,14 @@ def verify(grading: GradedDecomposition) -> GradingReport:
     is not tested without P^-1.
     """
     basis = grading.homogeneous_basis()
-    inverse = basis.inverse
-    if inverse is None:
+    if basis.inverse is None:
         return GradingReport(False, False, [])
-    alg = grading.algebra
-    _, table = alg.int_tensor()
-    if table is None:
-        _, table = linalg.int_scaled(alg.sc)
+    f, _, table = grading.algebra._kernel_table()
+    big = lcm(*f)
+    inverse = [{r: t * (big // fk) for r, t in row.items()} for row, fk in zip(basis.inverse, f)]
+    common = gcd(*(t for row in inverse for t in row.values()))
+    inverse = [{r: t // common for r, t in row.items()} for row in inverse]
+    rows = [linalg.primitive({a: v * f[a] for a, v in row.items()}) for row in basis.int_rows]
     ids = basis.degree_ids
     codes, sums = _sum_test(grading.group, basis.support)
     code = [codes[i] for i in ids]  # the degree code of each row of P
@@ -291,11 +296,11 @@ def verify(grading: GradedDecomposition) -> GradingReport:
                 w[r] = w.get(r, 0) + v * t
         left.setdefault(a, []).append((b, list(w.items())))
     cols = {}  # b -> [(y, entry of row y at b)] over the rows of P
-    for y, row in enumerate(basis.int_rows):
+    for y, row in enumerate(rows):
         for b, v in row.items():
             cols.setdefault(b, []).append((y, v))
     found = []
-    for x, xrow in enumerate(basis.int_rows):
+    for x, xrow in enumerate(rows):
         products = {}  # y -> the coordinates in P of x y
         for a, xa in xrow.items():
             for b, w in left.get(a, ()):

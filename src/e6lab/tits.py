@@ -13,8 +13,10 @@ call of `ingredient_layer` and kept on the C or J object, so the seven
 catalog models build seven layers from three C's and four J's; every
 coordinate in a layer is read off an int vector by
 `SpanSolver.int_coordinates`.  The pairing is formed on int matrices
-scaled once (L_v, R_v of C0 through `d_of_mult`; R_x of J0) and read by
-`derivation_solver`.  The Der(C) and Der(J) blocks are copies of
+scaled once (L_v, R_v of C0 through `d_of_mult`; R_x of J0) and read on
+the Der(X) basis flattened to width dim^2, whose span solver the layer
+builds, reads and drops, and which certifies that the pairing lies in
+Der(X).  The Der(C) and Der(J) blocks are copies of
 `derivation_algebra(C)` and `derivation_algebra(J)`, tables built once per
 algebra on a few basis vectors.  The pairing spans Der(X) and adds
 degrees, so `gradings.combine` grades Der(C) and Der(J) by it too.  A sign
@@ -42,7 +44,6 @@ from .algcore import (
     StructAlgebra,
     derivation_algebra,
     derivation_int_matrices,
-    derivation_solver,
     inertia,
     is_diagonal_automorphism,
     killing_block,
@@ -153,7 +154,10 @@ def ingredient_layer(x: CompositionAlgebra | JordanAlgebra) -> Layer:
         [_coords(solver, linalg.sp_matvec(d, v), der_den * x0_den, f"{name}0") for v in x0]
         for d in ders
     ]
-    der_solver = derivation_solver(x.alg)
+    # Der(X) flattened row-major: its solver reads the pairings, then is dropped
+    n = x.dim
+    flat = [{r * n + c: v for r, row in d.items() for c, v in row.items()} for d in ders]
+    der_solver = linalg.SpanSolver(flat, n * n, der_den)
     pairs = {
         (a, b): _coords(der_solver, *pairing(a, b), f"Der({name})")
         for a, b in combinations(range(len(vs)), 2)

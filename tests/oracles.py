@@ -4,14 +4,16 @@ Each one restates, directly and without the package's fast paths, something
 the package computes another way or takes as given: the two-pass span
 coefficients on a dense list, dense matrix products
 and the sparse commutator as two products merged, the standard derivation
-d_{a,b} of a Hurwitz algebra from dense products, the Der(A) table from
-whole commutators on a full-width solver, the Leibniz rule on every
-basis pair, the Jacobi walk on the constants scaled to ints by rows and by
-columns, the Jordan identity, an explicit Jordan isomorphism, the
-involution nu of the Albert algebra as a dense matrix, the odd x
-odd bracket of the symplectic model read back from its table, the
+d_{a,b} of a Hurwitz algebra from dense products, the full-width Der(A)
+span solver and the Der(A) table from whole commutators on it, the Leibniz
+rule on every basis pair, the Jacobi walk on the constants scaled to ints
+by rows and by columns, the Jordan identity, an explicit Jordan
+isomorphism, the involution nu of the Albert algebra as a dense matrix,
+the odd x odd bracket of the symplectic model read back from its table, the
 derivation action on Lambda^2 and the push of a grading through a group
-map.  None of them is used by the package.
+map.  None of them is used by the package.  Three helpers are not
+oracles: `diagonal_table` makes an algebra read its diagonal int table,
+and `rescaled` and `primes` move an algebra to the basis p_i b_i.
 
 The last two sections keep the symplectic frame as the pairs (P, Q) of
 rational matrices with A = P + iQ, multiplied through the real 16x16 form,
@@ -25,11 +27,12 @@ and the target-leaf reads of `e6sp8` to them.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from e6lab import e6sp8, jordan, linalg
 from e6lab.algcore import (
     AlgebraError,
+    StructAlgebra,
     bracket_constants,
     derivation_int_matrices,
     fixed_subspace,
@@ -190,17 +193,57 @@ def d_ab_dense(c, a, b):
     return out
 
 
+def derivation_solver_full_width(alg) -> linalg.SpanSolver:
+    """The `SpanSolver` of width n^2 on `derivation_int_matrices(alg)`
+    flattened row-major, which reads a flattened n x n int matrix in the
+    Der(A) basis or finds it outside Der(A): the solver the package kept
+    on the algebra before `tits.ingredient_layer` built its own."""
+    den, mats = derivation_int_matrices(alg)
+    n = alg.dim
+    flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
+    return linalg.SpanSolver(flat, n * n, den)
+
+
 def derivation_table_full_width(alg) -> dict:
     """The structure constants of Der(A) on the basis of
     `derivation_int_matrices(alg)`, as the package built them before it
     read Der(A) on a few basis vectors: each commutator as a whole n x n
-    int matrix (`linalg.sp_bracket`), read on a `SpanSolver` of width n^2
-    holding the flattened basis."""
+    int matrix (`linalg.sp_bracket`), read on the full-width solver
+    `derivation_solver_full_width`."""
     den, mats = derivation_int_matrices(alg)
-    n = alg.dim
-    flat = [{r * n + c: x for r, row in m.items() for c, x in row.items()} for m in mats]
-    solver = linalg.SpanSolver(flat, n * n, den)
-    return bracket_constants(solver, lambda p, q: linalg.sp_bracket(mats[p], mats[q], n), den * den)
+    solver = derivation_solver_full_width(alg)
+    return bracket_constants(
+        solver, lambda p, q: linalg.sp_bracket(mats[p], mats[q], alg.dim), den * den
+    )
+
+
+def rescaled(alg, scales) -> StructAlgebra:
+    """alg on the basis s_i b_i: c'_ij^k = c_ij^k s_i s_j / s_k."""
+    sc = {
+        (i, j): {k: v * scales[i] * scales[j] / scales[k] for k, v in row.items()}
+        for (i, j), row in alg.sc.items()
+    }
+    return StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
+
+
+def primes(count, start=101):
+    """The first count primes from start on, by trial division."""
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def diagonal_table(alg):
+    """alg, made to read the diagonal table of `StructAlgebra._kernel_table`
+    whatever its entry sizes: the table memo is dropped and `int_tensor`
+    reports the bound on this instance only, so the next read builds the
+    table on the basis b_i / f_i."""
+    alg._table_cache = None
+    alg.int_tensor = lambda: (None, None)
+    return alg
 
 
 def leibniz_defect(alg, d) -> bool:

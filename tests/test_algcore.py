@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import e6lab
-from e6lab import algcore, catalog, linalg, verify
+from e6lab import algcore, catalog, gradings, linalg, verify
 from e6lab.algcore import (
     AlgebraError,
     LieAlgebra,
@@ -26,12 +26,15 @@ from e6lab.algcore import (
     twist,
 )
 from oracles import (
+    derivation_solver_full_width,
     derivation_table_full_width,
+    diagonal_table,
     identity,
     jacobi_defect_scaled,
     leibniz_defect,
     mat_sub,
     mat_vec,
+    rescaled,
     sp_commutator,
     sp_flatten,
     span_coefficients,
@@ -80,16 +83,14 @@ def test_jacobi_perturbed_nonempty():
 def test_jacobi_exact_path_agrees():
     a = sl2()
     assert a.int_tensor()[1] is not None
-    a._int_cache = (None, None)
-    assert jacobi_defect(a) == []
+    assert jacobi_defect(diagonal_table(a)) == []
     b = sl2()
     b.sc[(1, 2)] = {0: F(1), 1: F(1)}
     b.sc[(2, 1)] = {0: F(-1), 1: F(-1)}
     b = StructAlgebra(dim=3, basis_labels=b.basis_labels, sc=b.sc)
     assert b.int_tensor()[1] is not None
     fast = jacobi_defect(b)
-    b._int_cache = (None, None)
-    assert fast == jacobi_defect(b)
+    assert fast == jacobi_defect(diagonal_table(b))
 
 
 @pytest.mark.parametrize("name", catalog.MODEL_NAMES)
@@ -173,7 +174,7 @@ def test_certificates_past_the_bound_read_a_small_diagonal_table(name):
     lie = catalog.model(name)[0]
     n = lie.dim
     primes = _primes_below(2**31 - 1, n)
-    wide = LieAlgebra(_rescaled(lie.alg, primes), check_jacobi=False)
+    wide = LieAlgebra(rescaled(lie.alg, primes), check_jacobi=False)
     assert wide.alg.int_tensor() == (None, None)
     t = wide.alg._kernel_table()[2]
     top = max(abs(y) for row in t.values() for y in row.values())
@@ -184,6 +185,32 @@ def test_certificates_past_the_bound_read_a_small_diagonal_table(name):
     )
     assert inertia(k_wide) == lie.killing_inertia()
     assert jacobi_defect(wide.alg) == []
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_every_int_reader_shares_one_table_scan(monkeypatch, wide):
+    # sl2, and sl2 on the basis p_i b_i for three 31-bit primes, past the
+    # bound: Jacobi, Killing, the graded certificate, the Leibniz system and
+    # the monomial check all read the one table memo, so int_tensor scans
+    # the table once per algebra object
+    p = _primes_below(2**31 - 1, 3) if wide else [1, 1, 1]
+    alg = rescaled(sl2(), p)
+    k = killing_matrix(LieAlgebra(sl2()))
+    scan, calls = StructAlgebra.int_tensor, []
+    monkeypatch.setattr(StructAlgebra, "int_tensor", lambda self: calls.append(self) or scan(self))
+    lie = LieAlgebra(alg)
+    assert killing_matrix(lie) == [[k[i][j] * p[i] * p[j] for j in range(3)] for i in range(3)]
+    # the Z-grading h: 0, e: 1, f: -1, by basis lines on either basis
+    lines = {(d,): [alg.basis_vector(i)] for i, d in enumerate((0, 1, -1))}
+    z = gradings.FinAbGroup(1, ())
+    assert gradings.verify(gradings.GradedDecomposition(z, alg, lines)).valid
+    assert len(algcore.derivation_int_matrices(alg)[1]) == 3
+    # the Chevalley involution h -> -h, e -> -f, f -> -e, moved to p_i b_i
+    perm = [0, 2, 1]
+    coef = [F(-p[i], p[perm[i]]) for i in range(3)]
+    assert algcore.is_monomial_automorphism(alg, perm, coef)
+    assert calls == [alg]
+    assert (scan(alg)[1] is None) is wide
 
 
 @st.composite
@@ -249,8 +276,7 @@ def test_killing_sl2():
 def test_killing_exact_fallback_agrees():
     lie = LieAlgebra(sl2())
     fast = killing_matrix(lie)
-    # force the diagonal table by faking a huge entry bound
-    lie.alg._int_cache = (None, None)
+    diagonal_table(lie.alg)
     slow = killing_matrix(lie)
     assert fast == slow
 
@@ -410,13 +436,7 @@ def test_derivation_algebra_built_once_and_only_on_request():
             comm = mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
             coeffs = span_coefficients(sp, sum(comm, []))
             assert der.mult_basis(p, q) == {k: v for k, v in enumerate(coeffs) if v}
-    # the full-width solver is built on its own request and kept beside the
-    # table, which is read on a few basis vectors and stays as it was
-    solver = algcore.derivation_solver(alg)
-    assert algcore.derivation_solver(alg) is solver
-    assert algcore.derivation_algebra(alg) is der
-    for p, d in enumerate(ders):
-        assert span_coefficients(solver, sum(d, [])) == [F(int(q == p)) for q in range(3)]
+    assert alg._der_alg_cache is der  # the slot holds the table alone
 
 
 def _der_test_algebra(name):
@@ -575,7 +595,7 @@ def test_kernels_match_brute_force_on_both_tables(case):
     lie = LieAlgebra(alg, check_jacobi=False)
     assert jacobi_defect(alg) == defect
     assert killing_matrix(lie) == kmat
-    alg._int_cache = (None, None)
+    diagonal_table(alg)
     assert jacobi_defect(alg) == defect
     assert killing_matrix(lie) == kmat
 
@@ -645,15 +665,6 @@ def _sheared(alg, shear):
     )
 
 
-def _rescaled(alg, scales):
-    """The algebra on the basis s_i b_i: c'_ij^k = c_ij^k s_i s_j / s_k."""
-    sc = {
-        (i, j): {k: v * scales[i] * scales[j] / scales[k] for k, v in row.items()}
-        for (i, j), row in alg.sc.items()
-    }
-    return StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=sc)
-
-
 @st.composite
 def rescaled_lie_algebras(draw):
     """(alg, breaks): sl2, so3 or Heisenberg plus an abelian part, at random
@@ -680,7 +691,7 @@ def rescaled_lie_algebras(draw):
     entries = st.integers(min_value=-2, max_value=2)
     shear = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     primes = draw(st.lists(st.sampled_from(PRIMES), min_size=n, max_size=n, unique=True))
-    return _rescaled(_sheared(_from_brackets(n, brackets), shear), primes), breaks
+    return rescaled(_sheared(_from_brackets(n, brackets), shear), primes), breaks
 
 
 @given(rescaled_lie_algebras())
@@ -690,8 +701,7 @@ def test_scaled_loop_on_prime_rescaled_lie_algebras(case):
     defect = _jacobi_reference(alg)
     assert bool(defect) == breaks
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the diagonal table, whatever the entry sizes
-    assert jacobi_defect(alg) == defect
+    assert jacobi_defect(diagonal_table(alg)) == defect
 
 
 # Lie algebras for the generator walk: direct sums of sl2, the Heisenberg
@@ -786,7 +796,7 @@ def test_generator_walk_matches_the_reference_on_both_tables(alg):
     order, gens = algcore._ad_generators(alg)
     _check_placement(alg, order, gens)
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the diagonal table
+    diagonal_table(alg)
     assert algcore._ad_generators(alg) == (order, gens)
     assert jacobi_defect(alg) == defect
 
@@ -804,9 +814,8 @@ def test_ad_generators_generate_each_catalog_model(name):
     assert linalg.rank(_ad_closure(alg, gens[:-1])) < 78
     # the same placement on the diagonal table, and on the diagonal table
     # of the model rescaled by 31-bit primes
-    diag = StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc)
-    diag._int_cache = (None, None)
-    wide = _rescaled(alg, _primes_below(2**31 - 1, alg.dim))
+    diag = diagonal_table(StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc))
+    wide = rescaled(alg, _primes_below(2**31 - 1, alg.dim))
     assert wide.int_tensor() == (None, None)
     assert algcore._ad_generators(diag) == algcore._ad_generators(wide) == (order, gens)
 
@@ -867,8 +876,7 @@ def test_jacobi_finds_a_defect_through_the_last_generator_only():
     assert algcore._ad_generators(alg) == ([0, 1, 2, 3], [0, 1])
     assert jacobi_defect(alg) == _jacobi_reference(alg) == [(1, 2, 3)]
     assert algcore.jacobi_certificate(alg) == ((1, 2, 3),)
-    alg._int_cache = (None, None)  # the diagonal table
-    assert jacobi_defect(alg) == [(1, 2, 3)]
+    assert jacobi_defect(diagonal_table(alg)) == [(1, 2, 3)]
 
 
 # triples (s, j, k) walked through S on the certified table: each s with
@@ -945,7 +953,7 @@ def _jacobi_rejects_on_both_tables(alg):
             out.append(True)
         else:
             out.append(False)
-        alg._int_cache = (None, None)
+        diagonal_table(alg)
     return tuple(out)
 
 
@@ -1018,8 +1026,7 @@ def test_jacobi_matches_the_scaled_loop_on_planted_int_tables(alg):
     assert alg.int_tensor()[1] is not None
     defect = jacobi_defect_scaled(alg)
     assert jacobi_defect(alg) == defect
-    alg._int_cache = (None, None)  # the diagonal table
-    assert jacobi_defect(alg) == defect
+    assert jacobi_defect(diagonal_table(alg)) == defect
 
 
 def test_lie_algebra_and_c02_read_one_jacobi_certificate(monkeypatch):
@@ -1124,7 +1131,7 @@ def test_der_tables_identical_on_int_and_fraction_brackets(name):
     alg = {"O": lambda: hurwitz("O"), "M3R": m3r, "albert": lambda: h3("O", (1, 1, 1))}[name]().alg
     den, mats = algcore.derivation_int_matrices(alg)
     n = alg.dim
-    solver = algcore.derivation_solver(alg)
+    solver = derivation_solver_full_width(alg)
     # the solver built on the int matrices is the one on the dense
     # flattened Fraction matrices
     dense = linalg.SpanSolver([sum(d, []) for d in derivations(alg)])

@@ -6,7 +6,7 @@ import pytest
 from e6lab import algcore, chevalley, linalg
 from e6lab.algcore import fixed_subspace, jacobi_defect
 from e6lab.gradings import type_vector, verify
-from oracles import identity, mat_sub, span_coefficients
+from oracles import diagonal_table, identity, mat_sub, primes, rescaled, span_coefficients
 
 F = Fraction
 
@@ -395,12 +395,30 @@ def _monomial_matrix(perm, coef):
     return m
 
 
+def test_monomial_check_on_a_prime_rescaled_model():
+    # chevalley-e6 on the basis p_i b_i, past the int-table bound: omega
+    # b_i -> coef_i b_perm(i) is b_i -> coef_i p_i / p_perm(i) b_perm(i)
+    # there, which the check reads on the diagonal table
+    cb = chevalley.e6_chevalley()
+    p = primes(cb.dim)
+    wide = rescaled(cb.lie.alg, p)
+    assert wide.int_tensor() == (None, None)
+    perm, coef = _omega_perm_coef(cb)
+    moved = [F(c * p[i], p[perm[i]]) for i, c in enumerate(coef)]
+    assert algcore.is_monomial_automorphism(wide, perm, moved)
+    assert not algcore.is_monomial_automorphism(wide, perm, coef)
+    q = cb.e_index(0)
+    moved[q] = -moved[q]
+    assert not algcore.is_monomial_automorphism(wide, perm, moved)
+
+
 def test_monomial_check_rejects_the_mutants_the_dense_check_rejects():
     cb = chevalley.e6_chevalley()
     alg = cb.lie.alg
-    # the same table without its int table, so the check reads sc
-    fallback = algcore.StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc)
-    fallback._int_cache = (None, None)
+    # the same table, read on its diagonal int table
+    fallback = diagonal_table(
+        algcore.StructAlgebra(dim=alg.dim, basis_labels=alg.basis_labels, sc=alg.sc)
+    )
     perm, coef = _omega_perm_coef(cb)
     q, p = cb.e_index(0), cb.e_index(1)
     flipped = coef[:]

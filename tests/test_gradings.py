@@ -20,7 +20,7 @@ from e6lab.gradings import (
 )
 from e6lab.jordan import h3, jordan_gradings, m3r
 from e6lab.tits import tits_model
-from oracles import coarsen, mat_vec, scaled_rows_dense, span_coefficients
+from oracles import coarsen, mat_vec, primes, rescaled, scaled_rows_dense, span_coefficients
 
 F = Fraction
 
@@ -158,7 +158,7 @@ def test_killing_checks_reject_moved_component():
 def test_verify_past_the_int_table_bound():
     # b_i -> p_i b_i with large p_i keeps every grading by basis lines, but
     # the constants c_ij^k p_i p_j / p_k are past the int-table bound, so
-    # closure is checked on the int-scaled Fraction table instead
+    # closure is checked on the diagonal table of the basis b_i / f_i instead
     g = octonion_z23_grading()
     alg = g.algebra
     p = [2**31 - 1 - 2 * i for i in range(alg.dim)]
@@ -176,6 +176,30 @@ def test_verify_past_the_int_table_bound():
     want = verify(GradedDecomposition(g.group, alg, comps)).violations
     assert want
     assert verify(GradedDecomposition(g.group, big, comps)).violations == want
+
+
+def test_gamma4_verifies_on_a_prime_rescaled_carrier():
+    # tits-o-m3r on the basis p_i b_i for distinct primes p_i, past the
+    # int-table bound; each component vector moves to that basis (coordinate
+    # i divided by p_i), and verify reads the diagonal table, each f_i a
+    # multiple of p_i
+    g, _, _ = catalog.grading("gamma4")
+    p = primes(g.algebra.dim)
+    big = rescaled(g.algebra, p)
+    assert big.int_tensor() == (None, None)
+    assert all(f % q == 0 for f, q in zip(big._kernel_table()[0], p))
+
+    def moved(components):
+        return {d: [[F(x) / q for x, q in zip(v, p)] for v in vs] for d, vs in components.items()}
+
+    assert verify(GradedDecomposition(g.group, big, moved(g.components))).valid
+    # swapping the components of two degrees breaks closure the same way on both
+    d1, d2 = g.support[1], g.support[2]
+    comps = dict(g.components)
+    comps[d1], comps[d2] = comps[d2], comps[d1]
+    want = verify(GradedDecomposition(g.group, g.algebra, comps)).violations
+    assert want
+    assert verify(GradedDecomposition(g.group, big, moved(comps))).violations == want
 
 
 def _der_grading(grading, x):

@@ -16,7 +16,6 @@ from e6lab.algcore import (
     bracket_constants,
     derivation_algebra,
     derivation_int_matrices,
-    derivation_solver,
     derivations,
     fixed_subspace,
     inertia,
@@ -36,7 +35,7 @@ from e6lab.tits import (
     tits_model,
     twist_signature_identity,
 )
-from oracles import mat_vec, nu_automorphism, span_coefficients
+from oracles import derivation_solver_full_width, mat_vec, nu_automorphism, span_coefficients
 
 F = Fraction
 
@@ -284,13 +283,26 @@ def test_a_layer_over_a_broken_x0_raises(monkeypatch, ingredient):
     assert broken._layer is None
 
 
+def test_tits_keeps_only_the_der_tables_on_its_ingredients(monkeypatch):
+    # the layers read their pairings on a full-width Der(X) solver and drop
+    # it: on fresh ingredients, each Der(X) slot holds the table alone
+    monkeypatch.setattr(tits_module, "hurwitz", hurwitz.__wrapped__)
+    monkeypatch.setattr(tits_module, "jordan_ingredient", _fresh_j)
+    t = tits_model.__wrapped__("O", "m3r")
+    assert t.comp is not hurwitz("O") and t.jordan is not jordan.m3r()
+    for x in (t.comp, t.jordan):
+        assert type(x.alg._der_alg_cache) is StructAlgebra
+        assert x.alg._der_alg_cache is derivation_algebra(x.alg)
+
+
 @pytest.mark.parametrize("name", [n for n in HURWITZ_NAMES if hurwitz(n).dim > 2])
 def test_c_pairing_is_d_ab_read_in_der_c(name):
     # the layer forms d_{a,b} on the int-scaled L_v and R_v of C0; read as
-    # d_ab of the composition algebra in the Der(C) solver it is the same
+    # d_ab of the composition algebra in the full-width Der(C) solver it is
+    # the same
     c = hurwitz(name)
     layer = tits_module.ingredient_layer(c)
-    vs, solver = layer.vectors, derivation_solver(c.alg)
+    vs, solver = layer.vectors, derivation_solver_full_width(c.alg)
     expected = {}
     for a, b in combinations(range(len(vs)), 2):
         d, m = linalg.int_scaled(d_ab(c, vs[a], vs[b]))
@@ -320,7 +332,7 @@ def _dense_sp31_reference():
     if not is_automorphism(j.alg, nu_j):
         raise AlgebraError("nu is not an automorphism of the Albert algebra")
     der = derivations(t.jordan.alg)
-    dj_solver = derivation_solver(t.jordan.alg)
+    dj_solver = derivation_solver_full_width(t.jordan.alg)
     j0 = t.j0_vectors
     j0_solver = linalg.SpanSolver(j0)
     nu_l = [[F(0)] * dim for _ in range(dim)]
